@@ -1,4 +1,4 @@
-//! Experiment runner: regenerates the tables recorded in `EXPERIMENTS.md`.
+//! Experiment runner: regenerates the tables of experiments E1–E16.
 //!
 //! Usage:
 //! ```text

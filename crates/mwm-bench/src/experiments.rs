@@ -1,4 +1,4 @@
-//! The experiment implementations E1–E16 (see `EXPERIMENTS.md`).
+//! The experiment implementations E1–E16.
 //!
 //! Every experiment returns a structured [`ExperimentReport`] (id, title,
 //! columns, raw cells) instead of pre-formatted strings, so integration tests

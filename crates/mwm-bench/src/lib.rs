@@ -1,9 +1,8 @@
-//! Experiment harness regenerating every experiment of `EXPERIMENTS.md`.
+//! Experiment harness for experiments E1–E16.
 //!
 //! The paper (SPAA 2015) contains no empirical tables — its claims are
 //! theorems. Each experiment here measures one of those claims on synthetic
-//! workloads (the mapping from claims to experiments is in `DESIGN.md` §3 and
-//! `EXPERIMENTS.md`). Experiments drive the solvers through the engine API
+//! workloads. Experiments drive the solvers through the engine API
 //! (`mwm_core::MatchingSolver`) and return structured
 //! [`ExperimentReport`] values; the `experiments` binary renders them as
 //! aligned text tables and the Criterion benches in `benches/` time the

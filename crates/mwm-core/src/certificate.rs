@@ -2,15 +2,15 @@
 //!
 //! The experiments need a defensible approximation ratio for every run:
 //! against the *exact* optimum whenever one of the exact substrates applies
-//! (bitmask DP, Hungarian on bipartite graphs, blossom on unit weights), and
-//! against the certified upper bounds of [`mwm_matching::bounds`] otherwise
-//! (in which case the reported ratio is a lower bound on the true ratio).
+//! (see [`exact_optimum`]), and against the certified upper bounds of
+//! [`mwm_matching::bounds`] otherwise (in which case the reported ratio is a
+//! lower bound on the true ratio).
 
 use crate::solver::SolveResult;
 use mwm_graph::{BMatching, Graph, Matching, VertexId};
 use mwm_matching::{
     best_offline_matching, bounds, exact_max_weight_matching, greedy_b_matching,
-    max_cardinality_matching, max_weight_bipartite_matching,
+    max_cardinality_matching, try_max_weight_bipartite_matching,
 };
 
 /// A certificate for one solve.
@@ -30,14 +30,16 @@ pub struct SolutionCertificate {
     pub ratio_vs_exact: Option<f64>,
 }
 
-/// How large an instance each exact method is allowed to take on (they are
+/// How large an instance the DP and the cardinality blossom take on (they are
 /// only used for certification, so the cut-offs are conservative).
 const DP_LIMIT: usize = 18;
-const HUNGARIAN_LIMIT: usize = 400;
 const BLOSSOM_LIMIT: usize = 400;
 
 /// Computes the exact optimum of the (unit-capacity) matching problem when one
-/// of the exact substrates applies; `None` otherwise.
+/// of the exact substrates applies; `None` otherwise. These are the exact
+/// routes of [`best_offline_matching`]'s rule (the bitmask DP on tiny graphs,
+/// the bipartite solver at any size), plus the cardinality blossom on
+/// unit-weight graphs up to 400 vertices.
 pub fn exact_optimum(graph: &Graph) -> Option<f64> {
     let n = graph.num_vertices();
     let unit_caps = (0..n).all(|v| graph.b(v as VertexId) == 1);
@@ -47,8 +49,8 @@ pub fn exact_optimum(graph: &Graph) -> Option<f64> {
     if n <= DP_LIMIT {
         return Some(exact_max_weight_matching(graph).weight());
     }
-    if n <= HUNGARIAN_LIMIT && graph.bipartition().is_some() {
-        return Some(max_weight_bipartite_matching(graph).weight());
+    if let Some(m) = try_max_weight_bipartite_matching(graph) {
+        return Some(m.weight());
     }
     let unit_weights = graph.edges().iter().all(|e| (e.w - 1.0).abs() < 1e-12);
     if n <= BLOSSOM_LIMIT && unit_weights {
@@ -82,7 +84,7 @@ pub fn certify_b_matching(graph: &Graph, bm: &BMatching) -> SolutionCertificate 
 
 /// The offline b-matching substrate used by the solver on in-memory subgraphs:
 /// exact/near-exact matching when all capacities are 1, greedy b-matching plus
-/// the per-level refinement otherwise (substitution documented in DESIGN.md).
+/// the per-level refinement otherwise.
 pub fn offline_b_matching(graph: &Graph) -> BMatching {
     let n = graph.num_vertices();
     let unit_caps = (0..n).all(|v| graph.b(v as VertexId) == 1);
@@ -109,9 +111,12 @@ mod tests {
     }
 
     #[test]
-    fn exact_optimum_uses_hungarian_on_bipartite_graphs() {
+    fn exact_optimum_covers_bipartite_graphs_of_any_size() {
         let mut rng = StdRng::seed_from_u64(2);
         let g = generators::random_bipartite(30, 30, 0.3, WeightModel::Uniform(1.0, 5.0), &mut rng);
+        assert!(exact_optimum(&g).is_some());
+        let g =
+            generators::random_bipartite(300, 300, 0.01, WeightModel::Uniform(1.0, 5.0), &mut rng);
         assert!(exact_optimum(&g).is_some());
     }
 

@@ -18,19 +18,17 @@ use mwm_mapreduce::ResourceTracker;
 use mwm_matching::exact::MAX_DP_VERTICES;
 use mwm_matching::{
     exact_max_weight_matching, greedy_b_matching, greedy_matching, improve_matching,
-    max_weight_bipartite_matching,
+    try_max_weight_bipartite_matching,
 };
-
-/// Largest bipartite instance the exact strategy hands to the Hungarian
-/// algorithm (`O(n^3)`; the cut-off keeps "exact" predictable).
-pub const MAX_HUNGARIAN_VERTICES: usize = 400;
 
 /// Which offline algorithm [`OfflineSolver`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OfflineStrategy {
-    /// Exact optimum: bitmask DP for up to [`MAX_DP_VERTICES`] vertices,
-    /// Hungarian for bipartite graphs up to [`MAX_HUNGARIAN_VERTICES`];
-    /// anything else is [`MwmError::Unsupported`]. Unit capacities only.
+    /// Exact optimum by the exact routes of
+    /// [`mwm_matching::best_offline_matching`]'s rule: the bitmask DP (as far
+    /// as [`MAX_DP_VERTICES`] reaches) or the bipartite solver at any size. A
+    /// larger non-bipartite graph is [`MwmError::Unsupported`]. Unit
+    /// capacities only.
     Exact,
     /// Greedy by weight: ½-approximation, works for arbitrary capacities.
     Greedy,
@@ -103,19 +101,20 @@ impl MatchingSolver for OfflineSolver {
             OfflineStrategy::Exact => {
                 self.require_unit_capacities(graph)?;
                 let n = graph.num_vertices();
-                if n <= MAX_DP_VERTICES {
-                    exact_max_weight_matching(graph).to_b_matching()
-                } else if n <= MAX_HUNGARIAN_VERTICES && graph.bipartition().is_some() {
-                    max_weight_bipartite_matching(graph).to_b_matching()
+                let exact = if n <= MAX_DP_VERTICES {
+                    Some(exact_max_weight_matching(graph))
                 } else {
-                    return Err(MwmError::Unsupported {
+                    try_max_weight_bipartite_matching(graph)
+                };
+                exact
+                    .ok_or_else(|| MwmError::Unsupported {
                         solver: self.name().to_string(),
                         reason: format!(
-                            "no exact substrate for n = {n} (DP limit {MAX_DP_VERTICES}, \
-                             Hungarian limit {MAX_HUNGARIAN_VERTICES} and bipartite only)"
+                            "no exact substrate for a non-bipartite graph with n = {n} \
+                             (DP limit {MAX_DP_VERTICES})"
                         ),
-                    });
-                }
+                    })?
+                    .to_b_matching()
             }
             OfflineStrategy::Greedy => greedy_b_matching(graph),
             OfflineStrategy::LocalSearch => {
@@ -177,6 +176,19 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, MwmError::Unsupported { .. }));
         }
+    }
+
+    #[test]
+    fn exact_accepts_large_bipartite_graphs() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let g =
+            generators::random_bipartite(500, 500, 0.004, WeightModel::Uniform(1.0, 9.0), &mut rng);
+        let report = OfflineSolver::new(OfflineStrategy::Exact)
+            .solve(&g, &ResourceBudget::unlimited())
+            .unwrap();
+        assert!(report.matching.is_valid(&g));
+        let opt = try_max_weight_bipartite_matching(&g).unwrap().weight();
+        assert!((report.weight - opt).abs() < 1e-9);
     }
 
     #[test]

@@ -15,12 +15,11 @@
 //!   sparsifier support itself contains a b-matching of weight `≥ (1-2ε)β`;
 //!   the solver then runs the offline matching substrate on the support.
 //!
-//! Specialisation notes (recorded in DESIGN.md): the `ζ`/`ϱ` Lagrangian
-//! smoothing of Lemma 10 is only needed to bound the *inner* iteration count
-//! of the theoretical analysis; operationally we invoke the oracle with
-//! `ζ = 0`, and the dense-odd-set collection `K(ℓ)` is produced by the
-//! candidate-search substitute of `mwm_matching::find_dense_odd_sets` instead
-//! of Padberg–Rao minimum odd cuts.
+//! Specialisation notes: the `ζ`/`ϱ` Lagrangian smoothing of Lemma 10 is only
+//! needed to bound the *inner* iteration count of the theoretical analysis;
+//! operationally we invoke the oracle with `ζ = 0`, and the dense-odd-set
+//! collection `K(ℓ)` is produced by the candidate-search substitute of
+//! `mwm_matching::find_dense_odd_sets` instead of Padberg–Rao minimum odd cuts.
 
 use crate::relaxation::DualState;
 use mwm_graph::{EdgeId, Graph, VertexId, WeightLevels};

@@ -1,7 +1,8 @@
 //! Exact maximum-cardinality matching on general graphs (Edmonds' blossom
 //! algorithm, `O(V³)`).
 //!
-//! Weighted blossom is out of scope (see the substitution notes in DESIGN.md);
+//! Weighted blossom is out of scope (non-bipartite weighted unions take the
+//! local-search route of [`crate::best_offline_matching`]);
 //! the cardinality version is enough to (a) validate the unweighted
 //! experiments exactly on non-bipartite graphs and (b) provide the exact
 //! optimum for the `w ≡ 1` rows of experiment E3.

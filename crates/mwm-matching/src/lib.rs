@@ -9,11 +9,13 @@
 //! * [`greedy`] — greedy weighted matching (½-approximation), arbitrary-order
 //!   maximal matching and maximal b-matching (used by Lemma 20).
 //! * [`exact`] — exact maximum-weight matching by bitmask DP (tiny graphs).
-//! * [`hungarian`] — exact maximum-weight bipartite matching (assignment).
+//! * [`hungarian`] — exact maximum-weight bipartite matching (assignment) by
+//!   successive shortest paths over the graph's edges.
 //! * [`blossom`] — exact maximum-*cardinality* matching on general graphs.
 //! * [`local_search`] — augmentation/local-improvement heuristics lifting the
 //!   greedy solution towards `(1-ε)` quality; the workspace's substitute for
-//!   the near-linear-time solvers [2, 13] cited by the paper (see DESIGN.md).
+//!   the near-linear-time solvers [2, 13] cited by the paper on non-bipartite
+//!   graphs.
 //! * [`odd_set_finder`] — detection of dense small odd sets, the substitute
 //!   for the Padberg–Rao / Gomory–Hu machinery of Lemma 25.
 //! * [`bounds`] — upper/lower bounds and certificates used by the experiments.
@@ -30,7 +32,7 @@ pub use blossom::max_cardinality_matching;
 pub use bounds::{matching_weight_upper_bound, verify_matching};
 pub use exact::exact_max_weight_matching;
 pub use greedy::{greedy_b_matching, greedy_matching, maximal_b_matching, maximal_matching};
-pub use hungarian::{max_weight_bipartite_matching, try_max_weight_bipartite_matching};
+pub use hungarian::try_max_weight_bipartite_matching;
 pub use local_search::improve_matching;
 pub use odd_set_finder::{find_dense_odd_sets, DenseOddSetConfig};
 
@@ -39,21 +41,19 @@ use mwm_graph::{Graph, Matching};
 /// The workspace's best offline weighted matching solver, used on the small
 /// in-memory subgraphs of Algorithm 2 Step 5.
 ///
-/// Strategy (documented as a substitution in DESIGN.md):
-/// * `n ≤ 18`: exact bitmask DP,
-/// * bipartite graphs: exact Hungarian,
+/// This is the workspace's one routing rule for the offline substrate:
+/// * `n ≤ 18`: exact bitmask DP ([`exact_max_weight_matching`]),
+/// * bipartite graphs of any size: exact successive shortest paths
+///   ([`try_max_weight_bipartite_matching`]),
 /// * otherwise: greedy + local-search improvements (2-swaps and short
-///   augmentations), which is exact on trees and ≥ 2/3·OPT in general.
+///   augmentations), which is exact on trees and ≥ 2/3·OPT in general. The
+///   paper assumes a near-linear-time `(1-ε)` solver here (Duan–Pettie).
 pub fn best_offline_matching(graph: &Graph) -> Matching {
-    let n = graph.num_vertices();
-    if n <= 18 {
+    if graph.num_vertices() <= 18 {
         return exact_max_weight_matching(graph);
     }
-    if graph.bipartition().is_some() && n <= 600 {
-        return max_weight_bipartite_matching(graph);
-    }
-    let greedy = greedy_matching(graph);
-    improve_matching(graph, greedy)
+    try_max_weight_bipartite_matching(graph)
+        .unwrap_or_else(|| improve_matching(graph, greedy_matching(graph)))
 }
 
 #[cfg(test)]
@@ -88,11 +88,28 @@ mod tests {
     #[test]
     fn best_offline_is_exact_on_bipartite_graphs() {
         let mut rng = StdRng::seed_from_u64(3);
-        let g = generators::random_bipartite(12, 12, 0.5, WeightModel::Uniform(1.0, 9.0), &mut rng);
+        let g = generators::random_bipartite(11, 11, 0.5, WeightModel::Uniform(1.0, 9.0), &mut rng);
         let best = best_offline_matching(&g);
-        // Cross-check against DP on this 24-vertex bipartite graph via Hungarian
-        // (both should be exact and equal).
-        let hung = max_weight_bipartite_matching(&g);
-        assert!((best.weight() - hung.weight()).abs() < 1e-9);
+        // 22 vertices: above the DP route, still within the DP's reach.
+        let exact = exact_max_weight_matching(&g);
+        assert!((best.weight() - exact.weight()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn best_offline_is_exact_on_a_large_bipartite_union() {
+        // An n = 800 sliding-window-shaped union (the E12 size): 240 sparse
+        // cross edges, which greedy + local search does not solve exactly.
+        let mut rng = StdRng::seed_from_u64(800);
+        let mut g = Graph::new(800);
+        for _ in 0..240 {
+            let l = 2 * rng.gen_range(0..400u32);
+            let r = 2 * rng.gen_range(0..400u32) + 1;
+            g.add_edge(l, r, rng.gen_range(1.0..10.0));
+        }
+        let best = best_offline_matching(&g);
+        let exact = try_max_weight_bipartite_matching(&g).expect("bipartite by construction");
+        assert_eq!(best.weight(), exact.weight());
+        let local = improve_matching(&g, greedy_matching(&g));
+        assert!(best.weight() > local.weight() + 1e-9);
     }
 }

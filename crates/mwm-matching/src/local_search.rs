@@ -2,7 +2,7 @@
 //!
 //! This is the workspace's stand-in for the near-linear-time `(1-ε)` weighted
 //! matching algorithms the paper invokes offline ([13] Duan–Pettie, [2]
-//! Ahn–Guha; see the substitution note in DESIGN.md). Starting from any valid
+//! Ahn–Guha), which the workspace does not implement. Starting from any valid
 //! matching (typically the greedy ½-approximation) we repeatedly apply:
 //!
 //! 1. **additions** — an edge whose both endpoints are free,
@@ -23,18 +23,18 @@ pub fn improve_matching(graph: &Graph, initial: Matching) -> Matching {
     let n = graph.num_vertices();
     // matched_edge[v] = Some(edge id) of the matching edge covering v.
     let mut matched_edge: Vec<Option<EdgeId>> = vec![None; n];
-    let mut in_matching: std::collections::HashMap<EdgeId, ()> = std::collections::HashMap::new();
+    let mut in_matching = vec![false; graph.num_edges()];
     for &(id, e) in initial.edges() {
         matched_edge[e.u as usize] = Some(id);
         matched_edge[e.v as usize] = Some(id);
-        in_matching.insert(id, ());
+        in_matching[id] = true;
     }
 
     let max_passes = 12usize;
     for _ in 0..max_passes {
         let mut improved = false;
         for (id, e) in graph.edge_iter() {
-            if in_matching.contains_key(&id) {
+            if in_matching[id] {
                 continue;
             }
             let mu = matched_edge[e.u as usize];
@@ -44,7 +44,7 @@ pub fn improve_matching(graph: &Graph, initial: Matching) -> Matching {
                     // Free addition.
                     matched_edge[e.u as usize] = Some(id);
                     matched_edge[e.v as usize] = Some(id);
-                    in_matching.insert(id, ());
+                    in_matching[id] = true;
                     improved = true;
                 }
                 _ => {
@@ -66,11 +66,11 @@ pub fn improve_matching(graph: &Graph, initial: Matching) -> Matching {
                             let ce = graph.edge(cid);
                             matched_edge[ce.u as usize] = None;
                             matched_edge[ce.v as usize] = None;
-                            in_matching.remove(&cid);
+                            in_matching[cid] = false;
                         }
                         matched_edge[e.u as usize] = Some(id);
                         matched_edge[e.v as usize] = Some(id);
-                        in_matching.insert(id, ());
+                        in_matching[id] = true;
                         improved = true;
                     }
                 }
@@ -84,10 +84,11 @@ pub fn improve_matching(graph: &Graph, initial: Matching) -> Matching {
         }
     }
 
+    // Each matched edge is emitted at its first endpoint, clearing its bit so
+    // the second endpoint skips it.
     let mut out = Matching::new();
-    let mut seen = std::collections::HashSet::new();
-    for &id in matched_edge.iter().take(n).flatten() {
-        if seen.insert(id) {
+    for &id in matched_edge.iter().flatten() {
+        if std::mem::take(&mut in_matching[id]) {
             out.push(id, graph.edge(id));
         }
     }
@@ -100,13 +101,13 @@ pub fn improve_matching(graph: &Graph, initial: Matching) -> Matching {
 fn rotate_pass(
     graph: &Graph,
     matched_edge: &mut [Option<EdgeId>],
-    in_matching: &mut std::collections::HashMap<EdgeId, ()>,
+    in_matching: &mut [bool],
 ) -> bool {
     let n = graph.num_vertices();
     // Best free neighbour edge for every vertex.
     let mut best_free: Vec<Option<(EdgeId, f64, VertexId)>> = vec![None; n];
     for (id, e) in graph.edge_iter() {
-        if in_matching.contains_key(&id) {
+        if in_matching[id] {
             continue;
         }
         // Edge is usable from u's side if v is free, and vice versa.
@@ -123,14 +124,12 @@ fn rotate_pass(
             }
         }
     }
-    // Fixed processing order: HashMap iteration order varies between runs,
-    // and the rotate augmentations are order-sensitive, so an unsorted walk
-    // makes the whole solver nondeterministic run-to-run.
-    let mut matched_ids: Vec<EdgeId> = in_matching.keys().copied().collect();
-    matched_ids.sort_unstable();
+    // The rotate augmentations are order-sensitive: walk the edges matched at
+    // the start of the pass in ascending id order.
+    let matched_ids: Vec<EdgeId> = (0..in_matching.len()).filter(|&id| in_matching[id]).collect();
     let mut improved = false;
     for id in matched_ids {
-        if !in_matching.contains_key(&id) {
+        if !in_matching[id] {
             continue;
         }
         let e = graph.edge(id);
@@ -140,8 +139,8 @@ fn rotate_pass(
         if let (Some((lid, lw, la)), Some((rid, rw, rd))) = (left, right) {
             // Re-validate against the *current* state: earlier applications in this
             // pass may have matched the cached endpoints or edges.
-            let still_valid = !in_matching.contains_key(&lid)
-                && !in_matching.contains_key(&rid)
+            let still_valid = !in_matching[lid]
+                && !in_matching[rid]
                 && matched_edge[la as usize].is_none()
                 && matched_edge[rd as usize].is_none()
                 && matched_edge[b] == Some(id)
@@ -157,15 +156,15 @@ fn rotate_pass(
                 // Apply: remove (b,c), add the two free edges.
                 matched_edge[b] = None;
                 matched_edge[c] = None;
-                in_matching.remove(&id);
+                in_matching[id] = false;
                 let le = graph.edge(lid);
                 let re = graph.edge(rid);
                 matched_edge[le.u as usize] = Some(lid);
                 matched_edge[le.v as usize] = Some(lid);
                 matched_edge[re.u as usize] = Some(rid);
                 matched_edge[re.v as usize] = Some(rid);
-                in_matching.insert(lid, ());
-                in_matching.insert(rid, ());
+                in_matching[lid] = true;
+                in_matching[rid] = true;
                 improved = true;
             }
         }

@@ -16,9 +16,9 @@
 //! satisfy (i) — the certificate is checked exactly — and (b) explores the
 //! natural candidate families (heavy-edge components, balls around heavy
 //! vertices, and exhaustive tiny sets on small graphs). Condition (ii) is then
-//! guaranteed with respect to the explored families; DESIGN.md records this as
-//! a substitution. The MicroOracle only relies on returned sets being genuine
-//! (condition (i)) plus disjointness — both are exact here.
+//! guaranteed with respect to the explored families only. The MicroOracle
+//! only relies on returned sets being genuine (condition (i)) plus
+//! disjointness — both are exact here.
 
 use mwm_graph::{Graph, VertexId};
 

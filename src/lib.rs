@@ -72,8 +72,7 @@
 //!   ([`mwm_baselines`]).
 //! * [`engine`] — the solver registry and re-exports of the engine API.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md`/`EXPERIMENTS.md` for the
-//! system inventory and the experiment index.
+//! See `README.md` for a quickstart, the workspace layout and the experiments.
 
 pub use mwm_baselines as baselines;
 pub use mwm_core as solver;

@@ -4,12 +4,14 @@ use dual_primal_matching::engine::{MatchingSolver, ResourceBudget};
 use dual_primal_matching::graph::generators::{self, WeightModel};
 use dual_primal_matching::graph::{Graph, UnionFind, WeightLevels};
 use dual_primal_matching::matching::{
-    bounds, greedy_matching, improve_matching, maximal_b_matching,
+    bounds, exact_max_weight_matching, greedy_matching, improve_matching, maximal_b_matching,
+    try_max_weight_bipartite_matching,
 };
 use dual_primal_matching::prelude::*;
 use dual_primal_matching::sketch::L0Sampler;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Builds a random graph from a proptest-chosen seed and size.
@@ -64,6 +66,30 @@ proptest! {
         let improved = improve_matching(&g, greedy);
         prop_assert!(improved.is_valid(g.num_vertices()));
         prop_assert!(improved.weight() + 1e-9 >= before);
+    }
+
+    /// The sparse bipartite solver reaches the bitmask-DP optimum on bipartite
+    /// graphs of up to 22 vertices with unbalanced sides, isolated vertices
+    /// and repeated vertex pairs (parallel edges), under shuffled vertex ids.
+    #[test]
+    fn bipartite_solver_matches_the_dp(
+        seed in 0u64..1000,
+        left in 1usize..11,
+        right in 1usize..11,
+        isolated in 0usize..3,
+        edges in proptest::collection::vec((0usize..10, 0usize..10, 1.0f64..9.0), 0..40),
+    ) {
+        let n = left + right + isolated;
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut g = Graph::new(n);
+        for &(a, b, w) in &edges {
+            g.add_edge(ids[a % left], ids[left + b % right], w);
+        }
+        let sparse = try_max_weight_bipartite_matching(&g).expect("bipartite by construction");
+        prop_assert!(sparse.is_valid(n));
+        let dp = exact_max_weight_matching(&g).weight();
+        prop_assert!((sparse.weight() - dp).abs() < 1e-9, "sparse {} vs dp {}", sparse.weight(), dp);
     }
 
     /// Maximal b-matchings are feasible and maximal: every edge has a saturated endpoint.
