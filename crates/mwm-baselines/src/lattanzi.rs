@@ -1,4 +1,4 @@
-//! The filtering algorithm of Lattanzi et al. (SPAA 2011), reference [25].
+//! The filtering algorithm of Lattanzi et al. (SPAA 2011), reference \[25\].
 //!
 //! Unweighted core loop (their Section 3, reused by Lemma 20 of the paper):
 //! while edges remain, sample `O(n^{1+1/p})` of them uniformly in one round,
@@ -16,8 +16,7 @@
 use mwm_core::{MatchingSolver, MwmError, ResourceBudget, SolveReport};
 use mwm_graph::{EdgeId, Graph, Matching, WeightLevels};
 use mwm_mapreduce::{
-    EdgeSource, ExecutionMode, GraphSource, MapReduceConfig, MapReduceSim, PassEngine,
-    ResourceTracker,
+    EdgeSource, GraphSource, MapReduceConfig, MapReduceSim, PassEngine, ResourceTracker,
 };
 
 /// The filtering algorithm behind the engine API: an `O(p)`-round,
@@ -31,7 +30,6 @@ pub struct LattanziFiltering {
     eps: f64,
     seed: u64,
     parallelism: usize,
-    execution: ExecutionMode,
 }
 
 impl LattanziFiltering {
@@ -51,7 +49,7 @@ impl LattanziFiltering {
                 requirement: "must lie in (0, 1)",
             });
         }
-        Ok(LattanziFiltering { p, eps, seed, parallelism: 1, execution: ExecutionMode::default() })
+        Ok(LattanziFiltering { p, eps, seed, parallelism: 1 })
     }
 
     /// Sets the pass-engine worker cap used by the weight-class bucketing
@@ -61,28 +59,11 @@ impl LattanziFiltering {
         self.parallelism = workers.max(1);
         self
     }
-
-    /// Sets the bucketing engine's execution mode (builder style). The
-    /// bucketing pass folds edge ids through a closure, which cannot cross a
-    /// process boundary, so it always runs at the coordinator; the mode is
-    /// carried so registry-level configuration reaches every solver
-    /// uniformly and kernel passes added later dispatch like the rest of the
-    /// workspace.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution = mode;
-        self
-    }
 }
 
 impl Default for LattanziFiltering {
     fn default() -> Self {
-        LattanziFiltering {
-            p: 2.0,
-            eps: 0.2,
-            seed: 0x1A77,
-            parallelism: 1,
-            execution: ExecutionMode::default(),
-        }
+        LattanziFiltering { p: 2.0, eps: 0.2, seed: 0x1A77, parallelism: 1 }
     }
 }
 
@@ -93,8 +74,7 @@ impl MatchingSolver for LattanziFiltering {
 
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError> {
         let workers = budget.parallelism().unwrap_or(self.parallelism);
-        let res =
-            run_filtering(graph, self.p, self.eps, self.seed, workers, &self.execution, budget)?;
+        let res = run_filtering(graph, self.p, self.eps, self.seed, workers, budget)?;
         budget.check_tracker(&res.tracker)?;
         Ok(SolveReport::new(self.name(), res.matching.to_b_matching(), res.tracker)
             .with_stat("p", self.p)
@@ -125,7 +105,7 @@ pub struct LattanziResult {
 /// a typed error instead.
 pub fn lattanzi_filtering(graph: &Graph, p: f64, eps: f64, seed: u64) -> LattanziResult {
     assert!(p > 1.0);
-    run_filtering(graph, p, eps, seed, 1, &ExecutionMode::InProcess, &ResourceBudget::unlimited())
+    run_filtering(graph, p, eps, seed, 1, &ResourceBudget::unlimited())
         .expect("an unlimited budget cannot interrupt the bucketing pass")
 }
 
@@ -142,7 +122,6 @@ fn run_filtering(
     eps: f64,
     seed: u64,
     workers: usize,
-    mode: &ExecutionMode,
     res_budget: &ResourceBudget,
 ) -> Result<LattanziResult, MwmError> {
     let n = graph.num_vertices();
@@ -154,9 +133,7 @@ fn run_filtering(
 
     // One pass over the sharded stream splits it into weight classes.
     let source = GraphSource::auto(graph);
-    let mut engine = PassEngine::new(workers)
-        .with_budget(res_budget.pass_budget(0))
-        .with_execution_mode(mode.clone());
+    let mut engine = PassEngine::new(workers).with_budget(res_budget.pass_budget(0));
     let num_levels = levels.num_levels();
     let mut buckets: Vec<Vec<EdgeId>> = vec![Vec::new(); num_levels];
     if num_levels > 0 {

@@ -1,13 +1,13 @@
 //! Baseline algorithms the paper compares against (Section 1, Related Work).
 //!
 //! * [`lattanzi`] — the SPAA 2011 filtering algorithm of Lattanzi, Moseley,
-//!   Suri and Vassilvitskii [25]: `O(p)` rounds, `O(n^{1+1/p})` space, `O(1)`
+//!   Suri and Vassilvitskii \[25\]: `O(p)` rounds, `O(n^{1+1/p})` space, `O(1)`
 //!   approximation (1/2 for unweighted maximal matching per weight class,
 //!   1/8-ish for weighted via geometric grouping). This is the algorithm whose
 //!   approximation gap motivates the paper's question ("is a `(1-ε)`
 //!   approximation achievable without storing the entire graph?").
 //! * [`streaming_greedy`] — the classical one-pass semi-streaming weighted
-//!   matching with replacement (Feigenbaum et al. [16] / McGregor [29]):
+//!   matching with replacement (Feigenbaum et al. \[16\] / McGregor \[29\]):
 //!   1 pass, `O(n)` memory, constant approximation.
 //!
 //! Both run through the `mwm-mapreduce` simulators so that experiment E5 can

@@ -1,5 +1,5 @@
 //! One-pass semi-streaming weighted matching with replacement
-//! (Feigenbaum et al. [16] / McGregor [29] style).
+//! (Feigenbaum et al. \[16\] / McGregor \[29\] style).
 //!
 //! The algorithm keeps a matching `M` in memory. When an edge `e` arrives it
 //! collects the (at most two) conflicting matched edges `C`; if
@@ -17,7 +17,7 @@
 
 use mwm_core::{MatchingSolver, MwmError, ResourceBudget, SolveReport};
 use mwm_graph::{EdgeId, Graph, Matching};
-use mwm_mapreduce::{ExecutionMode, GraphSource, PassEngine, ResourceTracker};
+use mwm_mapreduce::{GraphSource, PassEngine, ResourceTracker};
 
 /// The one-pass replacement algorithm behind the engine API: 1 pass, `O(n)`
 /// memory, constant-approximation [`MatchingSolver`].
@@ -28,7 +28,6 @@ use mwm_mapreduce::{ExecutionMode, GraphSource, PassEngine, ResourceTracker};
 pub struct StreamingGreedy {
     gamma_improve: f64,
     parallelism: usize,
-    execution: ExecutionMode,
 }
 
 impl StreamingGreedy {
@@ -41,7 +40,7 @@ impl StreamingGreedy {
                 requirement: "must be non-negative and finite",
             });
         }
-        Ok(StreamingGreedy { gamma_improve, parallelism: 1, execution: ExecutionMode::default() })
+        Ok(StreamingGreedy { gamma_improve, parallelism: 1 })
     }
 
     /// Sets the pass-engine worker cap (builder style). The replacement pass
@@ -52,25 +51,11 @@ impl StreamingGreedy {
         self.parallelism = workers.max(1);
         self
     }
-
-    /// Sets the engine's execution mode (builder style). The replacement
-    /// pass is sequential by nature and always runs at the coordinator; the
-    /// mode is carried so any kernel passes added to this loop dispatch like
-    /// the rest of the workspace, and so registry-level configuration reaches
-    /// every solver uniformly.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution = mode;
-        self
-    }
 }
 
 impl Default for StreamingGreedy {
     fn default() -> Self {
-        StreamingGreedy {
-            gamma_improve: 0.414,
-            parallelism: 1,
-            execution: ExecutionMode::default(),
-        }
+        StreamingGreedy { gamma_improve: 0.414, parallelism: 1 }
     }
 }
 
@@ -81,8 +66,7 @@ impl MatchingSolver for StreamingGreedy {
 
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError> {
         let workers = budget.parallelism().unwrap_or(self.parallelism);
-        let res =
-            run_replacement_pass(graph, self.gamma_improve, workers, &self.execution, budget)?;
+        let res = run_replacement_pass(graph, self.gamma_improve, workers, budget)?;
         budget.check_tracker(&res.tracker)?;
         Ok(SolveReport::new(self.name(), res.matching.to_b_matching(), res.tracker)
             .with_stat("gamma_improve", self.gamma_improve)
@@ -112,14 +96,8 @@ pub struct StreamingGreedyResult {
 /// and returns a typed error instead.
 pub fn streaming_greedy_matching(graph: &Graph, gamma_improve: f64) -> StreamingGreedyResult {
     assert!(gamma_improve >= 0.0);
-    run_replacement_pass(
-        graph,
-        gamma_improve,
-        1,
-        &ExecutionMode::InProcess,
-        &ResourceBudget::unlimited(),
-    )
-    .expect("an unlimited budget cannot interrupt the pass")
+    run_replacement_pass(graph, gamma_improve, 1, &ResourceBudget::unlimited())
+        .expect("an unlimited budget cannot interrupt the pass")
 }
 
 /// The engine-driven pass shared by the free function and the trait impl. A
@@ -129,14 +107,11 @@ fn run_replacement_pass(
     graph: &Graph,
     gamma_improve: f64,
     workers: usize,
-    mode: &ExecutionMode,
     budget: &ResourceBudget,
 ) -> Result<StreamingGreedyResult, MwmError> {
     let n = graph.num_vertices();
     let source = GraphSource::auto(graph);
-    let mut engine = PassEngine::new(workers)
-        .with_budget(budget.pass_budget(0))
-        .with_execution_mode(mode.clone());
+    let mut engine = PassEngine::new(workers).with_budget(budget.pass_budget(0));
     // matched_edge[v] = edge id currently matching v.
     let mut matched_edge: Vec<Option<EdgeId>> = vec![None; n];
     let mut in_matching = SortedMatching::new();
@@ -312,23 +287,10 @@ mod tests {
     fn parallelism_cannot_change_the_arrival_order() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = generators::gnm(80, 2500, WeightModel::Uniform(1.0, 9.0), &mut rng);
-        let base = run_replacement_pass(
-            &g,
-            0.414,
-            1,
-            &ExecutionMode::InProcess,
-            &ResourceBudget::unlimited(),
-        )
-        .unwrap();
+        let base = run_replacement_pass(&g, 0.414, 1, &ResourceBudget::unlimited()).unwrap();
         for workers in [2usize, 8] {
-            let res = run_replacement_pass(
-                &g,
-                0.414,
-                workers,
-                &ExecutionMode::InProcess,
-                &ResourceBudget::unlimited(),
-            )
-            .unwrap();
+            let res =
+                run_replacement_pass(&g, 0.414, workers, &ResourceBudget::unlimited()).unwrap();
             let mut a: Vec<EdgeId> = base.matching.edges().iter().map(|&(id, _)| id).collect();
             let mut b: Vec<EdgeId> = res.matching.edges().iter().map(|&(id, _)| id).collect();
             a.sort_unstable();
@@ -343,8 +305,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let g = generators::gnm(60, 1200, WeightModel::Uniform(1.0, 9.0), &mut rng);
         let budget = ResourceBudget::unlimited().with_max_streamed_items(100);
-        let err =
-            run_replacement_pass(&g, 0.414, 1, &ExecutionMode::InProcess, &budget).unwrap_err();
+        let err = run_replacement_pass(&g, 0.414, 1, &budget).unwrap_err();
         match err {
             MwmError::BudgetExceeded { resource: "streamed items", used, limit: 100 } => {
                 assert!(used >= 100);

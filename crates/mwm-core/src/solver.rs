@@ -33,8 +33,7 @@ use crate::report::SolveReport;
 use mwm_graph::{BMatching, Graph, WeightLevels};
 use mwm_lp::{AdaptivityLedger, DualSnapshot, FixedLattice};
 use mwm_mapreduce::{
-    EdgeSource, ExecutionMode, GraphSource, MapReduceConfig, MapReduceSim, PassEngine, PassError,
-    ResourceTracker,
+    EdgeSource, GraphSource, MapReduceConfig, MapReduceSim, PassEngine, PassError, ResourceTracker,
 };
 use mwm_sparsify::DeferredSparsifier;
 
@@ -307,35 +306,18 @@ impl SolveResult {
 #[derive(Clone, Debug, Default)]
 pub struct DualPrimalSolver {
     config: DualPrimalConfig,
-    execution: ExecutionMode,
 }
 
 impl DualPrimalSolver {
     /// Creates a solver with the given configuration, validating it first.
     pub fn new(config: DualPrimalConfig) -> Result<Self, MwmError> {
         config.validate()?;
-        Ok(DualPrimalSolver { config, execution: ExecutionMode::default() })
+        Ok(DualPrimalSolver { config })
     }
 
     /// The configuration.
     pub fn config(&self) -> &DualPrimalConfig {
         &self.config
-    }
-
-    /// Sets how the solver's pass engines execute shard passes (builder
-    /// style): in-process, or dispatched to an external `ShardExecutor`
-    /// such as a worker-process pool. Named kernel passes over spilled
-    /// sources go external; order-dependent sequential passes and closure
-    /// passes always run at the coordinator, so the matching is bit-identical
-    /// in every mode.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution = mode;
-        self
-    }
-
-    /// The configured execution mode.
-    pub fn execution_mode(&self) -> &ExecutionMode {
-        &self.execution
     }
 
     /// Solves the weighted (non-bipartite) b-matching problem on `graph`,
@@ -436,8 +418,7 @@ impl DualPrimalSolver {
         // produces bit-identical output.
         let source = GraphSource::auto(graph);
         let mut engine = PassEngine::new(cfg.parallelism)
-            .with_budget(budget.pass_budget(sim.tracker().items_streamed()))
-            .with_execution_mode(self.execution.clone());
+            .with_budget(budget.pass_budget(sim.tracker().items_streamed()));
 
         // Parameters of the main loop.
         let gamma_param = (n.max(2) as f64).powf(1.0 / (2.0 * cfg.p)).max(1.25);
@@ -665,8 +646,7 @@ impl DualPrimalSolver {
         if let Some(workers) = budget.parallelism() {
             config.parallelism = workers.max(1);
         }
-        let result = DualPrimalSolver { config, execution: self.execution.clone() }
-            .run(graph, budget, warm)?;
+        let result = DualPrimalSolver { config }.run(graph, budget, warm)?;
         budget.check_tracker(&result.tracker)?;
         budget.check_oracle_iterations(result.oracle_iterations)?;
         Ok(result.into_report())

@@ -428,11 +428,6 @@ impl ItemSource for DeltaSource<'_> {
         self.num_shards
     }
 
-    fn shard_len(&self, shard: usize) -> usize {
-        let (lo, hi) = self.bounds(shard);
-        hi - lo
-    }
-
     fn visit_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeDelta) -> bool) {
         let (lo, hi) = self.bounds(shard);
         for &d in &self.deltas[lo..hi] {
@@ -977,8 +972,12 @@ impl DynamicMatcher {
         mwm_obs::counter!("dynamic_updates_applied_total").add(stats.updates_applied as u64);
         mwm_obs::counter!("dynamic_updates_rejected_total").add(stats.updates_rejected as u64);
         mwm_obs::counter!("dynamic_solver_rounds_total").add(stats.solver_rounds as u64);
-        mwm_obs::histogram!("dynamic_region_edges", &mwm_obs::SIZE_BOUNDS)
-            .observe(stats.region_edges as f64);
+        // Only sketch-mode repair epochs build a repair region; any other
+        // epoch would record a placeholder 0.
+        if stats.sketch_mode && stats.decision == EpochDecision::Repair {
+            mwm_obs::histogram!("dynamic_region_edges", &mwm_obs::SIZE_BOUNDS)
+                .observe(stats.region_edges as f64);
+        }
         mwm_obs::gauge!("dynamic_journal_bytes").set(stats.journal_bytes as i64);
         mwm_obs::gauge!("dynamic_sketch_bytes").set(stats.sketch_bytes as i64);
     }

@@ -1,104 +1,18 @@
-//! Named pass kernels runnable on spilled shards — locally or in a worker
+//! The named pass kernel runnable on spilled shards — locally or in a worker
 //! process.
 //!
 //! A worker process receives a kernel **name** plus opaque parameter bytes,
 //! looks the kernel up in [`run_registered_kernel`], and runs it over its
-//! shards. The same `PassKernel` implementations drive the in-process path,
-//! so the two execution modes share one fold per kernel and stay
-//! bit-identical by construction.
+//! shards. The registry holds one kernel, `local-matching`
+//! ([`LocalMatchingKernel`], the per-shard fold of experiment E14). The same
+//! `PassKernel` implementation drives the in-process path, so the two
+//! execution modes share one fold and stay bit-identical by construction.
 
 use crate::spill::SpilledShards;
 use mwm_graph::wire::{decode_edge_record, encode_edge_record, EDGE_RECORD_BYTES};
 use mwm_graph::{Edge, EdgeId, VertexId};
-use mwm_mapreduce::{BatchKernel, EdgeBatch, EdgeSource, PassError, PassKernel};
+use mwm_mapreduce::{EdgeSource, PassError, PassKernel};
 use std::collections::{BTreeMap, HashMap};
-
-/// Counts edges and sums weights: the cheapest full-stream pass, used for
-/// spill verification and throughput measurement.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CountWeightKernel;
-
-impl PassKernel for CountWeightKernel {
-    type Acc = (u64, f64);
-
-    fn name(&self) -> &'static str {
-        "count-weight"
-    }
-
-    fn params(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    fn init(&self, _shard: usize) -> Self::Acc {
-        (0, 0.0)
-    }
-
-    fn fold(&self, acc: &mut Self::Acc, _id: EdgeId, e: Edge) {
-        acc.0 += 1;
-        acc.1 += e.w;
-    }
-
-    fn encode_acc(&self, acc: &Self::Acc) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&acc.0.to_le_bytes());
-        out.extend_from_slice(&acc.1.to_bits().to_le_bytes());
-        out
-    }
-
-    fn decode_acc(&self, bytes: &[u8]) -> Result<Self::Acc, PassError> {
-        if bytes.len() != 16 {
-            return Err(PassError::Protocol {
-                reason: format!("count-weight accumulator is {} bytes, expected 16", bytes.len()),
-            });
-        }
-        let count = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-        let wsum = f64::from_bits(u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")));
-        Ok((count, wsum))
-    }
-}
-
-/// The dual-multiplier update fold of the E11 experiment family: an
-/// order-sensitive exponentially-damped accumulation, deliberately
-/// non-commutative so any deviation from the canonical shard order or
-/// in-shard order changes the bits.
-#[derive(Clone, Copy, Debug)]
-pub struct MultiplierKernel {
-    /// Damping factor of the exponential update.
-    pub alpha: f64,
-}
-
-impl PassKernel for MultiplierKernel {
-    type Acc = f64;
-
-    fn name(&self) -> &'static str {
-        "multiplier"
-    }
-
-    fn params(&self) -> Vec<u8> {
-        self.alpha.to_bits().to_le_bytes().to_vec()
-    }
-
-    fn init(&self, _shard: usize) -> Self::Acc {
-        0.0
-    }
-
-    fn fold(&self, acc: &mut Self::Acc, id: EdgeId, e: Edge) {
-        *acc = self.alpha * *acc + e.w * (1.0 + (id % 17) as f64 / 16.0);
-    }
-
-    fn encode_acc(&self, acc: &Self::Acc) -> Vec<u8> {
-        acc.to_bits().to_le_bytes().to_vec()
-    }
-
-    fn decode_acc(&self, bytes: &[u8]) -> Result<Self::Acc, PassError> {
-        if bytes.len() != 8 {
-            return Err(PassError::Protocol {
-                reason: format!("multiplier accumulator is {} bytes, expected 8", bytes.len()),
-            });
-        }
-        Ok(f64::from_bits(u64::from_le_bytes(bytes.try_into().expect("8 bytes"))))
-    }
-}
 
 /// A `(1/2 - γ)`-style replacement matching: an arriving edge evicts its
 /// conflicting matched edges when its weight beats `(1 + γ)` times their
@@ -250,83 +164,6 @@ impl PassKernel for LocalMatchingKernel {
     }
 }
 
-/// Slice-at-a-time twin of [`CountWeightKernel`]: consumes whole
-/// [`EdgeBatch`] columns instead of one edge per call. Both fold weights
-/// left-to-right in stream order, so the two are bit-identical; the batch
-/// form exists so the SoA readback path never re-boxes edges one by one.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchCountWeightKernel;
-
-impl BatchKernel for BatchCountWeightKernel {
-    type Acc = (u64, f64);
-
-    fn name(&self) -> &'static str {
-        "soa-count-weight"
-    }
-
-    fn params(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    fn init(&self, _shard: usize) -> Self::Acc {
-        (0, 0.0)
-    }
-
-    fn fold_batch(&self, acc: &mut Self::Acc, batch: EdgeBatch<'_>) {
-        acc.0 += batch.len() as u64;
-        for i in 0..batch.len() {
-            acc.1 += batch.weight(i);
-        }
-    }
-
-    fn encode_acc(&self, acc: &Self::Acc) -> Vec<u8> {
-        CountWeightKernel.encode_acc(acc)
-    }
-
-    fn decode_acc(&self, bytes: &[u8]) -> Result<Self::Acc, PassError> {
-        CountWeightKernel.decode_acc(bytes)
-    }
-}
-
-/// Slice-at-a-time twin of [`MultiplierKernel`]: the same order-sensitive
-/// exponentially-damped fold, applied element by element over each slice so
-/// slice boundaries cannot change the bits.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchMultiplierKernel {
-    /// Damping factor of the exponential update.
-    pub alpha: f64,
-}
-
-impl BatchKernel for BatchMultiplierKernel {
-    type Acc = f64;
-
-    fn name(&self) -> &'static str {
-        "soa-multiplier"
-    }
-
-    fn params(&self) -> Vec<u8> {
-        self.alpha.to_bits().to_le_bytes().to_vec()
-    }
-
-    fn init(&self, _shard: usize) -> Self::Acc {
-        0.0
-    }
-
-    fn fold_batch(&self, acc: &mut Self::Acc, batch: EdgeBatch<'_>) {
-        for i in 0..batch.len() {
-            *acc = self.alpha * *acc + batch.weight(i) * (1.0 + (batch.ids[i] % 17) as f64 / 16.0);
-        }
-    }
-
-    fn encode_acc(&self, acc: &Self::Acc) -> Vec<u8> {
-        MultiplierKernel { alpha: self.alpha }.encode_acc(acc)
-    }
-
-    fn decode_acc(&self, bytes: &[u8]) -> Result<Self::Acc, PassError> {
-        MultiplierKernel { alpha: self.alpha }.decode_acc(bytes)
-    }
-}
-
 /// The visited-count and encoded accumulator of one shard run.
 #[derive(Clone, Debug)]
 pub struct ShardRun {
@@ -352,27 +189,6 @@ fn run_one<K: PassKernel>(
     Ok(ShardRun { visited, acc: kernel.encode_acc(&acc) })
 }
 
-/// Worker-side slice size of the batch kernels. The registered batch folds
-/// apply element by element in stream order, so this only sizes the resident
-/// SoA columns — it cannot change the result bits.
-const WORKER_SOA_BATCH: usize = 1024;
-
-fn run_one_batch<K: BatchKernel>(
-    kernel: &K,
-    spilled: &SpilledShards,
-    shard: usize,
-) -> Result<ShardRun, PassError> {
-    let mut acc = kernel.init(shard);
-    let mut visited = 0usize;
-    spilled.for_each_batch_in_shard(shard, WORKER_SOA_BATCH, &mut |batch| {
-        kernel.fold_batch(&mut acc, batch);
-        visited += batch.len();
-        true
-    });
-    spilled.check().map_err(PassError::from)?;
-    Ok(ShardRun { visited, acc: kernel.encode_acc(&acc) })
-}
-
 /// Runs the kernel registered under `name` (with its encoded `params`) over
 /// one spilled shard. This is the worker process's dispatch table; unknown
 /// names are a typed protocol error.
@@ -382,28 +198,14 @@ pub fn run_registered_kernel(
     spilled: &SpilledShards,
     shard: usize,
 ) -> Result<ShardRun, PassError> {
-    let f64_param = |label: &str| -> Result<f64, PassError> {
-        let bytes: [u8; 8] = params.try_into().map_err(|_| PassError::Protocol {
-            reason: format!("kernel {label} expects 8 parameter bytes, got {}", params.len()),
-        })?;
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-    };
-    match name {
-        "count-weight" => run_one(&CountWeightKernel, spilled, shard),
-        "multiplier" => {
-            run_one(&MultiplierKernel { alpha: f64_param("multiplier")? }, spilled, shard)
-        }
-        "local-matching" => {
-            run_one(&LocalMatchingKernel { gamma: f64_param("local-matching")? }, spilled, shard)
-        }
-        "soa-count-weight" => run_one_batch(&BatchCountWeightKernel, spilled, shard),
-        "soa-multiplier" => run_one_batch(
-            &BatchMultiplierKernel { alpha: f64_param("soa-multiplier")? },
-            spilled,
-            shard,
-        ),
-        other => Err(PassError::Protocol { reason: format!("unknown kernel {other:?} requested") }),
+    if name != "local-matching" {
+        return Err(PassError::Protocol { reason: format!("unknown kernel {name:?} requested") });
     }
+    let gamma: [u8; 8] = params.try_into().map_err(|_| PassError::Protocol {
+        reason: format!("kernel local-matching expects 8 parameter bytes, got {}", params.len()),
+    })?;
+    let gamma = f64::from_bits(u64::from_le_bytes(gamma));
+    run_one(&LocalMatchingKernel { gamma }, spilled, shard)
 }
 
 #[cfg(test)]
@@ -445,32 +247,6 @@ mod tests {
             let kernel = LocalMatchingKernel { gamma: 0.05 };
             let decoded = kernel.decode_acc(&run.acc).unwrap();
             assert_eq!(kernel.encode_acc(&decoded), run.acc, "codec must be a bijection");
-
-            let cw = run_registered_kernel("count-weight", &[], &spilled, shard).unwrap();
-            let (count, _) = CountWeightKernel.decode_acc(&cw.acc).unwrap();
-            assert_eq!(count as usize, stream.shard_len(shard));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn batch_kernels_match_their_per_edge_twins_bit_for_bit() {
-        let stream = SyntheticStream::with_shards(90, 6_000, 33, 4);
-        let dir = temp_dir("soa-twins");
-        // io_batch deliberately misaligned with WORKER_SOA_BATCH.
-        let spilled = SpillWriter::spill_edge_source(&dir, &stream).unwrap().with_io_batch(700);
-        let alpha_bits = 0.75f64.to_bits().to_le_bytes();
-        for shard in 0..stream.num_shards() {
-            let per_edge = run_registered_kernel("count-weight", &[], &spilled, shard).unwrap();
-            let batch = run_registered_kernel("soa-count-weight", &[], &spilled, shard).unwrap();
-            assert_eq!(per_edge.acc, batch.acc, "count-weight shard {shard}");
-            assert_eq!(per_edge.visited, batch.visited);
-
-            let per_edge =
-                run_registered_kernel("multiplier", &alpha_bits, &spilled, shard).unwrap();
-            let batch =
-                run_registered_kernel("soa-multiplier", &alpha_bits, &spilled, shard).unwrap();
-            assert_eq!(per_edge.acc, batch.acc, "multiplier shard {shard}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -482,20 +258,25 @@ mod tests {
         let mut declares_one = 1u64.to_le_bytes().to_vec();
         declares_one.extend_from_slice(&[0u8; 7]);
         assert!(matches!(kernel.decode_acc(&declares_one), Err(PassError::Protocol { .. })));
-        assert!(matches!(
-            MultiplierKernel { alpha: 0.5 }.decode_acc(&[0; 4]),
-            Err(PassError::Protocol { .. })
-        ));
 
         let stream = SyntheticStream::with_shards(10, 100, 1, 1);
         let dir = temp_dir("unknown");
         let spilled = SpillWriter::spill_edge_source(&dir, &stream).unwrap();
+        // The four retired kernel names, with the parameters they once took,
+        // are unknown like any other.
+        let alpha = 0.5f64.to_bits().to_le_bytes();
+        for (name, params) in [
+            ("no-such-kernel", &[][..]),
+            ("count-weight", &[]),
+            ("multiplier", &alpha),
+            ("soa-count-weight", &[]),
+            ("soa-multiplier", &alpha),
+        ] {
+            let run = run_registered_kernel(name, params, &spilled, 0);
+            assert!(matches!(run, Err(PassError::Protocol { .. })), "{name}: {run:?}");
+        }
         assert!(matches!(
-            run_registered_kernel("no-such-kernel", &[], &spilled, 0),
-            Err(PassError::Protocol { .. })
-        ));
-        assert!(matches!(
-            run_registered_kernel("multiplier", &[1, 2], &spilled, 0),
+            run_registered_kernel("local-matching", &[1, 2], &spilled, 0),
             Err(PassError::Protocol { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);

@@ -10,11 +10,13 @@
 //!   resident ceiling, with readback buffers charged to the resource ledger.
 //! * **Process pool** ([`process`]): a shared-nothing executor spawning
 //!   worker processes over pipes. Each worker owns a deterministic subset of
-//!   the spilled shards and runs registered pass [`kernels`] locally; the
-//!   coordinator merges accumulators in shard-index order, preserving the
-//!   engine's bit-identical-across-parallelism guarantee. Worker death and
-//!   protocol violations surface as typed `PassError`s, with optional clean
-//!   fallback to in-process execution.
+//!   the spilled shards and runs the registered pass kernel (see [`kernels`]:
+//!   E14's local matching) locally; the coordinator merges accumulators in
+//!   shard-index order, preserving the engine's
+//!   bit-identical-across-parallelism guarantee. Worker death and protocol
+//!   violations surface as typed `PassError`s, with optional clean fallback
+//!   to in-process execution. A spill that fails mid-read surfaces as a
+//!   typed error on either side of the process boundary.
 //!
 //! [`distributed::out_of_core_matching`] combines both into the E14 solve: a
 //! per-shard local matching merged at the coordinator, bit-identical at every
@@ -41,17 +43,14 @@ pub mod process;
 pub mod spill;
 
 pub use distributed::{out_of_core_matching, OutOfCoreMatching};
-pub use kernels::{
-    run_registered_kernel, BatchCountWeightKernel, BatchMultiplierKernel, CountWeightKernel,
-    LocalMatchingKernel, MultiplierKernel, ReplacementMatcher, ShardRun,
-};
+pub use kernels::{run_registered_kernel, LocalMatchingKernel, ReplacementMatcher, ShardRun};
 pub use process::{discover_worker_binary, ProcessPool, WORKER_BIN_NAME, WORKER_ENV};
 pub use spill::{SpillError, SpillWriter, SpilledShards};
 
 /// Convenience re-exports for downstream code.
 pub mod prelude {
     pub use crate::distributed::{out_of_core_matching, OutOfCoreMatching};
-    pub use crate::kernels::{CountWeightKernel, LocalMatchingKernel, MultiplierKernel};
+    pub use crate::kernels::LocalMatchingKernel;
     pub use crate::process::ProcessPool;
     pub use crate::spill::{SpillError, SpillWriter, SpilledShards};
 }

@@ -217,8 +217,9 @@ struct IoStats {
 /// [`SpilledShards::io_batch`] edges per concurrent reader. Mid-read failures
 /// cannot surface through the `EdgeSource` visitor, so they poison the source
 /// instead: the affected shard stops early and [`SpilledShards::check`]
-/// returns the typed error afterwards (the kernel runners call it after every
-/// shard).
+/// returns the typed error afterwards. The worker's kernel runner calls it
+/// after every shard, and the `PassEngine` after every charged pass (through
+/// [`EdgeSource::health`]).
 #[derive(Debug)]
 pub struct SpilledShards {
     dir: PathBuf,
@@ -355,8 +356,9 @@ impl SpilledShards {
     }
 
     /// The first I/O failure recorded during reads, if any. Reading stops the
-    /// affected shard early and records the error here; kernel runners call
-    /// this after each shard so no failure is silently dropped.
+    /// affected shard early and records the error here; the kernel runner and
+    /// the engine's [`EdgeSource::health`] check read it, so no failure is
+    /// silently dropped.
     pub fn check(&self) -> Result<(), SpillError> {
         match self.poisoned.lock().expect("spill poison lock").clone() {
             None => Ok(()),
@@ -507,6 +509,10 @@ impl EdgeSource for SpilledShards {
     fn locator(&self) -> Option<&Path> {
         Some(&self.dir)
     }
+
+    fn health(&self) -> Result<(), PassError> {
+        self.check().map_err(PassError::from)
+    }
 }
 
 #[cfg(test)]
@@ -531,8 +537,9 @@ mod tests {
         let fold = |acc: &mut f64, id: EdgeId, e: Edge| {
             *acc += e.w * ((id % 13) as f64 + 1.0);
         };
-        let mem = PassEngine::new(2).scan_shards(&stream, |_| 0.0f64, fold);
-        let disk = PassEngine::new(2).scan_shards(&spilled.with_io_batch(100), |_| 0.0f64, fold);
+        let mem = PassEngine::new(2).pass_shards(&stream, |_| 0.0f64, fold).unwrap();
+        let disk =
+            PassEngine::new(2).pass_shards(&spilled.with_io_batch(100), |_| 0.0f64, fold).unwrap();
         assert_eq!(
             mem.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             disk.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
@@ -581,9 +588,8 @@ mod tests {
         let dir = temp_dir("accounting");
         let spilled = SpillWriter::spill_edge_source(&dir, &stream).unwrap().with_io_batch(64);
         let mut engine = PassEngine::new(1);
-        let count =
-            engine.pass_fold(&spilled, |_| 0usize, |acc, _, _| *acc += 1, |a, b| a + b).unwrap();
-        assert_eq!(count, 5_000);
+        let counts = engine.pass_shards(&spilled, |_| 0usize, |acc, _, _| *acc += 1).unwrap();
+        assert_eq!(counts.iter().sum::<usize>(), 5_000);
         assert_eq!(spilled.bytes_read(), 5_000 * EDGE_RECORD_BYTES as u64);
         let peak = spilled.peak_resident_edges();
         assert!((64..=64 * 4).contains(&peak), "peak {peak} outside one batch per reader");

@@ -6,6 +6,7 @@
 use mwm_external::prelude::*;
 use mwm_external::process::WORKER_ENV;
 use mwm_external::{discover_worker_binary, out_of_core_matching, ProcessPool};
+use mwm_graph::wire::EDGE_RECORD_BYTES;
 use mwm_mapreduce::{EdgeSource, PassEngine, PassError, SyntheticStream};
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use std::path::PathBuf;
@@ -127,6 +128,40 @@ fn workers_report_corrupt_spills_as_failures_not_crashes() {
         panic!("expected WorkerFailed, got {err:?}");
     };
     assert!(reason.contains("corrupt") || reason.contains("truncated"), "reason: {reason}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_spill_truncated_after_open_fails_in_process_and_in_the_lenient_pool() {
+    let stream = SyntheticStream::with_shards(50, 4_000, 13, 4);
+    let (spilled, dir) = spill(&stream, "truncated-after-open");
+    // Every reader validates the files before shard 2 loses its last 10
+    // records, so the damage only shows mid-read. A failed read poisons its
+    // reader for good, hence one reader per check.
+    let batch_reader = SpilledShards::open(&dir).unwrap();
+    let sequential_reader = SpilledShards::open(&dir).unwrap();
+    let pool_reader = SpilledShards::open(&dir).unwrap();
+    let victim = dir.join(mwm_external::spill::shard_file_name(2));
+    let len = std::fs::metadata(&victim).unwrap().len();
+    let truncated = len - 10 * EDGE_RECORD_BYTES as u64;
+    std::fs::OpenOptions::new().write(true).open(&victim).unwrap().set_len(truncated).unwrap();
+
+    let in_process = out_of_core_matching(&mut PassEngine::new(1), &spilled, 0.1);
+    let in_process = in_process.map(|m| m.weight);
+    assert!(matches!(in_process, Err(PassError::Io { .. })), "in-process: {in_process:?}");
+
+    let mut engine = PassEngine::new(1);
+    let counts = engine.pass_batches(&batch_reader, |_| 0usize, |n, b| *n += b.len());
+    assert!(matches!(counts, Err(PassError::Io { .. })), "batch pass: {counts:?}");
+    let sequential = engine.pass_sequential(&sequential_reader, |_, _| {});
+    assert!(matches!(sequential, Err(PassError::Io { .. })), "sequential pass: {sequential:?}");
+
+    // The workers' own `open` rejects the truncated shard; the fallback then
+    // reads it in-process and must fail the same way.
+    let lenient = ProcessPool::new(2).with_binary(worker_bin());
+    let mut engine = PassEngine::new(1).with_execution_mode(lenient.into_execution_mode(true));
+    let fallback = out_of_core_matching(&mut engine, &pool_reader, 0.1).map(|m| m.weight);
+    assert!(matches!(fallback, Err(PassError::Io { .. })), "lenient pool: {fallback:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -19,8 +19,8 @@ impl Matching {
         Matching { edges: Vec::new() }
     }
 
-    /// Adds an edge without checking feasibility (use [`Matching::is_valid`] afterwards,
-    /// or [`Matching::try_add`] for checked insertion against a vertex-used map).
+    /// Adds an edge without checking feasibility (use [`Matching::is_valid`]
+    /// afterwards).
     pub fn push(&mut self, id: EdgeId, edge: Edge) {
         self.edges.push((id, edge));
     }

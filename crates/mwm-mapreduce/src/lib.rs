@@ -16,16 +16,16 @@
 //! * [`pass_engine`] — the sharded multi-threaded [`PassEngine`] executing
 //!   semi-streaming passes over [`EdgeSource`] streams (and, through the
 //!   item-generic [`ItemSource`], over [`UpdateSource`] update batches) with
-//!   deterministic (shard-order) merges, mid-pass budget enforcement, and an
-//!   [`ExecutionMode`] knob dispatching named [`PassKernel`] passes to an
-//!   external [`ShardExecutor`] (worker processes over spilled shards).
+//!   deterministic (shard-order) merges and mid-pass budget enforcement. Its
+//!   [`ExecutionMode`] decides where [`PassEngine::pass_kernel`] runs a named
+//!   [`PassKernel`]: in this process, or on an external [`ShardExecutor`]
+//!   (worker processes over spilled shards).
 //! * [`congested_clique`] — per-vertex message accounting (Section 1's
 //!   `O(n^{1/p})`-message-per-vertex corollary).
 //!
 //! The deprecated single-threaded `StreamingSim` wrapper completed its
-//! deprecation cycle and was removed; use [`PassEngine::pass_sequential`] /
-//! [`PassEngine::pass_sequential_until`] over a `GraphSource::new(&graph, 1)`
-//! (see the README migration note).
+//! deprecation cycle and was removed; use [`PassEngine::pass_sequential`]
+//! over a `GraphSource::new(&graph, 1)` (see the README migration note).
 
 pub mod congested_clique;
 pub mod mapreduce;
@@ -35,8 +35,8 @@ pub mod resources;
 pub use congested_clique::CongestedCliqueSim;
 pub use mapreduce::{MapReduceConfig, MapReduceSim};
 pub use pass_engine::{
-    auto_shard_count, BatchKernel, EdgeBatch, EdgeSource, ExecutionMode, GraphSource, ItemSource,
-    PassBudget, PassEngine, PassError, PassKernel, ShardExecutor, ShardOutcome, ShardedEdgeList,
-    SoaBatch, SoaShards, SyntheticStream, UpdateSource,
+    auto_shard_count, EdgeBatch, EdgeSource, ExecutionMode, GraphSource, ItemSource, PassBudget,
+    PassEngine, PassError, PassKernel, ShardExecutor, ShardOutcome, ShardedEdgeList, SoaBatch,
+    SoaShards, SyntheticStream, UpdateSource,
 };
 pub use resources::{ResourceTracker, TrackerCounters};

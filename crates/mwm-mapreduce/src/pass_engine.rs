@@ -9,14 +9,18 @@
 //! private accumulator with a private resource ledger, and the per-shard
 //! results are merged **in shard order** — so the outcome is bit-identical for
 //! any worker count. Order-dependent consumers (one-pass replacement
-//! matching) use [`PassEngine::pass_sequential_until`], which visits the
-//! shards in index order on the calling thread but still gets the engine's
-//! accounting and budget enforcement.
+//! matching) use [`PassEngine::pass_sequential`], which visits the shards in
+//! index order on the calling thread but still gets the engine's accounting
+//! and budget enforcement.
 //!
-//! Budgets are enforced *during* the pass: [`PassBudget::max_items_streamed`]
-//! is checked every [`PassEngine::batch_size`] edges, so an exhausted budget
+//! Every pass runs through one shard scheduler and one budget gate:
+//! [`PassBudget::max_items_streamed`] is checked every
+//! [`PassEngine::batch_size`] edges of a shard, so an exhausted budget
 //! interrupts the pass mid-shard with [`PassError::BudgetExceeded`] and a
 //! ledger that reflects exactly the edges actually visited — never a panic.
+//! After every charged pass the source's [`EdgeSource::health`] is checked,
+//! so a read that failed mid-shard surfaces as [`PassError::Io`] instead of
+//! a result over part of the stream.
 //!
 //! The number of shards is a property of the *source*, not of the engine:
 //! changing `parallelism` changes how many threads consume the shards, never
@@ -69,12 +73,15 @@ pub trait ItemSource: Sync {
     /// Number of shards (always at least 1).
     fn num_shards(&self) -> usize;
 
-    /// Number of items in one shard.
-    fn shard_len(&self, shard: usize) -> usize;
-
     /// Visits the shard's items in stream order. `visit` returns `false` to
     /// stop early (used by the engine for budget aborts).
     fn visit_shard(&self, shard: usize, visit: &mut dyn FnMut(Self::Item) -> bool);
+
+    /// Whether every read so far delivered its items; see
+    /// [`EdgeSource::health`]. In-memory sources cannot fail.
+    fn health(&self) -> Result<(), PassError> {
+        Ok(())
+    }
 }
 
 /// Internal adapter presenting an [`EdgeSource`] as an [`ItemSource`] of
@@ -92,12 +99,12 @@ impl<S: EdgeSource + ?Sized> ItemSource for EdgeItems<'_, S> {
         self.0.num_shards()
     }
 
-    fn shard_len(&self, shard: usize) -> usize {
-        self.0.shard_len(shard)
-    }
-
     fn visit_shard(&self, shard: usize, visit: &mut dyn FnMut(Self::Item) -> bool) {
         self.0.for_each_in_shard(shard, &mut |id, e| visit((id, e)));
+    }
+
+    fn health(&self) -> Result<(), PassError> {
+        self.0.health()
     }
 }
 
@@ -250,7 +257,7 @@ pub trait EdgeSource: Sync {
     fn shard_len(&self, shard: usize) -> usize;
 
     /// Visits the shard's edges in stream order. `visit` returns `false` to
-    /// stop early (used by the engine for budget aborts and early exits).
+    /// stop early (used by the engine for budget aborts).
     fn for_each_in_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeId, Edge) -> bool);
 
     /// Visits the shard's edges as consecutive [`EdgeBatch`] slices of at
@@ -297,6 +304,15 @@ pub trait EdgeSource: Sync {
     /// external [`ShardExecutor`].
     fn locator(&self) -> Option<&Path> {
         None
+    }
+
+    /// Whether every read so far delivered its shard in full. The visitors
+    /// above cannot return errors, so a source whose reads can fail (spilled
+    /// files) stops the affected shard early, records the failure, and
+    /// reports it here; the engine asks after every charged pass. In-memory
+    /// sources cannot fail.
+    fn health(&self) -> Result<(), PassError> {
+        Ok(())
     }
 }
 
@@ -690,11 +706,6 @@ impl ItemSource for UpdateSource<'_> {
         self.num_shards
     }
 
-    fn shard_len(&self, shard: usize) -> usize {
-        let (lo, hi) = self.bounds(shard);
-        hi - lo
-    }
-
     fn visit_shard(&self, shard: usize, visit: &mut dyn FnMut(Self::Item) -> bool) {
         let (lo, hi) = self.bounds(shard);
         for seq in lo..hi {
@@ -798,41 +809,6 @@ pub trait PassKernel: Sync {
     fn decode_acc(&self, bytes: &[u8]) -> Result<Self::Acc, PassError>;
 }
 
-/// The slice-consuming counterpart of [`PassKernel`]: a named, parameterized
-/// fold over [`EdgeBatch`] struct-of-arrays views. Batch kernels share the
-/// per-edge kernels' registry contract (`name` + `params` reconstruct the
-/// fold in a worker process; `decode_acc(encode_acc(a)) == a` exactly), so
-/// [`PassEngine::pass_batch_kernel`] can dispatch them to an external
-/// [`ShardExecutor`] under the same rules as [`PassEngine::pass_kernel`].
-///
-/// For results to be independent of how a shard happens to be sliced (and
-/// therefore bit-identical between in-memory and spilled sources),
-/// `fold_batch` must be equivalent to folding the slice's edges left to
-/// right — it may vectorize *within* the slice but must not reorder
-/// non-associative floating-point accumulation across it.
-pub trait BatchKernel: Sync {
-    /// The per-shard accumulator.
-    type Acc: Send;
-
-    /// Registry name of the kernel (workers resolve the fold by this name).
-    fn name(&self) -> &'static str;
-
-    /// Serialized kernel parameters shipped with each task frame.
-    fn params(&self) -> Vec<u8>;
-
-    /// Seeds the accumulator for one shard.
-    fn init(&self, shard: usize) -> Self::Acc;
-
-    /// Folds one slice of edges into the accumulator.
-    fn fold_batch(&self, acc: &mut Self::Acc, batch: EdgeBatch<'_>);
-
-    /// Encodes an accumulator for the wire.
-    fn encode_acc(&self, acc: &Self::Acc) -> Vec<u8>;
-
-    /// Decodes an accumulator received from a worker.
-    fn decode_acc(&self, bytes: &[u8]) -> Result<Self::Acc, PassError>;
-}
-
 /// The result of one shard run by an external executor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardOutcome {
@@ -909,6 +885,108 @@ pub struct PassEngine {
     tracker: ResourceTracker,
 }
 
+/// What the scheduler hands back: the per-shard accumulators in shard order,
+/// the items visited, and whether the budget gate tripped.
+type Run<A> = (Vec<A>, usize, bool);
+
+/// The one budget gate of a pass. Every charged walk asks it at in-shard
+/// offsets 0, batch, 2·batch, … and reports what it streamed since, so
+/// per-item, slice and sequential passes interrupt at the same offsets — at
+/// one worker with identical ledgers. The gate trips only when the limit is
+/// already reached AND more items are pending, so a pass whose consumption
+/// lands exactly on the limit as the stream ends succeeds.
+struct Gate {
+    limit: Option<usize>,
+    /// Items the ledger had charged before the pass.
+    base: usize,
+    batch: usize,
+    streamed: AtomicUsize,
+    exceeded: AtomicBool,
+}
+
+impl Gate {
+    fn new(limit: Option<usize>, base: usize, batch: usize) -> Self {
+        let (streamed, exceeded) = (AtomicUsize::new(0), AtomicBool::new(false));
+        Gate { limit, base, batch, streamed, exceeded }
+    }
+
+    /// Whether the walk may go on; trips the gate for every worker when the
+    /// limit is reached.
+    fn admit(&self) -> bool {
+        if self.exceeded.load(Ordering::Relaxed) {
+            return false;
+        }
+        let streamed = self.base + self.streamed.load(Ordering::Relaxed);
+        if self.limit.is_some_and(|lim| streamed >= lim) {
+            self.exceeded.store(true, Ordering::Relaxed);
+            return false;
+        }
+        true
+    }
+
+    fn charge(&self, items: usize) {
+        self.streamed.fetch_add(items, Ordering::Relaxed);
+    }
+
+    /// Folds one shard item by item into `acc`, asking the gate every `batch`
+    /// items. Returns the accumulator and the items folded.
+    fn walk_items<S, A>(
+        &self,
+        source: &S,
+        shard: usize,
+        mut acc: A,
+        mut fold: impl FnMut(&mut A, S::Item),
+    ) -> (A, usize)
+    where
+        S: ItemSource + ?Sized,
+    {
+        let mut visited = 0usize;
+        let mut pending = 0usize;
+        source.visit_shard(shard, &mut |item| {
+            if pending == 0 && !self.admit() {
+                return false;
+            }
+            fold(&mut acc, item);
+            visited += 1;
+            pending += 1;
+            if pending == self.batch {
+                self.charge(pending);
+                pending = 0;
+            }
+            true
+        });
+        self.charge(pending);
+        (acc, visited)
+    }
+
+    /// Folds one shard into `acc` as slices of at most `batch` edges, asking
+    /// the gate before each slice. Sources cut slices at multiples of
+    /// `batch`, so the gate sits at the same offsets as in
+    /// [`Gate::walk_items`].
+    fn walk_slices<S, A>(
+        &self,
+        source: &S,
+        shard: usize,
+        mut acc: A,
+        mut fold: impl FnMut(&mut A, EdgeBatch<'_>),
+    ) -> (A, usize)
+    where
+        S: EdgeSource + ?Sized,
+    {
+        let mut visited = 0usize;
+        source.for_each_batch_in_shard(shard, self.batch, &mut |slice| {
+            if !self.admit() {
+                return false;
+            }
+            fold(&mut acc, slice);
+            visited += slice.len();
+            self.charge(slice.len());
+            true
+        });
+        (acc, visited)
+    }
+}
+
 impl PassEngine {
     /// An engine that uses up to `parallelism` worker threads per pass
     /// (clamped to at least 1), no budget, and in-process execution.
@@ -939,11 +1017,6 @@ impl PassEngine {
     pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
         self.mode = mode;
         self
-    }
-
-    /// The configured execution mode.
-    pub fn execution_mode(&self) -> &ExecutionMode {
-        &self.mode
     }
 
     /// The configured worker-thread cap.
@@ -1025,62 +1098,9 @@ impl PassEngine {
         I: Fn(usize) -> A + Sync,
         F: Fn(&mut A, S::Item) + Sync,
     {
-        self.tracker.charge_round();
-        let _span = mwm_obs::span!("pass", shards = source.num_shards());
-        let limit = self.budget.max_items_streamed;
-        let (accs, visited, exceeded) = self.run_items(source, &init, &fold, limit);
-        self.tracker.charge_stream(visited);
-        Self::record_pass("items", visited, exceeded);
-        if exceeded {
-            // limit is Some whenever the exceeded flag can be set.
-            let limit = limit.unwrap_or(usize::MAX);
-            return Err(PassError::BudgetExceeded {
-                resource: "streamed items",
-                used: self.tracker.items_streamed(),
-                limit,
-            });
-        }
-        Ok(accs)
-    }
-
-    /// Records one pass into the global metrics registry. Write-only taps:
-    /// nothing here feeds back into scheduling or accounting, so solver
-    /// outputs are bit-identical with the registry enabled or disabled.
-    fn record_pass(kind: &'static str, visited: usize, interrupted: bool) {
-        match kind {
-            "items" => mwm_obs::counter!("pass_total{kind=items}").inc(),
-            "batches" => mwm_obs::counter!("pass_total{kind=batches}").inc(),
-            "sequential" => mwm_obs::counter!("pass_total{kind=sequential}").inc(),
-            _ => mwm_obs::counter!("pass_total{kind=external}").inc(),
-        }
-        mwm_obs::counter!("pass_edges_total").add(visited as u64);
-        mwm_obs::histogram!("pass_edges", &mwm_obs::SIZE_BOUNDS).observe(visited as f64);
-        if interrupted {
-            mwm_obs::counter!("pass_budget_interrupts_total").inc();
-        }
-    }
-
-    /// Like [`PassEngine::pass_shards`] but merges the per-shard accumulators
-    /// in shard order into a single value.
-    pub fn pass_fold<S, A, I, F, M>(
-        &mut self,
-        source: &S,
-        init: I,
-        fold: F,
-        mut merge: M,
-    ) -> Result<A, PassError>
-    where
-        S: EdgeSource + ?Sized,
-        A: Send,
-        I: Fn(usize) -> A + Sync,
-        F: Fn(&mut A, EdgeId, Edge) + Sync,
-        M: FnMut(A, A) -> A,
-    {
-        let accs = self.pass_shards(source, init, fold)?;
-        let mut iter = accs.into_iter();
-        // num_shards >= 1 for every source, so the first accumulator exists.
-        let first = iter.next().expect("every EdgeSource has at least one shard");
-        Ok(iter.fold(first, &mut merge))
+        self.charged("items", source, self.parallelism, |shard, gate| {
+            gate.walk_items(source, shard, init(shard), &fold)
+        })
     }
 
     /// One charged pass over whole shard **slices**: like
@@ -1107,22 +1127,54 @@ impl PassEngine {
         I: Fn(usize) -> A + Sync,
         F: Fn(&mut A, EdgeBatch<'_>) + Sync,
     {
-        self.tracker.charge_round();
-        let _span = mwm_obs::span!("pass", shards = source.num_shards());
-        let limit = self.budget.max_items_streamed;
-        let (accs, visited, exceeded) = self.run_batches(source, &init, &fold, limit);
-        self.tracker.charge_stream(visited);
-        Self::record_pass("batches", visited, exceeded);
-        if exceeded {
-            // limit is Some whenever the exceeded flag can be set.
-            let limit = limit.unwrap_or(usize::MAX);
-            return Err(PassError::BudgetExceeded {
-                resource: "streamed items",
-                used: self.tracker.items_streamed(),
-                limit,
-            });
-        }
-        Ok(accs)
+        self.charged("batches", &EdgeItems(source), self.parallelism, |shard, gate| {
+            gate.walk_slices(source, shard, init(shard), &fold)
+        })
+    }
+
+    /// An **uncharged** sharded fold over [`EdgeBatch`] slices: same fan-out
+    /// and deterministic merge order as [`PassEngine::pass_batches`], but no
+    /// round or stream charge and no budget check. For refinement scans over
+    /// state that is already in central memory (the λ scans of the
+    /// dual-primal oracle).
+    pub fn scan_batches<S, A, I, F>(&self, source: &S, init: I, fold: F) -> Vec<A>
+    where
+        S: EdgeSource + ?Sized,
+        A: Send,
+        I: Fn(usize) -> A + Sync,
+        F: Fn(&mut A, EdgeBatch<'_>) + Sync,
+    {
+        let gate = Gate::new(None, 0, self.batch);
+        let (accs, _, _) = self.schedule(
+            source.num_edges(),
+            source.num_shards(),
+            self.parallelism,
+            &gate,
+            |shard| gate.walk_slices(source, shard, init(shard), &fold),
+        );
+        accs
+    }
+
+    /// One charged pass visiting every edge **in stream order** (shard 0
+    /// first, then shard 1, ...) on the calling thread, for order-dependent
+    /// consumers.
+    pub fn pass_sequential<S>(
+        &mut self,
+        source: &S,
+        visit: impl FnMut(EdgeId, Edge) + Send,
+    ) -> Result<(), PassError>
+    where
+        S: EdgeSource + ?Sized,
+    {
+        // One worker claims the shards in index order on this thread; the
+        // lock only satisfies the scheduler's `Sync` bound.
+        let visit = Mutex::new(visit);
+        let items = EdgeItems(source);
+        self.charged("sequential", &items, 1, |shard, gate| {
+            let mut visit = visit.lock().expect("sequential visitor panicked");
+            gate.walk_items(&items, shard, (), |_, (id, e)| visit(id, e))
+        })?;
+        Ok(())
     }
 
     /// One charged **kernel** pass: like [`PassEngine::pass_shards`], but the
@@ -1149,18 +1201,19 @@ impl PassEngine {
         K: PassKernel,
     {
         if let ExecutionMode::External { executor, fallback_in_process } = &self.mode {
-            let fits_budget = match self.budget.max_items_streamed {
-                Some(lim) => {
-                    self.tracker.items_streamed().saturating_add(source.num_edges()) <= lim
-                }
-                None => true,
-            };
+            let streamed = self.tracker.items_streamed();
+            let fits_budget = self
+                .budget
+                .max_items_streamed
+                .is_none_or(|lim| streamed.saturating_add(source.num_edges()) <= lim);
             if let (Some(locator), true) = (source.locator(), fits_budget) {
-                let executor = Arc::clone(executor);
                 let fallback = *fallback_in_process;
-                match self.run_external(source, kernel, locator, &executor) {
-                    Ok(accs) => return Ok(accs),
-                    Err(e @ PassError::BudgetExceeded { .. }) => return Err(e),
+                match Self::run_external(executor.as_ref(), source.num_shards(), locator, kernel) {
+                    // Charged only once the pass is known good, so a fallback
+                    // rerun after a failed dispatch is charged exactly once.
+                    Ok((accs, visited)) => {
+                        return self.settle("external", (accs, visited, false), source.health())
+                    }
                     Err(e) if !fallback => return Err(e),
                     Err(_) => {} // fall through to the in-process fold
                 }
@@ -1169,389 +1222,135 @@ impl PassEngine {
         self.pass_shards(source, |shard| kernel.init(shard), |acc, id, e| kernel.fold(acc, id, e))
     }
 
-    /// The batch-kernel counterpart of [`PassEngine::pass_kernel`]: same
-    /// dispatch rules (external execution only for locator-addressable
-    /// sources whose full pass fits the remaining budget, optional in-process
-    /// fallback, charge only on success), with the in-process arm running
-    /// [`PassEngine::pass_batches`] over the kernel's slice fold.
-    pub fn pass_batch_kernel<S, K>(
-        &mut self,
-        source: &S,
-        kernel: &K,
-    ) -> Result<Vec<K::Acc>, PassError>
-    where
-        S: EdgeSource + ?Sized,
-        K: BatchKernel,
-    {
-        if let ExecutionMode::External { executor, fallback_in_process } = &self.mode {
-            let fits_budget = match self.budget.max_items_streamed {
-                Some(lim) => {
-                    self.tracker.items_streamed().saturating_add(source.num_edges()) <= lim
-                }
-                None => true,
-            };
-            if let (Some(locator), true) = (source.locator(), fits_budget) {
-                let executor = Arc::clone(executor);
-                let fallback = *fallback_in_process;
-                let dispatched = self
-                    .dispatch_external(
-                        source.num_shards(),
-                        locator,
-                        kernel.name(),
-                        &kernel.params(),
-                        &executor,
-                    )
-                    .and_then(|outcomes| {
-                        let mut accs = Vec::with_capacity(outcomes.len());
-                        let mut visited = 0usize;
-                        for outcome in &outcomes {
-                            accs.push(kernel.decode_acc(&outcome.acc)?);
-                            visited += outcome.visited;
-                        }
-                        Ok((accs, visited))
-                    });
-                match dispatched {
-                    Ok((accs, visited)) => {
-                        self.tracker.charge_round();
-                        self.tracker.charge_stream(visited);
-                        Self::record_pass("external", visited, false);
-                        return Ok(accs);
-                    }
-                    Err(e @ PassError::BudgetExceeded { .. }) => return Err(e),
-                    Err(e) if !fallback => return Err(e),
-                    Err(_) => {} // fall through to the in-process fold
-                }
-            }
-        }
-        self.pass_batches(source, |shard| kernel.init(shard), |acc, b| kernel.fold_batch(acc, b))
-    }
-
-    /// The external arm of [`PassEngine::pass_kernel`]: dispatch, validate
-    /// shard coverage, decode in shard order, charge the ledger.
-    fn run_external<S, K>(
-        &mut self,
-        source: &S,
-        kernel: &K,
-        locator: &Path,
-        executor: &Arc<dyn ShardExecutor>,
-    ) -> Result<Vec<K::Acc>, PassError>
-    where
-        S: EdgeSource + ?Sized,
-        K: PassKernel,
-    {
-        let num_shards = source.num_shards();
-        let outcomes =
-            self.dispatch_external(num_shards, locator, kernel.name(), &kernel.params(), executor)?;
-        let mut accs = Vec::with_capacity(num_shards);
-        let mut visited = 0usize;
-        for outcome in &outcomes {
-            accs.push(kernel.decode_acc(&outcome.acc)?);
-            visited += outcome.visited;
-        }
-        // Charge only once the pass is known good, so a fallback rerun after
-        // a failed dispatch does not double-charge the ledger.
-        self.tracker.charge_round();
-        self.tracker.charge_stream(visited);
-        Self::record_pass("external", visited, false);
-        Ok(accs)
-    }
-
-    /// Runs a named kernel on the executor and validates that the outcomes
-    /// cover exactly shards `0..num_shards`, returned in shard order. Shared
-    /// by the per-edge and batch kernel dispatch paths; charges nothing.
-    fn dispatch_external(
-        &self,
+    /// The external arm of [`PassEngine::pass_kernel`]: runs the kernel on
+    /// the executor, checks that the outcomes cover exactly shards
+    /// `0..num_shards`, and decodes them in shard order. Returns the
+    /// accumulators and the edges the workers visited; charges nothing.
+    fn run_external<K: PassKernel>(
+        executor: &dyn ShardExecutor,
         num_shards: usize,
         locator: &Path,
-        name: &str,
-        params: &[u8],
-        executor: &Arc<dyn ShardExecutor>,
-    ) -> Result<Vec<ShardOutcome>, PassError> {
-        let mut outcomes = executor.run_pass(locator, name, params, num_shards)?;
+        kernel: &K,
+    ) -> Result<(Vec<K::Acc>, usize), PassError> {
+        let mut outcomes =
+            executor.run_pass(locator, kernel.name(), &kernel.params(), num_shards)?;
         outcomes.sort_unstable_by_key(|o| o.shard);
-        let covered =
-            outcomes.len() == num_shards && outcomes.iter().enumerate().all(|(i, o)| o.shard == i);
-        if !covered {
+        if outcomes.len() != num_shards || outcomes.iter().enumerate().any(|(i, o)| o.shard != i) {
             let shards: Vec<usize> = outcomes.iter().map(|o| o.shard).collect();
             return Err(PassError::Protocol {
                 reason: format!("executor covered shards {shards:?}, expected 0..{num_shards}"),
             });
         }
-        Ok(outcomes)
+        let accs = outcomes.iter().map(|o| kernel.decode_acc(&o.acc)).collect::<Result<_, _>>()?;
+        Ok((accs, outcomes.iter().map(|o| o.visited).sum()))
     }
 
-    /// An **uncharged** sharded fold over the source: same fan-out and
-    /// deterministic merge order as [`PassEngine::pass_shards`], but no round
-    /// or stream charge and no budget check. For refinement scans over state
-    /// that is already in central memory.
-    pub fn scan_shards<S, A, I, F>(&self, source: &S, init: I, fold: F) -> Vec<A>
-    where
-        S: EdgeSource + ?Sized,
-        A: Send,
-        I: Fn(usize) -> A + Sync,
-        F: Fn(&mut A, EdgeId, Edge) + Sync,
-    {
-        let (accs, _, _) =
-            self.run_items(&EdgeItems(source), &init, &|acc, (id, e)| fold(acc, id, e), None);
-        accs
-    }
-
-    /// The batch counterpart of [`PassEngine::scan_shards`]: an **uncharged**
-    /// sharded fold over [`EdgeBatch`] slices, for refinement scans over
-    /// state already in central memory (the λ scans of the dual-primal
-    /// oracle).
-    pub fn scan_batches<S, A, I, F>(&self, source: &S, init: I, fold: F) -> Vec<A>
-    where
-        S: EdgeSource + ?Sized,
-        A: Send,
-        I: Fn(usize) -> A + Sync,
-        F: Fn(&mut A, EdgeBatch<'_>) + Sync,
-    {
-        let (accs, _, _) = self.run_batches(source, &init, &fold, None);
-        accs
-    }
-
-    /// One charged pass visiting every edge **in stream order** (shard 0
-    /// first, then shard 1, ...) on the calling thread, for order-dependent
-    /// consumers. `visit` returns `false` to stop early (the remainder of the
-    /// stream is still charged — the model charges per pass). Returns the
-    /// number of edges the visitor actually saw.
-    pub fn pass_sequential_until<S>(
+    /// One charged in-process pass: opens the `pass` span, schedules `walk`
+    /// on up to `workers` threads under the engine's budget, then settles.
+    fn charged<S, A, W>(
         &mut self,
+        kind: &'static str,
         source: &S,
-        mut visit: impl FnMut(EdgeId, Edge) -> bool,
-    ) -> Result<usize, PassError>
-    where
-        S: EdgeSource + ?Sized,
-    {
-        self.tracker.charge_round();
-        let limit = self.budget.max_items_streamed;
-        let base = self.tracker.items_streamed();
-        let batch = self.batch;
-        let mut visited = 0usize;
-        let mut stopped_by_visitor = false;
-        let mut exceeded = false;
-        for shard in 0..source.num_shards() {
-            let mut since_check = 0usize;
-            source.for_each_in_shard(shard, &mut |id, e| {
-                if since_check == 0 {
-                    if let Some(lim) = limit {
-                        if base + visited >= lim {
-                            exceeded = true;
-                            return false;
-                        }
-                    }
-                    since_check = batch;
-                }
-                since_check -= 1;
-                visited += 1;
-                if visit(id, e) {
-                    true
-                } else {
-                    stopped_by_visitor = true;
-                    false
-                }
-            });
-            if exceeded || stopped_by_visitor {
-                break;
-            }
-        }
-        Self::record_pass("sequential", visited, exceeded);
-        if exceeded {
-            self.tracker.charge_stream(visited);
-            return Err(PassError::BudgetExceeded {
-                resource: "streamed items",
-                used: self.tracker.items_streamed(),
-                limit: limit.unwrap_or(usize::MAX),
-            });
-        }
-        // A completed pass is charged in full even if the visitor exited
-        // early: the model charges per pass, not per edge looked at.
-        self.tracker.charge_stream(source.num_edges());
-        Ok(visited)
-    }
-
-    /// [`PassEngine::pass_sequential_until`] without early exit.
-    pub fn pass_sequential<S>(
-        &mut self,
-        source: &S,
-        mut visit: impl FnMut(EdgeId, Edge),
-    ) -> Result<usize, PassError>
-    where
-        S: EdgeSource + ?Sized,
-    {
-        self.pass_sequential_until(source, |id, e| {
-            visit(id, e);
-            true
-        })
-    }
-
-    /// The shared worker loop, generic over the item type: shards are claimed
-    /// from an atomic counter, folded locally, and collected as
-    /// `(shard, acc, visited)`; the caller gets the accumulators sorted by
-    /// shard index plus the exact total of items visited and whether the
-    /// limit tripped.
-    fn run_items<S, A, I, F>(
-        &self,
-        source: &S,
-        init: &I,
-        fold: &F,
-        limit: Option<usize>,
-    ) -> (Vec<A>, usize, bool)
+        workers: usize,
+        walk: W,
+    ) -> Result<Vec<A>, PassError>
     where
         S: ItemSource + ?Sized,
         A: Send,
-        I: Fn(usize) -> A + Sync,
-        F: Fn(&mut A, S::Item) + Sync,
+        W: Fn(usize, &Gate) -> (A, usize) + Sync,
     {
-        let num_shards = source.num_shards();
-        let workers = if source.num_items() < MIN_PARALLEL_ITEMS {
-            1
-        } else {
-            self.parallelism.min(num_shards).max(1)
-        };
-        let base = self.tracker.items_streamed();
-        let batch = self.batch;
-        let next = AtomicUsize::new(0);
-        let streamed = AtomicUsize::new(0);
-        let exceeded = AtomicBool::new(false);
-        let results: Mutex<Vec<(usize, A, usize)>> = Mutex::new(Vec::with_capacity(num_shards));
-
-        let worker = || loop {
-            let shard = next.fetch_add(1, Ordering::Relaxed);
-            if shard >= num_shards || exceeded.load(Ordering::Relaxed) {
-                break;
-            }
-            let mut acc = init(shard);
-            let mut visited = 0usize;
-            let mut since_flush = 0usize;
-            source.visit_shard(shard, &mut |item| {
-                // Gate at the START of each batch, like the sequential path:
-                // the budget trips only when the limit is already reached AND
-                // more items are pending. A pass whose consumption lands
-                // exactly on the limit as the stream ends succeeds.
-                if since_flush == 0 {
-                    if exceeded.load(Ordering::Relaxed) {
-                        return false;
-                    }
-                    if let Some(lim) = limit {
-                        if base + streamed.load(Ordering::Relaxed) >= lim {
-                            exceeded.store(true, Ordering::Relaxed);
-                            return false;
-                        }
-                    }
-                }
-                fold(&mut acc, item);
-                visited += 1;
-                since_flush += 1;
-                if since_flush == batch {
-                    since_flush = 0;
-                    streamed.fetch_add(batch, Ordering::Relaxed);
-                }
-                true
-            });
-            if since_flush > 0 {
-                streamed.fetch_add(since_flush, Ordering::Relaxed);
-            }
-            results.lock().expect("pass worker panicked").push((shard, acc, visited));
-        };
-
-        if workers == 1 {
-            worker();
-        } else {
-            let worker_ref = &worker;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker_ref);
-                }
-            });
-        }
-
-        let mut results = results.into_inner().expect("pass worker panicked");
-        results.sort_unstable_by_key(|r| r.0);
-        let visited_total: usize = results.iter().map(|r| r.2).sum();
-        let tripped = exceeded.into_inner();
-        (results.into_iter().map(|(_, a, _)| a).collect(), visited_total, tripped)
+        let _span = mwm_obs::span!("pass", shards = source.num_shards());
+        let gate =
+            Gate::new(self.budget.max_items_streamed, self.tracker.items_streamed(), self.batch);
+        let run = self.schedule(source.num_items(), source.num_shards(), workers, &gate, |shard| {
+            walk(shard, &gate)
+        });
+        self.settle(kind, run, source.health())
     }
 
-    /// The slice-consuming worker loop behind [`PassEngine::pass_batches`]
-    /// and [`PassEngine::scan_batches`]. Identical scheduling and accounting
-    /// to [`PassEngine::run_items`], with the budget gated at the **start of
-    /// each slice** — sources deliver slices of exactly
-    /// [`PassEngine::batch_size`] edges (short only at shard ends), so the
-    /// gates sit at the same in-shard offsets the per-edge loop checks at and
-    /// interrupts charge identical partial ledgers.
-    fn run_batches<S, A, I, F>(
+    /// The one shard scheduler: up to `workers` threads (one, on the calling
+    /// thread, for streams under [`MIN_PARALLEL_ITEMS`]) claim shards from a
+    /// shared counter, `walk` folds each claimed shard, and the results are
+    /// sorted by shard index. No new shard is claimed once `gate` trips.
+    fn schedule<A, W>(
         &self,
-        source: &S,
-        init: &I,
-        fold: &F,
-        limit: Option<usize>,
-    ) -> (Vec<A>, usize, bool)
+        num_items: usize,
+        num_shards: usize,
+        workers: usize,
+        gate: &Gate,
+        walk: W,
+    ) -> Run<A>
     where
-        S: EdgeSource + ?Sized,
         A: Send,
-        I: Fn(usize) -> A + Sync,
-        F: Fn(&mut A, EdgeBatch<'_>) + Sync,
+        W: Fn(usize) -> (A, usize) + Sync,
     {
-        let num_shards = source.num_shards();
-        let workers = if source.num_edges() < MIN_PARALLEL_ITEMS {
-            1
-        } else {
-            self.parallelism.min(num_shards).max(1)
-        };
-        let base = self.tracker.items_streamed();
-        let batch = self.batch;
+        let workers =
+            if num_items < MIN_PARALLEL_ITEMS { 1 } else { workers.min(num_shards).max(1) };
         let next = AtomicUsize::new(0);
-        let streamed = AtomicUsize::new(0);
-        let exceeded = AtomicBool::new(false);
         let results: Mutex<Vec<(usize, A, usize)>> = Mutex::new(Vec::with_capacity(num_shards));
-
         let worker = || loop {
             let shard = next.fetch_add(1, Ordering::Relaxed);
-            if shard >= num_shards || exceeded.load(Ordering::Relaxed) {
+            if shard >= num_shards || gate.exceeded.load(Ordering::Relaxed) {
                 break;
             }
-            let mut acc = init(shard);
-            let mut visited = 0usize;
-            source.for_each_batch_in_shard(shard, batch, &mut |slice| {
-                // Gate at the START of each slice, exactly like the per-edge
-                // loop gates at the start of each batch: the budget trips
-                // only when the limit is already reached AND more edges are
-                // pending, so a pass landing exactly on the limit succeeds.
-                if exceeded.load(Ordering::Relaxed) {
-                    return false;
-                }
-                if let Some(lim) = limit {
-                    if base + streamed.load(Ordering::Relaxed) >= lim {
-                        exceeded.store(true, Ordering::Relaxed);
-                        return false;
-                    }
-                }
-                fold(&mut acc, slice);
-                visited += slice.len();
-                streamed.fetch_add(slice.len(), Ordering::Relaxed);
-                true
-            });
+            let (acc, visited) = walk(shard);
             results.lock().expect("pass worker panicked").push((shard, acc, visited));
         };
-
         if workers == 1 {
             worker();
         } else {
-            let worker_ref = &worker;
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(worker_ref);
+                    scope.spawn(worker);
                 }
             });
         }
-
         let mut results = results.into_inner().expect("pass worker panicked");
         results.sort_unstable_by_key(|r| r.0);
-        let visited_total: usize = results.iter().map(|r| r.2).sum();
-        let tripped = exceeded.into_inner();
-        (results.into_iter().map(|(_, a, _)| a).collect(), visited_total, tripped)
+        let visited = results.iter().map(|r| r.2).sum();
+        let exceeded = gate.exceeded.load(Ordering::Relaxed);
+        (results.into_iter().map(|(_, acc, _)| acc).collect(), visited, exceeded)
+    }
+
+    /// The settle step after every charged pass: charges one round plus the
+    /// items visited, records the pass, then surfaces a failed source read
+    /// (`health`) or an exhausted budget as a typed error.
+    fn settle<A>(
+        &mut self,
+        kind: &'static str,
+        (accs, visited, exceeded): Run<A>,
+        health: Result<(), PassError>,
+    ) -> Result<Vec<A>, PassError> {
+        self.tracker.charge_round();
+        self.tracker.charge_stream(visited);
+        Self::record_pass(kind, visited, exceeded);
+        health?;
+        if exceeded {
+            return Err(PassError::BudgetExceeded {
+                resource: "streamed items",
+                used: self.tracker.items_streamed(),
+                // The gate trips only under a limit.
+                limit: self.budget.max_items_streamed.unwrap_or(usize::MAX),
+            });
+        }
+        Ok(accs)
+    }
+
+    /// Records one pass into the global metrics registry. Write-only taps:
+    /// nothing here feeds back into scheduling or accounting, so solver
+    /// outputs are bit-identical with the registry enabled or disabled.
+    fn record_pass(kind: &'static str, visited: usize, interrupted: bool) {
+        match kind {
+            "items" => mwm_obs::counter!("pass_total{kind=items}").inc(),
+            "batches" => mwm_obs::counter!("pass_total{kind=batches}").inc(),
+            "sequential" => mwm_obs::counter!("pass_total{kind=sequential}").inc(),
+            _ => mwm_obs::counter!("pass_total{kind=external}").inc(),
+        }
+        mwm_obs::counter!("pass_edges_total").add(visited as u64);
+        mwm_obs::histogram!("pass_edges", &mwm_obs::SIZE_BOUNDS).observe(visited as f64);
+        if interrupted {
+            mwm_obs::counter!("pass_budget_interrupts_total").inc();
+        }
     }
 }
 
@@ -1588,19 +1387,12 @@ mod tests {
         let g = graph(500);
         let src = GraphSource::new(&g, 7);
         let mut engine = PassEngine::new(4);
-        let counts = engine
-            .pass_fold(
-                &src,
-                |_| vec![0usize; g.num_edges()],
-                |acc, id, _| acc[id] += 1,
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                },
-            )
-            .unwrap();
+        let mut counts = vec![0usize; g.num_edges()];
+        for shard in engine.pass_shards(&src, |_| Vec::new(), |acc, id, _| acc.push(id)).unwrap() {
+            for id in shard {
+                counts[id] += 1;
+            }
+        }
         assert!(counts.iter().all(|&c| c == 1));
         assert_eq!(engine.passes(), 1);
         assert_eq!(engine.tracker().items_streamed(), g.num_edges());
@@ -1638,23 +1430,6 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_still_charges_the_full_pass() {
-        let g = graph(400);
-        let src = GraphSource::auto(&g);
-        let mut engine = PassEngine::new(1);
-        let mut count = 0;
-        let visited = engine
-            .pass_sequential_until(&src, |_, _| {
-                count += 1;
-                count < 5
-            })
-            .unwrap();
-        assert_eq!(visited, 5);
-        assert_eq!(engine.tracker().items_streamed(), g.num_edges());
-        assert_eq!(engine.passes(), 1);
-    }
-
-    #[test]
     fn budget_interrupts_mid_shard_with_accurate_ledger() {
         let src = SyntheticStream::with_shards(500, 50_000, 3, 4);
         let limit = 9000;
@@ -1687,13 +1462,14 @@ mod tests {
         for workers in [1usize, 4] {
             let mut engine =
                 PassEngine::new(workers).with_budget(PassBudget { max_items_streamed: Some(m) });
-            let count: usize = engine
-                .pass_fold(&src, |_| 0usize, |acc, _, _| *acc += 1, |a, b| a + b)
+            let counts = engine
+                .pass_shards(&src, |_| 0usize, |acc, _, _| *acc += 1)
                 .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
-            assert_eq!(count, m);
+            assert_eq!(counts.iter().sum::<usize>(), m);
         }
         let mut engine = PassEngine::new(1).with_budget(PassBudget { max_items_streamed: Some(m) });
-        let visited = engine.pass_sequential(&src, |_, _| {}).unwrap();
+        let mut visited = 0usize;
+        engine.pass_sequential(&src, |_, _| visited += 1).unwrap();
         assert_eq!(visited, m);
     }
 
@@ -1720,8 +1496,10 @@ mod tests {
         assert_eq!(src.num_shards(), 5);
         let mut engine = PassEngine::new(3);
         let weight: f64 = engine
-            .pass_fold(&src, |_| 0.0, |acc: &mut f64, _, e| *acc += e.w, |a, b| a + b)
-            .unwrap();
+            .pass_shards(&src, |_| 0.0, |acc: &mut f64, _, e| *acc += e.w)
+            .unwrap()
+            .iter()
+            .sum();
         let direct: f64 = g.total_weight();
         assert!((weight - direct).abs() < 1e-9 * direct.max(1.0));
     }
@@ -1739,8 +1517,8 @@ mod tests {
             assert!((a.u as usize) < 100 && (a.v as usize) < 100);
         }
         let mut engine = PassEngine::new(4);
-        let count = engine.pass_fold(&s1, |_| 0usize, |acc, _, _| *acc += 1, |a, b| a + b).unwrap();
-        assert_eq!(count, 5000);
+        let counts = engine.pass_shards(&s1, |_| 0usize, |acc, _, _| *acc += 1).unwrap();
+        assert_eq!(counts.iter().sum::<usize>(), 5000);
     }
 
     #[test]
@@ -1999,18 +1777,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_shards_is_uncharged() {
-        let g = graph(300);
-        let src = GraphSource::auto(&g);
-        let engine = PassEngine::new(2);
-        let sums = engine.scan_shards(&src, |_| 0.0f64, |acc, _, e| *acc += e.w);
-        let total: f64 = sums.iter().sum();
-        assert!((total - g.total_weight()).abs() < 1e-9 * g.total_weight());
-        assert_eq!(engine.tracker().rounds(), 0);
-        assert_eq!(engine.tracker().items_streamed(), 0);
-    }
-
-    #[test]
     fn soa_shards_match_their_source_exactly() {
         let g = graph(700);
         let src = GraphSource::new(&g, 6);
@@ -2106,22 +1872,38 @@ mod tests {
 
     #[test]
     fn batch_budget_interrupt_charges_the_per_edge_ledger() {
-        // With one worker the slice gates sit at exactly the per-edge batch
-        // boundaries, so the interrupted ledgers must be *equal*, not merely
-        // both valid.
+        // With one worker every walk asks the one gate at the same in-shard
+        // offsets, so the interrupted ledgers of all four charged in-process
+        // passes must be *equal*, not merely all valid — mid-batch, on a
+        // batch boundary, and at the 12,500-edge shard boundary.
         let src = SyntheticStream::with_shards(500, 50_000, 3, 4);
-        for limit in [0usize, 1, 9000, 9007] {
-            let budget = PassBudget { max_items_streamed: Some(limit) };
-            let mut per_edge = PassEngine::new(1).with_budget(budget).with_batch_size(16);
-            let e1 = per_edge.pass_shards(&src, |_| 0usize, |acc, _, _| *acc += 1).unwrap_err();
-            let mut batch = PassEngine::new(1).with_budget(budget).with_batch_size(16);
-            let e2 = batch.pass_batches(&src, |_| 0usize, |acc, b| *acc += b.len()).unwrap_err();
-            let used_of = |e: &PassError| match e {
-                PassError::BudgetExceeded { used, .. } => *used,
-                other => panic!("expected a budget interrupt, got {other:?}"),
+        let cases =
+            [(0usize, 0usize), (1, 16), (9000, 9008), (9007, 9008), (12500, 12500), (12512, 12516)];
+        for (limit, expected) in cases {
+            let engine = || {
+                PassEngine::new(1)
+                    .with_budget(PassBudget { max_items_streamed: Some(limit) })
+                    .with_batch_size(16)
             };
-            assert_eq!(used_of(&e1), used_of(&e2), "limit={limit}");
-            assert_eq!(used_of(&e2), batch.tracker().items_streamed(), "limit={limit}");
+            let mut ledgers = Vec::new();
+            let mut e = engine();
+            ledgers.push((e.pass_shards(&src, |_| 0usize, |acc, _, _| *acc += 1).map(drop), e));
+            let mut e = engine();
+            ledgers.push((e.pass_batches(&src, |_| 0usize, |acc, b| *acc += b.len()).map(drop), e));
+            let mut e = engine();
+            ledgers.push((e.pass_sequential(&src, |_, _| {}), e));
+            let mut e = engine();
+            ledgers.push((e.pass_kernel(&src, &SumKernel).map(drop), e));
+            for (i, (result, engine)) in ledgers.iter().enumerate() {
+                match result {
+                    Err(PassError::BudgetExceeded { used, .. }) => {
+                        assert_eq!(*used, expected, "limit={limit} pass {i}");
+                        assert_eq!(*used, engine.tracker().items_streamed(), "limit={limit}");
+                        assert_eq!(engine.passes(), 1, "limit={limit} pass {i}");
+                    }
+                    other => panic!("limit={limit} pass {i}: expected an interrupt, got {other:?}"),
+                }
+            }
         }
         // Multi-worker interrupts keep the per-edge invariants: ledger
         // matches the error exactly, overshoot bounded by one slice/worker.
@@ -2174,114 +1956,5 @@ mod tests {
         assert!((total - g.total_weight()).abs() < 1e-9 * g.total_weight());
         assert_eq!(engine.tracker().rounds(), 0);
         assert_eq!(engine.tracker().items_streamed(), 0);
-    }
-
-    /// The slice-consuming twin of [`SumKernel`], registered under the same
-    /// name so the mock executor (which sums per edge) stands in for it: a
-    /// left-to-right slice sum performs the same f64 additions in the same
-    /// order, so the accumulators are bit-identical.
-    struct BatchSumKernel;
-
-    impl BatchKernel for BatchSumKernel {
-        type Acc = f64;
-        fn name(&self) -> &'static str {
-            "test-sum"
-        }
-        fn params(&self) -> Vec<u8> {
-            Vec::new()
-        }
-        fn init(&self, _shard: usize) -> f64 {
-            0.0
-        }
-        fn fold_batch(&self, acc: &mut f64, b: EdgeBatch<'_>) {
-            for i in 0..b.len() {
-                *acc += b.weight(i);
-            }
-        }
-        fn encode_acc(&self, acc: &f64) -> Vec<u8> {
-            acc.to_bits().to_le_bytes().to_vec()
-        }
-        fn decode_acc(&self, bytes: &[u8]) -> Result<f64, PassError> {
-            let arr: [u8; 8] = bytes
-                .try_into()
-                .map_err(|_| PassError::Protocol { reason: "bad acc length".to_string() })?;
-            Ok(f64::from_bits(u64::from_le_bytes(arr)))
-        }
-    }
-
-    #[test]
-    fn batch_kernel_in_process_matches_per_edge_kernel() {
-        let src = SyntheticStream::new(100, 20_000, 77);
-        let mut a = PassEngine::new(2);
-        let by_batch = a.pass_batch_kernel(&src, &BatchSumKernel).unwrap();
-        let mut b = PassEngine::new(2);
-        let by_edge = b.pass_kernel(&src, &SumKernel).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&by_batch), bits(&by_edge));
-        assert_eq!(a.tracker().items_streamed(), b.tracker().items_streamed());
-        assert_eq!(a.passes(), 1);
-    }
-
-    #[test]
-    fn external_batch_kernel_dispatches_falls_back_and_respects_budget() {
-        // Successful dispatch: bit-identical to in-process, charged once.
-        let src = Located(SyntheticStream::new(100, 20_000, 78));
-        let executor = Arc::new(MockExecutor {
-            stream: SyntheticStream::new(100, 20_000, 78),
-            fail_with: None,
-        });
-        let mut ext = PassEngine::new(1)
-            .with_execution_mode(ExecutionMode::External { executor, fallback_in_process: false });
-        let external = ext.pass_batch_kernel(&src, &BatchSumKernel).unwrap();
-        let mut inp = PassEngine::new(4);
-        let in_process = inp.pass_batch_kernel(&src, &BatchSumKernel).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&external), bits(&in_process));
-        assert_eq!(ext.passes(), 1);
-        assert_eq!(ext.tracker().items_streamed(), src.num_edges());
-
-        // Worker death: typed error without the fallback, clean in-process
-        // rerun (charged exactly once) with it.
-        let failing = |fallback| {
-            PassEngine::new(1).with_execution_mode(ExecutionMode::External {
-                executor: Arc::new(MockExecutor {
-                    stream: SyntheticStream::new(2, 1, 0),
-                    fail_with: Some(PassError::WorkerFailed {
-                        worker: 0,
-                        reason: "killed for the test".to_string(),
-                    }),
-                }),
-                fallback_in_process: fallback,
-            })
-        };
-        let mut strict = failing(false);
-        match strict.pass_batch_kernel(&src, &BatchSumKernel) {
-            Err(PassError::WorkerFailed { worker: 0, .. }) => {}
-            other => panic!("expected WorkerFailed, got {other:?}"),
-        }
-        assert_eq!(strict.passes(), 0, "a failed dispatch must not charge a round");
-        let mut lenient = failing(true);
-        let accs = lenient.pass_batch_kernel(&src, &BatchSumKernel).unwrap();
-        assert_eq!(bits(&accs), bits(&in_process));
-        assert_eq!(lenient.passes(), 1);
-
-        // A pass that could trip the stream budget stays in-process and
-        // enforces the budget exactly.
-        let mut gated = PassEngine::new(1)
-            .with_execution_mode(ExecutionMode::External {
-                executor: Arc::new(MockExecutor {
-                    stream: SyntheticStream::new(2, 1, 0),
-                    fail_with: Some(PassError::Protocol { reason: "must not be called".into() }),
-                }),
-                fallback_in_process: false,
-            })
-            .with_budget(PassBudget { max_items_streamed: Some(1000) })
-            .with_batch_size(64);
-        match gated.pass_batch_kernel(&src, &BatchSumKernel) {
-            Err(PassError::BudgetExceeded { used, limit: 1000, .. }) => {
-                assert_eq!(used, gated.tracker().items_streamed());
-            }
-            other => panic!("expected an exact in-process budget stop, got {other:?}"),
-        }
     }
 }

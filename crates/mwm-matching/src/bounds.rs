@@ -71,7 +71,7 @@ pub fn matching_weight_upper_bound(graph: &Graph) -> f64 {
 /// An upper bound on the maximum-weight b-matching.
 ///
 /// Unlike the unit-capacity case, the saturating greedy of
-/// [`greedy_b_matching`] has no ½-approximation guarantee, so only the
+/// [`greedy_b_matching`](crate::greedy::greedy_b_matching) has no ½-approximation guarantee, so only the
 /// fractional degree bound is used here (always valid: it dominates the LP1
 /// degree constraints relaxed to halves).
 pub fn b_matching_weight_upper_bound(graph: &Graph) -> f64 {

@@ -1,7 +1,7 @@
 //! Local-search improvement of weighted matchings.
 //!
 //! This is the workspace's stand-in for the near-linear-time `(1-ε)` weighted
-//! matching algorithms the paper invokes offline ([13] Duan–Pettie, [2]
+//! matching algorithms the paper invokes offline (\[13\] Duan–Pettie, \[2\]
 //! Ahn–Guha), which the workspace does not implement. Starting from any valid
 //! matching (typically the greedy ½-approximation) we repeatedly apply:
 //!

@@ -40,7 +40,7 @@ pub fn spans_enabled() -> bool {
     SPANS_ENABLED.load(Ordering::Relaxed)
 }
 
-/// An RAII span. Construct via [`span!`] or [`Span::enter`]; the
+/// An RAII span. Construct via [`span!`](crate::span!) or [`Span::enter`]; the
 /// subscriber is notified with the measured duration on drop.
 pub struct Span {
     name: &'static str,

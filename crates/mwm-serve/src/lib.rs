@@ -267,7 +267,7 @@ pub struct SessionStats {
     /// Times this session was revived from its hibernation image since the
     /// service started (0 when persistence is off).
     pub revives: usize,
-    /// Fingerprint of the session's last committed [`mwm_lp::DualSnapshot`]
+    /// Fingerprint of the session's last committed `mwm_lp::DualSnapshot`
     /// (0 if no duals are committed yet). Bit-sensitive: equal checksums on
     /// two replicas mean bit-identical dual state — the hibernate→revive
     /// identity check of experiment E15 rides on this field.

@@ -43,11 +43,15 @@ fn main() {
     let synthetic = SyntheticStream::new(10_000, 500_000, 42);
     let mut engine = PassEngine::new(4);
     let edges: usize = engine
-        .pass_fold(&sharded, |_| 0usize, |acc, _, _| *acc += 1, |a, b| a + b)
-        .expect("unbudgeted pass cannot fail");
+        .pass_shards(&sharded, |_| 0usize, |acc, _, _| *acc += 1)
+        .expect("unbudgeted pass cannot fail")
+        .iter()
+        .sum();
     let synth_edges: usize = engine
-        .pass_fold(&synthetic, |_| 0usize, |acc, _, _| *acc += 1, |a, b| a + b)
-        .expect("unbudgeted pass cannot fail");
+        .pass_shards(&synthetic, |_| 0usize, |acc, _, _| *acc += 1)
+        .expect("unbudgeted pass cannot fail")
+        .iter()
+        .sum();
     println!(
         "pre-partitioned stream: {edges} edges; synthetic stream: {synth_edges} edges \
          (never materialized); engine ledger: {}",

@@ -138,8 +138,8 @@ proptest! {
         };
         let bits = |accs: Vec<f64>| accs.iter().map(|a| a.to_bits()).collect::<Vec<u64>>();
         for workers in [1usize, 4] {
-            let engine = PassEngine::new(workers).with_batch_size(57);
-            let reference = bits(engine.scan_shards(&src, |_| 0.0f64, per_edge));
+            let mut engine = PassEngine::new(workers).with_batch_size(57);
+            let reference = bits(engine.pass_shards(&src, |_| 0.0f64, per_edge).unwrap());
             let from_src = bits(engine.scan_batches(&src, |_| 0.0f64, per_batch));
             let from_soa = bits(engine.scan_batches(&soa, |_| 0.0f64, per_batch));
             let from_disk = bits(engine.scan_batches(&spilled, |_| 0.0f64, per_batch));
