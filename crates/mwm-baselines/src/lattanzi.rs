@@ -126,7 +126,7 @@ fn run_filtering(
 ) -> Result<LattanziResult, MwmError> {
     let n = graph.num_vertices();
     let levels = WeightLevels::new(graph, eps.clamp(0.05, 0.9));
-    let config = MapReduceConfig { p, space_constant: 4.0, reducers: 4, seed };
+    let config = MapReduceConfig { p, space_constant: 4.0, seed };
     let mut sim = MapReduceSim::new(graph, config);
     let mut matched = vec![false; n];
     let mut matching = Matching::new();
@@ -135,18 +135,19 @@ fn run_filtering(
     let source = GraphSource::auto(graph);
     let mut engine = PassEngine::new(workers).with_budget(res_budget.pass_budget(0));
     let num_levels = levels.num_levels();
+    let classes = levels.classes();
     let mut buckets: Vec<Vec<EdgeId>> = vec![Vec::new(); num_levels];
     if num_levels > 0 {
         // Batch pass over SoA shard slices: each edge's class index is
-        // precomputed from its weight bits (one multiply + boundary-table
-        // search, no logarithm), collected as `(class, id)` pairs in stream
-        // order alongside per-class counts.
+        // precomputed from its weight bits through the levels' class table
+        // (one multiply + table search, no logarithm), collected as
+        // `(class, id)` pairs in stream order alongside per-class counts.
         let shard_classes = engine.pass_batches(
             &source,
             |shard| (vec![0u32; num_levels], Vec::with_capacity(source.shard_len(shard))),
             |acc: &mut (Vec<u32>, Vec<(u32, EdgeId)>), b| {
                 for i in 0..b.len() {
-                    if let Some(k) = levels.level_of_bits(b.w[i]) {
+                    if let Some(k) = classes.class_of_bits(b.w[i]) {
                         acc.0[k] += 1;
                         acc.1.push((k as u32, b.ids[i]));
                     }

@@ -1,10 +1,7 @@
-//! Criterion bench for experiment E10: fractional covering/packing substrate.
+//! Criterion bench for experiment E10: the fractional covering substrate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mwm_lp::{
-    solve_covering, solve_packing, BoxBudgetPolytope, CoveringParams, ExplicitCovering,
-    ExplicitPacking, PackingParams,
-};
+use mwm_lp::{solve_covering, BoxBudgetPolytope, CoveringParams, ExplicitCovering};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -40,7 +37,7 @@ fn bench_lp(c: &mut Criterion) {
         };
         group.bench_with_input(
             BenchmarkId::new("covering", format!("{vars}v_{cons}c")),
-            &(rows.clone(), rhs.clone(), polytope.clone()),
+            &(rows, rhs, polytope),
             |b, (rows, rhs, poly)| {
                 b.iter(|| {
                     let mut inst = ExplicitCovering::new(rows.clone(), rhs.clone(), poly.clone());
@@ -50,27 +47,6 @@ fn bench_lp(c: &mut Criterion) {
                         init,
                         Vec::new(),
                         &CoveringParams { eps: 0.1, max_iterations: 500_000 },
-                    )
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("packing", format!("{vars}v_{cons}c")),
-            &(rows, rhs, polytope),
-            |b, (rows, rhs, poly)| {
-                b.iter(|| {
-                    let mut inst = ExplicitPacking::new(
-                        rows.clone(),
-                        rhs.iter().map(|x| x * 4.0).collect(),
-                        poly.clone(),
-                        vec![0.1; poly.upper.len()],
-                    );
-                    let load: Vec<f64> = rhs.iter().map(|x| x * 8.0).collect();
-                    solve_packing(
-                        &mut inst,
-                        load,
-                        Vec::new(),
-                        &PackingParams { delta: 0.1, max_iterations: 500_000 },
                     )
                 })
             },

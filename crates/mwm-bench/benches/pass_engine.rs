@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mwm_bench::workloads;
 use mwm_core::{DualPrimalConfig, DualPrimalSolver};
+use mwm_lp::StepRule;
 use mwm_mapreduce::{PassEngine, SoaShards};
 
 fn bench_pass_throughput(c: &mut Criterion) {
@@ -25,7 +26,7 @@ fn bench_pass_throughput(c: &mut Criterion) {
                             |_| 0.0f64,
                             |acc, id, e| {
                                 let cov = ((id % 97) as f64) / 97.0;
-                                *acc += (-(cov / e.w - 0.5)).clamp(-700.0, 700.0).exp() / e.w;
+                                *acc += StepRule::multiplier(1.0, cov / e.w, 0.5, e.w);
                             },
                         )
                         .expect("unbudgeted pass cannot fail")
@@ -58,7 +59,7 @@ fn bench_batch_pass_throughput(c: &mut Criterion) {
                                 for i in 0..batch.len() {
                                     let w = batch.weight(i);
                                     let cov = ((batch.ids[i] % 97) as f64) / 97.0;
-                                    *acc += (-(cov / w - 0.5)).clamp(-700.0, 700.0).exp() / w;
+                                    *acc += StepRule::multiplier(1.0, cov / w, 0.5, w);
                                 }
                             },
                         )

@@ -18,7 +18,7 @@ use mwm_core::{
 use mwm_graph::generators;
 use mwm_graph::Graph;
 use mwm_lp::{
-    solve_covering, BoxBudgetPolytope, CoveringOutcome, CoveringParams, ExplicitCovering,
+    solve_covering, BoxBudgetPolytope, CoveringOutcome, CoveringParams, ExplicitCovering, StepRule,
 };
 use mwm_mapreduce::CongestedCliqueSim;
 use mwm_matching::bounds;
@@ -32,7 +32,7 @@ pub const EXPERIMENT_IDS: [&str; 16] = [
     "e16",
 ];
 
-/// Runs one experiment by id (`"e1"` … `"e13"`), or every experiment for
+/// Runs one experiment by id (`"e1"` … `"e16"`), or every experiment for
 /// `"all"`. Unknown ids are [`MwmError::UnknownExperiment`].
 pub fn run_experiment(id: &str) -> Result<Vec<ExperimentReport>, MwmError> {
     match id {
@@ -407,9 +407,9 @@ pub fn e10_lp_substrate() -> Result<ExperimentReport, MwmError> {
 /// materialized once into CSR/SoA shard columns outside the timed region) at
 /// 1/2/4/8 workers.
 ///
-/// The fold applies the same exp-heavy per-edge math as the solver's
-/// multiplier pass, element by element over each slice, so the result bits
-/// are identical to the historical per-edge rows. The `checksum` column
+/// The fold applies the solver's multiplier ([`StepRule::multiplier`]),
+/// element by element over each slice, so the result bits are identical to
+/// the historical per-edge rows. The `checksum` column
 /// combines the per-shard partial sums **in shard order**, so equal checksums
 /// across rows prove the engine merges bit-identically at every worker count;
 /// `speedup` is wall-clock pass throughput relative to the single-worker row
@@ -446,8 +446,8 @@ pub fn e11_pass_throughput() -> Result<ExperimentReport, MwmError> {
         let mut checksum = 0u64;
         let start = Instant::now();
         for pass in 0..passes {
-            // The same exp-heavy per-edge work as the solver's multiplier
-            // pass, seeded per pass so no pass can be optimized away.
+            // The solver's multiplier (`StepRule::multiplier`) per edge,
+            // seeded per pass so no pass can be optimized away.
             let alpha = 1.0 + pass as f64 * 0.25;
             let sums = engine
                 .pass_batches(
@@ -457,7 +457,7 @@ pub fn e11_pass_throughput() -> Result<ExperimentReport, MwmError> {
                         for i in 0..b.len() {
                             let w = b.weight(i);
                             let cov = ((b.ids[i] % 97) as f64) / 97.0;
-                            *acc += (-(alpha * (cov / w - 0.5)).clamp(-700.0, 700.0)).exp() / w;
+                            *acc += StepRule::multiplier(alpha, cov / w, 0.5, w);
                         }
                     },
                 )
@@ -1307,6 +1307,20 @@ mod tests {
         assert_eq!(rep.columns.len(), 5);
         // For tiny eps the solver matches the integral optimum exactly.
         assert_eq!(rep.cell(0, "solver_ratio"), Some("1.0000"));
+    }
+
+    #[test]
+    fn e10_covering_reaches_the_theorem_5_stopping_point() {
+        let rep = e10_lp_substrate().unwrap();
+        assert_eq!(rep.rows.len(), 4);
+        for row in 0..rep.rows.len() {
+            assert_eq!(rep.cell(row, "outcome"), Some("feasible"), "row {row}");
+            let eps: f64 = rep.cell(row, "eps").unwrap().parse().unwrap();
+            let lambda: f64 = rep.cell(row, "lambda").unwrap().parse().unwrap();
+            assert!(lambda >= 1.0 - 3.0 * eps, "row {row}: lambda {lambda} below 1-3eps");
+            let iterations: usize = rep.cell(row, "iterations").unwrap().parse().unwrap();
+            assert!(iterations > 0, "row {row}: the start point is below the target");
+        }
     }
 
     #[test]

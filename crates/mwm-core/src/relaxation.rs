@@ -283,8 +283,9 @@ impl DualState {
             // The nudge keeps exact level boundaries (ŵ_k round-tripped
             // through the original scale) from flooring one level down; it is
             // far below the (1+ε) level spacing, so no genuine interior
-            // weight can cross a boundary.
-            levels.level_of_weight(level_weight * (1.0 + 1e-9)).map(|k| k.min(max_level))
+            // weight can cross a boundary. Weights heavier than the current
+            // table land in its top class, one above `max_level`, and clamp.
+            levels.classes().class_of(level_weight * (1.0 + 1e-9)).map(|k| k.min(max_level))
         };
         for vd in &snap.vertex_duals {
             if (vd.vertex as usize) >= n || vd.value <= 0.0 {
@@ -456,7 +457,7 @@ mod tests {
         g.add_edge(2, 3, 5.0);
         g.add_edge(3, 4, 4.0);
         let levels = WeightLevels::new(&g, 0.2);
-        let k = levels.level_of_weight(5.0).expect("heaviest edge is never dropped");
+        let k = levels.classes().class_of(5.0).expect("heaviest edge is never dropped");
         let mut d = fresh_dual_state(&g, &levels);
         d.set_x(0, k, 1.5);
         d.set_x(1, k, 0.5);
@@ -481,7 +482,7 @@ mod tests {
         g.add_edge(0, 1, 8.0);
         g.add_edge(2, 3, 8.0);
         let levels = WeightLevels::new(&g, 0.25);
-        let k = levels.level_of_weight(8.0).unwrap();
+        let k = levels.classes().class_of(8.0).unwrap();
         let mut d = fresh_dual_state(&g, &levels);
         d.set_x(0, k, 2.0);
         d.set_x(3, k, 1.0);
@@ -494,7 +495,7 @@ mod tests {
         g2.add_edge(1, 2, 2.0);
         let levels2 = WeightLevels::new(&g2, 0.25);
         let d2 = DualState::from_snapshot(3, &levels2, &snap);
-        let k2 = levels2.level_of_weight(8.0).unwrap();
+        let k2 = levels2.classes().class_of(8.0).unwrap();
         let expected = 2.0 * levels2.scale() / levels.scale();
         assert!((d2.x(0, k2) - expected).abs() < 1e-9 * expected.max(1.0));
         assert_eq!(d2.x_max(2), 0.0, "vertex 3's mass must not leak anywhere");

@@ -30,8 +30,8 @@ use crate::initial::build_initial_solution;
 use crate::oracle::{MicroOracle, OracleDecision, SupportEdge};
 use crate::relaxation::DualState;
 use crate::report::SolveReport;
-use mwm_graph::{BMatching, Graph, WeightLevels};
-use mwm_lp::{AdaptivityLedger, DualSnapshot, FixedLattice};
+use mwm_graph::{BMatching, Graph, WeightClasses, WeightLevels};
+use mwm_lp::{AdaptivityLedger, DualSnapshot, StepRule};
 use mwm_mapreduce::{
     EdgeSource, GraphSource, MapReduceConfig, MapReduceSim, PassEngine, PassError, ResourceTracker,
 };
@@ -360,12 +360,8 @@ impl DualPrimalSolver {
         let n = graph.num_vertices();
         let _span = mwm_obs::span!("solve", vertices = n, edges = graph.num_edges());
         let levels = WeightLevels::new(graph, eps);
-        let sim_cfg = MapReduceConfig {
-            p: cfg.p,
-            space_constant: cfg.space_constant,
-            reducers: 4,
-            seed: cfg.seed,
-        };
+        let sim_cfg =
+            MapReduceConfig { p: cfg.p, space_constant: cfg.space_constant, seed: cfg.seed };
         let mut sim = MapReduceSim::new(graph, sim_cfg);
         let mut ledger = AdaptivityLedger::new();
 
@@ -428,15 +424,14 @@ impl DualPrimalSolver {
             .max(1);
         let max_rounds =
             cfg.max_rounds.unwrap_or_else(|| (2.0 * cfg.p / eps).ceil() as usize).max(1);
-        let rho_outer = 6.0; // constant width of the penalty relaxation (LP4/LP5).
+        // Theorem 5 steps over the levelled edges, at the constant width
+        // ρ = 6 of the penalty relaxation (LP4/LP5).
+        let rule = StepRule::new(eps, 6.0, levels.num_kept_edges());
         let a3 = eps / 2.0; // offline solver approximation slack in Step 5/6.
-        let m_constraints = levels.num_kept_edges().max(2) as f64;
         let oracle = MicroOracle::new(graph, &levels);
-        // The fixed-point weight lattice the slice kernels classify against:
-        // same boundary table as `levels`, class weights precomputed once.
-        let lattice = FixedLattice::from_levels(&levels);
+        let classes = levels.classes();
 
-        let mut lambda = sharded_lambda(&engine, &source, &lattice, &dual);
+        let mut lambda = sharded_lambda(&engine, &source, classes, &dual);
         let mut primal_certificates = 0usize;
         let mut vertex_updates = 0usize;
         let mut odd_set_updates = 0usize;
@@ -444,7 +439,7 @@ impl DualPrimalSolver {
         let mut pass_error: Option<PassError> = None;
 
         for round in 0..max_rounds {
-            if lambda >= 1.0 - 3.0 * eps {
+            if rule.done(lambda) {
                 break;
             }
             // ---- One round of data access: multipliers -> t deferred sparsifiers ----
@@ -453,9 +448,9 @@ impl DualPrimalSolver {
             // the hot loop stays cache-friendly, and the batches are merged
             // in shard order afterwards.
             ledger.record_round();
-            let alpha = (m_constraints / eps).ln() / (lambda.max(1e-6) * eps);
+            let alpha = rule.alpha(lambda);
             let promise =
-                match sharded_multipliers(&mut engine, &source, &lattice, &dual, alpha, lambda) {
+                match sharded_multipliers(&mut engine, &source, classes, &dual, alpha, lambda) {
                     Ok(promise) => promise,
                     Err(err) => {
                         pass_error = Some(err);
@@ -489,12 +484,12 @@ impl DualPrimalSolver {
 
             // ---- Sequential use of the sparsifiers (Figure 1, right) ----
             for d in &sparsifiers {
-                if lambda >= 1.0 - 3.0 * eps {
+                if rule.done(lambda) {
                     break;
                 }
                 ledger.record_oracle_iteration();
-                let alpha = (m_constraints / eps).ln() / (lambda.max(1e-6) * eps);
-                let support = reveal_support(graph, &levels, &dual, d, alpha, lambda);
+                let alpha = rule.alpha(lambda);
+                let support = reveal_support(classes, &dual, d, alpha, lambda);
                 match oracle.decide(&support, beta) {
                     OracleDecision::DualUpdate { update, vertex_mass, gamma } => {
                         if gamma <= 0.0 {
@@ -505,12 +500,12 @@ impl DualPrimalSolver {
                         } else {
                             odd_set_updates += 1;
                         }
-                        let sigma = (eps / (2.0 * alpha * rho_outer)).min(1.0);
+                        let sigma = rule.sigma(alpha);
                         dual.scale(1.0 - sigma);
                         dual.add_scaled(&update, sigma);
                         // Uncharged refinement scan: the multipliers live in
                         // central memory, no fresh data access happens.
-                        lambda = sharded_lambda(&engine, &source, &lattice, &dual);
+                        lambda = sharded_lambda(&engine, &source, classes, &dual);
                     }
                     OracleDecision::PrimalCertificate { .. } => {
                         primal_certificates += 1;
@@ -693,15 +688,13 @@ fn hint_is_usable(graph: &Graph, hint: &BMatching) -> bool {
 
 /// `λ = min` over levelled edges of `coverage / ŵ_k`, computed as an
 /// uncharged sharded **batch** scan: the fold consumes whole shard slices in
-/// struct-of-arrays form, classifying weights through the precomputed
-/// [`FixedLattice`] (the same boundary table the level construction used, so
-/// class assignment is bit-identical to the per-edge path). Per-shard minima
-/// merge in shard order; `min` is exact over floats, so the result is
-/// identical for any worker count.
+/// struct-of-arrays form, classifying weights through the levels' class
+/// table. Per-shard minima merge in shard order; `min` is exact over floats,
+/// so the result is identical for any worker count.
 fn sharded_lambda(
     engine: &PassEngine,
     source: &GraphSource<'_>,
-    lattice: &FixedLattice,
+    classes: &WeightClasses,
     dual: &DualState,
 ) -> f64 {
     let mins = engine.scan_batches(
@@ -709,9 +702,9 @@ fn sharded_lambda(
         |_| f64::INFINITY,
         |acc: &mut f64, b| {
             for i in 0..b.len() {
-                if let Some(level) = lattice.class_of_key(b.w[i]) {
+                if let Some(level) = classes.class_of_bits(b.w[i]) {
                     let cov = dual.edge_coverage(b.u[i], b.v[i], level);
-                    let ratio = cov / lattice.class_weight(level);
+                    let ratio = cov / classes.weight(level);
                     if ratio < *acc {
                         *acc = ratio;
                     }
@@ -730,15 +723,14 @@ fn sharded_lambda(
 /// The exponential multipliers `u_{ijk} = exp(-α(cov/ŵ_k - λ))/ŵ_k` for every
 /// edge of the graph (0 for edges dropped by the weight discretization),
 /// computed as **one charged batch pass**: each shard's slice fold pushes its
-/// `(id, value)` pairs locally with class weights read from the
-/// [`FixedLattice`] (no per-edge `ln`/`powi`), and the per-shard vectors are
-/// scattered out in shard order. Every multiplier depends only on its own
-/// edge and the per-edge arithmetic is unchanged, so the vector is
-/// bit-identical to the per-edge path at any worker count.
+/// `(id, value)` pairs locally with class weights read from the class table
+/// (no per-edge `ln`/`powi`), and the per-shard vectors are scattered out in
+/// shard order. Every multiplier depends only on its own edge, so the vector
+/// is bit-identical at any worker count.
 fn sharded_multipliers(
     engine: &mut PassEngine,
     source: &GraphSource<'_>,
-    lattice: &FixedLattice,
+    classes: &WeightClasses,
     dual: &DualState,
     alpha: f64,
     lambda: f64,
@@ -748,11 +740,10 @@ fn sharded_multipliers(
         |shard| Vec::with_capacity(source.shard_len(shard)),
         |acc: &mut Vec<(usize, f64)>, b| {
             for i in 0..b.len() {
-                if let Some(level) = lattice.class_of_key(b.w[i]) {
-                    let w_k = lattice.class_weight(level);
+                if let Some(level) = classes.class_of_bits(b.w[i]) {
+                    let w_k = classes.weight(level);
                     let cov = dual.edge_coverage(b.u[i], b.v[i], level);
-                    let exponent = (-(alpha * (cov / w_k - lambda))).clamp(-700.0, 700.0);
-                    acc.push((b.ids[i], exponent.exp() / w_k));
+                    acc.push((b.ids[i], StepRule::multiplier(alpha, cov / w_k, lambda, w_k)));
                 }
             }
         },
@@ -770,23 +761,20 @@ fn sharded_multipliers(
 /// (Definition 4: the exact values of stored entries are revealed after `D` is
 /// fixed), producing the oracle's support.
 fn reveal_support(
-    graph: &Graph,
-    levels: &WeightLevels,
+    classes: &WeightClasses,
     dual: &DualState,
     sparsifier: &DeferredSparsifier,
     alpha: f64,
     lambda: f64,
 ) -> Vec<SupportEdge> {
-    let _ = graph;
     sparsifier
         .stored_edges()
         .iter()
         .filter_map(|pe| {
-            let level = levels.level_of_weight(pe.edge.w)?;
-            let w_k = levels.level_weight(level);
+            let level = classes.class_of(pe.edge.w)?;
+            let w_k = classes.weight(level);
             let cov = dual.edge_coverage(pe.edge.u, pe.edge.v, level);
-            let exponent = (-(alpha * (cov / w_k - lambda))).clamp(-700.0, 700.0);
-            let us = exponent.exp() / w_k;
+            let us = StepRule::multiplier(alpha, cov / w_k, lambda, w_k);
             Some(SupportEdge { id: pe.id, u: pe.edge.u, v: pe.edge.v, level, us })
         })
         .collect()
@@ -823,9 +811,10 @@ fn offline_on_union(graph: &Graph, sparsifiers: &[DeferredSparsifier]) -> BMatch
 
 /// Weight of a b-matching measured in the rescaled/discretized scale used by β.
 fn rescaled_weight(bm: &BMatching, levels: &WeightLevels) -> f64 {
+    let classes = levels.classes();
     bm.iter()
-        .map(|(_, e, mult)| match levels.level_of_weight(e.w) {
-            Some(k) => levels.level_weight(k) * mult as f64,
+        .map(|(_, e, mult)| match classes.class_of(e.w) {
+            Some(k) => classes.weight(k) * mult as f64,
             None => 0.0,
         })
         .sum()

@@ -123,7 +123,7 @@ pub struct DynamicConfig {
     /// [`IngestMode::Auto`]: delete fraction below which an active sketch
     /// session falls back to journal mode (hysteresis: must be ≤ enter).
     pub turnstile_exit: f64,
-    /// Weight ceiling of the turnstile lattice: the per-class samplers cover
+    /// Weight ceiling of the turnstile weight classes: the per-class samplers cover
     /// `(1+eps)^k` classes up to this weight; heavier edges share the top
     /// class. Raw-weight classification (`scale = 1.0`).
     pub turnstile_max_weight: f64,
@@ -1235,7 +1235,7 @@ impl DynamicMatcher {
     }
 
     /// The bank shape for the session's current vertex domain: solver `eps`
-    /// (class boundaries bit-identical to the batch lattice at `scale = 1`),
+    /// (the solver's class table, over raw weights: `scale = 1`),
     /// the configured weight ceiling and repetitions, seeded by the session
     /// seed — a pure function of `(config, vertex slots)`, so every worker
     /// count and every revived session builds the very same bank.

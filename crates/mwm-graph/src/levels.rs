@@ -9,17 +9,73 @@
 
 use crate::graph::{Edge, EdgeId, Graph};
 
-/// Classifies a scaled weight (as its `f64` bit pattern) against a sorted
-/// boundary-bits table: the largest `k` with `bound_bits[k] ≤ scaled_bits`,
-/// or `None` when the weight falls below boundary 0 (i.e. below 1 after
-/// rescaling — a dropped edge). Valid because positive finite doubles order
-/// the same as their bit patterns.
-#[inline]
-fn table_class(bound_bits: &[u64], scaled_bits: u64) -> Option<usize> {
-    if bound_bits.first().is_none_or(|&b0| scaled_bits < b0) {
-        return None;
+/// The weight-class table of Definitions 2–3: class `k` holds the weights
+/// whose rescaled value `w · scale` lies in `[(1+ε)^k, (1+ε)^{k+1})`, and its
+/// discretized weight is `ŵ_k = (1+ε)^k`.
+///
+/// The table lists `ŵ_0 = 1, ŵ_1, …` until one entry strictly exceeds the
+/// largest rescaled weight it must cover, so a class lookup is one multiply
+/// plus a `partition_point` — no per-edge `ln` or `powi`. The solver's
+/// levels ([`WeightLevels::classes`]), its batch passes, Lattanzi's bucketing
+/// and the turnstile sketch bank all classify through this one table.
+#[derive(Clone, Debug)]
+pub struct WeightClasses {
+    /// Rescale factor applied to a weight before classification.
+    scale: f64,
+    /// `weights[k] = (1+ε)^k`, strictly increasing.
+    weights: Vec<f64>,
+}
+
+impl WeightClasses {
+    /// Builds the table for ratio `1+eps` under rescale factor `scale`,
+    /// covering rescaled weights up to `max_scaled`: entries `(1+eps)^k` for
+    /// `k = 0, 1, …` until one strictly exceeds `max_scaled`.
+    pub fn new(eps: f64, scale: f64, max_scaled: f64) -> Self {
+        assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
+        assert!(scale > 0.0 && scale.is_finite(), "scale must be positive and finite");
+        assert!(max_scaled.is_finite(), "max_scaled must be finite");
+        let mut weights = Vec::new();
+        let mut k = 0i32;
+        loop {
+            let w = (1.0 + eps).powi(k);
+            weights.push(w);
+            if w > max_scaled {
+                break;
+            }
+            k += 1;
+        }
+        WeightClasses { scale, weights }
     }
-    Some(bound_bits.partition_point(|&b| b <= scaled_bits) - 1)
+
+    /// Number of classes in the table.
+    pub fn num_classes(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// The class of an original-scale weight: the largest `k` with
+    /// `(1+ε)^k ≤ w · scale`. `None` when the weight rescales below 1 (a
+    /// dropped edge) or the table is empty; weights above the table land in
+    /// the top class.
+    #[inline]
+    pub fn class_of(&self, w: f64) -> Option<usize> {
+        let scaled = w * self.scale;
+        // `weights[0] = 1`, so no entry is `≤ scaled` exactly when
+        // `scaled < 1`.
+        self.weights.partition_point(|&b| b <= scaled).checked_sub(1)
+    }
+
+    /// [`WeightClasses::class_of`] for a weight held as its IEEE-754 bit
+    /// pattern, the form the batch passes' weight columns store.
+    #[inline]
+    pub fn class_of_bits(&self, w_bits: u64) -> Option<usize> {
+        self.class_of(f64::from_bits(w_bits))
+    }
+
+    /// The discretized (rescaled) class weight `ŵ_k = (1+ε)^k`.
+    #[inline]
+    pub fn weight(&self, k: usize) -> f64 {
+        self.weights[k]
+    }
 }
 
 /// An edge annotated with its weight class.
@@ -37,16 +93,10 @@ pub struct LevelledEdge {
 #[derive(Clone, Debug)]
 pub struct WeightLevels {
     eps: f64,
-    /// Rescale factor `B / W*` applied before discretization.
-    scale: f64,
-    /// Scaled-space class boundaries `(1+ε)^k` for `k = 0, 1, ...`, stored as
-    /// `f64` **bit patterns**. For positive finite doubles the IEEE-754 bit
-    /// pattern is monotone in the value, so "largest `k` with
-    /// `(1+ε)^k ≤ scaled`" is a branch-free integer `partition_point` over
-    /// this table — no per-edge logarithm. The table extends one entry past
-    /// the largest scaled weight of the construction graph, so every kept
-    /// edge classifies inside it.
-    bound_bits: Vec<u64>,
+    /// The class table under the rescale factor `B / W*`. It ends one class
+    /// above the heaviest level, so every edge of the construction graph
+    /// classifies inside it.
+    classes: WeightClasses,
     /// Edges of each level `Ê_k`, `k = 0..=max_level`.
     levels: Vec<Vec<LevelledEdge>>,
     /// Number of edges dropped because their rescaled weight was below 1.
@@ -64,8 +114,7 @@ impl WeightLevels {
         if w_star <= 0.0 {
             return WeightLevels {
                 eps,
-                scale: 1.0,
-                bound_bits: Vec::new(),
+                classes: WeightClasses { scale: 1.0, weights: Vec::new() },
                 levels: Vec::new(),
                 dropped: 0,
                 n,
@@ -74,28 +123,12 @@ impl WeightLevels {
         let b_total = graph.total_capacity().max(1) as f64;
         let scale = b_total / w_star;
         // The largest scaled weight is exactly w_star * scale (weights are
-        // positive and multiplication by a positive scale is monotone), so a
-        // table whose last boundary strictly exceeds it classifies every
-        // kept edge without a fallback.
-        let max_scaled = w_star * scale;
-        let mut bound_bits = Vec::new();
-        let mut k = 0i32;
-        loop {
-            let b = (1.0 + eps).powi(k);
-            bound_bits.push(b.to_bits());
-            if b > max_scaled {
-                break;
-            }
-            k += 1;
-        }
-        debug_assert!(
-            bound_bits.windows(2).all(|w| w[0] < w[1]),
-            "class boundaries must be strictly increasing"
-        );
+        // positive and multiplication by a positive scale is monotone).
+        let classes = WeightClasses::new(eps, scale, w_star * scale);
         let mut levels: Vec<Vec<LevelledEdge>> = Vec::new();
         let mut dropped = 0usize;
         for (id, edge) in graph.edge_iter() {
-            match table_class(&bound_bits, (edge.w * scale).to_bits()) {
+            match classes.class_of(edge.w) {
                 None => dropped += 1,
                 Some(k) => {
                     if levels.len() <= k {
@@ -105,7 +138,7 @@ impl WeightLevels {
                 }
             }
         }
-        WeightLevels { eps, scale, bound_bits, levels, dropped, n }
+        WeightLevels { eps, classes, levels, dropped, n }
     }
 
     /// The accuracy parameter used for discretization.
@@ -115,7 +148,12 @@ impl WeightLevels {
 
     /// The rescale factor `B / W*`.
     pub fn scale(&self) -> f64 {
-        self.scale
+        self.classes.scale
+    }
+
+    /// The class table the levels were built from.
+    pub fn classes(&self) -> &WeightClasses {
+        &self.classes
     }
 
     /// Number of vertices of the underlying graph.
@@ -144,12 +182,12 @@ impl WeightLevels {
 
     /// The discretized (rescaled) weight `ŵ_k = (1+ε)^k` of level `k`.
     pub fn level_weight(&self, k: usize) -> f64 {
-        (1.0 + self.eps).powi(k as i32)
+        self.classes.weight(k)
     }
 
     /// The discretized weight converted back to the original weight scale.
     pub fn level_weight_original(&self, k: usize) -> f64 {
-        self.level_weight(k) / self.scale
+        self.level_weight(k) / self.classes.scale
     }
 
     /// Edges of level `k` (`Ê_k`); empty slice if the level does not exist.
@@ -174,40 +212,6 @@ impl WeightLevels {
     /// Total number of kept (levelled) edges.
     pub fn num_kept_edges(&self) -> usize {
         self.levels.iter().map(|v| v.len()).sum()
-    }
-
-    /// The level an original-scale weight `w` would map to, or `None` if dropped.
-    ///
-    /// Weights inside the construction graph's range resolve through the
-    /// boundary-bits table — the same lookup construction used, so the
-    /// pinned assignment/lookup consistency holds by construction. Weights
-    /// beyond the table (heavier than anything seen at construction) fall
-    /// back to the logarithm formula.
-    pub fn level_of_weight(&self, w: f64) -> Option<usize> {
-        self.level_of_bits(w.to_bits())
-    }
-
-    /// [`WeightLevels::level_of_weight`] taking the weight's IEEE-754 bit
-    /// pattern directly — the form batch kernels hold weights in.
-    #[inline]
-    pub fn level_of_bits(&self, w_bits: u64) -> Option<usize> {
-        let scaled = f64::from_bits(w_bits) * self.scale;
-        if scaled < 1.0 {
-            return None;
-        }
-        let sb = scaled.to_bits();
-        match self.bound_bits.last() {
-            Some(&last) if sb < last => table_class(&self.bound_bits, sb),
-            _ => Some((scaled.ln() / (1.0 + self.eps).ln()).floor().max(0.0) as usize),
-        }
-    }
-
-    /// The scaled-space class boundaries `(1+ε)^k` as `f64` bit patterns:
-    /// `boundary_bits()[k]` is the smallest scaled weight of class `k`.
-    /// Consumers (the LP layer's fixed-point lattice) share this table so
-    /// their class lookups agree with the construction bit for bit.
-    pub fn boundary_bits(&self) -> &[u64] {
-        &self.bound_bits
     }
 
     /// Sum over kept edges of the discretized weight; a lower bound on the total
@@ -256,11 +260,12 @@ mod tests {
     }
 
     #[test]
-    fn level_of_weight_matches_assignment() {
+    fn class_lookup_matches_assignment() {
         let g = sample_graph();
         let levels = WeightLevels::new(&g, 0.3);
         for le in levels.all_edges() {
-            assert_eq!(levels.level_of_weight(le.edge.w), Some(le.level));
+            assert_eq!(levels.classes().class_of(le.edge.w), Some(le.level));
+            assert_eq!(levels.classes().class_of_bits(le.edge.w.to_bits()), Some(le.level));
         }
     }
 
@@ -282,31 +287,31 @@ mod tests {
     }
 
     #[test]
-    fn boundary_table_agrees_with_log_formula_and_bit_lookup() {
+    fn empty_graph_table_drops_everything() {
+        let levels = WeightLevels::new(&Graph::new(3), 0.2);
+        assert_eq!(levels.classes().num_classes(), 0);
+        assert_eq!(levels.classes().class_of(5.0), None);
+    }
+
+    #[test]
+    fn class_table_ends_one_class_above_the_heaviest_level() {
         let g = sample_graph();
         let eps = 0.2;
         let levels = WeightLevels::new(&g, eps);
-        let bounds = levels.boundary_bits();
-        assert!(!bounds.is_empty());
-        assert_eq!(f64::from_bits(bounds[0]), 1.0, "class 0 starts at scaled weight 1");
-        assert!(
-            f64::from_bits(*bounds.last().unwrap()) > 16.0 * levels.scale(),
-            "table must cover past the heaviest scaled weight"
-        );
+        let classes = levels.classes();
+        assert_eq!(classes.weight(0), 1.0, "class 0 starts at scaled weight 1");
+        assert_eq!(classes.num_classes(), levels.num_levels() + 1);
+        let top = classes.num_classes() - 1;
+        assert!(classes.weight(top) > 16.0 * levels.scale(), "table must cover the heaviest edge");
         for (id, edge) in g.edge_iter() {
-            // The bits-based lookup is the batch-kernel path; it must agree
-            // with the f64 one, and in-table classes must match the paper's
-            // floor-of-log definition.
-            let by_bits = levels.level_of_bits(edge.w.to_bits());
-            assert_eq!(by_bits, levels.level_of_weight(edge.w), "edge {id}");
-            if let Some(k) = by_bits {
+            if let Some(k) = classes.class_of(edge.w) {
                 let scaled = edge.w * levels.scale();
-                assert!(levels.level_weight(k) <= scaled + 1e-9);
-                assert!(scaled < levels.level_weight(k + 1) + 1e-9);
+                assert!(levels.level_weight(k) <= scaled, "edge {id}");
+                assert!(scaled < levels.level_weight(k + 1), "edge {id}");
             }
         }
-        // Weights beyond the construction range still classify (log fallback).
-        assert!(levels.level_of_weight(1e9).is_some());
+        // Weights heavier than the table share its top class.
+        assert_eq!(classes.class_of(1e9), Some(top));
     }
 
     #[test]

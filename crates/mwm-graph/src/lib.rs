@@ -6,7 +6,8 @@
 //!   (the b-matching capacities of LP1 in the paper).
 //! * [`generators`]: synthetic workload generators (Erdős–Rényi, power-law,
 //!   geometric, bipartite, the paper's triangle gadget, ...).
-//! * [`levels`]: the weight discretization of Definitions 2–3 (`ŵ_k = (1+ε)^k`).
+//! * [`levels`]: the weight discretization of Definitions 2–3 (`ŵ_k = (1+ε)^k`):
+//!   the one class table, [`WeightClasses`], and the per-level edge lists.
 //! * [`matching`]: (b-)matching containers with feasibility checks and weights.
 //! * [`laminar`]: laminar families of odd sets (Theorem 22).
 //! * [`union_find`]: a union-find used by sketches, sparsifiers and connectivity.
@@ -29,7 +30,7 @@ pub mod wire;
 
 pub use graph::{Edge, EdgeId, Graph, VertexId};
 pub use laminar::LaminarFamily;
-pub use levels::{LevelledEdge, WeightLevels};
+pub use levels::{LevelledEdge, WeightClasses, WeightLevels};
 pub use matching::{BMatching, Matching};
 pub use overlay::{AppliedUpdate, GraphOverlay, GraphUpdate, OverlayState, UpdateError};
 pub use union_find::UnionFind;

@@ -9,10 +9,66 @@
 //! `uᵀAx̃ ≥ (1-ε/2)·uᵀc`; if no such `x̃` exists the multipliers themselves are
 //! an infeasibility certificate (`yᵀAx < yᵀc` for all `x ∈ P`).
 //!
-//! The implementation is generic over an oracle so that both the synthetic
-//! explicit LPs (experiment E10) and the matching relaxation of `mwm-core`
-//! (whose "constraints" are edges and whose oracle is the MicroOracle) can
-//! reuse it unchanged.
+//! [`solve_covering`] is generic over an oracle; the explicit LPs of
+//! experiment E10 drive it. The dual-primal solver of `mwm-core` runs its own
+//! loop — its oracle answers come from deferred sparsifiers built in rounds
+//! of data access (Figure 1) — but both loops take every step through the one
+//! [`StepRule`], so a change to the step size lands in both.
+
+/// The multiplicative-weights step rule of Theorem 5: the phase parameter
+/// `α = ln(M/ε)/(λε)`, the multipliers `u = exp(-α(r-λ))/c`, the step
+/// `σ = ε/(2αρ)` and the stopping test `λ ≥ 1-3ε`, for `M` covering
+/// constraints of width `ρ`.
+///
+/// Theorem 5 asks for `α = O(λ⁻¹ε⁻¹ ln(M/ε))`; the constant in front only
+/// affects the convergence rate, never the validity of the output
+/// (feasibility is certified by the `λ` test, infeasibility by the oracle's
+/// failure), so the rule uses 1.
+#[derive(Clone, Copy, Debug)]
+pub struct StepRule {
+    eps: f64,
+    rho: f64,
+    /// `ln(M/ε)`, with `M` floored at 2.
+    ln_m_over_eps: f64,
+}
+
+impl StepRule {
+    /// The rule for accuracy `eps`, width `rho` and `num_constraints`
+    /// covering constraints.
+    pub fn new(eps: f64, rho: f64, num_constraints: usize) -> Self {
+        StepRule { eps, rho, ln_m_over_eps: ((num_constraints.max(2) as f64) / eps).ln() }
+    }
+
+    /// True once `λ ≥ 1-3ε`: the maintained point covers every constraint
+    /// well enough to stop.
+    #[inline]
+    pub fn done(&self, lambda: f64) -> bool {
+        lambda >= 1.0 - 3.0 * self.eps
+    }
+
+    /// The phase parameter `α = ln(M/ε)/(λε)`, with `λ` floored at `10⁻⁶`.
+    #[inline]
+    pub fn alpha(&self, lambda: f64) -> f64 {
+        self.ln_m_over_eps / (lambda.max(1e-6) * self.eps)
+    }
+
+    /// The multiplier `exp(-α(ratio-λ))/c` of a constraint with coverage
+    /// ratio `ratio` and right-hand side `c`. Shifting the exponent by
+    /// `λ = min ratio` keeps it `≤ 0` (scaling every multiplier by one
+    /// positive constant does not change the oracle's problem), and the clamp
+    /// to `±700` keeps `exp` finite.
+    #[inline]
+    pub fn multiplier(alpha: f64, ratio: f64, lambda: f64, c: f64) -> f64 {
+        (-(alpha * (ratio - lambda))).clamp(-700.0, 700.0).exp() / c
+    }
+
+    /// The step `σ = ε/(2αρ)`, capped at 1: the weight the next oracle answer
+    /// gets in the convex combination `x ← (1-σ)x + σx̃`.
+    #[inline]
+    pub fn sigma(&self, alpha: f64) -> f64 {
+        (self.eps / (2.0 * alpha * self.rho)).min(1.0)
+    }
+}
 
 /// A candidate returned by a covering oracle.
 #[derive(Clone, Debug)]
@@ -108,7 +164,7 @@ where
     assert_eq!(initial_coverage.len(), m, "initial coverage must have one entry per constraint");
     let eps = params.eps;
     assert!(eps > 0.0 && eps < 0.5);
-    let rho = instance.width().max(1.0);
+    let rule = StepRule::new(eps, instance.width().max(1.0), m);
 
     // Coverage ratios (Ax)_l / c_l, maintained incrementally.
     let mut ratio: Vec<f64> = (0..m)
@@ -126,7 +182,7 @@ where
     let mut lambda = lambda_of(&ratio);
 
     loop {
-        if lambda >= 1.0 - 3.0 * eps {
+        if rule.done(lambda) {
             return CoveringSolution {
                 outcome: CoveringOutcome::Feasible,
                 lambda,
@@ -146,17 +202,9 @@ where
                 final_multipliers: u,
             };
         }
-        // Phase parameters (Theorem 5): alpha = O(lambda^-1 eps^-1 ln(M/eps)).
-        // The constant in front only affects the convergence rate, never the
-        // validity of the output (feasibility is certified by the lambda test,
-        // infeasibility by the oracle's failure), so we use the practical 1.0.
-        let lambda_t = lambda.max(1e-9);
-        let alpha = (1.0 / (lambda_t * eps)) * ((m.max(2) as f64) / eps).ln();
-        // Multipliers, normalised so the smallest exponent is 0 (scaling u by a
-        // positive constant does not change the oracle's problem).
+        let alpha = rule.alpha(lambda);
         for l in 0..m {
-            let shifted = -(alpha * (ratio[l] - lambda)).min(700.0);
-            u[l] = shifted.exp() / instance.rhs(l);
+            u[l] = StepRule::multiplier(alpha, ratio[l], lambda, instance.rhs(l));
         }
         match instance.oracle(&u, eps) {
             None => {
@@ -171,7 +219,7 @@ where
             }
             Some(cand) => {
                 iterations += 1;
-                let sigma = (eps / (2.0 * alpha * rho)).min(1.0);
+                let sigma = rule.sigma(alpha);
                 // x <- (1-sigma) x + sigma x_tilde, applied to the coverage ratios.
                 for r in ratio.iter_mut() {
                     *r *= 1.0 - sigma;
@@ -194,6 +242,25 @@ where
 mod tests {
     use super::*;
     use crate::explicit::{BoxBudgetPolytope, ExplicitCovering};
+
+    #[test]
+    fn step_rule_follows_theorem_5() {
+        let rule = StepRule::new(0.1, 6.0, 1000);
+        let ln = (1000.0f64 / 0.1).ln();
+        assert_eq!(rule.alpha(0.5).to_bits(), (ln / (0.5 * 0.1)).to_bits());
+        // λ is floored at 1e-6, so α stays finite at λ = 0.
+        assert_eq!(rule.alpha(0.0).to_bits(), rule.alpha(1e-6).to_bits());
+        // Fewer than two constraints count as two.
+        assert_eq!(StepRule::new(0.1, 6.0, 0).alpha(1.0), (2.0f64 / 0.1).ln() / 0.1);
+        let alpha = rule.alpha(0.5);
+        assert_eq!(rule.sigma(alpha), 0.1 / (2.0 * alpha * 6.0));
+        assert_eq!(StepRule::new(0.1, 1e-9, 2).sigma(1e-3), 1.0, "σ is capped at 1");
+        assert_eq!(StepRule::multiplier(alpha, 0.5, 0.5, 4.0), 0.25);
+        assert_eq!(StepRule::multiplier(1.0, 2.0, 1.0, 2.0), (-1.0f64).exp() / 2.0);
+        // The exponent is clamped, so huge gaps give exp(-700), not 0.
+        assert_eq!(StepRule::multiplier(1e6, 1.0, 0.0, 1.0), (-700.0f64).exp());
+        assert!(rule.done(0.7) && !rule.done(0.69));
+    }
 
     /// Feasible toy instance: cover two elements with two sets.
     #[test]

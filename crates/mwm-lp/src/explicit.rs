@@ -1,13 +1,12 @@
-//! Explicit sparse covering/packing instances over box-with-budget polytopes.
+//! Explicit sparse covering instances over box-with-budget polytopes.
 //!
 //! These instances back the solver unit tests and experiment E10 (substrate
 //! sanity: iteration counts versus width). The polytope is
 //! `P = {x : 0 ≤ x_j ≤ upper_j, Σ_j cost_j·x_j ≤ budget}`, for which exact
-//! linear optimization (the oracle problem `max uᵀAx` / `min zᵀA_p x`) is a
+//! linear optimization (the oracle problem `max uᵀAx`) is a
 //! fractional-knapsack greedy.
 
 use crate::covering::{CoveringInstance, OracleCandidate};
-use crate::packing::PackingInstance;
 
 /// `P = {x : 0 ≤ x ≤ upper, costᵀx ≤ budget}`.
 #[derive(Clone, Debug)]
@@ -69,9 +68,8 @@ impl ExplicitCovering {
     /// Builds an instance (and pre-computes its width).
     pub fn new(rows: Vec<Vec<(usize, f64)>>, c: Vec<f64>, polytope: BoxBudgetPolytope) -> Self {
         assert_eq!(rows.len(), c.len());
-        let mut inst = ExplicitCovering { rows, c, polytope, cached_width: 0.0 };
-        inst.cached_width = crate::width::covering_width(&inst);
-        inst
+        let cached_width = width(&rows, &c, &polytope);
+        ExplicitCovering { rows, c, polytope, cached_width }
     }
 
     /// Number of variables (inferred from the polytope).
@@ -128,99 +126,20 @@ impl CoveringInstance for ExplicitCovering {
     }
 }
 
-/// Explicit packing instance: `∃? x ∈ P : A_p x ≤ d` (with the same polytope
-/// structure; the oracle minimizes `zᵀA_p x`, which over a box-with-budget
-/// polytope is simply `x = 0` unless the caller adds a lower-bound structure —
-/// we therefore include per-variable *required lower bounds* to make the
-/// instances non-trivial).
-#[derive(Clone, Debug)]
-pub struct ExplicitPacking {
-    /// Rows of `A_p`.
-    pub rows: Vec<Vec<(usize, f64)>>,
-    /// Right-hand sides `d_r > 0`.
-    pub d: Vec<f64>,
-    /// The polytope `P` (upper bounds / budget).
-    pub polytope: BoxBudgetPolytope,
-    /// Additional reward vector: the oracle maximizes `rewardᵀx - zᵀA_p x`
-    /// truncated at the box; this mimics the Lagrangian shape of `LagInner`.
-    pub reward: Vec<f64>,
-    cached_width: f64,
-}
-
-impl ExplicitPacking {
-    /// Builds an instance (and pre-computes its width).
-    pub fn new(
-        rows: Vec<Vec<(usize, f64)>>,
-        d: Vec<f64>,
-        polytope: BoxBudgetPolytope,
-        reward: Vec<f64>,
-    ) -> Self {
-        assert_eq!(rows.len(), d.len());
-        let mut inst = ExplicitPacking { rows, d, polytope, reward, cached_width: 0.0 };
-        inst.cached_width = crate::width::packing_width(&inst);
-        inst
-    }
-
-    /// Number of variables.
-    pub fn num_variables(&self) -> usize {
-        self.polytope.upper.len()
-    }
-
-    /// Evaluates `A_p x` for a sparse `x`.
-    pub fn load_of(&self, x: &[(usize, f64)]) -> Vec<f64> {
-        let mut dense = vec![0.0; self.num_variables()];
-        for &(j, v) in x {
-            dense[j] += v;
+/// The width `ρ = max_{x∈P} max_ℓ (Ax)_ℓ/c_ℓ`, which sets the step size of
+/// the covering solver (Theorem 5), bounded from above: each row pushes
+/// every variable to the largest value the box and budget allow
+/// *individually* and sums. Floored at 1.
+fn width(rows: &[Vec<(usize, f64)>], c: &[f64], polytope: &BoxBudgetPolytope) -> f64 {
+    let mut width: f64 = 0.0;
+    for (l, row) in rows.iter().enumerate() {
+        let mut numer = 0.0;
+        for &(j, a) in row {
+            numer += a * polytope.max_single(j);
         }
-        self.rows.iter().map(|row| row.iter().map(|&(j, a)| a * dense[j]).sum()).collect()
+        width = width.max(numer / c[l]);
     }
-}
-
-impl PackingInstance for ExplicitPacking {
-    type Payload = Vec<(usize, f64)>;
-
-    fn num_constraints(&self) -> usize {
-        self.d.len()
-    }
-
-    fn rhs(&self, r: usize) -> f64 {
-        self.d[r]
-    }
-
-    fn width(&self) -> f64 {
-        self.cached_width
-    }
-
-    fn oracle(
-        &mut self,
-        z: &[f64],
-        _delta: f64,
-    ) -> Option<crate::packing::PackingCandidate<Self::Payload>> {
-        // Minimize zᵀA_p x - rewardᵀx over the box: include x_j at its upper
-        // bound whenever its net score is negative (i.e. reward beats penalty).
-        let n = self.num_variables();
-        let mut penalty = vec![0.0f64; n];
-        for (r, row) in self.rows.iter().enumerate() {
-            for &(j, a) in row {
-                penalty[j] += z[r] * a;
-            }
-        }
-        let mut x = Vec::new();
-        let mut remaining = self.polytope.budget;
-        for (j, &pen) in penalty.iter().enumerate().take(n) {
-            if self.reward[j] > pen && remaining > 0.0 {
-                let amount = self.polytope.upper[j].min(remaining / self.polytope.cost[j]);
-                if amount > 0.0 {
-                    x.push((j, amount));
-                    remaining -= amount * self.polytope.cost[j];
-                }
-            }
-        }
-        let load = self.load_of(&x);
-        let load_sparse: Vec<(usize, f64)> =
-            load.into_iter().enumerate().filter(|&(_, v)| v > 0.0).collect();
-        Some(crate::packing::PackingCandidate { load: load_sparse, payload: x })
-    }
+    width.max(1.0)
 }
 
 #[cfg(test)]
@@ -263,6 +182,39 @@ mod tests {
         let cov = inst.coverage_of(&[(0, 0.5), (1, 1.0)]);
         assert!((cov[0] - 2.0).abs() < 1e-12);
         assert!((cov[1] - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn width_scales_with_box_upper_bounds() {
+        let make = |upper: f64| {
+            ExplicitCovering::new(
+                vec![vec![(0, 1.0), (1, 1.0)]],
+                vec![1.0],
+                BoxBudgetPolytope { upper: vec![upper, upper], cost: vec![1.0, 1.0], budget: 1e9 },
+            )
+        };
+        assert!((make(1.0).width() - 2.0).abs() < 1e-12);
+        assert!((make(10.0).width() - 20.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn budget_caps_the_width() {
+        let inst = ExplicitCovering::new(
+            vec![vec![(0, 1.0)]],
+            vec![1.0],
+            BoxBudgetPolytope { upper: vec![100.0], cost: vec![1.0], budget: 5.0 },
+        );
+        assert!((inst.width() - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn width_is_at_least_one() {
+        let inst = ExplicitCovering::new(
+            vec![vec![(0, 0.001)]],
+            vec![1.0],
+            BoxBudgetPolytope { upper: vec![1.0], cost: vec![1.0], budget: 1.0 },
+        );
+        assert!(inst.width() >= 1.0);
     }
 
     #[test]

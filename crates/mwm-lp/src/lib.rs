@@ -1,45 +1,33 @@
-//! Fractional covering / packing machinery (the Plotkin–Shmoys–Tardos style
+//! Fractional covering machinery (the Plotkin–Shmoys–Tardos style
 //! multiplicative-weights framework the paper builds on) and the dual-primal
 //! bookkeeping of Section 2.
 //!
-//! * [`covering`] — the fractional *covering* solver of Theorem 5 with the
-//!   relaxed oracle of Corollary 6: phases, exponential multipliers
-//!   `u_ℓ = exp(-α (Ax)_ℓ / c_ℓ)/c_ℓ`, convex-combination updates, early
-//!   stopping at `λ ≥ 1-3ε`, and infeasibility certificates.
-//! * [`packing`] — the fractional *packing* solver of Theorem 7 with the
-//!   relaxed oracle of Corollary 8 (used by the inner loop of Theorem 4).
-//! * [`explicit`] — explicit sparse-matrix instances over box-with-budget
-//!   polytopes, with built-in exact linear-maximization oracles; these are the
-//!   workloads of experiment E10 and the unit tests of the solvers.
-//! * [`width`] — width parameters `ρ = max_{x∈P} max_ℓ (Ax)_ℓ / c_ℓ` of
-//!   explicit instances (experiment E7 compares the width of the standard
-//!   matching dual LP2 against the penalty relaxations LP4/LP5).
+//! * [`covering`] — the multiplicative-weights [`StepRule`] of Theorem 5
+//!   (the dual-primal solver of `mwm-core` takes every step through it) and
+//!   the generic fractional *covering* solver with the relaxed oracle of
+//!   Corollary 6: exponential multipliers `u_ℓ = exp(-α (Ax)_ℓ / c_ℓ)/c_ℓ`,
+//!   convex-combination updates, early stopping at `λ ≥ 1-3ε`, and
+//!   infeasibility certificates.
+//! * [`explicit`] — explicit sparse-matrix covering instances over
+//!   box-with-budget polytopes, with built-in exact linear-maximization
+//!   oracles; these are the workloads of experiment E10 and the unit tests of
+//!   the covering solver.
 //! * [`dual_primal`] — the adaptivity ledger of the dual-primal framework:
 //!   how many *rounds of data access* versus *oracle iterations* an execution
 //!   used (Figure 1 / Corollary 2), shared by the solver and the baselines.
 //! * [`duals`] — the portable [`DualSnapshot`] export/import format for dual
 //!   points, used to warm-start one solve from the previous one (the dynamic
 //!   matching subsystem's epoch chain).
-//! * [`fixed`] — the fixed-point weight lattice over the `B/W*` rescale:
-//!   weights as exact `u64` bit-pattern keys plus a [`FixedLattice`] of
-//!   precomputed class boundaries/weights, the form the batch (slice)
-//!   kernels classify and divide by without per-edge `ln`/`powi`.
 
 pub mod covering;
 pub mod dual_primal;
 pub mod duals;
 pub mod explicit;
-pub mod fixed;
-pub mod packing;
-pub mod width;
 
 pub use covering::{
     solve_covering, CoveringInstance, CoveringOutcome, CoveringParams, CoveringSolution,
-    OracleCandidate,
+    OracleCandidate, StepRule,
 };
 pub use dual_primal::AdaptivityLedger;
 pub use duals::{DualSnapshot, OddSetDual, VertexDual};
-pub use explicit::{BoxBudgetPolytope, ExplicitCovering, ExplicitPacking};
-pub use fixed::{key_weight, weight_key, FixedLattice};
-pub use packing::{solve_packing, PackingInstance, PackingOutcome, PackingParams, PackingSolution};
-pub use width::{covering_width, packing_width};
+pub use explicit::{BoxBudgetPolytope, ExplicitCovering};

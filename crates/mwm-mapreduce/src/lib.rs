@@ -10,9 +10,9 @@
 //! E1/E4/E5/E9 report.
 //!
 //! * [`resources`] — the [`ResourceTracker`] ledger shared by all simulators.
-//! * [`mapreduce`] — a generic map→shuffle→reduce round executor (with
-//!   parallel reducers) plus the edge-sampling and sketching primitives the
-//!   matching algorithms actually use, each charged as one round.
+//! * [`mapreduce`] — the MapReduce simulator: a resource ledger over the
+//!   input graph, the central-space budget and its check, and the
+//!   edge-sampling primitive charged as one round.
 //! * [`pass_engine`] — the sharded multi-threaded [`PassEngine`] executing
 //!   semi-streaming passes over [`EdgeSource`] streams (and, through the
 //!   item-generic [`ItemSource`], over [`UpdateSource`] update batches) with

@@ -1,28 +1,15 @@
-//! The MapReduce simulator.
-//!
-//! Two layers:
-//!
-//! 1. A *generic* map→shuffle→reduce round executor
-//!    ([`MapReduceSim::map_reduce_round`]) that shards the reduce phase across
-//!    worker threads (std scoped threads) and charges shuffle volume and
-//!    per-machine space — this mirrors the two-round sketch construction given
-//!    in Section 4.2 of the paper.
-//! 2. The graph-specific primitives the matching algorithms are built from,
-//!    each charged as **one round** of access to the edge list:
-//!    uniform / weighted edge sampling (Lattanzi-style filtering, deferred
-//!    sparsifier construction) and per-vertex sketch construction.
-//!
-//! The central-space limit `n^{1+1/p}` is enforced by [`MapReduceSim::check_space`];
-//! the solver calls it after every round so that violations surface as errors
-//! in the experiments rather than silently using more memory than the model allows.
+//! The MapReduce simulator: a resource ledger over a fixed input graph, the
+//! model's central-space budget `space_constant · n^{1+1/p}` with its check,
+//! and the edge-sampling primitive charged as **one round** of access to the
+//! edge list. The dual-primal solver's initial solution and Lattanzi-style
+//! filtering charge their sampling rounds to this ledger and size their
+//! samples by the budget; multi-pass streaming over sharded edge streams runs
+//! on the [`crate::PassEngine`].
 
 use crate::resources::ResourceTracker;
 use mwm_graph::{EdgeId, Graph};
-use mwm_sketch::GraphSketcher;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
-use std::hash::Hash;
 
 /// Configuration of the simulated deployment.
 #[derive(Clone, Copy, Debug)]
@@ -32,15 +19,13 @@ pub struct MapReduceConfig {
     pub p: f64,
     /// Constant in front of the space budget.
     pub space_constant: f64,
-    /// Number of parallel reducer shards used by the generic round executor.
-    pub reducers: usize,
     /// RNG seed for the sampling primitives.
     pub seed: u64,
 }
 
 impl Default for MapReduceConfig {
     fn default() -> Self {
-        MapReduceConfig { p: 2.0, space_constant: 4.0, reducers: 4, seed: 0xFEED }
+        MapReduceConfig { p: 2.0, space_constant: 4.0, seed: 0xFEED }
     }
 }
 
@@ -109,94 +94,6 @@ impl<'a> MapReduceSim<'a> {
         self.tracker.allocate_central(sample.len());
         sample
     }
-
-    /// One round that samples (roughly) `k` edges uniformly at random.
-    pub fn sample_edges_uniform(&mut self, k: usize) -> Vec<EdgeId> {
-        let m = self.graph.num_edges();
-        if m == 0 {
-            self.tracker.charge_round();
-            return Vec::new();
-        }
-        let p = (k as f64 / m as f64).min(1.0);
-        self.sample_edges(|_| p)
-    }
-
-    /// One round that builds `copies` independent per-vertex AGM sketches of the
-    /// whole graph (Section 4.2: mappers emit per-edge randomness, reducers build
-    /// each vertex's sketch, everything is collected centrally).
-    pub fn build_sketches(&mut self, copies: usize, seed: u64) -> GraphSketcher {
-        self.tracker.charge_round();
-        self.tracker.charge_stream(self.graph.num_edges());
-        let sketcher = GraphSketcher::sketch_graph(self.graph, copies, seed);
-        // Shuffle: every edge is sent to its two endpoint reducers, per copy.
-        self.tracker.charge_shuffle(2 * self.graph.num_edges() * copies);
-        self.tracker.allocate_central(sketcher.total_cells());
-        sketcher
-    }
-
-    /// Releases the central space of a previously collected sample (the model
-    /// allows discarding between rounds).
-    pub fn release(&mut self, items: usize) {
-        self.tracker.release_central(items);
-    }
-
-    /// A generic map→shuffle→reduce round over arbitrary `items`, with the
-    /// reduce phase sharded across threads. Charges one round, the shuffle
-    /// volume (number of emitted pairs) and per-machine space (largest group).
-    pub fn map_reduce_round<I, K, V, R>(
-        &mut self,
-        items: &[I],
-        map_fn: impl Fn(&I) -> Vec<(K, V)> + Sync,
-        reduce_fn: impl Fn(&K, &[V]) -> R + Sync,
-    ) -> Vec<R>
-    where
-        I: Sync,
-        K: Eq + Hash + Clone + Send + Sync,
-        V: Send + Sync,
-        R: Send,
-    {
-        self.tracker.charge_round();
-        self.tracker.charge_stream(items.len());
-        // Map phase.
-        let mut groups: HashMap<K, Vec<V>> = HashMap::new();
-        let mut emitted = 0usize;
-        for item in items {
-            for (k, v) in map_fn(item) {
-                emitted += 1;
-                groups.entry(k).or_default().push(v);
-            }
-        }
-        self.tracker.charge_shuffle(emitted);
-        for vs in groups.values() {
-            self.tracker.observe_machine_space(vs.len());
-        }
-        // Reduce phase, sharded across worker threads.
-        let entries: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-        let shards = self.config.reducers.max(1);
-        let shard_outputs: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|shard| {
-                    let entries = &entries;
-                    let reduce_fn = &reduce_fn;
-                    scope.spawn(move || {
-                        entries
-                            .iter()
-                            .enumerate()
-                            .filter(|(idx, _)| idx % shards == shard)
-                            .map(|(_, (k, vs))| reduce_fn(k, vs))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Unreachable unless `reduce_fn` itself panicked, in which case
-                // propagating the panic is the only sound option.
-                .map(|h| h.join().expect("reducer thread panicked"))
-                .collect()
-        });
-        shard_outputs.into_iter().flatten().collect()
-    }
 }
 
 #[cfg(test)]
@@ -210,13 +107,15 @@ mod tests {
     }
 
     #[test]
-    fn uniform_sampling_charges_one_round_and_space() {
+    fn sampling_charges_one_round_and_space() {
         let g = test_graph(1);
         let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
-        let sample = sim.sample_edges_uniform(100);
+        let sample = sim.sample_edges(|_| 0.25);
         assert_eq!(sim.tracker().rounds(), 1);
+        assert_eq!(sim.tracker().items_streamed(), g.num_edges());
         assert!(!sample.is_empty());
-        assert!(sample.len() <= g.num_edges());
+        assert!(sample.len() < g.num_edges());
+        assert_eq!(sim.tracker().shuffle_volume(), sample.len());
         assert_eq!(sim.tracker().peak_central_space(), sample.len());
     }
 
@@ -226,17 +125,6 @@ mod tests {
         let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
         let sample = sim.sample_edges(|_| 1.0);
         assert_eq!(sample.len(), g.num_edges());
-    }
-
-    #[test]
-    fn sketch_round_is_accounted() {
-        let g = test_graph(3);
-        let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
-        let sk = sim.build_sketches(2, 42);
-        assert_eq!(sim.tracker().rounds(), 1);
-        assert_eq!(sk.num_copies(), 2);
-        assert!(sim.tracker().peak_central_space() > 0);
-        assert!(sim.tracker().shuffle_volume() >= 2 * g.num_edges());
     }
 
     #[test]
@@ -250,34 +138,5 @@ mod tests {
         // Hoard far more than n^{1+1/4}.
         sim.tracker_mut().allocate_central(10_000_000);
         assert!(!sim.check_space());
-    }
-
-    #[test]
-    fn generic_round_computes_degree_counts() {
-        let g = test_graph(5);
-        let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
-        let edges: Vec<_> = g.edges().to_vec();
-        let mut degrees = sim.map_reduce_round(
-            &edges,
-            |e| vec![(e.u, 1usize), (e.v, 1usize)],
-            |k, vs| (*k, vs.len()),
-        );
-        degrees.sort_unstable();
-        let total: usize = degrees.iter().map(|&(_, d)| d).sum();
-        assert_eq!(total, 2 * g.num_edges());
-        assert_eq!(sim.tracker().rounds(), 1);
-        assert_eq!(sim.tracker().shuffle_volume(), 2 * g.num_edges());
-        assert!(sim.tracker().peak_machine_space() > 0);
-    }
-
-    #[test]
-    fn release_frees_central_space() {
-        let g = test_graph(6);
-        let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
-        let sample = sim.sample_edges_uniform(200);
-        let held = sample.len();
-        sim.release(held);
-        assert_eq!(sim.tracker().current_central_space(), 0);
-        assert_eq!(sim.tracker().peak_central_space(), held);
     }
 }

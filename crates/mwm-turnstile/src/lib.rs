@@ -16,12 +16,13 @@
 //! on independent workers and [`SketchBank::merge`] them in shard order; the
 //! result is bit-identical at every worker count.
 //!
-//! Weight classes reuse the solver's lattice construction
-//! ([`FixedLattice::from_params`]) so that class assignment here is
-//! bit-identical to `WeightLevels::level_of_bits` in the batch kernels.
-//! Weights that rescale below the first boundary land in a dedicated
-//! *underflow* sampler, so every live edge is held by exactly one class
-//! sampler (plus the forest bank).
+//! Weight classes come from the solver's class table ([`WeightClasses`]),
+//! built from the bank's own `eps`, `scale` and `max_scaled`. The dynamic
+//! matcher's banks classify raw weights (`scale = 1`), while the solver
+//! classifies weights rescaled by its `B/W*`, so a sketch class is a
+//! `(1+ε)^k` band of raw weight, not a solver level. Weights that rescale
+//! below 1 land in a dedicated *underflow* sampler, so every live edge is
+//! held by exactly one class sampler (plus the forest bank).
 //!
 //! On epoch commit, [`SketchBank::recover_candidates`] extracts a candidate
 //! edge set: a Borůvka spanning forest peeled from the vertex-sketch copies,
@@ -29,8 +30,7 @@
 //! Recovery is randomized but seeded, and reads only bank state — so it too is
 //! identical at every worker count.
 
-use mwm_graph::{UnionFind, VertexId};
-use mwm_lp::FixedLattice;
+use mwm_graph::{UnionFind, VertexId, WeightClasses};
 use mwm_sketch::graph_sketch::{decode_pair, encode_pair};
 use mwm_sketch::{Decode, L0Sampler, OneSparse, SketchError, VertexSketch};
 
@@ -40,7 +40,7 @@ use mwm_sketch::{Decode, L0Sampler, OneSparse, SketchError, VertexSketch};
 pub struct TurnstileConfig {
     /// Vertex-id domain of the stream (edges must stay inside it).
     pub num_vertices: usize,
-    /// Class ratio of the weight lattice (boundaries `(1+eps)^k`).
+    /// Class ratio of the weight classes (boundaries `(1+eps)^k`).
     pub eps: f64,
     /// Rescale factor applied before classification (the solver's `B/W*`; use
     /// `1.0` to classify raw weights).
@@ -105,11 +105,11 @@ impl EdgeDelta {
 #[derive(Clone, Debug)]
 pub struct SketchBank {
     config: TurnstileConfig,
-    lattice: FixedLattice,
+    classes: WeightClasses,
     /// `forest_copies × n` vertex sketches, row-major by copy; copy `c` is
     /// seeded `seed + c` (the [`mwm_sketch::GraphSketcher`] convention).
     forest: Vec<VertexSketch>,
-    /// One sampler per lattice class, plus the underflow sampler last.
+    /// One sampler per weight class, plus the underflow sampler last.
     class_samplers: Vec<L0Sampler>,
     /// Net live-edge count per class sampler (exact, since deltas cancel).
     class_support: Vec<i64>,
@@ -129,7 +129,7 @@ impl SketchBank {
         assert!(config.num_vertices >= 2, "turnstile streams need at least two vertices");
         assert!(config.forest_copies >= 1 && config.reps >= 1);
         let n = config.num_vertices;
-        let lattice = FixedLattice::from_params(config.eps, config.scale, config.max_scaled);
+        let classes = WeightClasses::new(config.eps, config.scale, config.max_scaled);
         let mut forest = Vec::with_capacity(config.forest_copies * n);
         for c in 0..config.forest_copies {
             let copy_seed = config.seed.wrapping_add(c as u64);
@@ -138,7 +138,7 @@ impl SketchBank {
             }
         }
         let pair_domain = (n as u64 * (n as u64 - 1) / 2).max(1);
-        let num_class_samplers = lattice.num_classes() + 1;
+        let num_class_samplers = classes.num_classes() + 1;
         let class_samplers = (0..num_class_samplers)
             .map(|k| {
                 let class_seed = config.seed.wrapping_add(CLASS_SEED_OFFSET).wrapping_add(k as u64);
@@ -146,7 +146,7 @@ impl SketchBank {
             })
             .collect();
         let class_support = vec![0i64; num_class_samplers];
-        SketchBank { config, lattice, forest, class_samplers, class_support }
+        SketchBank { config, classes, forest, class_samplers, class_support }
     }
 
     /// The configuration the bank was built with.
@@ -156,7 +156,7 @@ impl SketchBank {
 
     /// Number of weight classes (excluding the underflow sampler).
     pub fn num_classes(&self) -> usize {
-        self.lattice.num_classes()
+        self.classes.num_classes()
     }
 
     /// Net live-edge count per class sampler (underflow last). Sums to the
@@ -177,9 +177,9 @@ impl SketchBank {
     }
 
     /// The class-sampler slot a weight belongs to (underflow slot for weights
-    /// below the first boundary).
+    /// that rescale below 1).
     fn class_slot(&self, weight_bits: u64) -> usize {
-        self.lattice.class_of_key(weight_bits).unwrap_or(self.lattice.num_classes())
+        self.classes.class_of_bits(weight_bits).unwrap_or(self.classes.num_classes())
     }
 
     /// Absorbs one signed edge update into every sketch that covers it:
@@ -585,14 +585,26 @@ mod tests {
     }
 
     #[test]
-    fn class_assignment_matches_the_solver_lattice() {
+    fn class_slots_follow_definition_3() {
+        // eps = 0.25, scale = 1, max_scaled = 64: classes 1.25^k for
+        // k = 0..=19, the last (1.25^19 ≈ 69.39) being the first above 64.
+        // Slot 20 is the underflow sampler.
         let bank = SketchBank::new(cfg(16));
-        let lattice = FixedLattice::from_params(0.25, 1.0, 64.0);
-        for w in [0.5f64, 1.0, 1.25, 2.0, 17.0, 63.9, 64.0] {
-            let expect = lattice.class_of_key(w.to_bits()).unwrap_or(lattice.num_classes());
-            assert_eq!(bank.class_slot(w.to_bits()), expect, "w={w}");
+        assert_eq!(bank.num_classes(), 20);
+        let slots = [
+            (0.5, 20),
+            (0.99, 20),
+            (1.0, 0),
+            (1.25, 1),
+            (2.0, 3),
+            (17.0, 12),
+            (63.9, 18),
+            (64.0, 18),
+            (69.4, 19),
+            (1e6, 19),
+        ];
+        for (w, slot) in slots {
+            assert_eq!(bank.class_slot(f64::to_bits(w)), slot, "w={w}");
         }
-        // Underflow weights land in the dedicated last sampler.
-        assert_eq!(bank.class_slot(0.5f64.to_bits()), bank.num_classes());
     }
 }

@@ -58,7 +58,9 @@
 //! * [`turnstile`] — per-weight-class sketch banks for deletion-heavy dynamic
 //!   streams: mergeable shard state, candidate recovery, bit-exact
 //!   hibernation ([`mwm_turnstile`]).
-//! * [`lp`] — fractional covering/packing and the dual-primal engine ([`mwm_lp`]).
+//! * [`lp`] — the multiplicative-weights step rule of Theorem 5, the
+//!   fractional covering solver, the adaptivity ledger and the portable dual
+//!   snapshot format ([`mwm_lp`]).
 //! * [`matching`] — offline matching substrates ([`mwm_matching`]).
 //! * [`mapreduce`] — MapReduce / streaming / congested-clique simulators ([`mwm_mapreduce`]).
 //! * [`external`] — out-of-core spilled edge storage and the multi-process

@@ -2,7 +2,7 @@
 
 use dual_primal_matching::engine::{MatchingSolver, ResourceBudget};
 use dual_primal_matching::graph::generators::{self, WeightModel};
-use dual_primal_matching::graph::{Graph, UnionFind, WeightLevels};
+use dual_primal_matching::graph::{Graph, UnionFind, WeightClasses, WeightLevels};
 use dual_primal_matching::matching::{
     bounds, exact_max_weight_matching, greedy_matching, improve_matching, maximal_b_matching,
     try_max_weight_bipartite_matching,
@@ -54,6 +54,55 @@ proptest! {
             prop_assert!(scaled <= disc * (1.0 + eps) * (1.0 + 1e-9));
         }
         prop_assert!(levels.num_kept_edges() + levels.dropped_edges() == g.num_edges());
+    }
+
+    /// The one weight-class table follows Definition 3: class `k` of a weight
+    /// is the largest `k` with `(1+ε)^k ≤ w·scale` (a naive scan finds it),
+    /// weights that rescale below 1 have no class, weights above the table
+    /// share its top class, and class weights are `(1+ε)^k` bit for bit.
+    #[test]
+    fn weight_classes_follow_definition_3(
+        eps in 0.01f64..0.49,
+        scale in 0.01f64..100.0,
+        max_scaled in 0.5f64..1e4,
+        ws in proptest::collection::vec(1e-3f64..1e6, 1..40),
+    ) {
+        let classes = WeightClasses::new(eps, scale, max_scaled);
+        let top = classes.num_classes() - 1;
+        for k in 0..classes.num_classes() {
+            prop_assert_eq!(classes.weight(k).to_bits(), (1.0 + eps).powi(k as i32).to_bits());
+        }
+        prop_assert!(classes.weight(top) > max_scaled, "the table must cover max_scaled");
+        prop_assert!(top == 0 || classes.weight(top - 1) <= max_scaled, "and end right above it");
+        // Random weights plus every class boundary mapped back to original scale.
+        let boundaries = (0..classes.num_classes()).map(|k| classes.weight(k) / scale);
+        for w in ws.iter().copied().chain(boundaries) {
+            let scaled = w * scale;
+            let got = classes.class_of(w);
+            prop_assert_eq!(got, classes.class_of_bits(w.to_bits()));
+            if scaled < 1.0 {
+                prop_assert_eq!(got, None, "w={} scales below 1", w);
+                continue;
+            }
+            let naive = (0..).take_while(|&k| (1.0 + eps).powi(k) <= scaled).last().unwrap();
+            prop_assert_eq!(got, Some((naive as usize).min(top)), "w={} scaled={}", w, scaled);
+        }
+        prop_assert_eq!(classes.class_of(classes.weight(top) * 1e3 / scale), Some(top));
+        // Unscaled, every class weight is the first weight of its class.
+        let unit = WeightClasses::new(eps, 1.0, max_scaled);
+        for k in 0..unit.num_classes() {
+            prop_assert_eq!(unit.class_of(unit.weight(k)), Some(k));
+        }
+        // The batch passes hold weights as bit patterns; for positive finite
+        // weights their order is the numeric order.
+        let mut spread = ws.clone();
+        spread.extend([1e-300, 1.0, 1.0000000001, 9.9, 1e18, f64::MAX]);
+        for &a in &spread {
+            prop_assert_eq!(f64::from_bits(a.to_bits()).to_bits(), a.to_bits());
+            for &b in &spread {
+                prop_assert_eq!(a < b, a.to_bits() < b.to_bits(), "a={} b={}", a, b);
+            }
+        }
     }
 
     /// Local search never produces an invalid matching and never loses weight
