@@ -15,9 +15,7 @@
 
 use mwm_core::{MatchingSolver, MwmError, ResourceBudget, SolveReport};
 use mwm_graph::{EdgeId, Graph, Matching, WeightLevels};
-use mwm_mapreduce::{
-    EdgeSource, GraphSource, MapReduceConfig, MapReduceSim, PassEngine, ResourceTracker,
-};
+use mwm_mapreduce::{central_space_budget, EdgeSource, GraphSource, PassEngine, ResourceTracker};
 
 /// The filtering algorithm behind the engine API: an `O(p)`-round,
 /// `O(n^{1+1/p})`-space, `O(1)`-approximation [`MatchingSolver`].
@@ -28,13 +26,12 @@ use mwm_mapreduce::{
 pub struct LattanziFiltering {
     p: f64,
     eps: f64,
-    seed: u64,
     parallelism: usize,
 }
 
 impl LattanziFiltering {
     /// Creates a filtering solver, validating `p > 1` and `eps ∈ (0, 1)`.
-    pub fn new(p: f64, eps: f64, seed: u64) -> Result<Self, MwmError> {
+    pub fn new(p: f64, eps: f64) -> Result<Self, MwmError> {
         if !p.is_finite() || p <= 1.0 {
             return Err(MwmError::InvalidConfig {
                 param: "p",
@@ -49,7 +46,7 @@ impl LattanziFiltering {
                 requirement: "must lie in (0, 1)",
             });
         }
-        Ok(LattanziFiltering { p, eps, seed, parallelism: 1 })
+        Ok(LattanziFiltering { p, eps, parallelism: 1 })
     }
 
     /// Sets the pass-engine worker cap used by the weight-class bucketing
@@ -63,7 +60,7 @@ impl LattanziFiltering {
 
 impl Default for LattanziFiltering {
     fn default() -> Self {
-        LattanziFiltering { p: 2.0, eps: 0.2, seed: 0x1A77, parallelism: 1 }
+        LattanziFiltering { p: 2.0, eps: 0.2, parallelism: 1 }
     }
 }
 
@@ -74,7 +71,7 @@ impl MatchingSolver for LattanziFiltering {
 
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError> {
         let workers = budget.parallelism().unwrap_or(self.parallelism);
-        let res = run_filtering(graph, self.p, self.eps, self.seed, workers, budget)?;
+        let res = run_filtering(graph, self.p, self.eps, workers, budget)?;
         budget.check_tracker(&res.tracker)?;
         Ok(SolveReport::new(self.name(), res.matching.to_b_matching(), res.tracker)
             .with_stat("p", self.p)
@@ -103,9 +100,9 @@ pub struct LattanziResult {
 /// # Panics
 /// If `p ≤ 1`. [`LattanziFiltering::new`] validates the parameter and returns
 /// a typed error instead.
-pub fn lattanzi_filtering(graph: &Graph, p: f64, eps: f64, seed: u64) -> LattanziResult {
+pub fn lattanzi_filtering(graph: &Graph, p: f64, eps: f64) -> LattanziResult {
     assert!(p > 1.0);
-    run_filtering(graph, p, eps, seed, 1, &ResourceBudget::unlimited())
+    run_filtering(graph, p, eps, 1, &ResourceBudget::unlimited())
         .expect("an unlimited budget cannot interrupt the bucketing pass")
 }
 
@@ -114,20 +111,18 @@ pub fn lattanzi_filtering(graph: &Graph, p: f64, eps: f64, seed: u64) -> Lattanz
 /// class index over SoA shard slices, a per-shard counting sort scatters the
 /// ids into weight-class runs (stable, merged in shard order, so edge-id
 /// order — and therefore the matching — is identical for every worker
-/// count), then the per-class sampling rounds run against the MapReduce
-/// simulator as before.
+/// count), then the per-class sampling rounds run. The engine's tracker is
+/// the run's one ledger: the bucketing pass and every sampling round are
+/// charged to it.
 fn run_filtering(
     graph: &Graph,
     p: f64,
     eps: f64,
-    seed: u64,
     workers: usize,
     res_budget: &ResourceBudget,
 ) -> Result<LattanziResult, MwmError> {
     let n = graph.num_vertices();
     let levels = WeightLevels::new(graph, eps.clamp(0.05, 0.9));
-    let config = MapReduceConfig { p, space_constant: 4.0, seed };
-    let mut sim = MapReduceSim::new(graph, config);
     let mut matched = vec![false; n];
     let mut matching = Matching::new();
 
@@ -190,23 +185,20 @@ fn run_filtering(
                 !matched[e.u as usize] && !matched[e.v as usize]
             })
             .collect();
-        let budget = sim.space_budget().max(32.0) as usize;
+        let budget = central_space_budget(n, p).max(32.0) as usize;
         // O(p) rounds per class in theory; cap generously.
         let mut guard = 0usize;
         while !remaining.is_empty() && guard < 64 {
             guard += 1;
-            sim.tracker_mut().charge_round();
-            sim.tracker_mut().charge_stream(remaining.len());
             let sample: Vec<usize> = if remaining.len() <= budget {
                 remaining.clone()
             } else {
-                // Uniform subsample of ~budget edges via the simulator's RNG-free
+                // Uniform subsample of ~budget edges by an RNG-free
                 // deterministic stride (adequate for the baseline's accounting).
                 let stride = remaining.len().div_ceil(budget);
                 remaining.iter().copied().step_by(stride.max(1)).collect()
             };
-            sim.tracker_mut().charge_shuffle(sample.len());
-            sim.tracker_mut().allocate_central(sample.len());
+            engine.tracker_mut().charge_sample_round(remaining.len(), sample.len());
             // Greedy maximal matching on the sample among unmatched vertices.
             for id in &sample {
                 let e = graph.edge(*id);
@@ -216,7 +208,6 @@ fn run_filtering(
                     matching.push(*id, e);
                 }
             }
-            sim.tracker_mut().release_central(sample.len());
             // Filter: drop edges with a matched endpoint.
             let before = remaining.len();
             remaining.retain(|&id| {
@@ -231,8 +222,7 @@ fn run_filtering(
     }
 
     let weight = matching.weight();
-    let mut tracker = sim.tracker().clone();
-    tracker.merge(&engine.into_tracker());
+    let tracker = engine.into_tracker();
     Ok(LattanziResult {
         matching,
         weight,
@@ -254,7 +244,7 @@ mod tests {
     fn produces_a_valid_matching() {
         let mut rng = StdRng::seed_from_u64(1);
         let g = generators::gnm(80, 600, WeightModel::Uniform(1.0, 9.0), &mut rng);
-        let res = lattanzi_filtering(&g, 2.0, 0.2, 7);
+        let res = lattanzi_filtering(&g, 2.0, 0.2);
         assert!(res.matching.is_valid(80));
         assert!(res.weight > 0.0);
         assert!(res.rounds >= 1);
@@ -264,7 +254,7 @@ mod tests {
     fn matching_is_maximal_per_heavy_class_and_constant_factor() {
         let mut rng = StdRng::seed_from_u64(2);
         let g = generators::gnm(60, 400, WeightModel::Uniform(1.0, 4.0), &mut rng);
-        let res = lattanzi_filtering(&g, 2.0, 0.2, 11);
+        let res = lattanzi_filtering(&g, 2.0, 0.2);
         // Constant-factor sanity: at least 1/8 of the greedy weight (in practice much more).
         let greedy = greedy_matching(&g).weight();
         assert!(res.weight >= greedy / 8.0);
@@ -274,7 +264,7 @@ mod tests {
     fn unweighted_quality_is_at_least_half_of_optimum() {
         let mut rng = StdRng::seed_from_u64(3);
         let g = generators::gnm(16, 60, WeightModel::Unit, &mut rng);
-        let res = lattanzi_filtering(&g, 2.0, 0.2, 13);
+        let res = lattanzi_filtering(&g, 2.0, 0.2);
         let opt = exact_max_weight_matching(&g).weight();
         assert!(res.weight >= opt / 2.0 - 1e-9, "weight {} vs opt {opt}", res.weight);
     }
@@ -284,7 +274,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let g = generators::gnp(150, 0.4, WeightModel::Unit, &mut rng);
         // p = 4 gives a space budget of ~4·150^{1.25} ≈ 2100, well below m ≈ 4500.
-        let res = lattanzi_filtering(&g, 4.0, 0.3, 17);
+        let res = lattanzi_filtering(&g, 4.0, 0.3);
         let budget = 4.0 * (150f64).powf(1.25) + 1.0;
         assert!(
             (res.peak_central_space as f64) <= budget,
@@ -300,8 +290,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let sparse = generators::gnm(100, 300, WeightModel::Unit, &mut rng);
         let dense = generators::gnp(100, 0.5, WeightModel::Unit, &mut rng);
-        let r_sparse = lattanzi_filtering(&sparse, 2.0, 0.3, 19);
-        let r_dense = lattanzi_filtering(&dense, 2.0, 0.3, 19);
+        let r_sparse = lattanzi_filtering(&sparse, 2.0, 0.3);
+        let r_dense = lattanzi_filtering(&dense, 2.0, 0.3);
         assert!(r_sparse.rounds <= r_dense.rounds + 4);
         assert!(r_dense.rounds <= 40, "rounds {}", r_dense.rounds);
     }
@@ -309,7 +299,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = Graph::new(5);
-        let res = lattanzi_filtering(&g, 2.0, 0.2, 23);
+        let res = lattanzi_filtering(&g, 2.0, 0.2);
         assert!(res.matching.is_empty());
         assert_eq!(res.weight, 0.0);
     }

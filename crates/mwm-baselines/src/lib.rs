@@ -10,9 +10,10 @@
 //!   matching with replacement (Feigenbaum et al. \[16\] / McGregor \[29\]):
 //!   1 pass, `O(n)` memory, constant approximation.
 //!
-//! Both run through the `mwm-mapreduce` simulators so that experiment E5 can
-//! compare rounds, space and quality against the dual-primal solver under the
-//! same accounting.
+//! Both charge their rounds, streamed items and central space to a pass
+//! engine's `mwm-mapreduce` resource ledger, so experiment E5 can compare
+//! rounds, space and quality against the dual-primal solver under the same
+//! accounting.
 //!
 //! Both baselines implement the engine API's
 //! [`MatchingSolver`](mwm_core::MatchingSolver) trait via the
@@ -53,11 +54,11 @@ mod trait_tests {
     #[test]
     fn constructors_reject_invalid_parameters() {
         assert!(matches!(
-            LattanziFiltering::new(0.5, 0.2, 1),
+            LattanziFiltering::new(0.5, 0.2),
             Err(MwmError::InvalidConfig { param: "p", .. })
         ));
         assert!(matches!(
-            LattanziFiltering::new(2.0, 1.5, 1),
+            LattanziFiltering::new(2.0, 1.5),
             Err(MwmError::InvalidConfig { param: "eps", .. })
         ));
         assert!(matches!(

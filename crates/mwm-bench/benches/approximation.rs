@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mwm_bench::workloads;
-use mwm_core::{DualPrimalConfig, DualPrimalSolver};
+use mwm_core::{DualPrimalConfig, DualPrimalSolver, MatchingSolver, ResourceBudget};
 
 fn bench_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("approximation");
@@ -20,7 +20,7 @@ fn bench_solver(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(w.name.clone(), format!("eps{eps}")),
                 &w.graph,
-                |b, g| b.iter(|| solver.solve_detailed(g)),
+                |b, g| b.iter(|| solver.solve(g, &ResourceBudget::unlimited())),
             );
         }
     }

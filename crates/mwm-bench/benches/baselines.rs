@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mwm_baselines::{lattanzi_filtering, streaming_greedy_matching};
 use mwm_bench::workloads;
-use mwm_core::{DualPrimalConfig, DualPrimalSolver};
+use mwm_core::{DualPrimalConfig, DualPrimalSolver, MatchingSolver, ResourceBudget};
 use mwm_matching::greedy_matching;
 
 fn bench_baselines(c: &mut Criterion) {
@@ -19,10 +19,10 @@ fn bench_baselines(c: &mut Criterion) {
             ..Default::default()
         })
         .expect("bench config is valid");
-        b.iter(|| solver.solve_detailed(g))
+        b.iter(|| solver.solve(g, &ResourceBudget::unlimited()))
     });
     group.bench_with_input(BenchmarkId::new("lattanzi_filtering", "n200"), &g, |b, g| {
-        b.iter(|| lattanzi_filtering(g, 2.0, 0.25, 1))
+        b.iter(|| lattanzi_filtering(g, 2.0, 0.25))
     });
     group.bench_with_input(BenchmarkId::new("streaming_greedy", "n200"), &g, |b, g| {
         b.iter(|| streaming_greedy_matching(g, 0.414))

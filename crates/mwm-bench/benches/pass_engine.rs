@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mwm_bench::workloads;
-use mwm_core::{DualPrimalConfig, DualPrimalSolver};
+use mwm_core::{DualPrimalConfig, DualPrimalSolver, MatchingSolver, ResourceBudget};
 use mwm_lp::StepRule;
 use mwm_mapreduce::{PassEngine, SoaShards};
 
@@ -88,7 +88,7 @@ fn bench_solver_parallelism(c: &mut Criterion) {
                     ..Default::default()
                 })
                 .expect("bench config is valid");
-                b.iter(|| solver.solve_detailed(&g))
+                b.iter(|| solver.solve(&g, &ResourceBudget::unlimited()))
             },
         );
     }

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mwm_bench::workloads;
-use mwm_core::{DualPrimalConfig, DualPrimalSolver};
+use mwm_core::{DualPrimalConfig, DualPrimalSolver, MatchingSolver, ResourceBudget};
 
 fn bench_resources(c: &mut Criterion) {
     let mut group = c.benchmark_group("resources");
@@ -19,7 +19,7 @@ fn bench_resources(c: &mut Criterion) {
                 ..Default::default()
             })
             .expect("bench config is valid");
-            b.iter(|| solver.solve_detailed(g))
+            b.iter(|| solver.solve(g, &ResourceBudget::unlimited()))
         });
     }
     for &p in &[2.0f64, 3.0, 4.0] {
@@ -32,7 +32,7 @@ fn bench_resources(c: &mut Criterion) {
                 ..Default::default()
             })
             .expect("bench config is valid");
-            b.iter(|| solver.solve_detailed(g))
+            b.iter(|| solver.solve(g, &ResourceBudget::unlimited()))
         });
     }
     group.finish();

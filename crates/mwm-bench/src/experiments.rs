@@ -209,7 +209,7 @@ pub fn e5_baselines() -> Result<ExperimentReport, MwmError> {
     );
     let solvers: Vec<Box<dyn MatchingSolver>> = vec![
         Box::new(dual_primal(0.2, 2.0, 9)?),
-        Box::new(LattanziFiltering::new(2.0, 0.2, 9)?),
+        Box::new(LattanziFiltering::new(2.0, 0.2)?),
         Box::new(StreamingGreedy::new(0.414)?),
     ];
     for w in workloads::standard_suite(200, 23) {

@@ -44,6 +44,10 @@ pub trait MatchingSolver {
 /// The state a warm start resumes from: the previous epoch's exported dual
 /// point plus a feasible primal hint (the repaired previous matching).
 ///
+/// This is the seam the dynamic matching subsystem plugs into: epoch `t`
+/// exports its duals through [`SolveReport::final_duals`], epoch `t+1` feeds
+/// them back through [`crate::DualPrimalSolver::solve_warm`].
+///
 /// Both halves are advisory. The duals seed the covering loop so it starts
 /// near feasibility instead of from zero (skipping the `O(p)` sampling rounds
 /// of a cold initial solution); the hint seeds the primal bound β. A solver
@@ -58,25 +62,6 @@ pub struct WarmStartState {
     /// matcher passes the previous matching with dead edges dropped). Solvers
     /// validate it and ignore it when infeasible.
     pub hint: BMatching,
-}
-
-/// Capability trait for solvers that can resume from a previous solve's dual
-/// point instead of paying the cold-start rounds again.
-///
-/// This is the seam the dynamic matching subsystem plugs into: epoch `t`
-/// exports its duals through [`SolveReport::final_duals`], epoch `t+1` feeds
-/// them back through [`WarmStart::solve_warm`]. Implementations must uphold
-/// the same contract as [`MatchingSolver::solve`] — in particular, results
-/// must be bit-identical across parallelism levels and the returned matching
-/// feasible — regardless of how stale the warm state is.
-pub trait WarmStart: MatchingSolver {
-    /// Solves on `graph` within `budget`, seeded from `warm`.
-    fn solve_warm(
-        &self,
-        graph: &Graph,
-        budget: &ResourceBudget,
-        warm: &WarmStartState,
-    ) -> Result<SolveReport, MwmError>;
 }
 
 #[cfg(test)]

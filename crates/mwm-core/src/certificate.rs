@@ -6,7 +6,6 @@
 //! [`mwm_matching::bounds`] otherwise (in which case the reported ratio is a
 //! lower bound on the true ratio).
 
-use crate::solver::SolveResult;
 use mwm_graph::{BMatching, Graph, Matching, VertexId};
 use mwm_matching::{
     best_offline_matching, bounds, exact_max_weight_matching, greedy_b_matching,
@@ -57,11 +56,6 @@ pub fn exact_optimum(graph: &Graph) -> Option<f64> {
         return Some(max_cardinality_matching(graph).len() as f64);
     }
     None
-}
-
-/// Certifies a solver result against `graph`.
-pub fn certify_solution(graph: &Graph, result: &SolveResult) -> SolutionCertificate {
-    certify_b_matching(graph, &result.matching)
 }
 
 /// Certifies an arbitrary b-matching against `graph`.

@@ -3,7 +3,7 @@
 //! For every weight level `k` a *maximal* b-matching `M_k` of `Ê_k` is found by
 //! iterated sampling ("filtering" in the style of Lattanzi et al., which the
 //! paper adapts in Lemma 20): in each round a uniform sample of the remaining
-//! level-`k` edges is drawn (one MapReduce round for all levels together), the
+//! level-`k` edges is drawn (one sampling round for all levels together), the
 //! maximal b-matching is extended greedily on the sample, and edges incident to
 //! saturated vertices are filtered out. After `O(p)` rounds every level is
 //! exhausted with high probability.
@@ -18,7 +18,7 @@
 
 use crate::relaxation::DualState;
 use mwm_graph::{BMatching, Graph, VertexId, WeightLevels};
-use mwm_mapreduce::MapReduceSim;
+use mwm_mapreduce::{central_space_budget, ResourceTracker};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -37,12 +37,14 @@ pub struct InitialSolution {
     pub rounds_used: usize,
 }
 
-/// Builds the initial solution through the MapReduce simulator, charging
-/// `O(p)` sampling rounds and `O(n^{1+1/p}·L)` central space.
+/// Builds the initial solution for round/space exponent `p`, charging its
+/// `O(p)` sampling rounds and their `O(n^{1+1/p})` central space to
+/// `tracker`.
 pub fn build_initial_solution(
     graph: &Graph,
     levels: &WeightLevels,
-    sim: &mut MapReduceSim<'_>,
+    p: f64,
+    tracker: &mut ResourceTracker,
     seed: u64,
 ) -> InitialSolution {
     let n = graph.num_vertices();
@@ -57,11 +59,12 @@ pub fn build_initial_solution(
         (0..num_levels).map(|_| (0..n).map(|v| graph.b(v as VertexId)).collect()).collect();
     let mut matchings: Vec<BMatching> = (0..num_levels).map(|_| BMatching::new()).collect();
 
-    let per_round_budget = sim.space_budget().max(64.0) as usize;
+    let space_budget = central_space_budget(n, p);
+    let per_round_budget = space_budget.max(64.0) as usize;
     let mut rounds_used = 0usize;
     // O(p) rounds suffice in theory; the cap below is a generous safety net for
     // adversarial random draws on tiny instances.
-    let max_rounds = (4.0 * sim.space_budget().log2().max(2.0)) as usize + 8;
+    let max_rounds = (4.0 * space_budget.log2().max(2.0)) as usize + 8;
 
     while rounds_used < max_rounds {
         let total_remaining: usize = remaining.iter().map(|r| r.len()).sum();
@@ -69,8 +72,6 @@ pub fn build_initial_solution(
             break;
         }
         rounds_used += 1;
-        sim.tracker_mut().charge_round();
-        sim.tracker_mut().charge_stream(total_remaining);
         // Budget shared between non-empty levels.
         let active_levels = remaining.iter().filter(|r| !r.is_empty()).count().max(1);
         let budget_per_level = (per_round_budget / active_levels).max(16);
@@ -107,9 +108,7 @@ pub fn build_initial_solution(
                 residual[k][e.u as usize] > 0 && residual[k][e.v as usize] > 0
             });
         }
-        sim.tracker_mut().charge_shuffle(sampled_total);
-        sim.tracker_mut().allocate_central(sampled_total);
-        sim.tracker_mut().release_central(sampled_total);
+        tracker.charge_sample_round(total_remaining, sampled_total);
     }
 
     // Lemma 21: build the dual point from saturation.
@@ -153,7 +152,6 @@ pub fn build_initial_solution(
 mod tests {
     use super::*;
     use mwm_graph::generators::{self, WeightModel};
-    use mwm_mapreduce::MapReduceConfig;
 
     fn setup(seed: u64, n: usize, m: usize) -> (Graph, WeightLevels) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -165,8 +163,7 @@ mod tests {
     #[test]
     fn per_level_matchings_are_maximal_and_feasible() {
         let (g, levels) = setup(1, 60, 400);
-        let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
-        let init = build_initial_solution(&g, &levels, &mut sim, 7);
+        let init = build_initial_solution(&g, &levels, 2.0, &mut ResourceTracker::new(), 7);
         for (k, bm) in &init.per_level {
             assert!(bm.is_valid(&g), "level {k} b-matching violates capacities");
             // Maximality: every level-k edge has a saturated endpoint.
@@ -184,8 +181,7 @@ mod tests {
     #[test]
     fn dual_point_covers_every_levelled_edge() {
         let (g, levels) = setup(2, 50, 300);
-        let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
-        let init = build_initial_solution(&g, &levels, &mut sim, 11);
+        let init = build_initial_solution(&g, &levels, 2.0, &mut ResourceTracker::new(), 11);
         let r = levels.eps() / 256.0;
         for le in levels.all_edges() {
             let cov = init.dual.edge_coverage(le.edge.u, le.edge.v, le.level);
@@ -197,8 +193,7 @@ mod tests {
     #[test]
     fn beta0_is_positive_and_below_fractional_bound() {
         let (g, levels) = setup(3, 70, 500);
-        let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
-        let init = build_initial_solution(&g, &levels, &mut sim, 13);
+        let init = build_initial_solution(&g, &levels, 2.0, &mut ResourceTracker::new(), 13);
         assert!(init.beta0 > 0.0);
         // beta0 <= beta^b/4 <= (3/2) beta_hat / 4 is hard to check exactly; use the
         // loose sanity bound beta0 <= total rescaled weight.
@@ -209,19 +204,18 @@ mod tests {
     #[test]
     fn combined_matching_is_feasible_and_nonempty() {
         let (g, levels) = setup(4, 40, 200);
-        let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
-        let init = build_initial_solution(&g, &levels, &mut sim, 17);
+        let init = build_initial_solution(&g, &levels, 2.0, &mut ResourceTracker::new(), 17);
         assert!(init.combined.is_valid(&g));
         assert!(!init.combined.is_empty());
     }
 
     #[test]
-    fn rounds_are_bounded_and_charged_to_the_simulator() {
+    fn rounds_are_bounded_and_charged_to_the_tracker() {
         let (g, levels) = setup(5, 80, 800);
-        let mut sim = MapReduceSim::new(&g, MapReduceConfig { p: 2.0, ..Default::default() });
-        let init = build_initial_solution(&g, &levels, &mut sim, 19);
+        let mut tracker = ResourceTracker::new();
+        let init = build_initial_solution(&g, &levels, 2.0, &mut tracker, 19);
         assert!(init.rounds_used >= 1);
-        assert_eq!(sim.tracker().rounds(), init.rounds_used);
+        assert_eq!(tracker.rounds(), init.rounds_used);
         // With p=2 the space budget is ~ 4 * 80^{1.5} ≈ 2862 > m, so very few rounds.
         assert!(init.rounds_used <= 6, "rounds_used = {}", init.rounds_used);
     }
@@ -232,8 +226,7 @@ mod tests {
         let mut g = generators::gnm(40, 300, WeightModel::Uniform(1.0, 8.0), &mut rng);
         generators::randomize_capacities(&mut g, 4, &mut rng);
         let levels = WeightLevels::new(&g, 0.25);
-        let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
-        let init = build_initial_solution(&g, &levels, &mut sim, 23);
+        let init = build_initial_solution(&g, &levels, 2.0, &mut ResourceTracker::new(), 23);
         assert!(init.combined.is_valid(&g));
         for (_, bm) in &init.per_level {
             assert!(bm.is_valid(&g));
@@ -244,8 +237,7 @@ mod tests {
     fn empty_graph_is_handled() {
         let g = Graph::new(10);
         let levels = WeightLevels::new(&g, 0.2);
-        let mut sim = MapReduceSim::new(&g, MapReduceConfig::default());
-        let init = build_initial_solution(&g, &levels, &mut sim, 29);
+        let init = build_initial_solution(&g, &levels, 2.0, &mut ResourceTracker::new(), 29);
         assert_eq!(init.beta0, 0.0);
         assert!(init.combined.is_empty());
         assert!(init.per_level.is_empty());

@@ -7,7 +7,7 @@
 //!    ([`mwm_graph::WeightLevels`], Definitions 2–3).
 //! 2. An initial dual solution is built from per-level maximal b-matchings
 //!    found by iterated sampling ([`initial`], Lemmas 12/20/21) in `O(p)`
-//!    rounds through the MapReduce simulator.
+//!    sampling rounds, each sized by the central-space budget.
 //! 3. The dual of the **penalty relaxation** LP5/LP10 ([`relaxation`]) is
 //!    attacked with the multiplicative-weights covering machinery of
 //!    Theorem 5; the crucial property is its *constant width*, versus the
@@ -20,10 +20,12 @@
 //!    progress on the dual (returning vertex- or odd-set-mass updates) or
 //!    certifies that the sampled subgraph carries a large matching, which is
 //!    then extracted by the offline substrate ([`mwm_matching`]).
-//! 6. Resources (rounds, central space, messages) are accounted throughout
-//!    ([`mwm_mapreduce`], [`mwm_lp::AdaptivityLedger`]) so the experiments can
-//!    verify the `O(p/ε)`-rounds / `O(n^{1+1/p} log B)`-space claim of
-//!    Theorem 15.
+//! 6. Every resource of a solve — the initial phase's sampling rounds, the
+//!    main loop's passes and its central space — is charged to one ledger,
+//!    the pass engine's [`mwm_mapreduce::ResourceTracker`]; the report counts
+//!    the main loop's rounds and oracle iterations beside it, so the
+//!    experiments can verify the `O(p/ε)`-rounds / `O(n^{1+1/p} log B)`-space
+//!    claim of Theorem 15.
 
 //! ## The engine API
 //!
@@ -45,9 +47,9 @@ pub mod relaxation;
 pub mod report;
 pub mod solver;
 
-pub use api::{MatchingSolver, WarmStart, WarmStartState};
+pub use api::{MatchingSolver, WarmStartState};
 pub use budget::ResourceBudget;
-pub use certificate::{certify_b_matching, certify_solution, SolutionCertificate};
+pub use certificate::{certify_b_matching, SolutionCertificate};
 pub use error::{MwmError, MwmResult};
 pub use initial::{build_initial_solution, InitialSolution};
 pub use mwm_lp::DualSnapshot;
@@ -61,6 +63,4 @@ pub use offline::{OfflineSolver, OfflineStrategy};
 pub use oracle::{MicroOracle, OracleDecision};
 pub use relaxation::{relaxation_widths, DualState, RelaxationWidths};
 pub use report::SolveReport;
-pub use solver::{
-    DualPrimalConfig, DualPrimalConfigBuilder, DualPrimalSolver, ResumePolicy, SolveResult,
-};
+pub use solver::{DualPrimalConfig, DualPrimalConfigBuilder, DualPrimalSolver};

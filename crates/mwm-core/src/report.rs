@@ -28,8 +28,8 @@ pub struct SolveReport {
     /// through [`SolveReport::rounds`]/[`SolveReport::peak_central_space`] so
     /// they can never disagree with the ledger.
     pub tracker: ResourceTracker,
-    /// The final dual point, exported by solvers implementing
-    /// [`crate::api::WarmStart`] so the next epoch can resume from it;
+    /// The final dual point, exported by the dual-primal solver so the next
+    /// epoch can resume from it ([`crate::DualPrimalSolver::solve_warm`]);
     /// `None` for solvers without a dual representation (baselines, offline
     /// substrates).
     pub final_duals: Option<DualSnapshot>,

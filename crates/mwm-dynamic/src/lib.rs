@@ -20,7 +20,7 @@
 //!      safety net.
 //!    * `damage ≤ rebuild_threshold` (and duals available) → **warm
 //!      re-solve**: the dual-primal solver resumes from the previous epoch's
-//!      exported [`DualSnapshot`] ([`WarmStart::solve_warm`]), skipping the
+//!      exported [`DualSnapshot`] ([`DualPrimalSolver::solve_warm`]), skipping the
 //!      `O(p)` cold sampling rounds.
 //!    * otherwise → **full rebuild** through the configured rebuild solver
 //!      (the umbrella crate wires any `SolverRegistry` entry in here — e.g.
@@ -50,7 +50,7 @@
 
 use mwm_core::{
     certify_b_matching, DualPrimalConfig, DualPrimalSolver, MatchingSolver, MwmError,
-    ResourceBudget, ResumePolicy, SolveReport, WarmStart, WarmStartState,
+    ResourceBudget, SolveReport, WarmStartState,
 };
 use mwm_graph::{
     BMatching, Edge, EdgeId, Graph, GraphOverlay, GraphUpdate, Matching, OverlayState, VertexId,
@@ -106,10 +106,8 @@ pub struct DynamicConfig {
     pub repair_threshold: f64,
     /// Damage ratio at or below which a warm re-solve is attempted (above it,
     /// or when no duals are available, the epoch falls back to full rebuild).
+    /// A warm re-solve resumes the previous epoch's duals verbatim.
     pub rebuild_threshold: f64,
-    /// Decay in `(0, 1]` applied to imported duals on warm re-solves
-    /// (discounts stale dual mass; `1.0` resumes verbatim).
-    pub dual_decay: f64,
     /// Audit cadence: every `audit_every`-th epoch additionally runs a cold
     /// certified recompute and records the weight drift in the ledger.
     /// `0` disables auditing (the default; audits are expensive by design).
@@ -140,7 +138,6 @@ impl Default for DynamicConfig {
             parallelism: 1,
             repair_threshold: 0.05,
             rebuild_threshold: 0.5,
-            dual_decay: 1.0,
             audit_every: 0,
             ingest: IngestMode::Journal,
             turnstile_enter: 0.35,
@@ -154,8 +151,8 @@ impl Default for DynamicConfig {
 impl DynamicConfig {
     /// Validates every parameter, returning the first violation.
     pub fn validate(&self) -> Result<(), MwmError> {
-        // eps / p / seed / parallelism / dual_decay are validated by the
-        // solver config they feed into.
+        // eps / p / seed / parallelism are validated by the solver config
+        // they feed into.
         self.solver_config(self.parallelism.max(1)).validate()?;
         if !self.repair_threshold.is_finite() || self.repair_threshold < 0.0 {
             return Err(MwmError::InvalidConfig {
@@ -210,7 +207,6 @@ impl DynamicConfig {
             p: self.p,
             seed: self.seed,
             parallelism: workers.max(1),
-            resume: ResumePolicy::Resume { dual_decay: self.dual_decay },
             ..Default::default()
         }
     }
@@ -1865,7 +1861,7 @@ mod tests {
         let g = base_graph(16);
         let bad = DynamicConfig { repair_threshold: 0.6, rebuild_threshold: 0.5, ..config() };
         assert!(DynamicMatcher::new(&g, bad).is_err());
-        let bad2 = DynamicConfig { dual_decay: 0.0, ..config() };
+        let bad2 = DynamicConfig { rebuild_threshold: 2.0, ..config() };
         assert!(DynamicMatcher::new(&g, bad2).is_err());
         let bad3 = DynamicConfig { turnstile_enter: 0.1, turnstile_exit: 0.2, ..config() };
         assert!(DynamicMatcher::new(&g, bad3).is_err());

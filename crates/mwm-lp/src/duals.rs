@@ -81,26 +81,6 @@ impl DualSnapshot {
         self.vertex_duals.len() + self.odd_sets.len()
     }
 
-    /// Scales every dual value by `factor` (warm starts decay imported duals
-    /// because the graph has drifted since they were exported).
-    pub fn decay(&mut self, factor: f64) {
-        assert!(factor.is_finite() && factor >= 0.0, "decay factor must be non-negative");
-        for vd in &mut self.vertex_duals {
-            vd.value *= factor;
-        }
-        for os in &mut self.odd_sets {
-            os.value *= factor;
-        }
-    }
-
-    /// Drops every entry touching a vertex for which `dead` returns true
-    /// (odd sets lose the whole set if any member died — the paper's odd-set
-    /// families are vertex sets, a set with a removed member is meaningless).
-    pub fn retain_live_vertices(&mut self, mut dead: impl FnMut(u32) -> bool) {
-        self.vertex_duals.retain(|vd| !dead(vd.vertex));
-        self.odd_sets.retain(|os| !os.members.iter().any(|&v| dead(v)));
-    }
-
     /// Restores the sort invariant after manual edits (no-op when already
     /// sorted). Exporters produced by this workspace always emit sorted
     /// snapshots; call this after building one by hand.
@@ -163,25 +143,6 @@ mod tests {
                 value: 0.5,
             }],
         }
-    }
-
-    #[test]
-    fn decay_scales_all_values() {
-        let mut s = snapshot();
-        s.decay(0.5);
-        assert_eq!(s.vertex_duals[0].value, 1.0);
-        assert_eq!(s.odd_sets[0].value, 0.25);
-        assert_eq!(s.num_entries(), 3);
-    }
-
-    #[test]
-    fn dead_vertices_take_their_odd_sets_with_them() {
-        let mut s = snapshot();
-        s.retain_live_vertices(|v| v == 2);
-        assert_eq!(s.vertex_duals.len(), 2, "vertex 2 had no vertex dual");
-        assert!(s.odd_sets.is_empty(), "the set {{1,2,3}} contained vertex 2");
-        s.retain_live_vertices(|v| v == 0);
-        assert_eq!(s.vertex_duals.len(), 1);
     }
 
     #[test]

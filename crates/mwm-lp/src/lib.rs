@@ -1,6 +1,6 @@
 //! Fractional covering machinery (the Plotkin–Shmoys–Tardos style
-//! multiplicative-weights framework the paper builds on) and the dual-primal
-//! bookkeeping of Section 2.
+//! multiplicative-weights framework the paper builds on) and the portable
+//! format of the dual-primal solver's dual point.
 //!
 //! * [`covering`] — the multiplicative-weights [`StepRule`] of Theorem 5
 //!   (the dual-primal solver of `mwm-core` takes every step through it) and
@@ -12,15 +12,11 @@
 //!   box-with-budget polytopes, with built-in exact linear-maximization
 //!   oracles; these are the workloads of experiment E10 and the unit tests of
 //!   the covering solver.
-//! * [`dual_primal`] — the adaptivity ledger of the dual-primal framework:
-//!   how many *rounds of data access* versus *oracle iterations* an execution
-//!   used (Figure 1 / Corollary 2), shared by the solver and the baselines.
 //! * [`duals`] — the portable [`DualSnapshot`] export/import format for dual
 //!   points, used to warm-start one solve from the previous one (the dynamic
 //!   matching subsystem's epoch chain).
 
 pub mod covering;
-pub mod dual_primal;
 pub mod duals;
 pub mod explicit;
 
@@ -28,6 +24,5 @@ pub use covering::{
     solve_covering, CoveringInstance, CoveringOutcome, CoveringParams, CoveringSolution,
     OracleCandidate, StepRule,
 };
-pub use dual_primal::AdaptivityLedger;
 pub use duals::{DualSnapshot, OddSetDual, VertexDual};
 pub use explicit::{BoxBudgetPolytope, ExplicitCovering};

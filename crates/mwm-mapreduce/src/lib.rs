@@ -9,10 +9,10 @@
 //! *accounting* for those resources exactly, which is what experiments
 //! E1/E4/E5/E9 report.
 //!
-//! * [`resources`] — the [`ResourceTracker`] ledger shared by all simulators.
-//! * [`mapreduce`] — the MapReduce simulator: a resource ledger over the
-//!   input graph, the central-space budget and its check, and the
-//!   edge-sampling primitive charged as one round.
+//! * [`resources`] — the [`ResourceTracker`] ledger: one per run, charged
+//!   for every pass, sampling round and central-space allocation, plus the
+//!   model's central-space budget [`central_space_budget`] (`4·n^{1+1/p}`)
+//!   and its check.
 //! * [`pass_engine`] — the sharded multi-threaded [`PassEngine`] executing
 //!   semi-streaming passes over [`EdgeSource`] streams (and, through the
 //!   item-generic [`ItemSource`], over [`UpdateSource`] update batches) with
@@ -28,15 +28,13 @@
 //! over a `GraphSource::new(&graph, 1)` (see the README migration note).
 
 pub mod congested_clique;
-pub mod mapreduce;
 pub mod pass_engine;
 pub mod resources;
 
 pub use congested_clique::CongestedCliqueSim;
-pub use mapreduce::{MapReduceConfig, MapReduceSim};
 pub use pass_engine::{
     auto_shard_count, EdgeBatch, EdgeSource, ExecutionMode, GraphSource, ItemSource, PassBudget,
     PassEngine, PassError, PassKernel, ShardExecutor, ShardOutcome, ShardedEdgeList, SoaBatch,
     SoaShards, SyntheticStream, UpdateSource,
 };
-pub use resources::{ResourceTracker, TrackerCounters};
+pub use resources::{central_space_budget, ResourceTracker, TrackerCounters};

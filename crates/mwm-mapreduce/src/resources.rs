@@ -1,6 +1,14 @@
-//! The resource ledger: rounds, central space, shuffle volume, messages.
+//! The resource ledger: rounds, central space, shuffle volume, streamed
+//! items — and the model's central-space budget.
 
 use std::fmt;
+
+/// The central-space budget `4·n^{1+1/p}` (in items) of the paper's model
+/// for an `n`-vertex input: the sampling phases (the solver's initial
+/// solution, Lattanzi-style filtering) size their per-round samples by it.
+pub fn central_space_budget(n: usize, p: f64) -> f64 {
+    4.0 * (n.max(2) as f64).powf(1.0 + 1.0 / p)
+}
 
 /// Tracks every resource the paper's model charges for.
 #[derive(Clone, Debug, Default)]
@@ -12,8 +20,6 @@ pub struct ResourceTracker {
     peak_central_space: usize,
     /// Total number of key-value pairs shuffled across all rounds.
     shuffle_volume: usize,
-    /// Peak memory of any single reducer within a round.
-    peak_machine_space: usize,
     /// Total input items streamed (for streaming passes).
     items_streamed: usize,
 }
@@ -31,8 +37,6 @@ pub struct TrackerCounters {
     pub peak_central_space: u64,
     /// Total key-value pairs shuffled.
     pub shuffle_volume: u64,
-    /// Peak per-machine space, in items.
-    pub peak_machine_space: u64,
     /// Total streamed input items.
     pub items_streamed: u64,
 }
@@ -50,7 +54,6 @@ impl ResourceTracker {
             current_central_space: self.current_central_space as u64,
             peak_central_space: self.peak_central_space as u64,
             shuffle_volume: self.shuffle_volume as u64,
-            peak_machine_space: self.peak_machine_space as u64,
             items_streamed: self.items_streamed as u64,
         }
     }
@@ -64,7 +67,6 @@ impl ResourceTracker {
             current_central_space: c.current_central_space as usize,
             peak_central_space: c.peak_central_space.max(c.current_central_space) as usize,
             shuffle_volume: c.shuffle_volume as usize,
-            peak_machine_space: c.peak_machine_space as usize,
             items_streamed: c.items_streamed as usize,
         }
     }
@@ -91,14 +93,20 @@ impl ResourceTracker {
         self.shuffle_volume += pairs;
     }
 
-    /// Records the memory used by one reducer/machine within a round.
-    pub fn observe_machine_space(&mut self, items: usize) {
-        self.peak_machine_space = self.peak_machine_space.max(items);
-    }
-
     /// Charges `items` of streamed input (one per edge per pass, typically).
     pub fn charge_stream(&mut self, items: usize) {
         self.items_streamed += items;
+    }
+
+    /// Charges one sampling round: the round itself, the `streamed` edges the
+    /// mappers read, and a sample of `sampled` edges shuffled to the centre,
+    /// held there while the round runs and released before the next one.
+    pub fn charge_sample_round(&mut self, streamed: usize, sampled: usize) {
+        self.charge_round();
+        self.charge_stream(streamed);
+        self.charge_shuffle(sampled);
+        self.allocate_central(sampled);
+        self.release_central(sampled);
     }
 
     /// Number of rounds charged so far.
@@ -121,11 +129,6 @@ impl ResourceTracker {
         self.shuffle_volume
     }
 
-    /// Peak per-machine space.
-    pub fn peak_machine_space(&self) -> usize {
-        self.peak_machine_space
-    }
-
     /// Total streamed items.
     pub fn items_streamed(&self) -> usize {
         self.items_streamed
@@ -139,7 +142,6 @@ impl ResourceTracker {
         self.peak_central_space =
             self.peak_central_space.max(self.current_central_space).max(other.peak_central_space);
         self.shuffle_volume += other.shuffle_volume;
-        self.peak_machine_space = self.peak_machine_space.max(other.peak_machine_space);
         self.items_streamed += other.items_streamed;
     }
 
@@ -155,12 +157,8 @@ impl fmt::Display for ResourceTracker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rounds={} peak_central={} peak_machine={} shuffle={} streamed={}",
-            self.rounds,
-            self.peak_central_space,
-            self.peak_machine_space,
-            self.shuffle_volume,
-            self.items_streamed
+            "rounds={} peak_central={} shuffle={} streamed={}",
+            self.rounds, self.peak_central_space, self.shuffle_volume, self.items_streamed
         )
     }
 }
@@ -187,12 +185,21 @@ mod tests {
         t.charge_round();
         t.charge_shuffle(500);
         t.charge_stream(1000);
-        t.observe_machine_space(42);
-        t.observe_machine_space(17);
         assert_eq!(t.rounds(), 2);
         assert_eq!(t.shuffle_volume(), 500);
         assert_eq!(t.items_streamed(), 1000);
-        assert_eq!(t.peak_machine_space(), 42);
+    }
+
+    #[test]
+    fn sampling_charges_one_round_and_space() {
+        let mut t = ResourceTracker::new();
+        t.allocate_central(30);
+        t.charge_sample_round(400, 90);
+        assert_eq!(t.rounds(), 1);
+        assert_eq!(t.items_streamed(), 400);
+        assert_eq!(t.shuffle_volume(), 90);
+        assert_eq!(t.peak_central_space(), 120, "the sample is held on top of the resident items");
+        assert_eq!(t.current_central_space(), 30, "and released before the next round");
     }
 
     #[test]
@@ -207,6 +214,12 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.rounds(), 2);
         assert_eq!(a.peak_central_space(), 100);
+    }
+
+    #[test]
+    fn central_space_budget_is_four_n_to_the_one_plus_one_over_p() {
+        assert!((central_space_budget(100, 2.0) - 4000.0).abs() < 1e-9);
+        assert_eq!(central_space_budget(0, 2.0), central_space_budget(2, 2.0));
     }
 
     #[test]
@@ -226,7 +239,6 @@ mod tests {
         t.allocate_central(70);
         t.release_central(20);
         t.charge_shuffle(33);
-        t.observe_machine_space(9);
         t.charge_stream(400);
         let c = t.counters();
         let back = ResourceTracker::from_counters(c);

@@ -323,7 +323,6 @@ pub fn encode_config(w: &mut ByteWriter, c: &DynamicConfig) {
     w.u64(c.parallelism as u64);
     w.f64(c.repair_threshold);
     w.f64(c.rebuild_threshold);
-    w.f64(c.dual_decay);
     w.u64(c.audit_every as u64);
     encode_ingest(w, c.ingest);
     w.f64(c.turnstile_enter);
@@ -341,7 +340,6 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<DynamicConfig, String> {
         parallelism: r.u64("config parallelism")? as usize,
         repair_threshold: r.f64("config repair_threshold")?,
         rebuild_threshold: r.f64("config rebuild_threshold")?,
-        dual_decay: r.f64("config dual_decay")?,
         audit_every: r.u64("config audit_every")? as usize,
         ingest: decode_ingest(r)?,
         turnstile_enter: r.f64("config turnstile_enter")?,
@@ -691,7 +689,6 @@ pub fn encode_session_state(w: &mut ByteWriter, s: &SessionState) -> Result<(), 
     w.u64(t.current_central_space);
     w.u64(t.peak_central_space);
     w.u64(t.shuffle_volume);
-    w.u64(t.peak_machine_space);
     w.u64(t.items_streamed);
     match &s.bank {
         None => w.u8(0),
@@ -738,7 +735,6 @@ pub fn decode_session_state(r: &mut ByteReader<'_>) -> Result<SessionState, Stri
         current_central_space: r.u64("tracker current central")?,
         peak_central_space: r.u64("tracker peak central")?,
         shuffle_volume: r.u64("tracker shuffle")?,
-        peak_machine_space: r.u64("tracker peak machine")?,
         items_streamed: r.u64("tracker streamed")?,
     };
     let bank = match r.u8("bank flag")? {

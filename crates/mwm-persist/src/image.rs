@@ -27,8 +27,9 @@ use crate::{fnv1a, PersistError};
 pub const IMAGE_MAGIC: &[u8; 8] = b"MWMSESS1";
 /// Current image format version. Version 2 added the turnstile fields:
 /// overlay journal base, the extended config/stats columns and the optional
-/// hibernated sketch bank.
-pub const IMAGE_VERSION: u32 = 2;
+/// hibernated sketch bank. Version 3 dropped two fields nothing read: the
+/// config's `dual_decay` and the ledger's `peak_machine_space`.
+pub const IMAGE_VERSION: u32 = 3;
 
 const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
 
@@ -267,6 +268,15 @@ mod tests {
         bad[0] = b'X';
         fs::write(&path, &bad).unwrap();
         assert!(format!("{}", SessionImage::open(&path).unwrap_err()).contains("magic"));
+
+        // An image of the previous format version → Corrupt, never a
+        // misread payload.
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&(IMAGE_VERSION - 1).to_le_bytes());
+        let err = SessionImage::from_bytes(&old).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Corrupt { .. }) && format!("{err}").contains("version")
+        );
 
         // Unknown version → Corrupt.
         let mut vers = bytes;

@@ -1539,7 +1539,7 @@ mod tests {
     fn invalid_service_configs_are_rejected() {
         assert!(MatchingService::start(ServiceConfig { workers: 0, ..config() }).is_err());
         assert!(MatchingService::start(ServiceConfig { queue_capacity: 0, ..config() }).is_err());
-        let bad_session = DynamicConfig { dual_decay: 0.0, ..DynamicConfig::default() };
+        let bad_session = DynamicConfig { rebuild_threshold: 2.0, ..DynamicConfig::default() };
         assert!(MatchingService::start(ServiceConfig {
             session_defaults: bad_session,
             ..config()

@@ -89,7 +89,7 @@ pub fn sketch_k_forests(graph: &Graph, k: usize, seed: u64) -> Vec<Vec<(VertexId
         // Each peel uses fresh randomness; by linearity we could subtract the
         // recovered forest from the original sketches, but re-sketching the
         // residual is equivalent and keeps this reference implementation simple
-        // (the MapReduce simulator accounts for the sketch space either way).
+        // (the sketch space is the same either way).
         let result = sketch_spanning_forest(&residual, seed.wrapping_add(round as u64 * 7919));
         if result.forest.is_empty() {
             break;

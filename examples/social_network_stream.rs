@@ -33,7 +33,7 @@ fn main() -> Result<(), MwmError> {
     let config = DualPrimalConfig::builder().eps(0.2).p(2.0).seed(9).build()?;
     let solvers: Vec<Box<dyn MatchingSolver>> = vec![
         Box::new(DualPrimalSolver::new(config)?),
-        Box::new(LattanziFiltering::new(2.0, 0.2, 9)?),
+        Box::new(LattanziFiltering::new(2.0, 0.2)?),
         Box::new(StreamingGreedy::new(0.414)?),
     ];
 

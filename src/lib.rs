@@ -59,10 +59,11 @@
 //!   streams: mergeable shard state, candidate recovery, bit-exact
 //!   hibernation ([`mwm_turnstile`]).
 //! * [`lp`] — the multiplicative-weights step rule of Theorem 5, the
-//!   fractional covering solver, the adaptivity ledger and the portable dual
-//!   snapshot format ([`mwm_lp`]).
+//!   fractional covering solver and the portable dual snapshot format
+//!   ([`mwm_lp`]).
 //! * [`matching`] — offline matching substrates ([`mwm_matching`]).
-//! * [`mapreduce`] — MapReduce / streaming / congested-clique simulators ([`mwm_mapreduce`]).
+//! * [`mapreduce`] — the sharded pass engine, the resource ledger with the
+//!   central-space budget, and congested-clique accounting ([`mwm_mapreduce`]).
 //! * [`external`] — out-of-core spilled edge storage and the multi-process
 //!   shard executor ([`mwm_external`]).
 //! * [`persist`] — session hibernation: checksummed session images, the
@@ -96,7 +97,7 @@ pub mod engine {
     pub use mwm_baselines::{LattanziFiltering, StreamingGreedy};
     pub use mwm_core::{
         MatchingSolver, MwmError, MwmResult, OfflineSolver, OfflineStrategy, ResourceBudget,
-        SolveReport, WarmStart, WarmStartState,
+        SolveReport, WarmStartState,
     };
     pub use mwm_dynamic::{
         CommittedSnapshot, CommittedView, DynamicConfig, DynamicMatcher, EpochDecision, EpochStats,
@@ -251,7 +252,7 @@ pub mod prelude {
     pub use mwm_baselines::{LattanziFiltering, StreamingGreedy};
     pub use mwm_core::{
         DualPrimalConfig, DualPrimalSolver, MatchingSolver, MwmError, MwmResult, OfflineSolver,
-        OfflineStrategy, ResourceBudget, ResumePolicy, SolveReport, WarmStart, WarmStartState,
+        OfflineStrategy, ResourceBudget, SolveReport, WarmStartState,
     };
     pub use mwm_dynamic::{
         CommittedSnapshot, CommittedView, DynamicConfig, DynamicMatcher, EpochDecision,

@@ -76,10 +76,8 @@ fn dual_primal_beats_or_matches_the_constant_factor_baselines() {
     let mut rng = StdRng::seed_from_u64(3);
     let g = generators::gnm(150, 900, WeightModel::Uniform(1.0, 12.0), &mut rng);
     let dp = solve(&g, 0.2, 2.0, 7);
-    let latt = LattanziFiltering::new(2.0, 0.2, 7)
-        .unwrap()
-        .solve(&g, &ResourceBudget::unlimited())
-        .unwrap();
+    let latt =
+        LattanziFiltering::new(2.0, 0.2).unwrap().solve(&g, &ResourceBudget::unlimited()).unwrap();
     let sg = StreamingGreedy::new(0.414).unwrap().solve(&g, &ResourceBudget::unlimited()).unwrap();
     // The (1-eps) algorithm should not lose to the O(1)-approximation baselines
     // by more than a whisker on this workload.

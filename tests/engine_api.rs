@@ -72,10 +72,8 @@ fn config_builder_rejects_invalid_parameters() {
     // Structural overrides must be non-zero.
     let err = DualPrimalConfig::builder().max_rounds(0).build().unwrap_err();
     assert!(matches!(err, MwmError::InvalidConfig { param: "max_rounds", .. }));
-    let err = DualPrimalConfig::builder().sparsifiers_per_round(0).build().unwrap_err();
-    assert!(matches!(err, MwmError::InvalidConfig { param: "sparsifiers_per_round", .. }));
-    let err = DualPrimalConfig::builder().space_constant(-1.0).build().unwrap_err();
-    assert!(matches!(err, MwmError::InvalidConfig { param: "space_constant", .. }));
+    let err = DualPrimalConfig::builder().parallelism(0).build().unwrap_err();
+    assert!(matches!(err, MwmError::InvalidConfig { param: "parallelism", .. }));
 
     // The same validation guards the direct constructor.
     let err =
@@ -122,6 +120,34 @@ fn reports_expose_solver_specific_stats() {
         assert!(report.stat(stat).is_some(), "missing stat {stat}");
     }
     assert_eq!(report.stat("eps"), Some(0.2));
+}
+
+#[test]
+fn one_ledger_carries_the_initial_phase_and_every_main_round() {
+    // A solve charges everything to one ledger: the initial phase's sampling
+    // rounds and every main-loop pass, each pass one full stream of the m edges.
+    let stat = |report: &SolveReport, name: &str| report.stat(name).unwrap() as usize;
+    let g = gnm(5, 60, 400);
+    let solver = DualPrimalSolver::default();
+    let cold = solver.solve(&g, &ResourceBudget::unlimited()).unwrap();
+    let (initial, main) = (stat(&cold, "initial_rounds"), stat(&cold, "main_rounds"));
+    assert!(initial > 0 && main > 0, "initial {initial}, main {main}");
+    assert_eq!(cold.rounds(), initial + main);
+    assert!(
+        cold.tracker.items_streamed() > main * g.num_edges(),
+        "the sampling rounds stream edges too"
+    );
+
+    // A warm solve skips the sampling phase: its ledger is the main loop's alone.
+    let duals = cold.final_duals.clone().unwrap();
+    let warm_state = WarmStartState { duals, hint: cold.matching.clone() };
+    let drifted = gnm(6, 60, 400);
+    let warm = solver.solve_warm(&drifted, &ResourceBudget::unlimited(), &warm_state).unwrap();
+    let main = stat(&warm, "main_rounds");
+    assert_eq!(stat(&warm, "initial_rounds"), 0);
+    assert!(main > 0, "the drifted graph needs at least one main round");
+    assert_eq!(warm.rounds(), main);
+    assert_eq!(warm.tracker.items_streamed(), main * drifted.num_edges());
 }
 
 proptest! {
