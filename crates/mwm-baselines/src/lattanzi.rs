@@ -86,11 +86,7 @@ pub struct LattanziResult {
     pub matching: Matching,
     /// Its weight.
     pub weight: f64,
-    /// Rounds of sampling used.
-    pub rounds: usize,
-    /// Peak central space (sampled edges held at once).
-    pub peak_central_space: usize,
-    /// The full resource ledger.
+    /// The run's resource ledger: the bucketing pass and every sampling round.
     pub tracker: ResourceTracker,
 }
 
@@ -122,7 +118,7 @@ fn run_filtering(
     res_budget: &ResourceBudget,
 ) -> Result<LattanziResult, MwmError> {
     let n = graph.num_vertices();
-    let levels = WeightLevels::new(graph, eps.clamp(0.05, 0.9));
+    let levels = WeightLevels::new(graph, eps);
     let mut matched = vec![false; n];
     let mut matching = Matching::new();
 
@@ -222,14 +218,7 @@ fn run_filtering(
     }
 
     let weight = matching.weight();
-    let tracker = engine.into_tracker();
-    Ok(LattanziResult {
-        matching,
-        weight,
-        rounds: tracker.rounds(),
-        peak_central_space: tracker.peak_central_space(),
-        tracker,
-    })
+    Ok(LattanziResult { matching, weight, tracker: engine.into_tracker() })
 }
 
 #[cfg(test)]
@@ -247,7 +236,7 @@ mod tests {
         let res = lattanzi_filtering(&g, 2.0, 0.2);
         assert!(res.matching.is_valid(80));
         assert!(res.weight > 0.0);
-        assert!(res.rounds >= 1);
+        assert!(res.tracker.rounds() >= 1);
     }
 
     #[test]
@@ -276,13 +265,10 @@ mod tests {
         // p = 4 gives a space budget of ~4·150^{1.25} ≈ 2100, well below m ≈ 4500.
         let res = lattanzi_filtering(&g, 4.0, 0.3);
         let budget = 4.0 * (150f64).powf(1.25) + 1.0;
-        assert!(
-            (res.peak_central_space as f64) <= budget,
-            "peak {} exceeds {budget}",
-            res.peak_central_space
-        );
+        let peak = res.tracker.peak_central_space();
+        assert!((peak as f64) <= budget, "peak {peak} exceeds {budget}");
         // The graph has ~4500 edges, far more than what is held at once.
-        assert!(res.peak_central_space < g.num_edges());
+        assert!(peak < g.num_edges());
     }
 
     #[test]
@@ -292,8 +278,25 @@ mod tests {
         let dense = generators::gnp(100, 0.5, WeightModel::Unit, &mut rng);
         let r_sparse = lattanzi_filtering(&sparse, 2.0, 0.3);
         let r_dense = lattanzi_filtering(&dense, 2.0, 0.3);
-        assert!(r_sparse.rounds <= r_dense.rounds + 4);
-        assert!(r_dense.rounds <= 40, "rounds {}", r_dense.rounds);
+        let (sparse_rounds, dense_rounds) = (r_sparse.tracker.rounds(), r_dense.tracker.rounds());
+        assert!(sparse_rounds <= dense_rounds + 4);
+        assert!(dense_rounds <= 40, "rounds {dense_rounds}");
+    }
+
+    #[test]
+    fn weight_classes_use_the_configured_eps() {
+        // Rescaled by B/W* = 3/1.02, the weights 1.0 and 1.02 share a class
+        // at ε = 0.05 but not at ε = 0.01, where the heavier class runs first.
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(1, 2, 1.02);
+        let fine = LattanziFiltering::new(2.0, 0.01).unwrap();
+        let report = fine.solve(&g, &ResourceBudget::unlimited()).unwrap();
+        assert_eq!(report.weight, 1.02, "ε = 0.01 must not be classed at 0.05");
+        assert_eq!(report.stat("eps"), Some(0.01));
+        let coarse = LattanziFiltering::new(2.0, 0.05).unwrap();
+        let report = coarse.solve(&g, &ResourceBudget::unlimited()).unwrap();
+        assert_eq!(report.weight, 1.0, "one class at ε = 0.05: the lower edge id wins");
     }
 
     #[test]

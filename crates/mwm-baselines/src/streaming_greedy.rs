@@ -68,9 +68,10 @@ impl MatchingSolver for StreamingGreedy {
         let workers = budget.parallelism().unwrap_or(self.parallelism);
         let res = run_replacement_pass(graph, self.gamma_improve, workers, budget)?;
         budget.check_tracker(&res.tracker)?;
+        let passes = res.tracker.rounds() as f64;
         Ok(SolveReport::new(self.name(), res.matching.to_b_matching(), res.tracker)
             .with_stat("gamma_improve", self.gamma_improve)
-            .with_stat("passes", res.passes as f64))
+            .with_stat("passes", passes))
     }
 }
 
@@ -81,11 +82,8 @@ pub struct StreamingGreedyResult {
     pub matching: Matching,
     /// Its weight.
     pub weight: f64,
-    /// Number of passes (always 1).
-    pub passes: usize,
-    /// Peak working memory in edges held.
-    pub peak_memory_edges: usize,
-    /// The full resource ledger of the simulated pass.
+    /// The resource ledger of the pass: one round, and the matching held as
+    /// its peak central space.
     pub tracker: ResourceTracker,
 }
 
@@ -151,14 +149,7 @@ fn run_replacement_pass(
         matching.push(id, graph.edge(id));
     }
     let weight = matching.weight();
-    let tracker = engine.into_tracker();
-    Ok(StreamingGreedyResult {
-        matching,
-        weight,
-        passes: tracker.rounds(),
-        peak_memory_edges: tracker.peak_central_space(),
-        tracker,
-    })
+    Ok(StreamingGreedyResult { matching, weight, tracker: engine.into_tracker() })
 }
 
 /// The matching store of the replacement pass: `(edge id, weight)` pairs in
@@ -235,10 +226,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let g = generators::gnm(100, 800, WeightModel::Uniform(1.0, 9.0), &mut rng);
         let res = streaming_greedy_matching(&g, 0.414);
-        assert_eq!(res.passes, 1);
+        assert_eq!(res.tracker.rounds(), 1);
         assert!(res.matching.is_valid(100));
         assert!(res.weight > 0.0);
-        assert!(res.peak_memory_edges <= 50);
+        assert!(res.tracker.peak_central_space() <= 50);
     }
 
     #[test]
@@ -271,7 +262,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let g = generators::gnp(120, 0.5, WeightModel::Uniform(1.0, 3.0), &mut rng);
         let res = streaming_greedy_matching(&g, 0.414);
-        assert!(res.peak_memory_edges <= 60, "held {} edges", res.peak_memory_edges);
+        let held = res.tracker.peak_central_space();
+        assert!(held <= 60, "held {held} edges");
         assert!(res.tracker.items_streamed() >= g.num_edges());
     }
 

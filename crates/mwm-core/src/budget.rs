@@ -163,15 +163,7 @@ impl ResourceBudget {
 
     /// Verifies a finished run's resource ledger against the budget.
     pub fn check_tracker(&self, tracker: &ResourceTracker) -> Result<(), MwmError> {
-        if let Some(limit) = self.max_rounds {
-            if tracker.rounds() > limit {
-                return Err(MwmError::BudgetExceeded {
-                    resource: "rounds",
-                    used: tracker.rounds(),
-                    limit,
-                });
-            }
-        }
+        self.check_rounds(tracker.rounds())?;
         if let Some(limit) = self.max_central_space {
             if tracker.peak_central_space() > limit {
                 return Err(MwmError::BudgetExceeded {
@@ -191,6 +183,16 @@ impl ResourceBudget {
             }
         }
         Ok(())
+    }
+
+    /// Verifies a round count against the budget.
+    pub(crate) fn check_rounds(&self, used: usize) -> Result<(), MwmError> {
+        match self.max_rounds {
+            Some(limit) if used > limit => {
+                Err(MwmError::BudgetExceeded { resource: "rounds", used, limit })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Verifies an oracle-iteration count against the budget.

@@ -126,8 +126,7 @@ pub fn build_initial_solution(
             }
         }
     }
-    let beta0: f64 =
-        (0..n).map(|v| graph.b(v as VertexId) as f64 * dual.x_max(v as VertexId)).sum();
+    let beta0 = dual.objective(graph);
 
     // Combined feasible b-matching: merge per-level matchings, heaviest level first.
     let mut combined = BMatching::new();

@@ -61,6 +61,6 @@ pub use mwm_lp::DualSnapshot;
 pub use mwm_obs::Observable;
 pub use offline::{OfflineSolver, OfflineStrategy};
 pub use oracle::{MicroOracle, OracleDecision};
-pub use relaxation::{relaxation_widths, DualState, RelaxationWidths};
+pub use relaxation::{relaxation_widths, DualState, DualUpdate, RelaxationWidths};
 pub use report::SolveReport;
 pub use solver::{DualPrimalConfig, DualPrimalConfigBuilder, DualPrimalSolver};

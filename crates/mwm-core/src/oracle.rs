@@ -21,10 +21,9 @@
 //! collection `K(ℓ)` is produced by the candidate-search substitute of
 //! `mwm_matching::find_dense_odd_sets` instead of Padberg–Rao minimum odd cuts.
 
-use crate::relaxation::DualState;
+use crate::relaxation::DualUpdate;
 use mwm_graph::{EdgeId, Graph, VertexId, WeightLevels};
 use mwm_matching::{find_dense_odd_sets, DenseOddSetConfig};
-use std::collections::HashMap;
 
 /// One stored-and-revealed sparsifier edge handed to the oracle.
 #[derive(Clone, Copy, Debug)]
@@ -47,7 +46,7 @@ pub enum OracleDecision {
     /// Condition (ii): a dual candidate to mix into the current dual point.
     DualUpdate {
         /// The candidate dual variables (a valid `x̃` of `LagInner`).
-        update: DualState,
+        update: DualUpdate,
         /// True if the mass went on vertices, false if on odd sets.
         vertex_mass: bool,
         /// The multiplier total `γ` the update was normalised against.
@@ -61,6 +60,9 @@ pub enum OracleDecision {
         y_scale: f64,
     },
 }
+
+/// A multiplier degree entry `(vertex, level, u^s)`.
+type DegreeEntry = (VertexId, usize, f64);
 
 /// The MicroOracle, bound to a graph, its weight levels and an accuracy ε.
 pub struct MicroOracle<'a> {
@@ -83,51 +85,46 @@ impl<'a> MicroOracle<'a> {
     /// Runs Algorithm 5 (with `ζ = 0`) on the given support.
     pub fn decide(&self, support: &[SupportEdge], beta: f64) -> OracleDecision {
         let eps = self.eps;
-        let n = self.graph.num_vertices();
-        let num_levels = self.levels.num_levels().max(1);
         // Step 1: gamma.
         let gamma: f64 = support.iter().map(|se| self.levels.level_weight(se.level) * se.us).sum();
         if gamma <= 0.0 || beta <= 0.0 {
             return OracleDecision::DualUpdate {
-                update: DualState::new(n, num_levels, eps),
+                update: DualUpdate::default(),
                 vertex_mass: true,
                 gamma: 0.0,
             };
         }
 
-        // Multiplier degree per (vertex, level).
-        let mut deg: Vec<HashMap<usize, f64>> = vec![HashMap::new(); n];
-        for se in support {
-            if se.us <= 0.0 {
-                continue;
-            }
-            *deg[se.u as usize].entry(se.level).or_insert(0.0) += se.us;
-            *deg[se.v as usize].entry(se.level).or_insert(0.0) += se.us;
+        // Multiplier degree per (vertex, level): every endpoint's entry, in a
+        // stable sort by (vertex, level), each run summed in support order.
+        let mut deg: Vec<DegreeEntry> = Vec::with_capacity(2 * support.len());
+        for se in support.iter().filter(|se| se.us > 0.0) {
+            deg.push((se.u, se.level, se.us));
+            deg.push((se.v, se.level, se.us));
         }
-
-        // Steps 2–4: Delta(i, l), k*_i, Viol(V), Gamma(V).
-        let mut viol: Vec<(VertexId, usize, Vec<usize>)> = Vec::new(); // (vertex, k*, Pos(i))
-        let mut gamma_v = 0.0f64;
-        for (v, deg_v) in deg.iter().enumerate() {
-            if deg_v.is_empty() {
-                continue;
+        deg.sort_by_key(|&(v, l, _)| (v, l));
+        deg.dedup_by(|later, kept| {
+            let same = (later.0, later.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += later.2;
             }
-            let mut pos: Vec<usize> = deg_v.keys().copied().collect();
-            pos.sort_unstable();
-            let b_v = self.graph.b(v as VertexId) as f64;
+            same
+        });
+
+        // Steps 2–4: Delta(i, l), k*_i, Viol(V), Gamma(V). A vertex's run of
+        // `deg` is its Pos(i), by ascending level.
+        let mut viol: Vec<(usize, &[DegreeEntry])> = Vec::new(); // (k*, Pos(i))
+        let mut gamma_v = 0.0f64;
+        for pos in deg.chunk_by(|a, b| a.0 == b.0) {
+            let b_v = self.graph.b(pos[0].0) as f64;
             let mut best: Option<(usize, f64)> = None;
-            for &l in &pos {
+            for &(_, l, _) in pos {
                 let w_l = self.levels.level_weight(l);
                 let delta: f64 = pos
                     .iter()
-                    .map(|&k| {
-                        let d = deg_v[&k];
-                        if k <= l {
-                            self.levels.level_weight(k) * d
-                        } else {
-                            w_l * d
-                        }
-                    })
+                    .map(
+                        |&(_, k, d)| if k <= l { self.levels.level_weight(k) * d } else { w_l * d },
+                    )
                     .sum();
                 if delta > gamma * b_v * w_l / beta {
                     // Keep the largest such level (argmax over qualifying l).
@@ -136,19 +133,21 @@ impl<'a> MicroOracle<'a> {
             }
             if let Some((k_star, delta)) = best {
                 gamma_v += delta;
-                viol.push((v as VertexId, k_star, pos));
+                viol.push((k_star, pos));
             }
         }
 
         // Step 5–7: vertex-mass dual update.
         if gamma_v >= eps * gamma / 24.0 {
-            let mut update = DualState::new(n, num_levels, eps);
-            for (v, k_star, pos) in &viol {
-                for &l in pos {
-                    let w = self.levels.level_weight(l.min(*k_star));
-                    update.set_x(*v, l, gamma * w / gamma_v);
-                }
-            }
+            let vertices = viol
+                .iter()
+                .flat_map(|&(k_star, pos)| {
+                    pos.iter().map(move |&(v, l, _)| {
+                        (v, l, gamma * self.levels.level_weight(l.min(k_star)) / gamma_v)
+                    })
+                })
+                .collect();
+            let update = DualUpdate { vertices, odd_sets: Vec::new() };
             return OracleDecision::DualUpdate { update, vertex_mass: true, gamma };
         }
 
@@ -164,43 +163,42 @@ impl<'a> MicroOracle<'a> {
         };
         // Edge charge lookup by id (a support edge is counted at level l iff its
         // own level is >= l; with zeta = 0 the vertex budget is exactly b_i).
-        let us_by_id: HashMap<EdgeId, (usize, f64)> =
-            support.iter().map(|se| (se.id, (se.level, se.us))).collect();
-        let mut odd_update = DualState::new(n, num_levels, eps);
+        let mut us_by_id: Vec<Option<(usize, f64)>> = vec![None; self.graph.num_edges()];
+        for se in support {
+            us_by_id[se.id] = Some((se.level, se.us));
+        }
+        // Each level is searched once and the finder returns disjoint sets,
+        // so the sets of one level never overlap.
+        let mut odd_sets: Vec<(usize, Vec<VertexId>, f64)> = Vec::new();
         let mut gamma_os = 0.0f64;
-        let mut placed_any = false;
         for &l in present_levels.iter().rev() {
             let q = |id: usize| -> f64 {
-                match us_by_id.get(&id) {
-                    Some(&(k, us)) if k >= l => scale * us,
+                match us_by_id[id] {
+                    Some((k, us)) if k >= l => scale * us,
                     _ => 0.0,
                 }
             };
             let q_hat = |v: VertexId| self.graph.b(v) as f64;
-            let sets = find_dense_odd_sets(self.graph, &q, &q_hat, &cfg);
-            if sets.is_empty() {
-                continue;
-            }
             let w_l = self.levels.level_weight(l);
-            for s in sets {
-                // Only insert if no member already carries a set at this level (the
-                // finder returns disjoint sets per call, so this guards across calls).
-                if s.vertices.iter().any(|&v| odd_update.has_odd_set_at(l, v)) {
-                    continue;
-                }
+            for s in find_dense_odd_sets(self.graph, &q, &q_hat, &cfg) {
                 // Raw (unscaled) internal multiplier mass of the set at levels >= l.
                 let delta_u_l = s.internal_charge / scale;
                 gamma_os += w_l * delta_u_l;
                 // Provisional value; final normalisation by Gamma(Os) happens below.
-                odd_update.add_odd_set(l, s.vertices.clone(), w_l * delta_u_l);
-                placed_any = true;
+                odd_sets.push((l, s.vertices, w_l * delta_u_l));
             }
         }
-        if placed_any && gamma_os >= eps * gamma / 24.0 {
+        if !odd_sets.is_empty() && gamma_os >= eps * gamma / 24.0 {
             // Normalise: z_{U,l} = gamma * w_l * Delta(U,l) / Gamma(Os)  — achieved by
             // scaling the provisional values (w_l * Delta) by gamma / Gamma(Os).
-            odd_update.scale(gamma / gamma_os);
-            return OracleDecision::DualUpdate { update: odd_update, vertex_mass: false, gamma };
+            let factor = gamma / gamma_os;
+            for set in &mut odd_sets {
+                set.2 *= factor;
+            }
+            // Ascending level, finder order within a level (a stable sort).
+            odd_sets.sort_by_key(|set| set.0);
+            let update = DualUpdate { vertices: Vec::new(), odd_sets };
+            return OracleDecision::DualUpdate { update, vertex_mass: false, gamma };
         }
 
         // Step 21: primal certificate.
@@ -253,9 +251,9 @@ mod tests {
             OracleDecision::DualUpdate { vertex_mass, gamma, update } => {
                 assert!(vertex_mass);
                 assert!(gamma > 0.0);
-                // The update places mass on at least one vertex.
-                let any_mass = (0..30u32).any(|v| update.x_max(v) > 0.0);
-                assert!(any_mass);
+                // The update places mass on at least one vertex, and on no odd set.
+                assert!(update.vertices.iter().any(|&(_, _, x)| x > 0.0));
+                assert!(update.odd_sets.is_empty());
             }
             other => panic!("expected vertex-mass dual update, got {other:?}"),
         }
@@ -312,16 +310,95 @@ mod tests {
         let support = make_support(&g, &levels, 0.7);
         if let OracleDecision::DualUpdate { update, .. } = oracle.decide(&support, 1e8) {
             // x_i(l) <= 24 w_l / eps (inner width bound of LP8).
-            for v in 0..25u32 {
-                for l in 0..levels.num_levels() {
-                    let bound = 24.0 * levels.level_weight(l) / 0.25 + 1e-9;
-                    assert!(
-                        update.x(v, l) <= bound,
-                        "x_{v}({l}) = {} exceeds {bound}",
-                        update.x(v, l)
-                    );
+            for &(v, l, x) in &update.vertices {
+                let bound = 24.0 * levels.level_weight(l) / 0.25 + 1e-9;
+                assert!(x <= bound, "x_{v}({l}) = {x} exceeds {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn vertex_update_follows_the_min_level_rule() {
+        // Weights 2 and 1 rescale (B/W* = 4/2) to 4 and 2: levels 7 and 3 at
+        // ε = 0.2. Vertex 0's support entries span both levels and
+        // interleave with vertex 1's.
+        let mut g = Graph::new(4);
+        g.add_edge(0, 1, 2.0);
+        g.add_edge(0, 2, 1.0);
+        g.add_edge(1, 3, 1.0);
+        g.add_edge(0, 3, 2.0);
+        let levels = WeightLevels::new(&g, 0.2);
+        assert_eq!(
+            (levels.classes().class_of(2.0), levels.classes().class_of(1.0)),
+            (Some(7), Some(3))
+        );
+        let (w3, w7) = (levels.level_weight(3), levels.level_weight(7));
+        // In edge-id order, so vertex 0's levels arrive as 7, 3, 7.
+        let support: Vec<SupportEdge> = g
+            .edge_iter()
+            .map(|(id, e)| {
+                let level = levels.classes().class_of(e.w).unwrap();
+                SupportEdge { id, u: e.u, v: e.v, level, us: 1.0 }
+            })
+            .collect();
+        let gamma = 2.0 * (w7 + w3);
+        // At β = 6 the threshold γ·ŵ_l/β is 3.06 at l = 3 and 6.34 at l = 7.
+        // Vertex 0 (degrees 1 at level 3, 2 at level 7) beats both:
+        // Δ(0,3) = 3ŵ_3 = 5.18 and Δ(0,7) = ŵ_3 + 2ŵ_7 = 8.89, so k* = 7.
+        // Vertices 1 and 3 (degree 1 at each level) beat only level 3:
+        // Δ(·,3) = 2ŵ_3 = 3.46 and Δ(·,7) = ŵ_3 + ŵ_7 = 5.31, so k* = 3.
+        // Vertex 2 (Δ(2,3) = ŵ_3 = 1.73) violates nothing.
+        let gamma_v = (w3 + 2.0 * w7) + 2.0 * (2.0 * w3);
+        let expected = [
+            (0, 3, w3),
+            (0, 7, w7),
+            (1, 3, w3),
+            (1, 7, w3), // ŵ_{min(7, k* = 3)}
+            (3, 3, w3),
+            (3, 7, w3),
+        ];
+        match MicroOracle::new(&g, &levels).decide(&support, 6.0) {
+            OracleDecision::DualUpdate { update, vertex_mass: true, gamma: g_out } => {
+                assert!((g_out - gamma).abs() < 1e-12 * gamma);
+                assert!(update.odd_sets.is_empty());
+                assert_eq!(update.vertices.len(), expected.len());
+                for (&(v, l, x), &(ev, el, w)) in update.vertices.iter().zip(&expected) {
+                    assert_eq!((v, l), (ev, el));
+                    let want = gamma * w / gamma_v;
+                    assert!((x - want).abs() < 1e-12 * want, "x~_{v}({l}) = {x}, want {want}");
                 }
             }
+            other => panic!("expected a vertex-mass update, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dense_triangle_takes_the_odd_set_branch() {
+        // A unit triangle rescales (B/W* = 3) to weight 3: level 6 at ε = 0.2.
+        // With every edge at u^s = 1 and β = 1.35·ŵ_6, each vertex's degree
+        // 2ŵ_6 stays under its threshold γ·ŵ_6/β = ŵ_6·3/1.35, so no vertex
+        // violates, while the triangle's charge 3·(1-ε/4)·β/γ ≈ 1.28 exceeds
+        // ⌊3/2⌋ = 1: the one dense odd set gets all of γ.
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(1, 2, 1.0);
+        g.add_edge(0, 2, 1.0);
+        let levels = WeightLevels::new(&g, 0.2);
+        let l = levels.classes().class_of(1.0).unwrap();
+        assert_eq!(l, 6);
+        let support = make_support(&g, &levels, 1.0);
+        let beta = 1.35 * levels.level_weight(l);
+        match MicroOracle::new(&g, &levels).decide(&support, beta) {
+            OracleDecision::DualUpdate { update, vertex_mass, gamma } => {
+                assert!(!vertex_mass);
+                assert!((gamma - 3.0 * levels.level_weight(l)).abs() < 1e-12);
+                assert!(update.vertices.is_empty());
+                assert_eq!(update.odd_sets.len(), 1);
+                let (level, members, value) = &update.odd_sets[0];
+                assert_eq!((*level, members.as_slice()), (l, &[0u32, 1, 2][..]));
+                assert!((value - gamma).abs() < 1e-12 * gamma, "z = {value}, γ = {gamma}");
+            }
+            other => panic!("expected an odd-set update, got {other:?}"),
         }
     }
 }

@@ -14,23 +14,55 @@
 //! coverage of any edge is at most `6ŵ_k` — an absolute constant multiple of
 //! the requirement, independent of `n`, `B` or `1/ε` (compare the `Ω(n)`
 //! width of LP2). [`RelaxationWidths`] measures both, for experiment E7.
+//!
+//! [`DualState`] holds the solve loop's dual point in flat arrays: `x` in one
+//! `n·L` vector indexed `v·L + k`, and per level the disjoint odd sets with a
+//! vertex → set table. The MicroOracle proposes a candidate `x̃` as a
+//! [`DualUpdate`] (plain lists of vertex and odd-set entries), and
+//! [`DualState::step`] is the one Theorem 5 step `x ← (1-σ)·x + σ·x̃`.
 
 use mwm_graph::{Graph, VertexId, WeightLevels};
 use mwm_lp::{DualSnapshot, OddSetDual, VertexDual};
-use std::collections::HashMap;
 
-/// Dual variables of the layered penalty relaxation.
+/// Membership-table entry of a vertex that belongs to no odd set of a level.
+const NO_SET: u32 = u32::MAX;
+
+/// A dual candidate `x̃` in list form: what the MicroOracle proposes and
+/// [`DualState::step`] mixes into the dual point.
+#[derive(Clone, Debug, Default)]
+pub struct DualUpdate {
+    /// `(v, k, x̃_v(k))` entries.
+    pub vertices: Vec<(VertexId, usize, f64)>,
+    /// `(ℓ, U, z̃_{U,ℓ})` entries by ascending level (finder order within a
+    /// level), members sorted.
+    pub odd_sets: Vec<(usize, Vec<VertexId>, f64)>,
+}
+
+/// Dual variables of the layered penalty relaxation, stored flat.
+///
+/// `x` is one `n·L` array (`L` = number of weight levels) indexed `v·L + k`,
+/// where 0 means the variable is unset. Each level keeps its disjoint odd sets
+/// and a vertex → set table that stays empty until the level holds a set.
+/// [`DualState::x`] and [`DualState::set_x`] panic on a level `k ≥ L`: every
+/// caller classifies edges of the graph the state was sized for.
 #[derive(Clone, Debug)]
 pub struct DualState {
     eps: f64,
+    n: usize,
     num_levels: usize,
-    /// `x[v]` maps level `k` to `x_v(k)` (sparse: absent means 0).
-    x: Vec<HashMap<usize, f64>>,
+    /// `x[v·L + k] = x_v(k)`.
+    x: Vec<f64>,
     /// Per level ℓ: disjoint odd sets with their `z_{U,ℓ}` values. Each entry is
     /// `(members, value)`; members are sorted.
     z: Vec<Vec<(Vec<VertexId>, f64)>>,
-    /// Per level ℓ: vertex → index into `z[ℓ]` (sets are disjoint within a level).
-    z_assign: Vec<HashMap<VertexId, usize>>,
+    /// Per level ℓ: `z_assign[ℓ][v]` is the index into `z[ℓ]` of the set
+    /// holding `v`, or [`NO_SET`]; empty until the level holds a set.
+    z_assign: Vec<Vec<u32>>,
+}
+
+/// The index of the set holding `v` in one level's membership table.
+fn set_holding(assign: &[u32], v: VertexId) -> Option<usize> {
+    assign.get(v as usize).filter(|&&s| s != NO_SET).map(|&s| s as usize)
 }
 
 impl DualState {
@@ -38,10 +70,11 @@ impl DualState {
     pub fn new(n: usize, num_levels: usize, eps: f64) -> Self {
         DualState {
             eps,
+            n,
             num_levels,
-            x: vec![HashMap::new(); n],
+            x: vec![0.0; n * num_levels],
             z: vec![Vec::new(); num_levels],
-            z_assign: vec![HashMap::new(); num_levels],
+            z_assign: vec![Vec::new(); num_levels],
         }
     }
 
@@ -55,72 +88,87 @@ impl DualState {
         self.num_levels
     }
 
-    /// `x_v(k)`.
-    pub fn x(&self, v: VertexId, k: usize) -> f64 {
-        self.x[v as usize].get(&k).copied().unwrap_or(0.0)
+    /// The flat index of `x_v(k)`.
+    fn slot(&self, v: VertexId, k: usize) -> usize {
+        assert!(k < self.num_levels, "level {k} out of range ({} levels)", self.num_levels);
+        v as usize * self.num_levels + k
     }
 
-    /// Sets `x_v(k)`.
+    /// `x_v(k)`. Panics if `k ≥` [`DualState::num_levels`].
+    pub fn x(&self, v: VertexId, k: usize) -> f64 {
+        self.x[self.slot(v, k)]
+    }
+
+    /// Sets `x_v(k)`; a value that is not positive is stored as 0 (unset).
+    /// Panics if `k ≥` [`DualState::num_levels`].
     pub fn set_x(&mut self, v: VertexId, k: usize, value: f64) {
-        if value > 0.0 {
-            self.x[v as usize].insert(k, value);
-        } else {
-            self.x[v as usize].remove(&k);
-        }
+        let slot = self.slot(v, k);
+        self.x[slot] = if value > 0.0 { value } else { 0.0 };
+    }
+
+    /// `x_v(0), …, x_v(L-1)`.
+    fn row(&self, v: VertexId) -> &[f64] {
+        let start = v as usize * self.num_levels;
+        &self.x[start..start + self.num_levels]
     }
 
     /// `x_v = max_k x_v(k)` — the objective contribution of vertex `v`.
     pub fn x_max(&self, v: VertexId) -> f64 {
-        self.x[v as usize].values().copied().fold(0.0, f64::max)
+        self.row(v).iter().copied().fold(0.0, f64::max)
     }
 
     /// Adds an odd set with value `z_{U,ℓ}` at level `ℓ`. Panics if the set
     /// overlaps an existing set of the same level (the paper's `K(ℓ)` families
     /// are disjoint within a level).
     pub fn add_odd_set(&mut self, level: usize, mut members: Vec<VertexId>, value: f64) {
-        assert!(level < self.num_levels.max(1));
+        assert!(level < self.num_levels);
         members.sort_unstable();
         members.dedup();
         assert!(members.len() >= 3, "odd sets have at least 3 vertices");
-        for &v in &members {
-            assert!(
-                !self.z_assign[level].contains_key(&v),
-                "odd sets within a level must be disjoint"
-            );
+        let assign = &mut self.z_assign[level];
+        if assign.is_empty() {
+            *assign = vec![NO_SET; self.n];
         }
-        let idx = self.z[level].len();
         for &v in &members {
-            self.z_assign[level].insert(v, idx);
+            assert!(assign[v as usize] == NO_SET, "odd sets within a level must be disjoint");
+        }
+        let idx = self.z[level].len() as u32;
+        for &v in &members {
+            assign[v as usize] = idx;
         }
         self.z[level].push((members, value));
+    }
+
+    /// Adds `value` to `z_{U,ℓ}`, keeping the level's sets disjoint: the mass
+    /// goes to the set that already holds a member of `U` (the first such
+    /// member in `members` order decides), or to `U` as a new set. Folding
+    /// overlapping mass into an existing set only strengthens coverage.
+    fn add_odd_mass(&mut self, level: usize, members: &[VertexId], value: f64) {
+        match members.iter().find_map(|&v| set_holding(&self.z_assign[level], v)) {
+            Some(existing) => self.z[level][existing].1 += value,
+            None => self.add_odd_set(level, members.to_vec(), value),
+        }
     }
 
     /// Sum of `z_{U,ℓ}` over levels `ℓ ≤ k` and sets containing **both** `i` and `j`.
     pub fn z_pair_sum(&self, i: VertexId, j: VertexId, k: usize) -> f64 {
         let mut total = 0.0;
-        for level in 0..=k.min(self.num_levels.saturating_sub(1)) {
-            if let (Some(&si), Some(&sj)) =
-                (self.z_assign[level].get(&i), self.z_assign[level].get(&j))
-            {
+        for (assign, sets) in self.z_assign.iter().zip(&self.z).take(k.saturating_add(1)) {
+            if let (Some(si), Some(sj)) = (set_holding(assign, i), set_holding(assign, j)) {
                 if si == sj {
-                    total += self.z[level][si].1;
+                    total += sets[si].1;
                 }
             }
         }
         total
     }
 
-    /// True if vertex `v` already belongs to an odd set at exactly level `level`.
-    pub fn has_odd_set_at(&self, level: usize, v: VertexId) -> bool {
-        level < self.z_assign.len() && self.z_assign[level].contains_key(&v)
-    }
-
     /// Sum of `z_{U,ℓ}` over levels `ℓ ≤ k` and sets containing vertex `i`.
     pub fn z_vertex_sum(&self, i: VertexId, k: usize) -> f64 {
         let mut total = 0.0;
-        for level in 0..=k.min(self.num_levels.saturating_sub(1)) {
-            if let Some(&si) = self.z_assign[level].get(&i) {
-                total += self.z[level][si].1;
+        for (assign, sets) in self.z_assign.iter().zip(&self.z).take(k.saturating_add(1)) {
+            if let Some(si) = set_holding(assign, i) {
+                total += sets[si].1;
             }
         }
         total
@@ -154,45 +202,29 @@ impl DualState {
         total
     }
 
-    /// Scales every variable by `factor` (used by the convex-combination update
-    /// `x ← (1-σ)x + σ·x̃` of the covering framework).
-    pub fn scale(&mut self, factor: f64) {
-        assert!(factor >= 0.0);
-        for xv in &mut self.x {
-            for val in xv.values_mut() {
-                *val *= factor;
-            }
+    /// One Theorem 5 step, the convex combination `x ← (1-σ)·x + σ·x̃` of the
+    /// covering framework: every variable is scaled by `1-σ`, then the
+    /// update's vertex entries are added in list order and its odd sets are
+    /// folded in by the disjointness rule of `add_odd_mass`.
+    pub fn step(&mut self, update: &DualUpdate, sigma: f64) {
+        let keep = 1.0 - sigma;
+        assert!(keep >= 0.0);
+        for val in &mut self.x {
+            *val *= keep;
         }
         for level in &mut self.z {
             for (_, val) in level.iter_mut() {
-                *val *= factor;
+                *val *= keep;
             }
         }
-    }
-
-    /// Adds `factor` times another dual state into this one. Odd sets of the
-    /// other state are merged in; sets that would overlap existing same-level
-    /// sets have their mass folded into the existing set instead (preserving
-    /// within-level disjointness, which only strengthens coverage monotonicity).
-    pub fn add_scaled(&mut self, other: &DualState, factor: f64) {
-        for (v, xv) in other.x.iter().enumerate() {
-            for (&k, &val) in xv {
-                let cur = self.x(v as VertexId, k);
-                self.set_x(v as VertexId, k, cur + factor * val);
-            }
+        for &(v, k, value) in &update.vertices {
+            let cur = self.x(v, k);
+            self.set_x(v, k, cur + sigma * value);
         }
-        for level in 0..other.z.len().min(self.z.len()) {
-            for (members, value) in &other.z[level] {
-                let add = factor * value;
-                if add <= 0.0 {
-                    continue;
-                }
-                // If any member is already assigned at this level, fold into that set.
-                if let Some(&existing) = members.iter().find_map(|v| self.z_assign[level].get(v)) {
-                    self.z[level][existing].1 += add;
-                } else {
-                    self.add_odd_set(level, members.clone(), add);
-                }
+        for (level, members, value) in &update.odd_sets {
+            let add = sigma * value;
+            if add > 0.0 {
+                self.add_odd_mass(*level, members, add);
             }
         }
     }
@@ -205,19 +237,26 @@ impl DualState {
     /// Extracts a classical (LP11-style) dual: `x_i = max_k x_i(k)/(1-3ε)`,
     /// `z_U = Σ_ℓ z_{U,ℓ}/(1-3ε)` — the transformation used in Section 3 to
     /// prove condition (d1). The odd-set list is sorted by member set so the
-    /// extraction is deterministic (it feeds snapshots and reports).
+    /// extraction is deterministic (it feeds snapshots and reports); each
+    /// set's values are summed by ascending level.
     pub fn to_classical_dual(&self) -> (Vec<f64>, Vec<(Vec<VertexId>, f64)>) {
         let scale = 1.0 / (1.0 - 3.0 * self.eps);
-        let xs: Vec<f64> = (0..self.x.len()).map(|v| self.x_max(v as VertexId) * scale).collect();
-        let mut zs: HashMap<Vec<VertexId>, f64> = HashMap::new();
-        for level in &self.z {
-            for (members, value) in level {
-                *zs.entry(members.clone()).or_insert(0.0) += value * scale;
+        let xs: Vec<f64> = (0..self.n).map(|v| self.x_max(v as VertexId) * scale).collect();
+        let mut zs: Vec<(Vec<VertexId>, f64)> = self
+            .z
+            .iter()
+            .flatten()
+            .map(|(members, value)| (members.clone(), value * scale))
+            .collect();
+        zs.sort_by(|a, b| a.0.cmp(&b.0));
+        zs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
             }
-        }
-        let mut out: Vec<(Vec<VertexId>, f64)> = zs.into_iter().collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        (xs, out)
+            same
+        });
+        (xs, zs)
     }
 
     /// Exports the dual point as a portable [`DualSnapshot`]: sorted plain
@@ -226,11 +265,11 @@ impl DualState {
     /// after the graph (and therefore the `B/W*` rescale factor) changed.
     pub fn snapshot(&self, levels: &WeightLevels) -> DualSnapshot {
         let mut vertex_duals = Vec::new();
-        for (v, xv) in self.x.iter().enumerate() {
-            for (&k, &value) in xv {
+        for v in 0..self.n as u32 {
+            for (k, &value) in self.row(v).iter().enumerate() {
                 if value > 0.0 {
                     vertex_duals.push(VertexDual {
-                        vertex: v as u32,
+                        vertex: v,
                         level: k,
                         level_weight: levels.level_weight_original(k),
                         value,
@@ -266,8 +305,10 @@ impl DualState {
     /// re-resolved by its original-scale level weight, values are rescaled by
     /// `new_scale / old_scale`, entries naming vertices ≥ `n` or levels that
     /// no longer exist are dropped, and odd sets that lost a member die whole.
-    /// Import is best-effort by design — a warm start only needs *a* valid
-    /// dual point; the solve loop restores feasibility and quality.
+    /// Odd sets that now overlap a same-level set are folded into it, as a
+    /// step folds them. Import is best-effort by design — a warm start only
+    /// needs *a* valid dual point; the solve loop restores feasibility and
+    /// quality.
     pub fn from_snapshot(n: usize, levels: &WeightLevels, snap: &DualSnapshot) -> DualState {
         let mut d = DualState::new(n, levels.num_levels().max(1), levels.eps());
         if levels.num_levels() == 0 {
@@ -304,14 +345,7 @@ impl DualState {
                 continue;
             }
             if let Some(level) = remap(os.level_weight) {
-                let add = os.value * value_scale;
-                // Same overlap policy as `add_scaled`: fold mass into an
-                // existing same-level set rather than violating disjointness.
-                if let Some(&existing) = os.members.iter().find_map(|v| d.z_assign[level].get(v)) {
-                    d.z[level][existing].1 += add;
-                } else {
-                    d.add_odd_set(level, os.members.clone(), add);
-                }
+                d.add_odd_mass(level, &os.members, os.value * value_scale);
             }
         }
         d
@@ -348,12 +382,6 @@ pub fn relaxation_widths(graph: &Graph, eps: f64) -> RelaxationWidths {
         penalty_width: 6.0,
         penalty_inner_width: 24.0 / eps + 24.0 / (eps * eps),
     }
-}
-
-/// Convenience: the levelled edge list of a graph together with its dual state
-/// sized to match.
-pub fn fresh_dual_state(graph: &Graph, levels: &WeightLevels) -> DualState {
-    DualState::new(graph.num_vertices(), levels.num_levels().max(1), levels.eps())
 }
 
 #[cfg(test)]
@@ -402,30 +430,33 @@ mod tests {
     }
 
     #[test]
-    fn scaling_and_adding_are_linear() {
+    fn step_is_a_convex_combination() {
         let mut a = DualState::new(3, 1, 0.1);
         a.set_x(0, 0, 2.0);
         a.add_odd_set(0, vec![0, 1, 2], 1.0);
-        let mut b = DualState::new(3, 1, 0.1);
-        b.set_x(0, 0, 4.0);
-        b.add_odd_set(0, vec![0, 1, 2], 3.0);
-        a.scale(0.5);
-        a.add_scaled(&b, 0.25);
-        assert!((a.x(0, 0) - 2.0).abs() < 1e-12);
-        assert!((a.z_pair_sum(0, 1, 0) - (0.5 + 0.75)).abs() < 1e-12);
+        let update = DualUpdate {
+            vertices: vec![(0, 0, 4.0), (1, 0, 8.0)],
+            odd_sets: vec![(0, vec![0, 1, 2], 3.0)],
+        };
+        a.step(&update, 0.25);
+        // x ← 0.75·x + 0.25·x̃, on vertex and odd-set variables alike.
+        assert!((a.x(0, 0) - 2.5).abs() < 1e-12);
+        assert!((a.x(1, 0) - 2.0).abs() < 1e-12);
+        assert!((a.z_pair_sum(0, 1, 0) - (0.75 + 0.75)).abs() < 1e-12);
+        assert_eq!(a.num_active_odd_sets(), 1, "the same set gains mass, no copy is added");
     }
 
     #[test]
     fn overlapping_odd_set_mass_is_folded() {
         let mut a = DualState::new(5, 1, 0.1);
         a.add_odd_set(0, vec![0, 1, 2], 1.0);
-        let mut b = DualState::new(5, 1, 0.1);
         // Overlaps {0,1,2} on vertex 2.
-        b.add_odd_set(0, vec![2, 3, 4], 2.0);
-        a.add_scaled(&b, 1.0);
+        let update = DualUpdate { vertices: Vec::new(), odd_sets: vec![(0, vec![2, 3, 4], 2.0)] };
+        a.step(&update, 0.5);
         // The mass lands on the existing set; disjointness within the level holds.
         assert_eq!(a.num_active_odd_sets(), 1);
-        assert!((a.z_pair_sum(0, 1, 0) - 3.0).abs() < 1e-12);
+        assert!((a.z_pair_sum(0, 1, 0) - 1.5).abs() < 1e-12);
+        assert_eq!(a.z_pair_sum(3, 4, 0), 0.0, "no set was added over {{2,3,4}}");
     }
 
     #[test]
@@ -458,7 +489,7 @@ mod tests {
         g.add_edge(3, 4, 4.0);
         let levels = WeightLevels::new(&g, 0.2);
         let k = levels.classes().class_of(5.0).expect("heaviest edge is never dropped");
-        let mut d = fresh_dual_state(&g, &levels);
+        let mut d = DualState::new(5, levels.num_levels(), levels.eps());
         d.set_x(0, k, 1.5);
         d.set_x(1, k, 0.5);
         d.add_odd_set(0, vec![1, 2, 3], 0.25);
@@ -483,7 +514,7 @@ mod tests {
         g.add_edge(2, 3, 8.0);
         let levels = WeightLevels::new(&g, 0.25);
         let k = levels.classes().class_of(8.0).unwrap();
-        let mut d = fresh_dual_state(&g, &levels);
+        let mut d = DualState::new(4, levels.num_levels(), levels.eps());
         d.set_x(0, k, 2.0);
         d.set_x(3, k, 1.0);
         let snap = d.snapshot(&levels);

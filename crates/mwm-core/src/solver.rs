@@ -14,9 +14,11 @@
 //!    (Step 6) and remember the matching.
 //! 4. Use the sparsifiers **sequentially** (Figure 1, right): reveal the
 //!    current multiplier values of each sparsifier's stored edges, invoke the
-//!    [`MicroOracle`], and either mix the returned dual candidate into the
-//!    dual point (a Theorem 5 step with the constant penalty width `ρ_o = 6`)
-//!    or record a primal certificate and raise `β`.
+//!    [`MicroOracle`], and either mix the returned candidate (a
+//!    [`DualUpdate`](crate::relaxation::DualUpdate): vertex and odd-set
+//!    entries) into the dual point with one [`DualState::step`] (a Theorem 5
+//!    step with the constant penalty width `ρ_o = 6`) or record a primal
+//!    certificate and raise `β`.
 //!
 //! A solve keeps one ledger, the [`PassEngine`]'s [`ResourceTracker`]: the
 //! initial phase's sampling rounds, the main loop's passes and the central
@@ -29,7 +31,7 @@ use crate::api::{MatchingSolver, WarmStartState};
 use crate::budget::ResourceBudget;
 use crate::certificate::offline_b_matching;
 use crate::error::MwmError;
-use crate::initial::build_initial_solution;
+use crate::initial::{build_initial_solution, InitialSolution};
 use crate::oracle::{MicroOracle, OracleDecision, SupportEdge};
 use crate::relaxation::DualState;
 use crate::report::SolveReport;
@@ -206,8 +208,9 @@ impl DualPrimalSolver {
     /// the main loop goes through a [`PassEngine`] over a sharded view of the
     /// graph, with the budget's streamed-items limit enforced mid-pass: an
     /// interrupted pass returns [`MwmError::BudgetExceeded`] — never a torn
-    /// matching — and the ledger is checked against the rest of the budget
-    /// when the run ends.
+    /// matching. The round and oracle-iteration limits are checked before
+    /// each main round and each oracle call, and the ledger is checked
+    /// against the whole budget when the run ends.
     ///
     /// With `warm` present, phase 1 — the `O(p)` sampling rounds of the cold
     /// initial solution — is replaced by importing the warm duals verbatim
@@ -250,22 +253,21 @@ impl DualPrimalSolver {
                 (dual, best, beta, 0usize)
             }
             None => {
-                let init = build_initial_solution(
-                    graph,
-                    &levels,
-                    cfg.p,
-                    engine.tracker_mut(),
-                    cfg.seed ^ 0x1357,
-                );
-                let dual = init.dual.clone();
-                let best: BMatching = init.combined.clone();
-                let mut beta = init.beta0.max(1e-12);
+                let InitialSolution { dual, beta0, combined: best, rounds_used, .. } =
+                    build_initial_solution(
+                        graph,
+                        &levels,
+                        cfg.p,
+                        engine.tracker_mut(),
+                        cfg.seed ^ 0x1357,
+                    );
+                let mut beta = beta0.max(1e-12);
                 // The combined initial b-matching is itself a lower bound on β*.
                 let init_weight_rescaled = rescaled_weight(&best, &levels);
                 if init_weight_rescaled > beta {
                     beta = init_weight_rescaled;
                 }
-                (dual, best, beta, init.rounds_used)
+                (dual, best, beta, rounds_used)
             }
         };
 
@@ -306,7 +308,9 @@ impl DualPrimalSolver {
             // the hot loop stays cache-friendly, and the batches are merged
             // in shard order afterwards. An interrupted pass ends the solve:
             // the ledger counts exactly the items streamed before the
-            // interrupt, and no matching is returned.
+            // interrupt, and no matching is returned. A round the budget
+            // cannot pay for ends the solve before its work starts.
+            budget.check_rounds(engine.tracker().rounds() + 1)?;
             main_rounds += 1;
             let alpha = rule.alpha(lambda);
             let promise = sharded_multipliers(&mut engine, &source, classes, &dual, alpha, lambda)
@@ -339,6 +343,7 @@ impl DualPrimalSolver {
                 if rule.done(lambda) {
                     break;
                 }
+                budget.check_oracle_iterations(oracle_iterations + 1)?;
                 oracle_iterations += 1;
                 let alpha = rule.alpha(lambda);
                 let support = reveal_support(classes, &dual, d, alpha, lambda);
@@ -352,9 +357,7 @@ impl DualPrimalSolver {
                         } else {
                             odd_set_updates += 1;
                         }
-                        let sigma = rule.sigma(alpha);
-                        dual.scale(1.0 - sigma);
-                        dual.add_scaled(&update, sigma);
+                        dual.step(&update, rule.sigma(alpha));
                         // Uncharged refinement scan: the multipliers live in
                         // central memory, no fresh data access happens.
                         lambda = sharded_lambda(&engine, &source, classes, &dual);
@@ -449,12 +452,15 @@ impl MatchingSolver for DualPrimalSolver {
 
     /// Runs the dual-primal algorithm within `budget`.
     ///
-    /// A round budget caps the adaptive main loop up front (the initial
-    /// solution's `O(p)` sampling rounds are charged against the same limit
-    /// and checked after the run); a streamed-items budget is enforced
-    /// mid-pass by the pass engine; space and oracle-iteration budgets are
-    /// verified against the run's ledger. A `with_parallelism` override
-    /// replaces the configured worker count for this solve.
+    /// A round budget caps the adaptive main loop, and the initial
+    /// solution's `O(p)` sampling rounds count against the same limit: a
+    /// main round that would take the ledger past it fails the solve with
+    /// [`MwmError::BudgetExceeded`] before the round's work starts. An
+    /// oracle-iteration budget is checked the same way before each oracle
+    /// call. A streamed-items budget is enforced mid-pass by the pass engine,
+    /// and a space budget is verified against the run's ledger at the end. A
+    /// `with_parallelism` override replaces the configured worker count for
+    /// this solve.
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError> {
         self.run(graph, budget, None)
     }

@@ -9,7 +9,6 @@
 //! * [`levels`]: the weight discretization of Definitions 2–3 (`ŵ_k = (1+ε)^k`):
 //!   the one class table, [`WeightClasses`], and the per-level edge lists.
 //! * [`matching`]: (b-)matching containers with feasibility checks and weights.
-//! * [`laminar`]: laminar families of odd sets (Theorem 22).
 //! * [`union_find`]: a union-find used by sketches, sparsifiers and connectivity.
 //! * [`odd_sets`]: odd-set utilities used by the relaxations of Section 3.
 //! * [`overlay`]: the journaled [`GraphOverlay`] + [`GraphUpdate`] delta layer
@@ -20,7 +19,6 @@
 
 pub mod generators;
 pub mod graph;
-pub mod laminar;
 pub mod levels;
 pub mod matching;
 pub mod odd_sets;
@@ -29,7 +27,6 @@ pub mod union_find;
 pub mod wire;
 
 pub use graph::{Edge, EdgeId, Graph, VertexId};
-pub use laminar::LaminarFamily;
 pub use levels::{LevelledEdge, WeightClasses, WeightLevels};
 pub use matching::{BMatching, Matching};
 pub use overlay::{AppliedUpdate, GraphOverlay, GraphUpdate, OverlayState, UpdateError};

@@ -1,9 +1,10 @@
 //! Portable export/import format for dual solutions.
 //!
 //! The dual-primal solver's dual point (the `x_i(k)` / `z_{U,ℓ}` variables of
-//! the penalty relaxation) lives in solver-internal sparse maps. A
-//! [`DualSnapshot`] is the *wire format* of that point: plain sorted vectors,
-//! independent of hash-map iteration order and of the solver's in-memory
+//! the penalty relaxation) lives in the solver's `DualState`: one flat
+//! `n × levels` array for `x` and per-level odd-set lists. A
+//! [`DualSnapshot`] is the *wire format* of that point: plain sorted vectors
+//! of the nonzero entries, independent of the solver's in-memory
 //! representation, so a snapshot exported from one solve can seed the next —
 //! the warm-start path of the dynamic matching subsystem.
 //!

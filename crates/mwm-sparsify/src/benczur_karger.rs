@@ -113,9 +113,8 @@ pub fn sparsify_with_probability_floor(
     let mut kept = Vec::new();
     for (_, class_edges) in classes {
         // Connectivity estimates within the class (unweighted).
-        let triples: Vec<(usize, u32, u32)> =
-            class_edges.iter().map(|&(id, e)| (id, e.u, e.v)).collect();
-        let ks = forest_decomposition_of_edges(n, &triples);
+        let pairs: Vec<(u32, u32)> = class_edges.iter().map(|&(_, e)| (e.u, e.v)).collect();
+        let ks = forest_decomposition_of_edges(n, &pairs);
         for (pos, &(id, e)) in class_edges.iter().enumerate() {
             let k_e = ks[pos].max(1) as f64;
             let p = (base_rate / k_e).min(1.0).max(floor(id).min(1.0));

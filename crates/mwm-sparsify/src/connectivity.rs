@@ -10,47 +10,22 @@
 //! `F_j` then its endpoints are at least `j`-edge-connected in `F_1 ∪ … ∪ F_j`,
 //! so `j` is a valid lower bound on the edge's connectivity.
 
-use mwm_graph::{Graph, UnionFind};
+use mwm_graph::UnionFind;
 
-/// Computes the Nagamochi–Ibaraki forest index of every edge.
+/// Computes the Nagamochi–Ibaraki forest index of every edge of a list of
+/// `(u, v)` endpoint pairs on `n` vertices.
 ///
-/// Returns `forest_index[e] ∈ {1, 2, …}` for every edge id `e`. Larger index =
-/// better connected = safe to sample more aggressively.
-pub fn forest_decomposition(graph: &Graph) -> Vec<usize> {
-    let n = graph.num_vertices();
-    let m = graph.num_edges();
-    let mut index = vec![0usize; m];
+/// Returns `forest_index[pos] ∈ {1, 2, …}` for the edge at position `pos`:
+/// edges are placed in list order into the first forest in which their
+/// endpoints are not yet connected. Larger index = better connected = safe to
+/// sample more aggressively.
+pub fn forest_decomposition_of_edges(n: usize, edges: &[(u32, u32)]) -> Vec<usize> {
+    let mut index = vec![0usize; edges.len()];
     // Lazily grown list of union-find structures, one per forest.
     let mut forests: Vec<UnionFind> = Vec::new();
-    for (id, e) in graph.edge_iter() {
-        let (u, v) = (e.u as usize, e.v as usize);
-        // Find the first forest in which u and v are not yet connected.
-        let mut placed = false;
-        for (j, uf) in forests.iter_mut().enumerate() {
-            if !uf.connected(u, v) {
-                uf.union(u, v);
-                index[id] = j + 1;
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            let mut uf = UnionFind::new(n);
-            uf.union(u, v);
-            forests.push(uf);
-            index[id] = forests.len();
-        }
-    }
-    index
-}
-
-/// Computes forest indices restricted to an arbitrary subset of edges given as
-/// `(edge_id, u, v)` triples; ids index the returned map positionally.
-pub fn forest_decomposition_of_edges(n: usize, edges: &[(usize, u32, u32)]) -> Vec<usize> {
-    let mut index = vec![0usize; edges.len()];
-    let mut forests: Vec<UnionFind> = Vec::new();
-    for (pos, &(_, u, v)) in edges.iter().enumerate() {
+    for (pos, &(u, v)) in edges.iter().enumerate() {
         let (u, v) = (u as usize, v as usize);
+        // Find the first forest in which u and v are not yet connected.
         let mut placed = false;
         for (j, uf) in forests.iter_mut().enumerate() {
             if !uf.connected(u, v) {
@@ -70,24 +45,23 @@ pub fn forest_decomposition_of_edges(n: usize, edges: &[(usize, u32, u32)]) -> V
     index
 }
 
-/// Exact minimum cut separating the two endpoints of each edge would be
-/// expensive; this helper instead reports the *maximum* forest index, which is
-/// a useful summary statistic (≈ graph density) for the experiments.
-pub fn max_forest_index(graph: &Graph) -> usize {
-    forest_decomposition(graph).into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mwm_graph::generators::{self, WeightModel};
+    use mwm_graph::Graph;
     use rand::prelude::*;
+
+    fn forest_indices(g: &Graph) -> Vec<usize> {
+        let pairs: Vec<(u32, u32)> = g.edge_iter().map(|(_, e)| (e.u, e.v)).collect();
+        forest_decomposition_of_edges(g.num_vertices(), &pairs)
+    }
 
     #[test]
     fn tree_edges_all_in_first_forest() {
         let mut rng = StdRng::seed_from_u64(1);
         let g = generators::path(20, WeightModel::Unit, &mut rng);
-        let idx = forest_decomposition(&g);
+        let idx = forest_indices(&g);
         assert!(idx.iter().all(|&i| i == 1));
     }
 
@@ -98,7 +72,7 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 2, 1.0);
         g.add_edge(0, 2, 1.0);
-        let idx = forest_decomposition(&g);
+        let idx = forest_indices(&g);
         assert_eq!(idx.iter().filter(|&&i| i == 1).count(), 2);
         assert_eq!(idx.iter().filter(|&&i| i == 2).count(), 1);
     }
@@ -107,7 +81,7 @@ mod tests {
     fn complete_graph_has_high_indices() {
         let mut rng = StdRng::seed_from_u64(2);
         let g = generators::complete(12, WeightModel::Unit, &mut rng);
-        let max = max_forest_index(&g);
+        let max = forest_indices(&g).into_iter().max().unwrap_or(0);
         // K_12 has 66 edges and only 11 can fit per forest.
         assert!(max >= 6, "max forest index {max} too small for K_12");
     }
@@ -117,20 +91,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut g = generators::gnm(40, 200, WeightModel::Unit, &mut rng);
         g.ensure_adjacency();
-        let idx = forest_decomposition(&g);
+        let idx = forest_indices(&g);
         for (id, e) in g.edge_iter() {
             let d = g.degree(e.u).min(g.degree(e.v));
             assert!(idx[id] <= d, "forest index cannot exceed the min endpoint degree");
         }
-    }
-
-    #[test]
-    fn edge_subset_variant_matches_full_graph_on_all_edges() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let g = generators::gnm(25, 80, WeightModel::Unit, &mut rng);
-        let full = forest_decomposition(&g);
-        let triples: Vec<(usize, u32, u32)> = g.edge_iter().map(|(id, e)| (id, e.u, e.v)).collect();
-        let subset = forest_decomposition_of_edges(g.num_vertices(), &triples);
-        assert_eq!(full, subset);
     }
 }

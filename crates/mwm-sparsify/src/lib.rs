@@ -5,8 +5,8 @@
 //! of `G` (Benczúr–Karger). The paper needs three flavours:
 //!
 //! * A classical weighted sparsifier built offline ([`benczur_karger`]), using
-//!   connectivity estimates from Nagamochi–Ibaraki forest decompositions
-//!   ([`connectivity`]).
+//!   connectivity estimates from a Nagamochi–Ibaraki forest decomposition of
+//!   each weight class's edges ([`connectivity`]).
 //! * The semi-streaming construction of Algorithm 6 ([`streaming`]), based on
 //!   geometric subsampling plus `k` union-find structures per level.
 //! * The **deferred** sparsifier of Definition 4 / Lemma 17 ([`deferred`]):
@@ -24,7 +24,6 @@ pub mod quality;
 pub mod streaming;
 
 pub use benczur_karger::{sparsify, SparsifiedGraph, SparsifierConfig};
-pub use connectivity::forest_decomposition;
 pub use deferred::{DeferredSparsifier, PromisedEdge};
 pub use quality::{cut_quality_report, CutQualityReport};
 pub use streaming::streaming_sparsify;

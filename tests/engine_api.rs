@@ -113,6 +113,46 @@ fn budgets_turn_overruns_into_typed_errors() {
 }
 
 #[test]
+fn round_and_oracle_limits_stop_the_solve_before_the_work_they_cannot_pay() {
+    let stat = |report: &SolveReport, name: &str| report.stat(name).unwrap() as usize;
+    // At p = 3 the sampling rounds hold 4·n^{4/3} ≈ 1,380 edges, fewer than
+    // m, so the initial phase needs more than one round; four main rounds
+    // are enough to see where each limit stops the solve.
+    let g = gnm(3, 80, 2000);
+    let config = DualPrimalConfig::builder().p(3.0).max_rounds(4).build().unwrap();
+    let solver = DualPrimalSolver::new(config).unwrap();
+    let full = solver.solve(&g, &ResourceBudget::unlimited()).unwrap();
+    let (initial, main) = (stat(&full, "initial_rounds"), stat(&full, "main_rounds"));
+    assert!(initial >= 2 && main > 2, "initial {initial}, main {main}");
+    assert!(full.oracle_iterations > 3);
+
+    // The sampling rounds count against the limit, so the third main round
+    // is the first one the ledger cannot pay for; the solve stops before it
+    // instead of running the whole capped main loop first.
+    let limit = initial + 2;
+    match solver.solve(&g, &ResourceBudget::unlimited().with_max_rounds(limit)) {
+        Err(MwmError::BudgetExceeded { resource: "rounds", used, limit: l }) => {
+            assert_eq!((used, l), (limit + 1, limit));
+        }
+        other => panic!("expected a rounds overrun, got {other:?}"),
+    }
+    // The same holds for the oracle: the fourth call is refused.
+    match solver.solve(&g, &ResourceBudget::unlimited().with_max_oracle_iterations(3)) {
+        Err(MwmError::BudgetExceeded { resource: "oracle iterations", used: 4, limit: 3 }) => {}
+        other => panic!("expected an oracle-iteration overrun, got {other:?}"),
+    }
+
+    // A warm solve pays no sampling rounds: the limit caps its main loop and
+    // the solve succeeds.
+    let warm_state =
+        WarmStartState { duals: full.final_duals.clone().unwrap(), hint: full.matching };
+    let warm = solver
+        .solve_warm(&g, &ResourceBudget::unlimited().with_max_rounds(2), &warm_state)
+        .unwrap();
+    assert_eq!(warm.rounds(), 2);
+}
+
+#[test]
 fn reports_expose_solver_specific_stats() {
     let g = gnm(4, 50, 250);
     let report = DualPrimalSolver::default().solve(&g, &ResourceBudget::unlimited()).unwrap();

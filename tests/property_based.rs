@@ -3,16 +3,155 @@
 use dual_primal_matching::engine::{MatchingSolver, ResourceBudget};
 use dual_primal_matching::graph::generators::{self, WeightModel};
 use dual_primal_matching::graph::{Graph, UnionFind, WeightClasses, WeightLevels};
+use dual_primal_matching::lp::{DualSnapshot, OddSetDual, VertexDual};
 use dual_primal_matching::matching::{
     bounds, exact_max_weight_matching, greedy_matching, improve_matching, maximal_b_matching,
     try_max_weight_bipartite_matching,
 };
 use dual_primal_matching::prelude::*;
 use dual_primal_matching::sketch::L0Sampler;
+use dual_primal_matching::solver::{DualState, DualUpdate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+/// A naive model of the dual state of the penalty relaxation: one map entry
+/// per set `x_v(k)`, a list of odd sets per level, and the same fold rule for
+/// odd-set mass that overlaps a set of its level.
+struct NaiveDual {
+    n: usize,
+    num_levels: usize,
+    x: BTreeMap<(u32, usize), f64>,
+    z: Vec<Vec<(Vec<u32>, f64)>>,
+}
+
+impl NaiveDual {
+    fn new(n: usize, num_levels: usize) -> Self {
+        NaiveDual { n, num_levels, x: BTreeMap::new(), z: vec![Vec::new(); num_levels] }
+    }
+
+    fn x(&self, v: u32, k: usize) -> f64 {
+        self.x.get(&(v, k)).copied().unwrap_or(0.0)
+    }
+
+    fn set_x(&mut self, v: u32, k: usize, value: f64) {
+        if value > 0.0 {
+            self.x.insert((v, k), value);
+        } else {
+            self.x.remove(&(v, k));
+        }
+    }
+
+    fn x_max(&self, v: u32) -> f64 {
+        (0..self.num_levels).map(|k| self.x(v, k)).fold(0.0, f64::max)
+    }
+
+    fn holder(&self, level: usize, v: u32) -> Option<usize> {
+        self.z[level].iter().position(|(members, _)| members.contains(&v))
+    }
+
+    fn step(&mut self, update: &DualUpdate, sigma: f64) {
+        for value in self.x.values_mut() {
+            *value *= 1.0 - sigma;
+        }
+        for (_, value) in self.z.iter_mut().flatten() {
+            *value *= 1.0 - sigma;
+        }
+        for &(v, k, value) in &update.vertices {
+            let cur = self.x(v, k);
+            self.set_x(v, k, cur + sigma * value);
+        }
+        for (level, members, value) in &update.odd_sets {
+            let add = sigma * value;
+            if add <= 0.0 {
+                continue;
+            }
+            match members.iter().find_map(|&v| self.holder(*level, v)) {
+                Some(s) => self.z[*level][s].1 += add,
+                None => self.z[*level].push((members.clone(), add)),
+            }
+        }
+    }
+
+    /// Σ of `z_{U,ℓ}` over `ℓ ≤ k` and the sets holding every vertex of `of`.
+    fn z_sum(&self, of: &[u32], k: usize) -> f64 {
+        let mut total = 0.0;
+        for sets in self.z.iter().take(k + 1) {
+            for (members, value) in sets {
+                if of.iter().all(|v| members.contains(v)) {
+                    total += value;
+                }
+            }
+        }
+        total
+    }
+
+    fn objective(&self, g: &Graph) -> f64 {
+        let mut total = 0.0;
+        for v in 0..self.n as u32 {
+            total += g.b(v) as f64 * self.x_max(v);
+        }
+        for (members, value) in self.z.iter().flatten() {
+            let cap: u64 = members.iter().map(|&v| g.b(v)).sum();
+            total += (cap / 2) as f64 * value;
+        }
+        total
+    }
+
+    fn classical_odd_sets(&self, eps: f64) -> Vec<(Vec<u32>, f64)> {
+        let scale = 1.0 / (1.0 - 3.0 * eps);
+        let mut sums: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+        for (members, value) in self.z.iter().flatten() {
+            *sums.entry(members.clone()).or_insert(0.0) += value * scale;
+        }
+        sums.into_iter().collect()
+    }
+
+    fn snapshot(&self, levels: &WeightLevels, eps: f64) -> DualSnapshot {
+        let vertex_duals = self
+            .x
+            .iter()
+            .filter(|(_, &value)| value > 0.0)
+            .map(|(&(vertex, level), &value)| VertexDual {
+                vertex,
+                level,
+                level_weight: levels.level_weight_original(level),
+                value,
+            })
+            .collect();
+        let mut odd_sets = Vec::new();
+        for (level, sets) in self.z.iter().enumerate() {
+            for (members, value) in sets.iter().filter(|(_, value)| *value > 0.0) {
+                odd_sets.push(OddSetDual {
+                    level,
+                    level_weight: levels.level_weight_original(level),
+                    members: members.clone(),
+                    value: *value,
+                });
+            }
+        }
+        let mut snap = DualSnapshot {
+            eps,
+            scale: levels.scale(),
+            num_levels: self.num_levels,
+            vertex_duals,
+            odd_sets,
+        };
+        snap.normalize();
+        snap
+    }
+}
+
+/// `size` distinct vertices below `n`, sorted.
+fn random_members(rng: &mut StdRng, n: usize, size: usize) -> Vec<u32> {
+    let mut all: Vec<u32> = (0..n as u32).collect();
+    all.shuffle(rng);
+    let mut members = all[..size].to_vec();
+    members.sort_unstable();
+    members
+}
 
 /// Builds a random graph from a proptest-chosen seed and size.
 fn graph_from(seed: u64, n: usize, m: usize, max_w: f64) -> Graph {
@@ -39,6 +178,109 @@ proptest! {
         if g.num_edges() > 0 {
             prop_assert!(res.weight > 0.0);
         }
+    }
+
+    /// The flat dual state agrees bit for bit with the naive model after any
+    /// sequence of `set_x`, `add_odd_set` and Theorem 5 steps, including
+    /// steps whose odd sets overlap a set of their level.
+    #[test]
+    fn flat_dual_state_matches_a_naive_model(
+        seed in 0u64..10_000,
+        n in 3usize..13,
+        num_levels in 1usize..7,
+        ops in 1usize..40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let eps = 0.2;
+        let caps: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=3)).collect();
+        let mut g = Graph::with_capacities(caps);
+        g.add_edge(0, 1, 1.0);
+        // B ≥ 3 puts the one edge on level ≥ 6, so every level of the state
+        // has a weight to export.
+        let levels = WeightLevels::new(&g, eps);
+        prop_assert!(levels.num_levels() >= num_levels);
+
+        let mut flat = DualState::new(n, num_levels, eps);
+        let mut naive = NaiveDual::new(n, num_levels);
+        for _ in 0..ops {
+            match rng.gen_range(0..4) {
+                0 => {
+                    let v = rng.gen_range(0..n as u32);
+                    let k = rng.gen_range(0..num_levels);
+                    let value = match rng.gen_range(0..4) {
+                        0 => -1.0,
+                        1 => 0.0,
+                        _ => rng.gen_range(0.01..5.0),
+                    };
+                    flat.set_x(v, k, value);
+                    naive.set_x(v, k, value);
+                }
+                1 => {
+                    let level = rng.gen_range(0..num_levels);
+                    let members = random_members(&mut rng, n, 3);
+                    if members.iter().all(|&v| naive.holder(level, v).is_none()) {
+                        let value = rng.gen_range(0.01..2.0);
+                        flat.add_odd_set(level, members.clone(), value);
+                        naive.z[level].push((members, value));
+                    }
+                }
+                _ => {
+                    let mut update = DualUpdate::default();
+                    for _ in 0..rng.gen_range(0..6) {
+                        let v = rng.gen_range(0..n as u32);
+                        let k = rng.gen_range(0..num_levels);
+                        update.vertices.push((v, k, rng.gen_range(0.0..4.0)));
+                    }
+                    for _ in 0..rng.gen_range(0..3) {
+                        let level = rng.gen_range(0..num_levels);
+                        let size = if n >= 5 && rng.gen_bool(0.3) { 5 } else { 3 };
+                        let mut members = random_members(&mut rng, n, size);
+                        // Often reuse a member of a set the level already
+                        // holds, so the fold rule runs.
+                        if let Some((held, _)) = naive.z[level].first() {
+                            if rng.gen_bool(0.6) && !members.contains(&held[0]) {
+                                members[0] = held[0];
+                                members.sort_unstable();
+                            }
+                        }
+                        let value = if rng.gen_bool(0.1) { 0.0 } else { rng.gen_range(0.01..3.0) };
+                        update.odd_sets.push((level, members, value));
+                    }
+                    update.odd_sets.sort_by_key(|set| set.0);
+                    let sigma = rng.gen_range(0.0..=1.0);
+                    flat.step(&update, sigma);
+                    naive.step(&update, sigma);
+                }
+            }
+        }
+
+        for v in 0..n as u32 {
+            prop_assert_eq!(flat.x_max(v).to_bits(), naive.x_max(v).to_bits());
+            for k in 0..num_levels {
+                prop_assert_eq!(flat.x(v, k).to_bits(), naive.x(v, k).to_bits(), "x_{}({})", v, k);
+                let load = 2.0 * naive.x(v, k) + naive.z_sum(&[v], k);
+                prop_assert_eq!(flat.vertex_load(v, k).to_bits(), load.to_bits());
+                for j in 0..n as u32 {
+                    let cov = naive.x(v, k) + naive.x(j, k) + naive.z_sum(&[v, j], k);
+                    prop_assert_eq!(
+                        flat.edge_coverage(v, j, k).to_bits(),
+                        cov.to_bits(),
+                        "coverage of ({}, {}) at level {}", v, j, k
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(flat.objective(&g).to_bits(), naive.objective(&g).to_bits());
+        let (_, flat_sets) = flat.to_classical_dual();
+        let naive_sets = naive.classical_odd_sets(eps);
+        prop_assert_eq!(flat_sets.len(), naive_sets.len());
+        for (a, b) in flat_sets.iter().zip(&naive_sets) {
+            prop_assert_eq!(&a.0, &b.0);
+            prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+        }
+        let (flat_snap, naive_snap) = (flat.snapshot(&levels), naive.snapshot(&levels, eps));
+        prop_assert_eq!(flat_snap.fingerprint(), naive_snap.fingerprint());
+        prop_assert_eq!(flat_snap, naive_snap);
     }
 
     /// Weight-level discretization never overestimates a weight and loses at
