@@ -246,7 +246,7 @@ pub fn e6_sparsifier() -> Result<ExperimentReport, MwmError> {
                     .iter()
                     .map(|&s| s * rng.gen_range(1.0 / chi..chi.max(1.0 + 1e-9)))
                     .collect();
-                let sp = d.reveal(|id| actual[id]);
+                let sp = d.reveal(&g, |id| actual[id]);
                 let mut mg = Graph::new(g.num_vertices());
                 for (id, e) in g.edge_iter() {
                     if actual[id] > 0.0 {

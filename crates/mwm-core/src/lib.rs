@@ -13,8 +13,8 @@
 //!    Theorem 5; the crucial property is its *constant width*, versus the
 //!    `Ω(n)` width of the classical dual LP2 (experiment E7).
 //! 4. Each round of data access builds a batch of **deferred cut sparsifiers**
-//!    from the current multipliers ([`mwm_sparsify::DeferredSparsifier`],
-//!    Definition 4/Lemma 17); the multipliers are then refined and re-used
+//!    from one sampling table over the current multipliers
+//!    ([`mwm_sparsify::DeferredSparsifier`], Definition 4/Lemma 17); the multipliers are then refined and re-used
 //!    `O(ε⁻¹ log γ)` times *without touching the input again* (Figure 1).
 //! 5. The **MicroOracle** ([`oracle`], Algorithm 5 + Lemma 16) either makes
 //!    progress on the dual (returning vertex- or odd-set-mass updates) or

@@ -341,11 +341,15 @@ impl DualState {
             if os.value <= 0.0 || os.members.iter().any(|&v| (v as usize) >= n) {
                 continue;
             }
-            if os.members.len() < 3 {
+            // A set is its distinct members; fewer than 3 is no odd set.
+            let mut members = os.members.clone();
+            members.sort_unstable();
+            members.dedup();
+            if members.len() < 3 {
                 continue;
             }
             if let Some(level) = remap(os.level_weight) {
-                d.add_odd_mass(level, &os.members, os.value * value_scale);
+                d.add_odd_mass(level, &members, os.value * value_scale);
             }
         }
         d
@@ -505,6 +509,31 @@ mod tests {
         }
         // The snapshot of the re-import is the canonical form of the original.
         assert_eq!(d2.snapshot(&levels), snap);
+    }
+
+    #[test]
+    fn snapshot_import_counts_distinct_odd_set_members() {
+        let mut g = Graph::new(6);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(2, 3, 1.0);
+        g.add_edge(4, 5, 1.0);
+        let levels = WeightLevels::new(&g, 0.2);
+        let level_weight = levels.level_weight_original(0);
+        let odd_set =
+            |members: Vec<u32>| OddSetDual { level: 0, level_weight, members, value: 0.5 };
+        let snap = DualSnapshot {
+            eps: levels.eps(),
+            scale: levels.scale(),
+            num_levels: levels.num_levels(),
+            vertex_duals: Vec::new(),
+            // Two distinct members: skipped. Three distinct: kept once.
+            odd_sets: vec![odd_set(vec![1, 1, 2]), odd_set(vec![3, 4, 4, 5])],
+        };
+        let d = DualState::from_snapshot(6, &levels, &snap);
+        let back = d.snapshot(&levels);
+        assert_eq!(back.odd_sets.len(), 1);
+        assert_eq!(back.odd_sets[0].members, vec![3, 4, 5]);
+        assert_eq!(d.z_vertex_sum(1, 0), 0.0);
     }
 
     #[test]

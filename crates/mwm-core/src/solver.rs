@@ -9,6 +9,10 @@
 //!    exponential multipliers of every edge from the current dual point and
 //!    build `⌈ε⁻¹ ln γ⌉` deferred sparsifiers from them (`γ = n^{1/(2p)}` is
 //!    the promise ratio the multipliers can drift by before the next round).
+//!    The sparsifiers share one promise vector, so one
+//!    [`DeferredSparsifier::build_round`] call builds them: one sampling
+//!    table (weight classes and forest decomposition) per round, then one
+//!    independent draw per sparsifier.
 //! 3. Run the offline matching substrate on the union of the stored edges
 //!    (Algorithm 2 Step 5); if its value beats the current `β`, raise `β`
 //!    (Step 6) and remember the matching.
@@ -315,15 +319,15 @@ impl DualPrimalSolver {
             let alpha = rule.alpha(lambda);
             let promise = sharded_multipliers(&mut engine, &source, classes, &dual, alpha, lambda)
                 .inspect_err(|_| mwm_obs::counter!("solver_budget_aborts_total").inc())?;
-            let mut sparsifiers: Vec<DeferredSparsifier> = Vec::with_capacity(t_sparsifiers);
-            let mut stored_total = 0usize;
-            for q in 0..t_sparsifiers {
-                let seed =
-                    cfg.seed.wrapping_add(round as u64 * 1_000_003).wrapping_add(q as u64 * 7919);
-                let d = DeferredSparsifier::build(graph, &promise, gamma_param, eps / 4.0, seed);
-                stored_total += d.num_stored();
-                sparsifiers.push(d);
-            }
+            // One sampling table per round, one draw per sparsifier.
+            let seeds: Vec<u64> = (0..t_sparsifiers)
+                .map(|q| {
+                    cfg.seed.wrapping_add(round as u64 * 1_000_003).wrapping_add(q as u64 * 7919)
+                })
+                .collect();
+            let sparsifiers =
+                DeferredSparsifier::build_round(graph, &promise, gamma_param, eps / 4.0, &seeds);
+            let stored_total: usize = sparsifiers.iter().map(DeferredSparsifier::num_stored).sum();
             engine.tracker_mut().allocate_central(stored_total);
             sparsifier_edges_last_round = stored_total;
 
@@ -346,7 +350,7 @@ impl DualPrimalSolver {
                 budget.check_oracle_iterations(oracle_iterations + 1)?;
                 oracle_iterations += 1;
                 let alpha = rule.alpha(lambda);
-                let support = reveal_support(classes, &dual, d, alpha, lambda);
+                let support = reveal_support(graph, classes, &dual, d, alpha, lambda);
                 match oracle.decide(&support, beta) {
                     OracleDecision::DualUpdate { update, vertex_mass, gamma } => {
                         if gamma <= 0.0 {
@@ -565,6 +569,7 @@ fn sharded_multipliers(
 /// (Definition 4: the exact values of stored entries are revealed after `D` is
 /// fixed), producing the oracle's support.
 fn reveal_support(
+    graph: &Graph,
     classes: &WeightClasses,
     dual: &DualState,
     sparsifier: &DeferredSparsifier,
@@ -575,11 +580,12 @@ fn reveal_support(
         .stored_edges()
         .iter()
         .filter_map(|pe| {
-            let level = classes.class_of(pe.edge.w)?;
+            let e = graph.edge(pe.id);
+            let level = classes.class_of(e.w)?;
             let w_k = classes.weight(level);
-            let cov = dual.edge_coverage(pe.edge.u, pe.edge.v, level);
+            let cov = dual.edge_coverage(e.u, e.v, level);
             let us = StepRule::multiplier(alpha, cov / w_k, lambda, w_k);
-            Some(SupportEdge { id: pe.id, u: pe.edge.u, v: pe.edge.v, level, us })
+            Some(SupportEdge { id: pe.id, u: e.u, v: e.v, level, us })
         })
         .collect()
 }
@@ -588,20 +594,20 @@ fn reveal_support(
 /// batch of deferred sparsifiers, returning a b-matching expressed in the
 /// *original* graph's edge ids.
 fn offline_on_union(graph: &Graph, sparsifiers: &[DeferredSparsifier]) -> BMatching {
-    let mut union_ids: Vec<usize> =
-        sparsifiers.iter().flat_map(|d| d.stored_edges().iter().map(|pe| pe.id)).collect();
-    union_ids.sort_unstable();
-    union_ids.dedup();
-    if union_ids.is_empty() {
-        return BMatching::new();
+    let mut in_union = vec![false; graph.num_edges()];
+    for pe in sparsifiers.iter().flat_map(DeferredSparsifier::stored_edges) {
+        in_union[pe.id] = true;
     }
-    // Build the union subgraph, remembering the original edge ids.
+    // Build the union subgraph in ascending id order, remembering the
+    // original edge ids.
     let mut sub = Graph::with_capacities(graph.capacities().to_vec());
-    let mut back: Vec<usize> = Vec::with_capacity(union_ids.len());
-    for &id in &union_ids {
-        let e = graph.edge(id);
+    let mut back: Vec<usize> = Vec::new();
+    for (id, e) in graph.edge_iter().filter(|&(id, _)| in_union[id]) {
         sub.add_edge(e.u, e.v, e.w);
         back.push(id);
+    }
+    if back.is_empty() {
+        return BMatching::new();
     }
     let local = offline_b_matching(&sub);
     // Remap to original edge ids.

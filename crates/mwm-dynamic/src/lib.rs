@@ -1342,7 +1342,7 @@ impl DynamicMatcher {
         let promise = vec![1.0; sub.num_edges()];
         let seed = self.config.seed ^ ((self.epoch as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let sparsifier = DeferredSparsifier::build(&sub, &promise, 1.0, 0.5, seed);
-        let kept = sparsifier.reveal(|_| 1.0);
+        let kept = sparsifier.reveal(&sub, |_| 1.0);
         let mut out: Vec<EdgeId> =
             kept.kept_edge_ids().into_iter().map(|sid| candidates[sid]).collect();
         out.sort_unstable();

@@ -401,6 +401,9 @@ pub fn decode_duals(r: &mut ByteReader<'_>) -> Result<DualSnapshot, String> {
         for _ in 0..mn {
             members.push(r.u32("odd-set member")?);
         }
+        if members.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(format!("odd-set members {members:?} are not strictly ascending"));
+        }
         let value = r.f64("odd-set value")?;
         odd_sets.push(OddSetDual { level, level_weight, members, value });
     }
@@ -798,6 +801,23 @@ mod tests {
         let bytes = w.into_bytes();
         let back = decode_duals(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(back.fingerprint(), d.fingerprint(), "bit-exact round trip");
+    }
+
+    #[test]
+    fn odd_sets_with_repeated_or_unsorted_members_are_rejected() {
+        for members in [vec![1, 1, 2], vec![2, 1, 5]] {
+            let d = DualSnapshot {
+                eps: 0.2,
+                scale: 1.0,
+                num_levels: 3,
+                vertex_duals: Vec::new(),
+                odd_sets: vec![OddSetDual { level: 1, level_weight: 1.2, members, value: 0.5 }],
+            };
+            let mut w = ByteWriter::new();
+            encode_duals(&mut w, &d).unwrap();
+            let err = decode_duals(&mut ByteReader::new(&w.into_bytes())).unwrap_err();
+            assert!(err.contains("strictly ascending"), "{err}");
+        }
     }
 
     #[test]

@@ -178,6 +178,7 @@ mod tests {
     use mwm_core::ResourceBudget;
     use mwm_dynamic::DynamicConfig;
     use mwm_graph::{Graph, GraphUpdate};
+    use mwm_lp::OddSetDual;
 
     fn session() -> DynamicMatcher {
         let mut g = Graph::new(8);
@@ -207,6 +208,29 @@ mod tests {
         // The image of the revived session is byte-identical: write→open→write
         // is a fixed point at the session level too.
         assert_eq!(back.hibernate().unwrap(), image);
+    }
+
+    #[test]
+    fn an_odd_set_with_repeated_members_is_corrupt() {
+        let mut state = session().export_state();
+        let mut duals = state.duals.take().expect("a solved session exports duals");
+        duals.odd_sets.push(OddSetDual {
+            level: 0,
+            level_weight: duals.vertex_duals[0].level_weight,
+            members: vec![1, 1, 2],
+            value: 0.5,
+        });
+        state.duals = Some(duals);
+        let mut w = ByteWriter::new();
+        encode_session_state(&mut w, &state).unwrap();
+        let payload = w.into_bytes();
+        let image = SessionImage { checksum: fnv1a(&payload), payload };
+        match DynamicMatcher::revive(&image) {
+            Err(PersistError::Corrupt { context }) => {
+                assert!(context.contains("strictly ascending"), "{context}")
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|dm| dm.epochs())),
+        }
     }
 
     #[test]

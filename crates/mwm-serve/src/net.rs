@@ -1112,6 +1112,37 @@ mod tests {
         server.shutdown();
     }
 
+    /// Parks the service's single worker on an in-process job queued ahead
+    /// of everything submitted later: a `CreateSession` whose commit needs
+    /// the view registry, which a helper thread holds until the returned
+    /// closure runs (or 10 s pass). Every request queued behind the job is
+    /// still pending when a zero deadline expires, however fast solves are;
+    /// the 10 s cap turns a connection that waits instead of timing out into
+    /// a failed assertion rather than a deadlock.
+    fn park_worker(service: &MatchingService) -> (crate::Ticket, impl FnOnce()) {
+        let views = Arc::clone(&service.views);
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let _registry = views.lock().expect("view registry lock poisoned");
+            held_tx.send(()).expect("the test thread waits for the hold");
+            let _ = release_rx.recv_timeout(Duration::from_secs(10));
+        });
+        held_rx.recv().expect("the holder thread takes the registry");
+        let parked = service
+            .submit(Request::CreateSession {
+                session: "parked".to_string(),
+                base: small_graph(),
+                config: None,
+            })
+            .unwrap();
+        let release = move || {
+            let _ = release_tx.send(());
+            holder.join().expect("the holder thread exits");
+        };
+        (parked, release)
+    }
+
     #[test]
     fn timeout_then_reuse_of_a_connection_is_safe() {
         let mk = || {
@@ -1132,6 +1163,10 @@ mod tests {
         // timed-out run must reproduce exactly.
         let reference = mk();
         {
+            // The same parked job as below, released at once.
+            let (parked, release) = park_worker(&reference);
+            release();
+            assert!(matches!(parked.wait(), Ok(Response::Created)));
             let server = SocketServer::bind_tcp(Arc::clone(&reference), "127.0.0.1:0").unwrap();
             let mut c = NetClient::connect_tcp(server.tcp_addr().unwrap()).unwrap();
             c.create_session("t", &small_graph()).unwrap();
@@ -1145,12 +1180,13 @@ mod tests {
         // Zero deadline: every queued request answers Timeout while its work
         // still commits worker-side. The abandoned tickets' late results
         // must never reach the connection, and each reservation must be
-        // settled exactly once.
+        // settled exactly once. The parked worker makes the timeouts certain.
         let service = mk();
         let server =
             SocketServer::bind_tcp_with(Arc::clone(&service), "127.0.0.1:0", Duration::ZERO)
                 .unwrap();
         let mut client = NetClient::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+        let (parked, release) = park_worker(&service);
         let mut timeouts = 0;
         let mut check = |r: Result<EpochStats, ServeError>| match r {
             Err(ServeError::Timeout { .. }) => timeouts += 1,
@@ -1165,6 +1201,10 @@ mod tests {
             check(client.submit_batch(session, updates));
         }
         assert!(timeouts > 0, "a zero deadline must actually time out");
+        assert_eq!(timeouts, traffic.len(), "every request queued behind the parked job");
+        assert!(!parked.is_ready(), "the worker stays parked until released");
+        release();
+        assert!(matches!(parked.wait(), Ok(Response::Created)));
 
         // The in-process convenience wrappers queue behind the abandoned
         // jobs on the same worker, so this blocks until all of them have
@@ -1184,7 +1224,8 @@ mod tests {
         client.metrics().unwrap();
         match client.weight("t") {
             Ok((epoch, _version, weight)) => {
-                assert_eq!(epoch, 3);
+                // One committed epoch per batch of traffic.
+                assert_eq!(epoch, traffic.len());
                 assert!(weight > 0.0);
             }
             Err(ServeError::Timeout { .. }) => {}

@@ -8,6 +8,14 @@
 //! every cut is preserved in expectation. The union of per-class sparsifiers
 //! is a sparsifier of the union (the "sum of sparsifiers" observation in the
 //! proof of Lemma 17).
+//!
+//! The construction has two parts. A sampling table holds every edge's
+//! probability; it needs the weight classes and a forest decomposition per
+//! class, so it is the expensive part, and it depends only on the weights. A
+//! draw walks the table once with its own seeded RNG. One table therefore
+//! serves any number of independent samples, which is how a round's deferred
+//! sparsifiers share one set-up
+//! ([`crate::deferred::DeferredSparsifier::build_round`]).
 
 use crate::connectivity::forest_decomposition_of_edges;
 use mwm_graph::{Edge, EdgeId, Graph};
@@ -80,50 +88,89 @@ impl SparsifiedGraph {
     }
 }
 
+/// The sampling probabilities of one Benczúr–Karger sparsifier, computed
+/// once and shared by every draw.
+///
+/// Entries are listed in sampling order: `⌊log₂ w⌋` classes ascending, input
+/// order within a class. Entry `e` carries
+/// `p_e = max(min(1, C·ln n / (ξ²·k_e)), floor(e))`, where `k_e` is the
+/// edge's forest index among the edges of its class.
+#[derive(Debug)]
+pub(crate) struct SamplingTable {
+    entries: Vec<(EdgeId, f64)>,
+}
+
+impl SamplingTable {
+    /// Builds the table over `edges`, `(id, edge)` pairs of an `n`-vertex
+    /// graph whose `edge.w` is the weight the sampling classes by. `xi` and
+    /// `oversample` are `ξ` and `C`; `floor(id)` is a lower bound on the
+    /// probability of edge `id`.
+    pub(crate) fn new(
+        n: usize,
+        edges: impl IntoIterator<Item = (EdgeId, Edge)>,
+        xi: f64,
+        oversample: f64,
+        floor: impl Fn(EdgeId) -> f64,
+    ) -> Self {
+        // Group edges into geometric weight classes [2^l, 2^{l+1}); the sort
+        // is stable, so a class keeps the input order.
+        let mut classed: Vec<(i32, EdgeId, u32, u32)> = edges
+            .into_iter()
+            .map(|(id, e)| {
+                assert!(
+                    e.w.is_finite() && e.w > 0.0,
+                    "sampling weights must be positive and finite"
+                );
+                (e.w.log2().floor() as i32, id, e.u, e.v)
+            })
+            .collect();
+        classed.sort_by_key(|&(class, ..)| class);
+        let ln_n = (n.max(2) as f64).ln();
+        let base_rate = oversample * ln_n / (xi * xi);
+        let mut entries = Vec::with_capacity(classed.len());
+        for class_edges in classed.chunk_by(|a, b| a.0 == b.0) {
+            // Connectivity estimates within the class (unweighted).
+            let pairs: Vec<(u32, u32)> = class_edges.iter().map(|&(_, _, u, v)| (u, v)).collect();
+            let ks = forest_decomposition_of_edges(n, &pairs);
+            for (&(_, id, _, _), &k) in class_edges.iter().zip(&ks) {
+                let k_e = k.max(1) as f64;
+                entries.push((id, (base_rate / k_e).min(1.0).max(floor(id).min(1.0))));
+            }
+        }
+        SamplingTable { entries }
+    }
+
+    /// One independent sample: the kept `(id, p)` entries in table order.
+    /// Only an entry with `p < 1` consumes randomness, one Bernoulli trial
+    /// from an RNG seeded with `seed`.
+    pub(crate) fn draw(&self, seed: u64) -> impl Iterator<Item = (EdgeId, f64)> + '_ {
+        let mut rng = StdRng::seed_from_u64(seed);
+        self.entries.iter().copied().filter(move |&(_, p)| p >= 1.0 || rng.gen_bool(p))
+    }
+}
+
 /// Builds a `(1±ξ)` cut sparsifier of `graph`.
 pub fn sparsify(graph: &Graph, config: &SparsifierConfig) -> SparsifiedGraph {
     sparsify_with_probability_floor(graph, config, |_| 0.0)
 }
 
 /// Builds a sparsifier while forcing the sampling probability of edge `e` to be
-/// at least `floor(e)`. The deferred construction of Lemma 17 uses this to
-/// oversample by the promise ratio `χ²`.
+/// at least `floor(e)`: one sampling table and one draw with `config.seed`.
 pub fn sparsify_with_probability_floor(
     graph: &Graph,
     config: &SparsifierConfig,
     floor: impl Fn(EdgeId) -> f64,
 ) -> SparsifiedGraph {
     let n = graph.num_vertices();
-    let m = graph.num_edges();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    if m == 0 {
-        return SparsifiedGraph { n, edges: Vec::new() };
-    }
-    let ln_n = (n.max(2) as f64).ln();
-    let base_rate = config.oversample * ln_n / (config.xi * config.xi);
-
-    // Group edges into geometric weight classes [2^l, 2^{l+1}).
-    let mut classes: std::collections::BTreeMap<i32, Vec<(EdgeId, Edge)>> =
-        std::collections::BTreeMap::new();
-    for (id, e) in graph.edge_iter() {
-        let class = e.w.log2().floor() as i32;
-        classes.entry(class).or_default().push((id, e));
-    }
-
-    let mut kept = Vec::new();
-    for (_, class_edges) in classes {
-        // Connectivity estimates within the class (unweighted).
-        let pairs: Vec<(u32, u32)> = class_edges.iter().map(|&(_, e)| (e.u, e.v)).collect();
-        let ks = forest_decomposition_of_edges(n, &pairs);
-        for (pos, &(id, e)) in class_edges.iter().enumerate() {
-            let k_e = ks[pos].max(1) as f64;
-            let p = (base_rate / k_e).min(1.0).max(floor(id).min(1.0));
-            if p >= 1.0 || rng.gen_bool(p) {
-                kept.push((id, e, e.w / p));
-            }
-        }
-    }
-    SparsifiedGraph { n, edges: kept }
+    let table = SamplingTable::new(n, graph.edge_iter(), config.xi, config.oversample, floor);
+    let edges = table
+        .draw(config.seed)
+        .map(|(id, p)| {
+            let e = graph.edge(id);
+            (id, e, e.w / p)
+        })
+        .collect();
+    SparsifiedGraph { n, edges }
 }
 
 #[cfg(test)]

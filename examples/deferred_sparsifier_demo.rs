@@ -31,7 +31,7 @@ fn main() {
         // The multipliers drift within the promise band before being revealed.
         let actual: Vec<f64> =
             promise.iter().map(|&s| s * rng.gen_range(1.0 / chi..=chi)).collect();
-        let sparsifier = deferred.reveal(|id| actual[id]);
+        let sparsifier = deferred.reveal(&graph, |id| actual[id]);
 
         // Evaluate against the true multiplier-weighted graph.
         let mut weighted = Graph::new(graph.num_vertices());
@@ -46,7 +46,7 @@ fn main() {
             100.0 * deferred.num_stored() as f64 / graph.num_edges() as f64,
             report.max_relative_error,
             report.mean_relative_error,
-            deferred.promise_violations(|id| actual[id]).len(),
+            deferred.promise_violations(&promise, |id| actual[id]).len(),
         );
     }
 

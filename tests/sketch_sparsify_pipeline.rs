@@ -59,7 +59,7 @@ fn offline_and_deferred_sparsifiers_agree_on_cut_quality() {
     // Deferred sparsifier with exact promises should match the offline behaviour.
     let promise = vec![1.0; g.num_edges()];
     let deferred = DeferredSparsifier::build(&g, &promise, 1.0, 0.2, 2);
-    let revealed = deferred.reveal(|_| 1.0);
+    let revealed = deferred.reveal(&g, |_| 1.0);
     let deferred_report = cut_quality_report(&g, &revealed, 40, 5);
     assert!(deferred_report.max_relative_error < 0.5, "{deferred_report:?}");
 }
@@ -74,8 +74,8 @@ fn deferred_sparsifier_survives_multiplier_drift() {
     // Multipliers drift by up to chi in either direction (as across one round's
     // worth of oracle iterations).
     let actual: Vec<f64> = promise.iter().map(|&s| s * rng.gen_range(1.0 / chi..chi)).collect();
-    assert!(deferred.promise_violations(|id| actual[id]).is_empty());
-    let sp = deferred.reveal(|id| actual[id]);
+    assert!(deferred.promise_violations(&promise, |id| actual[id]).is_empty());
+    let sp = deferred.reveal(&g, |id| actual[id]);
     let mut weighted = Graph::new(g.num_vertices());
     for (id, e) in g.edge_iter() {
         weighted.add_edge(e.u, e.v, actual[id]);
