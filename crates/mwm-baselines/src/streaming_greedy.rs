@@ -10,10 +10,9 @@
 //!
 //! The pass itself is consumed through the [`PassEngine`]'s sequential mode:
 //! replacement is inherently order-dependent, so the engine visits the shards
-//! in index order on one thread (the `parallelism` knob sizes the engine but
-//! cannot change the arrival order, keeping results identical at every
-//! setting) while still providing the engine's resource accounting and
-//! mid-pass budget enforcement.
+//! in index order on the calling thread while still providing its resource
+//! accounting and mid-pass budget enforcement. The pass has no thread
+//! fan-out, so the solver takes no parallelism setting.
 
 use mwm_core::{MatchingSolver, MwmError, ResourceBudget, SolveReport};
 use mwm_graph::{EdgeId, Graph, Matching};
@@ -27,7 +26,6 @@ use mwm_mapreduce::{GraphSource, PassEngine, ResourceTracker};
 #[derive(Clone, Debug)]
 pub struct StreamingGreedy {
     gamma_improve: f64,
-    parallelism: usize,
 }
 
 impl StreamingGreedy {
@@ -40,22 +38,13 @@ impl StreamingGreedy {
                 requirement: "must be non-negative and finite",
             });
         }
-        Ok(StreamingGreedy { gamma_improve, parallelism: 1 })
-    }
-
-    /// Sets the pass-engine worker cap (builder style). The replacement pass
-    /// is order-dependent and always consumes the stream sequentially, so
-    /// this never changes the matching — it only sizes the engine consistent
-    /// with the rest of the registry.
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers.max(1);
-        self
+        Ok(StreamingGreedy { gamma_improve })
     }
 }
 
 impl Default for StreamingGreedy {
     fn default() -> Self {
-        StreamingGreedy { gamma_improve: 0.414, parallelism: 1 }
+        StreamingGreedy { gamma_improve: 0.414 }
     }
 }
 
@@ -65,8 +54,7 @@ impl MatchingSolver for StreamingGreedy {
     }
 
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError> {
-        let workers = budget.parallelism().unwrap_or(self.parallelism);
-        let res = run_replacement_pass(graph, self.gamma_improve, workers, budget)?;
+        let res = run_replacement_pass(graph, self.gamma_improve, budget)?;
         budget.check_tracker(&res.tracker)?;
         let passes = res.tracker.rounds() as f64;
         Ok(SolveReport::new(self.name(), res.matching.to_b_matching(), res.tracker)
@@ -94,7 +82,7 @@ pub struct StreamingGreedyResult {
 /// and returns a typed error instead.
 pub fn streaming_greedy_matching(graph: &Graph, gamma_improve: f64) -> StreamingGreedyResult {
     assert!(gamma_improve >= 0.0);
-    run_replacement_pass(graph, gamma_improve, 1, &ResourceBudget::unlimited())
+    run_replacement_pass(graph, gamma_improve, &ResourceBudget::unlimited())
         .expect("an unlimited budget cannot interrupt the pass")
 }
 
@@ -104,12 +92,11 @@ pub fn streaming_greedy_matching(graph: &Graph, gamma_improve: f64) -> Streaming
 fn run_replacement_pass(
     graph: &Graph,
     gamma_improve: f64,
-    workers: usize,
     budget: &ResourceBudget,
 ) -> Result<StreamingGreedyResult, MwmError> {
     let n = graph.num_vertices();
     let source = GraphSource::auto(graph);
-    let mut engine = PassEngine::new(workers).with_budget(budget.pass_budget(0));
+    let mut engine = PassEngine::new(1).with_budget(budget.pass_budget(0));
     // matched_edge[v] = edge id currently matching v.
     let mut matched_edge: Vec<Option<EdgeId>> = vec![None; n];
     let mut in_matching = SortedMatching::new();
@@ -276,28 +263,11 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_cannot_change_the_arrival_order() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = generators::gnm(80, 2500, WeightModel::Uniform(1.0, 9.0), &mut rng);
-        let base = run_replacement_pass(&g, 0.414, 1, &ResourceBudget::unlimited()).unwrap();
-        for workers in [2usize, 8] {
-            let res =
-                run_replacement_pass(&g, 0.414, workers, &ResourceBudget::unlimited()).unwrap();
-            let mut a: Vec<EdgeId> = base.matching.edges().iter().map(|&(id, _)| id).collect();
-            let mut b: Vec<EdgeId> = res.matching.edges().iter().map(|&(id, _)| id).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "workers={workers}");
-            assert_eq!(base.weight.to_bits(), res.weight.to_bits());
-        }
-    }
-
-    #[test]
     fn stream_budget_interrupts_without_a_torn_matching() {
         let mut rng = StdRng::seed_from_u64(12);
         let g = generators::gnm(60, 1200, WeightModel::Uniform(1.0, 9.0), &mut rng);
         let budget = ResourceBudget::unlimited().with_max_streamed_items(100);
-        let err = run_replacement_pass(&g, 0.414, 1, &budget).unwrap_err();
+        let err = run_replacement_pass(&g, 0.414, &budget).unwrap_err();
         match err {
             MwmError::BudgetExceeded { resource: "streamed items", used, limit: 100 } => {
                 assert!(used >= 100);

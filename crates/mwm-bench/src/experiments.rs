@@ -730,17 +730,16 @@ fn e13_with(
 }
 
 /// E14 — out-of-core solve: a `2^27`-edge synthetic stream spilled to disk
-/// and solved under a fixed resident-edge budget, at 1/2/4/8 worker
-/// processes.
+/// and solved under a fixed resident-edge budget.
 ///
-/// The stream never materializes in memory: it is spilled shard-by-shard,
-/// then each pass streams the shard files back batch-at-a-time (in-process or
-/// in worker processes). The budget is a [`ResourceBudget`] central-space cap
-/// far below the stream size, enforced against the engine's ledger (readback
-/// buffers and the coordinator's candidate working set are both charged), so
-/// a row only appears if the solve genuinely stayed within it. The `checksum`
-/// column must equal the in-memory single-process run's on every row — the
-/// bit-identical-across-execution-modes guarantee.
+/// Two rows. `memory` consumes the stream straight from its generator;
+/// `spill` writes it to disk shard by shard, then streams the shard files
+/// back batch-at-a-time, so the stream never materializes in memory. The
+/// budget is a [`ResourceBudget`] central-space cap far below the stream
+/// size, enforced against the engine's ledger (readback buffers and the
+/// coordinator's candidate working set are both charged), so a row only
+/// appears if the solve genuinely stayed within it. The `checksum` column
+/// must be equal on both rows — spilling changes no output bit.
 ///
 /// `MWM_E14_EDGES_LOG2` overrides the stream size (CI smoke uses a small
 /// value; the committed `BENCH_6.json` records the full 2^27 run).
@@ -750,15 +749,12 @@ pub fn e14_out_of_core() -> Result<ExperimentReport, MwmError> {
         .and_then(|s| s.parse::<u32>().ok())
         .unwrap_or(27)
         .clamp(12, 30);
-    e14_with(1usize << log2, &[1, 2, 4, 8], true)
+    e14_with(1usize << log2)
 }
 
-/// The parameterized E14 body: `procs` selects the worker-process counts;
-/// with `require_worker` false, rows whose worker binary cannot be found are
-/// skipped instead of failing (used by the unit test, which cannot guarantee
-/// build order).
-fn e14_with(m: usize, procs: &[usize], require_worker: bool) -> Result<ExperimentReport, MwmError> {
-    use mwm_external::{discover_worker_binary, out_of_core_matching, ProcessPool, SpillWriter};
+/// The parameterized E14 body (the unit test runs a miniature stream).
+fn e14_with(m: usize) -> Result<ExperimentReport, MwmError> {
+    use mwm_external::{out_of_core_matching, SpillWriter};
     use mwm_mapreduce::{PassEngine, SyntheticStream};
     use std::time::Instant;
 
@@ -780,11 +776,10 @@ fn e14_with(m: usize, procs: &[usize], require_worker: bool) -> Result<Experimen
         "e14",
         format!(
             "out-of-core solve ({m} edges spilled, resident budget {resident_budget_edges} \
-             edges, 1/2/4/8 worker processes)"
+             edges)"
         ),
         vec![
             "mode",
-            "procs",
             "cores",
             "edges",
             "spill_mb",
@@ -797,7 +792,7 @@ fn e14_with(m: usize, procs: &[usize], require_worker: bool) -> Result<Experimen
     );
     let stream = SyntheticStream::with_shards(n, m, 0xE14, shards);
 
-    // Reference row: the whole stream consumed in memory, single process.
+    // Reference row: the whole stream consumed in memory.
     let start = Instant::now();
     let mut engine = PassEngine::new(parallelism);
     let reference = out_of_core_matching(&mut engine, &stream, gamma)?;
@@ -805,7 +800,6 @@ fn e14_with(m: usize, procs: &[usize], require_worker: bool) -> Result<Experimen
     budget.check_tracker(engine.tracker())?;
     rep.push_row(vec![
         "memory".to_string(),
-        "0".to_string(),
         format!("{cores}"),
         format!("{m}"),
         "0.0".to_string(),
@@ -816,49 +810,35 @@ fn e14_with(m: usize, procs: &[usize], require_worker: bool) -> Result<Experimen
         "yes".to_string(),
     ]);
 
-    // Spill once; every process count reads the same files.
     let dir = std::env::temp_dir().join(format!("mwm-e14-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spill_result = (|| -> Result<ExperimentReport, MwmError> {
+    let spill_result = (|| -> Result<(), MwmError> {
         let spilled = SpillWriter::spill_edge_source(&dir, &stream)
             .map_err(mwm_mapreduce::PassError::from)?;
         let spill_mb = spilled.bytes_on_disk() as f64 / (1 << 20) as f64;
-        let worker_bin = discover_worker_binary();
-        // procs = 0: the spilled stream read back in-process — the spill
-        // overhead alone, no IPC. procs >= 1: worker processes own the shards.
-        for &workers in [0usize].iter().chain(procs) {
-            if workers > 0 && worker_bin.is_none() && !require_worker {
-                continue;
-            }
-            let mut engine = PassEngine::new(parallelism).with_budget(budget.pass_budget(0));
-            if workers > 0 {
-                let pool = ProcessPool::new(workers);
-                engine = engine.with_execution_mode(pool.into_execution_mode(false));
-            }
-            let start = Instant::now();
-            let m14 = out_of_core_matching(&mut engine, &spilled, gamma)?;
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            spilled.charge_io(engine.tracker_mut());
-            budget.check_tracker(engine.tracker())?;
-            let identical = m14.checksum() == reference.checksum()
-                && m14.weight.to_bits() == reference.weight.to_bits();
-            rep.push_row(vec![
-                "spill".to_string(),
-                format!("{workers}"),
-                format!("{cores}"),
-                format!("{m}"),
-                format!("{spill_mb:.1}"),
-                format!("{}", engine.tracker().peak_central_space()),
-                format!("{:.1}", m as f64 / secs / 1e6),
-                format!("{:.2}", m14.weight),
-                format!("{:016x}", m14.checksum()),
-                if identical { "yes" } else { "no" }.to_string(),
-            ]);
-        }
-        Ok(rep)
+        let mut engine = PassEngine::new(parallelism).with_budget(budget.pass_budget(0));
+        let start = Instant::now();
+        let m14 = out_of_core_matching(&mut engine, &spilled, gamma)?;
+        let secs = start.elapsed().as_secs_f64().max(1e-9);
+        spilled.charge_io(engine.tracker_mut());
+        budget.check_tracker(engine.tracker())?;
+        let identical = m14.checksum() == reference.checksum()
+            && m14.weight.to_bits() == reference.weight.to_bits();
+        rep.push_row(vec![
+            "spill".to_string(),
+            format!("{cores}"),
+            format!("{m}"),
+            format!("{spill_mb:.1}"),
+            format!("{}", engine.tracker().peak_central_space()),
+            format!("{:.1}", m as f64 / secs / 1e6),
+            format!("{:.2}", m14.weight),
+            format!("{:016x}", m14.checksum()),
+            if identical { "yes" } else { "no" }.to_string(),
+        ]);
+        Ok(())
     })();
     let _ = std::fs::remove_dir_all(&dir);
-    spill_result
+    spill_result.map(|()| rep)
 }
 
 /// E15 — hibernation at scale: many named sessions under a resident cap far
@@ -1276,15 +1256,13 @@ mod tests {
     }
 
     #[test]
-    fn e14_spilled_rows_match_the_in_memory_checksum() {
-        // Miniature stream; worker-process rows are skipped when the worker
-        // binary has not been built yet (unit tests cannot order builds) —
-        // CI exercises the multi-process rows after a full build.
-        let rep = e14_with(1 << 14, &[1, 2], false).unwrap();
-        assert!(!rep.rows.is_empty());
+    fn e14_spilled_row_matches_the_in_memory_checksum() {
+        let rep = e14_with(1 << 14).unwrap();
+        assert_eq!(rep.rows.len(), 2);
         assert_eq!(rep.cell(0, "mode"), Some("memory"));
+        assert_eq!(rep.cell(1, "mode"), Some("spill"));
         let reference = rep.cell(0, "checksum").unwrap().to_string();
-        for row in 0..rep.rows.len() {
+        for row in 0..2 {
             assert_eq!(rep.cell(row, "=memory"), Some("yes"), "row {row}");
             assert_eq!(rep.cell(row, "checksum"), Some(reference.as_str()), "row {row}");
         }

@@ -60,12 +60,11 @@ pub enum MwmError {
         /// The ids that would have resolved, for the error message.
         available: Vec<String>,
     },
-    /// The execution substrate failed: spilled-shard I/O, a dead worker
-    /// process, or a worker-protocol violation. Distinct from
-    /// [`MwmError::BudgetExceeded`] — the algorithm was fine, the machinery
-    /// running it was not.
+    /// The execution substrate failed: a spilled shard could not be read or
+    /// written. Distinct from [`MwmError::BudgetExceeded`] — the algorithm
+    /// was fine, the machinery running it was not.
     Execution {
-        /// What failed, as reported by the pass engine or executor.
+        /// What failed, as reported by the pass engine.
         reason: String,
     },
 }
@@ -99,18 +98,16 @@ impl std::error::Error for MwmError {}
 impl From<mwm_mapreduce::PassError> for MwmError {
     /// A pass interrupted by the `PassEngine`'s in-pass budget becomes the
     /// engine API's budget error (`used` carries the engine's exact ledger
-    /// count at the moment the pass stopped); substrate failures — spill I/O,
-    /// worker death, protocol violations — become [`MwmError::Execution`]
-    /// with the pass-level detail preserved in the message.
+    /// count at the moment the pass stopped); a spill I/O failure becomes
+    /// [`MwmError::Execution`] with the pass-level detail preserved in the
+    /// message.
     fn from(err: mwm_mapreduce::PassError) -> Self {
         match err {
             mwm_mapreduce::PassError::BudgetExceeded { resource, used, limit } => {
                 MwmError::BudgetExceeded { resource, used, limit }
             }
-            substrate @ (mwm_mapreduce::PassError::Io { .. }
-            | mwm_mapreduce::PassError::WorkerFailed { .. }
-            | mwm_mapreduce::PassError::Protocol { .. }) => {
-                MwmError::Execution { reason: substrate.to_string() }
+            io @ mwm_mapreduce::PassError::Io { .. } => {
+                MwmError::Execution { reason: io.to_string() }
             }
         }
     }

@@ -217,9 +217,8 @@ struct IoStats {
 /// [`SpilledShards::io_batch`] edges per concurrent reader. Mid-read failures
 /// cannot surface through the `EdgeSource` visitor, so they poison the source
 /// instead: the affected shard stops early and [`SpilledShards::check`]
-/// returns the typed error afterwards. The worker's kernel runner calls it
-/// after every shard, and the `PassEngine` after every charged pass (through
-/// [`EdgeSource::health`]).
+/// returns the typed error afterwards. The `PassEngine` asks after every
+/// charged pass (through [`EdgeSource::health`]).
 #[derive(Debug)]
 pub struct SpilledShards {
     dir: PathBuf,
@@ -261,7 +260,9 @@ impl SpilledShards {
                 u64::from_le_bytes(manifest[32 + 8 * s..40 + 8 * s].try_into().expect("8 bytes"))
             })
             .collect();
-        if counts.iter().sum::<u64>() != total {
+        // Checked arithmetic throughout: the counts come from disk, and a
+        // crafted manifest must not wrap its way past validation.
+        if counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) != Some(total) {
             return Err(SpillError::Corrupt {
                 context: "manifest shard counts do not sum to its edge total".to_string(),
             });
@@ -286,7 +287,15 @@ impl SpilledShards {
                     ),
                 });
             }
-            let expected = SHARD_HEADER_BYTES as u64 + count * EDGE_RECORD_BYTES as u64;
+            let expected = count
+                .checked_mul(EDGE_RECORD_BYTES as u64)
+                .and_then(|bytes| bytes.checked_add(SHARD_HEADER_BYTES as u64))
+                .ok_or_else(|| SpillError::Corrupt {
+                    context: format!(
+                        "{}: {count} records overflow a 64-bit file size",
+                        path.display()
+                    ),
+                })?;
             let actual = file
                 .metadata()
                 .map_err(|e| SpillError::io(format!("stat {}", path.display()), e))?
@@ -356,9 +365,9 @@ impl SpilledShards {
     }
 
     /// The first I/O failure recorded during reads, if any. Reading stops the
-    /// affected shard early and records the error here; the kernel runner and
-    /// the engine's [`EdgeSource::health`] check read it, so no failure is
-    /// silently dropped.
+    /// affected shard early and records the error here; the engine's
+    /// [`EdgeSource::health`] check reads it after every charged pass, so no
+    /// failure is silently dropped.
     pub fn check(&self) -> Result<(), SpillError> {
         match self.poisoned.lock().expect("spill poison lock").clone() {
             None => Ok(()),
@@ -506,10 +515,6 @@ impl EdgeSource for SpilledShards {
         }
     }
 
-    fn locator(&self) -> Option<&Path> {
-        Some(&self.dir)
-    }
-
     fn health(&self) -> Result<(), PassError> {
         self.check().map_err(PassError::from)
     }
@@ -634,6 +639,49 @@ mod tests {
         let missing = temp_dir("missing");
         assert!(matches!(SpilledShards::open(&missing), Err(SpillError::Io { .. })));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writes a spill directory by hand: a manifest declaring `total` edges
+    /// and `counts`, and one header-only shard file per count.
+    fn craft_spill(tag: &str, total: u64, counts: &[u64]) -> PathBuf {
+        let dir = temp_dir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        let mut manifest = MANIFEST_MAGIC.to_vec();
+        manifest.extend_from_slice(&(counts.len() as u32).to_le_bytes());
+        manifest.extend_from_slice(&0u32.to_le_bytes());
+        manifest.extend_from_slice(&16u64.to_le_bytes());
+        manifest.extend_from_slice(&total.to_le_bytes());
+        for (shard, &count) in counts.iter().enumerate() {
+            manifest.extend_from_slice(&count.to_le_bytes());
+            let mut header = SHARD_MAGIC.to_vec();
+            header.extend_from_slice(&(shard as u32).to_le_bytes());
+            header.extend_from_slice(&0u32.to_le_bytes());
+            header.extend_from_slice(&count.to_le_bytes());
+            fs::write(dir.join(shard_file_name(shard)), header).unwrap();
+        }
+        fs::write(dir.join(MANIFEST_NAME), manifest).unwrap();
+        dir
+    }
+
+    #[test]
+    fn counts_that_overflow_the_size_arithmetic_are_corrupt() {
+        // 2^61 · 24 wraps to 0, so the header-only file has the wrapped
+        // "expected" size; u64::MAX / 16 · 24 overflows without wrapping to
+        // anything valid; two shards of 2^63 sum to a wrapped total of 0 (and
+        // each wraps to a header-only size).
+        let cases: [(&str, u64, &[u64]); 3] = [
+            ("overflow-wraps", 1 << 61, &[1 << 61]),
+            ("overflow-mul", u64::MAX / 16, &[u64::MAX / 16]),
+            ("overflow-sum", 0, &[1 << 63, 1 << 63]),
+        ];
+        for (tag, total, counts) in cases {
+            let dir = craft_spill(tag, total, counts);
+            match SpilledShards::open(&dir) {
+                Err(SpillError::Corrupt { .. }) => {}
+                other => panic!("{tag}: expected Corrupt, got {other:?}"),
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

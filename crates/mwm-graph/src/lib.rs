@@ -13,9 +13,9 @@
 //! * [`odd_sets`]: odd-set utilities used by the relaxations of Section 3.
 //! * [`overlay`]: the journaled [`GraphOverlay`] + [`GraphUpdate`] delta layer
 //!   the dynamic matching subsystem edits between epochs.
-//! * [`wire`]: the fixed-width `(EdgeId, Edge)` record codec and the
-//!   length-prefixed frame codec shared by the out-of-core spill format, the
-//!   multi-process shard protocol, and the persistence/serving wire formats.
+//! * [`wire`]: the fixed-width `(EdgeId, Edge)` record codec of the
+//!   out-of-core spill format, and the length-prefixed frame codec of the
+//!   persistence and serving wire formats.
 
 pub mod generators;
 pub mod graph;

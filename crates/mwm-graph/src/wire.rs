@@ -1,7 +1,8 @@
-//! Fixed-width binary codec for edge records.
+//! Fixed-width binary codec for edge records, and the length-prefixed frame
+//! codec.
 //!
-//! The out-of-core spill format and the multi-process shard protocol both
-//! serialize `(EdgeId, Edge)` pairs. One record is exactly
+//! The out-of-core spill format (`mwm-external`) serializes `(EdgeId, Edge)`
+//! pairs. One record is exactly
 //! [`EDGE_RECORD_BYTES`] bytes, little-endian: `id: u64`, `u: u32`, `v: u32`,
 //! `w: f64` (IEEE-754 bits). Storing the id explicitly keeps non-contiguous
 //! shard layouts (round-robin partitions, filtered streams) loss-free, and
@@ -22,9 +23,9 @@ pub const MAX_FRAME_BYTES: usize = 1 << 28;
 
 /// Writes one length-prefixed frame: `len: u32` (LE) followed by the payload.
 ///
-/// Shared by the multi-process shard protocol (`mwm-external`), the session
-/// image / write-ahead journal format (`mwm-persist`), and the socket front
-/// door (`mwm-serve`), so all on-disk and on-wire framing stays identical.
+/// Shared by the session image / write-ahead journal format (`mwm-persist`)
+/// and the socket front door (`mwm-serve`), so on-disk and on-wire framing
+/// stay identical.
 ///
 /// Payloads over [`MAX_FRAME_BYTES`] are rejected with `InvalidInput`
 /// *before* anything is written: the length prefix is a `u32`, so an

@@ -16,10 +16,9 @@
 //! * [`pass_engine`] — the sharded multi-threaded [`PassEngine`] executing
 //!   semi-streaming passes over [`EdgeSource`] streams (and, through the
 //!   item-generic [`ItemSource`], over [`UpdateSource`] update batches) with
-//!   deterministic (shard-order) merges and mid-pass budget enforcement. Its
-//!   [`ExecutionMode`] decides where [`PassEngine::pass_kernel`] runs a named
-//!   [`PassKernel`]: in this process, or on an external [`ShardExecutor`]
-//!   (worker processes over spilled shards).
+//!   deterministic (shard-order) merges and mid-pass budget enforcement.
+//!   Every pass runs in this process, on up to [`PassEngine::parallelism`]
+//!   threads.
 //! * [`congested_clique`] — per-vertex message accounting (Section 1's
 //!   `O(n^{1/p})`-message-per-vertex corollary).
 //!
@@ -33,8 +32,7 @@ pub mod resources;
 
 pub use congested_clique::CongestedCliqueSim;
 pub use pass_engine::{
-    auto_shard_count, EdgeBatch, EdgeSource, ExecutionMode, GraphSource, ItemSource, PassBudget,
-    PassEngine, PassError, PassKernel, ShardExecutor, ShardOutcome, ShardedEdgeList, SoaBatch,
-    SoaShards, SyntheticStream, UpdateSource,
+    auto_shard_count, EdgeBatch, EdgeSource, GraphSource, ItemSource, PassBudget, PassEngine,
+    PassError, SoaBatch, SoaShards, SyntheticStream, UpdateSource,
 };
 pub use resources::{central_space_budget, ResourceTracker, TrackerCounters};

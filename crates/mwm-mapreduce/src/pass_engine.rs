@@ -30,9 +30,8 @@
 use crate::resources::ResourceTracker;
 use mwm_graph::{Edge, EdgeId, Graph, GraphUpdate, VertexId};
 use std::fmt;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Default number of edges folded between two budget checks (and the batch
 /// granularity of the shared streamed-items counter).
@@ -267,8 +266,8 @@ pub trait EdgeSource: Sync {
     /// one) is emitted.
     ///
     /// The default implementation assembles slices from the per-edge walk
-    /// through a reusable [`SoaBatch`]; SoA-native storage ([`SoaShards`],
-    /// [`ShardedEdgeList`]) overrides it with zero-copy subslices, and
+    /// through a reusable [`SoaBatch`]; SoA-native storage ([`SoaShards`])
+    /// overrides it with zero-copy subslices, and
     /// index-addressable sources override it to skip the per-edge virtual
     /// dispatch. The concatenation of the emitted slices must equal the
     /// per-edge walk exactly — the engine's determinism suite holds every
@@ -295,15 +294,6 @@ pub trait EdgeSource: Sync {
         if !stopped && !buf.is_empty() {
             visit(buf.view());
         }
-    }
-
-    /// A filesystem locator for sources whose shards are **addressable
-    /// out-of-process** (a spill directory another process can open). In-memory
-    /// sources return `None`, which confines every pass to this process;
-    /// `Some(dir)` lets [`PassEngine::pass_kernel`] hand whole shards to an
-    /// external [`ShardExecutor`].
-    fn locator(&self) -> Option<&Path> {
-        None
     }
 
     /// Whether every read so far delivered its shard in full. The visitors
@@ -383,8 +373,10 @@ impl EdgeSource for GraphSource<'_> {
 /// parallel columns (`ids`, `u`, `v`, `w`-bits) split by an offsets table, so
 /// batch passes borrow whole shard slices with **zero copies** and the
 /// columns stay cache-dense. This is the materialized form the pass pipeline
-/// prefers — [`ShardedEdgeList`] is a thin wrapper over it, and spilled
-/// readback decodes straight into the same column layout.
+/// prefers, and spilled readback decodes straight into the same column
+/// layout. Shards may hold any subset of ids in any order
+/// ([`SoaShards::round_robin`] is a non-contiguous layout), as they would
+/// after a shuffle onto different machines.
 pub struct SoaShards {
     n: usize,
     /// `offsets[s]..offsets[s + 1]` is shard `s`'s range in the columns.
@@ -444,6 +436,18 @@ impl SoaShards {
             soa.offsets.push(0);
         }
         soa
+    }
+
+    /// Partitions a graph's edges round-robin into `k` shards (clamped to
+    /// `[1, num_edges.max(1)]`): edge `id` lands in shard `id % k` — a
+    /// stand-in for data that arrived pre-sharded by an upstream system.
+    pub fn round_robin(graph: &Graph, k: usize) -> Self {
+        let k = k.clamp(1, graph.num_edges().max(1));
+        let mut shards: Vec<Vec<(EdgeId, Edge)>> = vec![Vec::new(); k];
+        for (id, e) in graph.edge_iter() {
+            shards[id % k].push((id, e));
+        }
+        SoaShards::from_shards(graph.num_vertices(), shards)
     }
 
     #[inline]
@@ -514,63 +518,6 @@ impl EdgeSource for SoaShards {
             }
             start = end;
         }
-    }
-}
-
-/// A pre-partitioned stream: shards own their `(EdgeId, Edge)` lists, as they
-/// would after a shuffle onto different machines. Stored internally as
-/// [`SoaShards`] columns, so batch passes borrow shard slices zero-copy.
-pub struct ShardedEdgeList {
-    soa: SoaShards,
-}
-
-impl ShardedEdgeList {
-    /// Wraps explicit shards over an `n`-vertex graph. Empty shard lists are
-    /// replaced by a single empty shard so `num_shards >= 1` holds.
-    pub fn new(n: usize, shards: Vec<Vec<(EdgeId, Edge)>>) -> Self {
-        ShardedEdgeList { soa: SoaShards::from_shards(n, shards) }
-    }
-
-    /// Partitions a graph's edges round-robin into `num_shards` shards —
-    /// a stand-in for data that arrived pre-sharded by an upstream system.
-    pub fn from_graph(graph: &Graph, num_shards: usize) -> Self {
-        let k = num_shards.clamp(1, graph.num_edges().max(1));
-        let mut shards: Vec<Vec<(EdgeId, Edge)>> = vec![Vec::new(); k];
-        for (id, e) in graph.edge_iter() {
-            shards[id % k].push((id, e));
-        }
-        ShardedEdgeList::new(graph.num_vertices(), shards)
-    }
-}
-
-impl EdgeSource for ShardedEdgeList {
-    fn num_vertices(&self) -> usize {
-        self.soa.num_vertices()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.soa.num_edges()
-    }
-
-    fn num_shards(&self) -> usize {
-        self.soa.num_shards()
-    }
-
-    fn shard_len(&self, shard: usize) -> usize {
-        self.soa.shard_len(shard)
-    }
-
-    fn for_each_in_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeId, Edge) -> bool) {
-        self.soa.for_each_in_shard(shard, visit)
-    }
-
-    fn for_each_batch_in_shard(
-        &self,
-        shard: usize,
-        max_batch: usize,
-        visit: &mut dyn FnMut(EdgeBatch<'_>) -> bool,
-    ) {
-        self.soa.for_each_batch_in_shard(shard, max_batch, visit)
     }
 }
 
@@ -743,21 +690,6 @@ pub enum PassError {
         /// What was being done and what went wrong.
         context: String,
     },
-    /// A worker process died, could not be spawned, or reported a per-shard
-    /// failure.
-    WorkerFailed {
-        /// Index of the worker within its pool.
-        worker: usize,
-        /// The failure as observed by the coordinator.
-        reason: String,
-    },
-    /// A malformed frame on the coordinator side of the worker protocol
-    /// (bad tag, impossible length, wrong shard coverage, undecodable
-    /// accumulator bytes).
-    Protocol {
-        /// What the coordinator could not parse.
-        reason: String,
-    },
 }
 
 impl fmt::Display for PassError {
@@ -767,121 +699,17 @@ impl fmt::Display for PassError {
                 write!(f, "pass interrupted: {resource} used {used} > limit {limit}")
             }
             PassError::Io { context } => write!(f, "pass I/O failure: {context}"),
-            PassError::WorkerFailed { worker, reason } => {
-                write!(f, "worker {worker} failed: {reason}")
-            }
-            PassError::Protocol { reason } => write!(f, "worker protocol violation: {reason}"),
         }
     }
 }
 
 impl std::error::Error for PassError {}
 
-/// A pass kernel: a named, parameterized per-edge fold whose accumulator can
-/// cross a process boundary. Unlike the closure-based [`PassEngine::pass_shards`],
-/// a kernel is identified by [`PassKernel::name`] and reconstructed from
-/// [`PassKernel::params`] on the far side, so a worker process can run the
-/// same fold over shards it owns and ship the encoded accumulator back.
-///
-/// The contract that keeps spilled multi-process passes bit-identical to
-/// in-memory ones: `decode_acc(encode_acc(a))` must reproduce `a` exactly,
-/// and `fold` must be a pure function of `(acc, id, edge)`.
-pub trait PassKernel: Sync {
-    /// The per-shard accumulator.
-    type Acc: Send;
-
-    /// Registry name of the kernel (workers resolve the fold by this name).
-    fn name(&self) -> &'static str;
-
-    /// Serialized kernel parameters shipped with each task frame.
-    fn params(&self) -> Vec<u8>;
-
-    /// Seeds the accumulator for one shard.
-    fn init(&self, shard: usize) -> Self::Acc;
-
-    /// Folds one edge into the accumulator.
-    fn fold(&self, acc: &mut Self::Acc, id: EdgeId, e: Edge);
-
-    /// Encodes an accumulator for the wire.
-    fn encode_acc(&self, acc: &Self::Acc) -> Vec<u8>;
-
-    /// Decodes an accumulator received from a worker.
-    fn decode_acc(&self, bytes: &[u8]) -> Result<Self::Acc, PassError>;
-}
-
-/// The result of one shard run by an external executor.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardOutcome {
-    /// The shard index this outcome belongs to.
-    pub shard: usize,
-    /// Edges the worker actually visited (merged into the coordinator ledger).
-    pub visited: usize,
-    /// The kernel accumulator, encoded by [`PassKernel::encode_acc`].
-    pub acc: Vec<u8>,
-}
-
-/// An executor that runs named kernels over shards of a spilled source
-/// **outside** the calling process (the `ProcessPool` of `mwm-external` is
-/// the canonical implementation). The coordinator sorts the outcomes by
-/// shard index before decoding, so an executor may return them in any order.
-pub trait ShardExecutor: Send + Sync {
-    /// Number of parallel workers the executor drives.
-    fn workers(&self) -> usize;
-
-    /// Runs `kernel` (resolved by name, reconstructed from `params`) over
-    /// every shard of the spilled source at `locator`, returning one outcome
-    /// per shard in `0..num_shards`.
-    fn run_pass(
-        &self,
-        locator: &Path,
-        kernel: &str,
-        params: &[u8],
-        num_shards: usize,
-    ) -> Result<Vec<ShardOutcome>, PassError>;
-}
-
-/// How [`PassEngine::pass_kernel`] executes a kernel pass.
-///
-/// Closure-based passes always run in-process; kernel passes additionally
-/// accept `External`, which dispatches shards of **locator-addressable**
-/// sources (see [`EdgeSource::locator`]) to a [`ShardExecutor`]. Sources
-/// without a locator, and external failures under `fallback_in_process`,
-/// degrade to the ordinary in-process fold — same accumulators, same
-/// shard-order merge, bit-identical results.
-#[derive(Clone, Default)]
-pub enum ExecutionMode {
-    /// Fold every shard on this process's worker threads (the default).
-    #[default]
-    InProcess,
-    /// Dispatch kernel passes over locator-addressable sources to `executor`.
-    External {
-        /// The external shard executor (e.g. a process pool).
-        executor: Arc<dyn ShardExecutor>,
-        /// On worker death, protocol violations or I/O failures, rerun the
-        /// pass in-process instead of surfacing the error.
-        fallback_in_process: bool,
-    },
-}
-
-impl fmt::Debug for ExecutionMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecutionMode::InProcess => write!(f, "InProcess"),
-            ExecutionMode::External { executor, fallback_in_process } => f
-                .debug_struct("External")
-                .field("workers", &executor.workers())
-                .field("fallback_in_process", fallback_in_process)
-                .finish(),
-        }
-    }
-}
-
 /// Executes sharded semi-streaming passes with resource accounting.
 pub struct PassEngine {
     parallelism: usize,
     budget: PassBudget,
     batch: usize,
-    mode: ExecutionMode,
     tracker: ResourceTracker,
 }
 
@@ -989,13 +817,12 @@ impl Gate {
 
 impl PassEngine {
     /// An engine that uses up to `parallelism` worker threads per pass
-    /// (clamped to at least 1), no budget, and in-process execution.
+    /// (clamped to at least 1) and no budget.
     pub fn new(parallelism: usize) -> Self {
         PassEngine {
             parallelism: parallelism.max(1),
             budget: PassBudget::default(),
             batch: DEFAULT_BATCH,
-            mode: ExecutionMode::InProcess,
             tracker: ResourceTracker::new(),
         }
     }
@@ -1009,13 +836,6 @@ impl PassEngine {
     /// Overrides the budget-check batch size (builder style; clamped to >= 1).
     pub fn with_batch_size(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
-        self
-    }
-
-    /// Sets how kernel passes execute (builder style). Closure-based passes
-    /// are unaffected; see [`ExecutionMode`].
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -1177,76 +997,10 @@ impl PassEngine {
         Ok(())
     }
 
-    /// One charged **kernel** pass: like [`PassEngine::pass_shards`], but the
-    /// fold is a named [`PassKernel`], which lets the pass leave the process.
-    ///
-    /// Dispatch rules, in order:
-    /// 1. [`ExecutionMode::InProcess`], or a source without a
-    ///    [`EdgeSource::locator`]: fold in-process (identical to
-    ///    `pass_shards(source, kernel.init, kernel.fold)`).
-    /// 2. [`ExecutionMode::External`] over a locator-addressable source whose
-    ///    full pass fits the remaining stream budget: ship
-    ///    `(locator, name, params)` to the executor, merge its outcomes in
-    ///    shard-index order, charge one round plus the items the workers
-    ///    visited. Results are bit-identical to the in-process fold.
-    /// 3. External execution failing with `fallback_in_process` set: rerun
-    ///    in-process. Without the fallback the typed error surfaces.
-    ///
-    /// A pass that could trip the stream budget mid-way always runs
-    /// in-process (external workers do not share the coordinator's mid-pass
-    /// counter, and budget enforcement must stay exact).
-    pub fn pass_kernel<S, K>(&mut self, source: &S, kernel: &K) -> Result<Vec<K::Acc>, PassError>
-    where
-        S: EdgeSource + ?Sized,
-        K: PassKernel,
-    {
-        if let ExecutionMode::External { executor, fallback_in_process } = &self.mode {
-            let streamed = self.tracker.items_streamed();
-            let fits_budget = self
-                .budget
-                .max_items_streamed
-                .is_none_or(|lim| streamed.saturating_add(source.num_edges()) <= lim);
-            if let (Some(locator), true) = (source.locator(), fits_budget) {
-                let fallback = *fallback_in_process;
-                match Self::run_external(executor.as_ref(), source.num_shards(), locator, kernel) {
-                    // Charged only once the pass is known good, so a fallback
-                    // rerun after a failed dispatch is charged exactly once.
-                    Ok((accs, visited)) => {
-                        return self.settle("external", (accs, visited, false), source.health())
-                    }
-                    Err(e) if !fallback => return Err(e),
-                    Err(_) => {} // fall through to the in-process fold
-                }
-            }
-        }
-        self.pass_shards(source, |shard| kernel.init(shard), |acc, id, e| kernel.fold(acc, id, e))
-    }
-
-    /// The external arm of [`PassEngine::pass_kernel`]: runs the kernel on
-    /// the executor, checks that the outcomes cover exactly shards
-    /// `0..num_shards`, and decodes them in shard order. Returns the
-    /// accumulators and the edges the workers visited; charges nothing.
-    fn run_external<K: PassKernel>(
-        executor: &dyn ShardExecutor,
-        num_shards: usize,
-        locator: &Path,
-        kernel: &K,
-    ) -> Result<(Vec<K::Acc>, usize), PassError> {
-        let mut outcomes =
-            executor.run_pass(locator, kernel.name(), &kernel.params(), num_shards)?;
-        outcomes.sort_unstable_by_key(|o| o.shard);
-        if outcomes.len() != num_shards || outcomes.iter().enumerate().any(|(i, o)| o.shard != i) {
-            let shards: Vec<usize> = outcomes.iter().map(|o| o.shard).collect();
-            return Err(PassError::Protocol {
-                reason: format!("executor covered shards {shards:?}, expected 0..{num_shards}"),
-            });
-        }
-        let accs = outcomes.iter().map(|o| kernel.decode_acc(&o.acc)).collect::<Result<_, _>>()?;
-        Ok((accs, outcomes.iter().map(|o| o.visited).sum()))
-    }
-
-    /// One charged in-process pass: opens the `pass` span, schedules `walk`
-    /// on up to `workers` threads under the engine's budget, then settles.
+    /// One charged pass: opens the `pass` span and schedules `walk` on up to
+    /// `workers` threads under the engine's budget. Then it charges one round
+    /// plus the items visited, records the pass, and surfaces a failed source
+    /// read ([`ItemSource::health`]) or an exhausted budget as a typed error.
     fn charged<S, A, W>(
         &mut self,
         kind: &'static str,
@@ -1262,10 +1016,23 @@ impl PassEngine {
         let _span = mwm_obs::span!("pass", shards = source.num_shards());
         let gate =
             Gate::new(self.budget.max_items_streamed, self.tracker.items_streamed(), self.batch);
-        let run = self.schedule(source.num_items(), source.num_shards(), workers, &gate, |shard| {
-            walk(shard, &gate)
-        });
-        self.settle(kind, run, source.health())
+        let (accs, visited, exceeded) =
+            self.schedule(source.num_items(), source.num_shards(), workers, &gate, |shard| {
+                walk(shard, &gate)
+            });
+        self.tracker.charge_round();
+        self.tracker.charge_stream(visited);
+        Self::record_pass(kind, visited, exceeded);
+        source.health()?;
+        if exceeded {
+            return Err(PassError::BudgetExceeded {
+                resource: "streamed items",
+                used: self.tracker.items_streamed(),
+                // The gate trips only under a limit.
+                limit: self.budget.max_items_streamed.unwrap_or(usize::MAX),
+            });
+        }
+        Ok(accs)
     }
 
     /// The one shard scheduler: up to `workers` threads (one, on the calling
@@ -1312,30 +1079,6 @@ impl PassEngine {
         (results.into_iter().map(|(_, acc, _)| acc).collect(), visited, exceeded)
     }
 
-    /// The settle step after every charged pass: charges one round plus the
-    /// items visited, records the pass, then surfaces a failed source read
-    /// (`health`) or an exhausted budget as a typed error.
-    fn settle<A>(
-        &mut self,
-        kind: &'static str,
-        (accs, visited, exceeded): Run<A>,
-        health: Result<(), PassError>,
-    ) -> Result<Vec<A>, PassError> {
-        self.tracker.charge_round();
-        self.tracker.charge_stream(visited);
-        Self::record_pass(kind, visited, exceeded);
-        health?;
-        if exceeded {
-            return Err(PassError::BudgetExceeded {
-                resource: "streamed items",
-                used: self.tracker.items_streamed(),
-                // The gate trips only under a limit.
-                limit: self.budget.max_items_streamed.unwrap_or(usize::MAX),
-            });
-        }
-        Ok(accs)
-    }
-
     /// Records one pass into the global metrics registry. Write-only taps:
     /// nothing here feeds back into scheduling or accounting, so solver
     /// outputs are bit-identical with the registry enabled or disabled.
@@ -1343,8 +1086,7 @@ impl PassEngine {
         match kind {
             "items" => mwm_obs::counter!("pass_total{kind=items}").inc(),
             "batches" => mwm_obs::counter!("pass_total{kind=batches}").inc(),
-            "sequential" => mwm_obs::counter!("pass_total{kind=sequential}").inc(),
-            _ => mwm_obs::counter!("pass_total{kind=external}").inc(),
+            _ => mwm_obs::counter!("pass_total{kind=sequential}").inc(),
         }
         mwm_obs::counter!("pass_edges_total").add(visited as u64);
         mwm_obs::histogram!("pass_edges", &mwm_obs::SIZE_BOUNDS).observe(visited as f64);
@@ -1489,11 +1231,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_edge_list_round_trips_the_graph() {
+    fn round_robin_shards_round_trip_the_graph() {
         let g = graph(600);
-        let src = ShardedEdgeList::from_graph(&g, 5);
+        let src = SoaShards::round_robin(&g, 5);
         assert_eq!(src.num_edges(), g.num_edges());
         assert_eq!(src.num_shards(), 5);
+        let slice = src.shard_slice(1);
+        assert!(slice.ids.iter().all(|&id| id % 5 == 1), "shard 1 holds ids 1, 6, 11, ...");
         let mut engine = PassEngine::new(3);
         let weight: f64 = engine
             .pass_shards(&src, |_| 0.0, |acc: &mut f64, _, e| *acc += e.w)
@@ -1598,184 +1342,6 @@ mod tests {
         assert_eq!(auto_shard_count(50_000), auto_shard_count(50_000));
     }
 
-    /// A toy kernel (weight sum per shard) for the execution-mode tests.
-    struct SumKernel;
-
-    impl PassKernel for SumKernel {
-        type Acc = f64;
-        fn name(&self) -> &'static str {
-            "test-sum"
-        }
-        fn params(&self) -> Vec<u8> {
-            Vec::new()
-        }
-        fn init(&self, _shard: usize) -> f64 {
-            0.0
-        }
-        fn fold(&self, acc: &mut f64, _id: EdgeId, e: Edge) {
-            *acc += e.w;
-        }
-        fn encode_acc(&self, acc: &f64) -> Vec<u8> {
-            acc.to_bits().to_le_bytes().to_vec()
-        }
-        fn decode_acc(&self, bytes: &[u8]) -> Result<f64, PassError> {
-            let arr: [u8; 8] = bytes
-                .try_into()
-                .map_err(|_| PassError::Protocol { reason: "bad acc length".to_string() })?;
-            Ok(f64::from_bits(u64::from_le_bytes(arr)))
-        }
-    }
-
-    /// Wraps a stream with a (dummy) locator so kernel passes may dispatch.
-    struct Located(SyntheticStream);
-
-    impl EdgeSource for Located {
-        fn num_vertices(&self) -> usize {
-            self.0.num_vertices()
-        }
-        fn num_edges(&self) -> usize {
-            self.0.num_edges()
-        }
-        fn num_shards(&self) -> usize {
-            self.0.num_shards()
-        }
-        fn shard_len(&self, shard: usize) -> usize {
-            self.0.shard_len(shard)
-        }
-        fn for_each_in_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeId, Edge) -> bool) {
-            self.0.for_each_in_shard(shard, visit)
-        }
-        fn locator(&self) -> Option<&Path> {
-            Some(Path::new("/nonexistent/test-locator"))
-        }
-    }
-
-    /// A mock executor that runs `SumKernel` over its own copy of the stream
-    /// (standing in for a worker process that opened the spill directory).
-    struct MockExecutor {
-        stream: SyntheticStream,
-        fail_with: Option<PassError>,
-    }
-
-    impl ShardExecutor for MockExecutor {
-        fn workers(&self) -> usize {
-            1
-        }
-        fn run_pass(
-            &self,
-            _locator: &Path,
-            kernel: &str,
-            _params: &[u8],
-            num_shards: usize,
-        ) -> Result<Vec<ShardOutcome>, PassError> {
-            if let Some(err) = &self.fail_with {
-                return Err(err.clone());
-            }
-            assert_eq!(kernel, "test-sum");
-            let k = SumKernel;
-            Ok((0..num_shards)
-                .map(|shard| {
-                    let mut acc = k.init(shard);
-                    let mut visited = 0usize;
-                    self.stream.for_each_in_shard(shard, &mut |id, e| {
-                        k.fold(&mut acc, id, e);
-                        visited += 1;
-                        true
-                    });
-                    ShardOutcome { shard, visited, acc: k.encode_acc(&acc) }
-                })
-                .collect())
-        }
-    }
-
-    #[test]
-    fn kernel_pass_in_process_matches_pass_shards() {
-        let src = SyntheticStream::new(100, 20_000, 77);
-        let mut a = PassEngine::new(2);
-        let by_kernel = a.pass_kernel(&src, &SumKernel).unwrap();
-        let mut b = PassEngine::new(2);
-        let by_closure = b.pass_shards(&src, |_| 0.0f64, |acc, _, e| *acc += e.w).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&by_kernel), bits(&by_closure));
-        assert_eq!(a.tracker().items_streamed(), b.tracker().items_streamed());
-        assert_eq!(a.passes(), 1);
-    }
-
-    #[test]
-    fn external_kernel_pass_is_bit_identical_and_charged() {
-        let src = Located(SyntheticStream::new(100, 20_000, 78));
-        let executor = Arc::new(MockExecutor {
-            stream: SyntheticStream::new(100, 20_000, 78),
-            fail_with: None,
-        });
-        let mut ext = PassEngine::new(1)
-            .with_execution_mode(ExecutionMode::External { executor, fallback_in_process: false });
-        let external = ext.pass_kernel(&src, &SumKernel).unwrap();
-        let mut inp = PassEngine::new(4);
-        let in_process = inp.pass_kernel(&src, &SumKernel).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&external), bits(&in_process));
-        assert_eq!(ext.passes(), 1);
-        assert_eq!(ext.tracker().items_streamed(), src.num_edges());
-    }
-
-    #[test]
-    fn external_failure_surfaces_typed_or_falls_back() {
-        let src = Located(SyntheticStream::new(100, 20_000, 79));
-        let failing = |fallback| {
-            PassEngine::new(1).with_execution_mode(ExecutionMode::External {
-                executor: Arc::new(MockExecutor {
-                    stream: SyntheticStream::new(2, 1, 0),
-                    fail_with: Some(PassError::WorkerFailed {
-                        worker: 0,
-                        reason: "killed for the test".to_string(),
-                    }),
-                }),
-                fallback_in_process: fallback,
-            })
-        };
-        let mut strict = failing(false);
-        match strict.pass_kernel(&src, &SumKernel) {
-            Err(PassError::WorkerFailed { worker: 0, .. }) => {}
-            other => panic!("expected WorkerFailed, got {other:?}"),
-        }
-        assert_eq!(strict.passes(), 0, "a failed dispatch must not charge a round");
-
-        let mut lenient = failing(true);
-        let accs = lenient.pass_kernel(&src, &SumKernel).unwrap();
-        let mut reference = PassEngine::new(1);
-        let expected = reference.pass_kernel(&src, &SumKernel).unwrap();
-        assert_eq!(
-            accs.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            expected.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(lenient.passes(), 1, "the fallback pass is charged exactly once");
-    }
-
-    #[test]
-    fn budget_threatened_kernel_pass_stays_in_process() {
-        // The stream budget could trip mid-pass, so the engine must refuse to
-        // dispatch externally (workers cannot enforce the coordinator budget)
-        // and instead enforce it exactly in-process.
-        let src = Located(SyntheticStream::new(100, 20_000, 80));
-        let mut engine = PassEngine::new(1)
-            .with_execution_mode(ExecutionMode::External {
-                executor: Arc::new(MockExecutor {
-                    stream: SyntheticStream::new(2, 1, 0),
-                    fail_with: Some(PassError::Protocol { reason: "must not be called".into() }),
-                }),
-                fallback_in_process: false,
-            })
-            .with_budget(PassBudget { max_items_streamed: Some(1000) })
-            .with_batch_size(64);
-        match engine.pass_kernel(&src, &SumKernel) {
-            Err(PassError::BudgetExceeded { used, limit: 1000, .. }) => {
-                assert_eq!(used, engine.tracker().items_streamed());
-            }
-            other => panic!("expected an exact in-process budget stop, got {other:?}"),
-        }
-    }
-
     #[test]
     fn soa_shards_match_their_source_exactly() {
         let g = graph(700);
@@ -1807,7 +1373,7 @@ mod tests {
         let soa = SoaShards::from_source(&GraphSource::new(&g, 5));
         let sources: [&dyn EdgeSource; 4] = [
             &GraphSource::new(&g, 5),
-            &ShardedEdgeList::from_graph(&g, 5),
+            &SoaShards::round_robin(&g, 5),
             &SyntheticStream::with_shards(80, 900, 11, 5),
             &soa,
         ];
@@ -1873,9 +1439,9 @@ mod tests {
     #[test]
     fn batch_budget_interrupt_charges_the_per_edge_ledger() {
         // With one worker every walk asks the one gate at the same in-shard
-        // offsets, so the interrupted ledgers of all four charged in-process
-        // passes must be *equal*, not merely all valid — mid-batch, on a
-        // batch boundary, and at the 12,500-edge shard boundary.
+        // offsets, so the interrupted ledgers of all three charged passes
+        // must be *equal*, not merely all valid — mid-batch, on a batch
+        // boundary, and at the 12,500-edge shard boundary.
         let src = SyntheticStream::with_shards(500, 50_000, 3, 4);
         let cases =
             [(0usize, 0usize), (1, 16), (9000, 9008), (9007, 9008), (12500, 12500), (12512, 12516)];
@@ -1892,8 +1458,6 @@ mod tests {
             ledgers.push((e.pass_batches(&src, |_| 0usize, |acc, b| *acc += b.len()).map(drop), e));
             let mut e = engine();
             ledgers.push((e.pass_sequential(&src, |_, _| {}), e));
-            let mut e = engine();
-            ledgers.push((e.pass_kernel(&src, &SumKernel).map(drop), e));
             for (i, (result, engine)) in ledgers.iter().enumerate() {
                 match result {
                     Err(PassError::BudgetExceeded { used, .. }) => {

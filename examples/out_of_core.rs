@@ -1,27 +1,19 @@
 //! Out-of-core matching: spill a synthetic edge stream to disk, then solve it
-//! without ever materializing the graph — first reading the shard files back
-//! in-process, then farming the shards out to worker processes.
+//! by reading the shard files back, without ever materializing the graph.
 //!
 //! Demonstrates the `mwm-external` subsystem end to end:
 //! 1. `SpillWriter` converts any `EdgeSource` into per-shard binary files.
 //! 2. `SpilledShards` streams them back batch-at-a-time through the
 //!    `PassEngine`; the resource ledger records the bounded readback window.
-//! 3. `ProcessPool` runs the same pass in worker processes; results stay
-//!    bit-identical to the in-memory run (and the example checks it).
-//!
-//! The multi-process step needs the `mwm-external-worker` binary next to the
-//! example (cargo builds it into the same target directory); when it cannot
-//! be found the pool is configured to fall back in-process and the example
-//! reports which mode actually executed.
+//! 3. The spilled solve is bit-identical to the in-memory run (the example
+//!    checks it).
 //!
 //! ```bash
 //! cargo run --release --example out_of_core
 //! ```
 
 use dual_primal_matching::engine::ResourceBudget;
-use dual_primal_matching::external::{
-    discover_worker_binary, out_of_core_matching, ProcessPool, SpillWriter,
-};
+use dual_primal_matching::external::{out_of_core_matching, SpillWriter};
 use dual_primal_matching::mapreduce::{EdgeSource, PassEngine, SyntheticStream};
 
 fn main() {
@@ -35,7 +27,7 @@ fn main() {
         stream.num_shards()
     );
 
-    // --- 1. In-memory reference (the bit pattern every other mode must hit) ---
+    // --- 1. In-memory reference (the bit pattern the spilled run must hit) ---
     let mut engine = PassEngine::new(2);
     let reference =
         out_of_core_matching(&mut engine, &stream, 0.05).expect("in-memory pass cannot fail");
@@ -57,7 +49,7 @@ fn main() {
         dir.display()
     );
 
-    // --- 3. Read back in-process under a resident-edge budget ---
+    // --- 3. Read back under a resident-edge budget ---
     // The ceiling is ~6% of the stream: the readback buffers plus the
     // candidate working set must fit, and the ledger proves they did.
     let budget = ResourceBudget::unlimited().with_max_central_space(1 << 16);
@@ -74,24 +66,5 @@ fn main() {
     );
     assert_eq!(disk.checksum(), reference.checksum());
 
-    // --- 4. The same shards, solved by worker processes ---
-    let worker_found = discover_worker_binary().is_some();
-    for workers in [1usize, 2, 4] {
-        // Fall back in-process when the worker binary is missing (e.g. the
-        // example was built alone): the checksum must not change either way.
-        let pool = ProcessPool::new(workers);
-        let mut engine =
-            PassEngine::new(2).with_execution_mode(pool.into_execution_mode(!worker_found));
-        let multi = out_of_core_matching(&mut engine, &spilled, 0.05).expect("external pass");
-        let mode = if worker_found { "worker processes" } else { "in-process fallback" };
-        println!(
-            "{workers} x procs : checksum {:016x} ({}), via {mode}",
-            multi.checksum(),
-            if multi.checksum() == reference.checksum() { "identical" } else { "DIVERGED" },
-        );
-        assert_eq!(multi.checksum(), reference.checksum());
-    }
-
     let _ = std::fs::remove_dir_all(&dir);
-    println!("every execution mode produced one bit pattern");
 }

@@ -12,7 +12,7 @@
 use dual_primal_matching::engine::{MwmError, ResourceBudget, SolverRegistry};
 use dual_primal_matching::graph::generators::{self, WeightModel};
 use dual_primal_matching::mapreduce::{
-    EdgeSource, GraphSource, PassBudget, PassEngine, ShardedEdgeList, SyntheticStream,
+    EdgeSource, GraphSource, PassBudget, PassEngine, SoaShards, SyntheticStream,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -39,7 +39,7 @@ fn main() {
     assert!(checksums.windows(2).all(|w| w[0] == w[1]), "merges must be bit-identical");
 
     // --- 2. A pre-partitioned stream and a generator-backed stream ---
-    let sharded = ShardedEdgeList::from_graph(&graph, 8);
+    let sharded = SoaShards::round_robin(&graph, 8);
     let synthetic = SyntheticStream::new(10_000, 500_000, 42);
     let mut engine = PassEngine::new(4);
     let edges: usize = engine

@@ -64,8 +64,8 @@
 //! * [`matching`] — offline matching substrates ([`mwm_matching`]).
 //! * [`mapreduce`] — the sharded pass engine, the resource ledger with the
 //!   central-space budget, and congested-clique accounting ([`mwm_mapreduce`]).
-//! * [`external`] — out-of-core spilled edge storage and the multi-process
-//!   shard executor ([`mwm_external`]).
+//! * [`external`] — out-of-core spilled edge storage and the out-of-core
+//!   matching pass over it ([`mwm_external`]).
 //! * [`persist`] — session hibernation: checksummed session images, the
 //!   session store with write-ahead journals ([`mwm_persist`]).
 //! * [`solver`] — the paper's contribution: the resource-constrained
@@ -144,9 +144,10 @@ pub mod engine {
                 let config = DualPrimalConfig { parallelism: workers.max(1), ..Default::default() };
                 Ok(Box::new(DualPrimalSolver::new(config)?) as Box<dyn MatchingSolver>)
             });
-            reg.register("streaming-greedy", |workers| {
-                Ok(Box::new(StreamingGreedy::default().with_parallelism(workers))
-                    as Box<dyn MatchingSolver>)
+            // The replacement pass is order-dependent and always runs on the
+            // calling thread; the knob is accepted and ignored.
+            reg.register("streaming-greedy", |_workers| {
+                Ok(Box::new(StreamingGreedy::default()) as Box<dyn MatchingSolver>)
             });
             reg.register("lattanzi-filtering", |workers| {
                 Ok(Box::new(LattanziFiltering::default().with_parallelism(workers))
@@ -258,11 +259,11 @@ pub mod prelude {
         CommittedSnapshot, CommittedView, DynamicConfig, DynamicMatcher, EpochDecision,
         EpochReport, EpochStats, IngestMode,
     };
-    pub use mwm_external::{out_of_core_matching, ProcessPool, SpillWriter, SpilledShards};
+    pub use mwm_external::{out_of_core_matching, SpillWriter, SpilledShards};
     pub use mwm_graph::{
         generators, BMatching, Edge, Graph, GraphOverlay, GraphUpdate, Matching, WeightLevels,
     };
-    pub use mwm_mapreduce::{ExecutionMode, ResourceTracker};
+    pub use mwm_mapreduce::ResourceTracker;
     pub use mwm_obs::{MetricsSnapshot, Observable, Registry};
     pub use mwm_persist::{Hibernate, SessionImage, SessionStore};
     pub use mwm_serve::{
