@@ -739,7 +739,10 @@ fn e13_with(
 /// size, enforced against the engine's ledger (readback buffers and the
 /// coordinator's candidate working set are both charged), so a row only
 /// appears if the solve genuinely stayed within it. The `checksum` column
-/// must be equal on both rows — spilling changes no output bit.
+/// must be equal on both rows — spilling changes no output bit. Each row
+/// times its pass five times on fresh engines: `medges/s` is the
+/// median and `spread` the min–max, and every repeat must return the same
+/// checksum and weight.
 ///
 /// `MWM_E14_EDGES_LOG2` overrides the stream size (CI smoke uses a small
 /// value; the committed `BENCH_6.json` records the full 2^27 run).
@@ -752,11 +755,47 @@ pub fn e14_out_of_core() -> Result<ExperimentReport, MwmError> {
     e14_with(1usize << log2)
 }
 
+/// Timed passes per E14 row.
+const E14_REPEATS: usize = 5;
+
+/// Runs `out_of_core_matching` over `source` [`E14_REPEATS`] times, each on a
+/// fresh engine from `engine`, and fails unless every repeat returns the
+/// same checksum and weight. Returns the last engine and result with the
+/// median, min and max throughput in medges/s.
+fn e14_timed<S: mwm_mapreduce::EdgeSource + ?Sized>(
+    mode: &str,
+    source: &S,
+    gamma: f64,
+    engine: impl Fn() -> mwm_mapreduce::PassEngine,
+) -> Result<(mwm_mapreduce::PassEngine, mwm_external::OutOfCoreMatching, [f64; 3]), MwmError> {
+    use mwm_external::{out_of_core_matching, OutOfCoreMatching};
+    use std::time::Instant;
+    let mut rates = Vec::with_capacity(E14_REPEATS);
+    let mut last: Option<(_, OutOfCoreMatching)> = None;
+    for repeat in 0..E14_REPEATS {
+        let mut eng = engine();
+        let start = Instant::now();
+        let out = out_of_core_matching(&mut eng, source, gamma)?;
+        let secs = start.elapsed().as_secs_f64().max(1e-9);
+        rates.push(source.num_edges() as f64 / secs / 1e6);
+        if let Some((_, prev)) = &last {
+            if (out.checksum(), out.weight.to_bits()) != (prev.checksum(), prev.weight.to_bits()) {
+                return Err(MwmError::Execution {
+                    reason: format!("E14 {mode} repeat {repeat} returned another matching"),
+                });
+            }
+        }
+        last = Some((eng, out));
+    }
+    rates.sort_by(f64::total_cmp);
+    let (eng, out) = last.expect("E14 times at least one pass");
+    Ok((eng, out, [rates[E14_REPEATS / 2], rates[0], rates[E14_REPEATS - 1]]))
+}
+
 /// The parameterized E14 body (the unit test runs a miniature stream).
 fn e14_with(m: usize) -> Result<ExperimentReport, MwmError> {
-    use mwm_external::{out_of_core_matching, SpillWriter};
+    use mwm_external::SpillWriter;
     use mwm_mapreduce::{PassEngine, SyntheticStream};
-    use std::time::Instant;
 
     let n = (m >> 11).max(64);
     let shards = 64usize;
@@ -785,6 +824,7 @@ fn e14_with(m: usize) -> Result<ExperimentReport, MwmError> {
             "spill_mb",
             "peak_resident",
             "medges/s",
+            "spread",
             "weight",
             "checksum",
             "=memory",
@@ -793,10 +833,8 @@ fn e14_with(m: usize) -> Result<ExperimentReport, MwmError> {
     let stream = SyntheticStream::with_shards(n, m, 0xE14, shards);
 
     // Reference row: the whole stream consumed in memory.
-    let start = Instant::now();
-    let mut engine = PassEngine::new(parallelism);
-    let reference = out_of_core_matching(&mut engine, &stream, gamma)?;
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
+    let (engine, reference, [rate, lo, hi]) =
+        e14_timed("memory", &stream, gamma, || PassEngine::new(parallelism))?;
     budget.check_tracker(engine.tracker())?;
     rep.push_row(vec![
         "memory".to_string(),
@@ -804,7 +842,8 @@ fn e14_with(m: usize) -> Result<ExperimentReport, MwmError> {
         format!("{m}"),
         "0.0".to_string(),
         format!("{}", engine.tracker().peak_central_space()),
-        format!("{:.1}", m as f64 / secs / 1e6),
+        format!("{rate:.1}"),
+        format!("{lo:.1}-{hi:.1}"),
         format!("{:.2}", reference.weight),
         format!("{:016x}", reference.checksum()),
         "yes".to_string(),
@@ -816,10 +855,9 @@ fn e14_with(m: usize) -> Result<ExperimentReport, MwmError> {
         let spilled = SpillWriter::spill_edge_source(&dir, &stream)
             .map_err(mwm_mapreduce::PassError::from)?;
         let spill_mb = spilled.bytes_on_disk() as f64 / (1 << 20) as f64;
-        let mut engine = PassEngine::new(parallelism).with_budget(budget.pass_budget(0));
-        let start = Instant::now();
-        let m14 = out_of_core_matching(&mut engine, &spilled, gamma)?;
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
+        let (mut engine, m14, [rate, lo, hi]) = e14_timed("spill", &spilled, gamma, || {
+            PassEngine::new(parallelism).with_budget(budget.pass_budget(0))
+        })?;
         spilled.charge_io(engine.tracker_mut());
         budget.check_tracker(engine.tracker())?;
         let identical = m14.checksum() == reference.checksum()
@@ -830,7 +868,8 @@ fn e14_with(m: usize) -> Result<ExperimentReport, MwmError> {
             format!("{m}"),
             format!("{spill_mb:.1}"),
             format!("{}", engine.tracker().peak_central_space()),
-            format!("{:.1}", m as f64 / secs / 1e6),
+            format!("{rate:.1}"),
+            format!("{lo:.1}-{hi:.1}"),
             format!("{:.2}", m14.weight),
             format!("{:016x}", m14.checksum()),
             if identical { "yes" } else { "no" }.to_string(),

@@ -39,14 +39,25 @@ pub trait MatchingSolver {
 
     /// Solves weighted b-matching on `graph` within `budget`.
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError>;
+
+    /// Solves like [`MatchingSolver::solve`] and also returns the final dual
+    /// point, the seed of a later warm start, for a solver that keeps one:
+    /// the dual-primal solver does, the default returns `None`.
+    fn solve_with_duals(
+        &self,
+        graph: &Graph,
+        budget: &ResourceBudget,
+    ) -> Result<(SolveReport, Option<DualSnapshot>), MwmError> {
+        self.solve(graph, budget).map(|report| (report, None))
+    }
 }
 
 /// The state a warm start resumes from: the previous epoch's exported dual
 /// point plus a feasible primal hint (the repaired previous matching).
 ///
-/// This is the seam the dynamic matching subsystem plugs into: epoch `t`
-/// exports its duals through [`SolveReport::final_duals`], epoch `t+1` feeds
-/// them back through [`crate::DualPrimalSolver::solve_warm`].
+/// This is the seam the dynamic matching subsystem plugs into: epoch `t`'s
+/// [`crate::DualPrimalSolver::solve_warm`] returns its final duals beside the
+/// report, and epoch `t+1` feeds them back through the same call.
 ///
 /// Both halves are advisory. The duals seed the covering loop so it starts
 /// near feasibility instead of from zero (skipping the `O(p)` sampling rounds
@@ -55,8 +66,8 @@ pub trait MatchingSolver {
 /// infeasible hint may cost rounds, never correctness.
 #[derive(Clone, Debug, Default)]
 pub struct WarmStartState {
-    /// The dual point exported by the previous solve
-    /// ([`SolveReport::final_duals`]).
+    /// The dual point exported by the previous solve (the second half of
+    /// [`crate::DualPrimalSolver::solve_warm`]'s result).
     pub duals: DualSnapshot,
     /// A b-matching believed feasible on the current graph (the dynamic
     /// matcher passes the previous matching with dead edges dropped). Solvers

@@ -24,6 +24,7 @@
 use crate::relaxation::DualUpdate;
 use mwm_graph::{EdgeId, Graph, VertexId, WeightLevels};
 use mwm_matching::{find_dense_odd_sets, DenseOddSetConfig};
+use std::ops::Range;
 
 /// One stored-and-revealed sparsifier edge handed to the oracle.
 #[derive(Clone, Copy, Debug)]
@@ -64,17 +65,75 @@ pub enum OracleDecision {
 /// A multiplier degree entry `(vertex, level, u^s)`.
 type DegreeEntry = (VertexId, usize, f64);
 
+/// The multiplier degrees of a support, summed in an `n·L` table that one
+/// oracle reuses across its calls (all zero between calls).
+struct DegreeTable {
+    num_levels: usize,
+    /// `sums[v·L + ℓ]`: the degree of `v` at level `ℓ` during a call.
+    sums: Vec<f64>,
+    /// Vertices with a nonzero row during a call.
+    touched: Vec<bool>,
+    /// The last call's `(vertex, level, degree)` entries.
+    entries: Vec<DegreeEntry>,
+}
+
+impl DegreeTable {
+    fn new(n: usize, num_levels: usize) -> Self {
+        DegreeTable {
+            num_levels,
+            sums: vec![0.0; n * num_levels],
+            touched: vec![false; n],
+            entries: Vec::new(),
+        }
+    }
+
+    /// Fills `entries` with each positive degree by ascending (vertex,
+    /// level). A degree is a left fold of its endpoints' `u^s > 0` in
+    /// support order: a zeroed slot adds the first term exactly, so every
+    /// sum has the bits of a stable sort by (vertex, level) whose runs are
+    /// summed in order. Reading a row out zeroes it again.
+    fn fill(&mut self, support: &[SupportEdge]) {
+        let l = self.num_levels;
+        for se in support.iter().filter(|se| se.us > 0.0) {
+            for v in [se.u as usize, se.v as usize] {
+                self.sums[v * l..(v + 1) * l][se.level] += se.us;
+                self.touched[v] = true;
+            }
+        }
+        self.entries.clear();
+        for (v, touched) in self.touched.iter_mut().enumerate() {
+            if std::mem::take(touched) {
+                for (k, sum) in self.sums[v * l..(v + 1) * l].iter_mut().enumerate() {
+                    if *sum > 0.0 {
+                        self.entries.push((v as VertexId, k, std::mem::take(sum)));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The MicroOracle, bound to a graph, its weight levels and an accuracy ε.
 pub struct MicroOracle<'a> {
     graph: &'a Graph,
     levels: &'a WeightLevels,
     eps: f64,
+    degrees: DegreeTable,
+    /// `(k*_i, Pos(i))` of each violating vertex `i` during a call, as a
+    /// range of `degrees.entries`.
+    viol: Vec<(usize, Range<usize>)>,
 }
 
 impl<'a> MicroOracle<'a> {
-    /// Creates the oracle.
+    /// Creates the oracle, with a degree table sized for `graph` and `levels`.
     pub fn new(graph: &'a Graph, levels: &'a WeightLevels) -> Self {
-        MicroOracle { graph, levels, eps: levels.eps() }
+        MicroOracle {
+            graph,
+            levels,
+            eps: levels.eps(),
+            degrees: DegreeTable::new(graph.num_vertices(), levels.num_levels()),
+            viol: Vec::new(),
+        }
     }
 
     /// Maximum odd-set capacity `4/ε` considered by the relaxation.
@@ -83,7 +142,7 @@ impl<'a> MicroOracle<'a> {
     }
 
     /// Runs Algorithm 5 (with `ζ = 0`) on the given support.
-    pub fn decide(&self, support: &[SupportEdge], beta: f64) -> OracleDecision {
+    pub fn decide(&mut self, support: &[SupportEdge], beta: f64) -> OracleDecision {
         let eps = self.eps;
         // Step 1: gamma.
         let gamma: f64 = support.iter().map(|se| self.levels.level_weight(se.level) * se.us).sum();
@@ -95,27 +154,19 @@ impl<'a> MicroOracle<'a> {
             };
         }
 
-        // Multiplier degree per (vertex, level): every endpoint's entry, in a
-        // stable sort by (vertex, level), each run summed in support order.
-        let mut deg: Vec<DegreeEntry> = Vec::with_capacity(2 * support.len());
-        for se in support.iter().filter(|se| se.us > 0.0) {
-            deg.push((se.u, se.level, se.us));
-            deg.push((se.v, se.level, se.us));
-        }
-        deg.sort_by_key(|&(v, l, _)| (v, l));
-        deg.dedup_by(|later, kept| {
-            let same = (later.0, later.1) == (kept.0, kept.1);
-            if same {
-                kept.2 += later.2;
-            }
-            same
-        });
+        // Multiplier degree per (vertex, level), summed in support order in
+        // the table, read out by ascending (vertex, level).
+        self.degrees.fill(support);
+        let deg = &self.degrees.entries;
 
         // Steps 2–4: Delta(i, l), k*_i, Viol(V), Gamma(V). A vertex's run of
         // `deg` is its Pos(i), by ascending level.
-        let mut viol: Vec<(usize, &[DegreeEntry])> = Vec::new(); // (k*, Pos(i))
+        self.viol.clear();
         let mut gamma_v = 0.0f64;
+        let mut start = 0;
         for pos in deg.chunk_by(|a, b| a.0 == b.0) {
+            let run = start..start + pos.len();
+            start = run.end;
             let b_v = self.graph.b(pos[0].0) as f64;
             let mut best: Option<(usize, f64)> = None;
             for &(_, l, _) in pos {
@@ -133,17 +184,19 @@ impl<'a> MicroOracle<'a> {
             }
             if let Some((k_star, delta)) = best {
                 gamma_v += delta;
-                viol.push((k_star, pos));
+                self.viol.push((k_star, run));
             }
         }
 
         // Step 5–7: vertex-mass dual update.
         if gamma_v >= eps * gamma / 24.0 {
-            let vertices = viol
+            let levels = self.levels;
+            let vertices = self
+                .viol
                 .iter()
-                .flat_map(|&(k_star, pos)| {
-                    pos.iter().map(move |&(v, l, _)| {
-                        (v, l, gamma * self.levels.level_weight(l.min(k_star)) / gamma_v)
+                .flat_map(|(k_star, run)| {
+                    deg[run.clone()].iter().map(move |&(v, l, _)| {
+                        (v, l, gamma * levels.level_weight(l.min(*k_star)) / gamma_v)
                     })
                 })
                 .collect();
@@ -221,12 +274,139 @@ mod tests {
             .collect()
     }
 
+    /// The degree table as it was built before the `n·L` table: every
+    /// endpoint's entry in a stable sort by (vertex, level), each run summed
+    /// in support order.
+    fn sorted_degrees(support: &[SupportEdge]) -> Vec<DegreeEntry> {
+        let mut deg: Vec<DegreeEntry> = Vec::with_capacity(2 * support.len());
+        for se in support.iter().filter(|se| se.us > 0.0) {
+            deg.push((se.u, se.level, se.us));
+            deg.push((se.v, se.level, se.us));
+        }
+        deg.sort_by_key(|&(v, l, _)| (v, l));
+        deg.dedup_by(|later, kept| {
+            let same = (later.0, later.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += later.2;
+            }
+            same
+        });
+        deg
+    }
+
+    /// Steps 1–7 of `decide` over [`sorted_degrees`]: the vertex-mass
+    /// candidate, or `None` where `decide` must not return vertex mass.
+    fn reference_vertex_mass(
+        g: &Graph,
+        levels: &WeightLevels,
+        support: &[SupportEdge],
+        beta: f64,
+    ) -> Option<Vec<(VertexId, usize, f64)>> {
+        let w = |l: usize| levels.level_weight(l);
+        let gamma: f64 = support.iter().map(|se| w(se.level) * se.us).sum();
+        if gamma <= 0.0 || beta <= 0.0 {
+            return None;
+        }
+        let deg = sorted_degrees(support);
+        let mut viol = Vec::new();
+        let mut gamma_v = 0.0f64;
+        for pos in deg.chunk_by(|a, b| a.0 == b.0) {
+            let b_v = g.b(pos[0].0) as f64;
+            let mut best = None;
+            for &(_, l, _) in pos {
+                let delta: f64 =
+                    pos.iter().map(|&(_, k, d)| if k <= l { w(k) * d } else { w(l) * d }).sum();
+                if delta > gamma * b_v * w(l) / beta {
+                    best = Some((l, delta));
+                }
+            }
+            if let Some((k_star, delta)) = best {
+                gamma_v += delta;
+                viol.push((k_star, pos));
+            }
+        }
+        (gamma_v >= levels.eps() * gamma / 24.0).then(|| {
+            viol.iter()
+                .flat_map(|&(k_star, pos)| {
+                    pos.iter().map(move |&(v, l, _)| (v, l, gamma * w(l.min(k_star)) / gamma_v))
+                })
+                .collect()
+        })
+    }
+
+    fn entry_bits(entries: &[DegreeEntry]) -> Vec<(VertexId, usize, u64)> {
+        entries.iter().map(|&(v, l, x)| (v, l, x.to_bits())).collect()
+    }
+
+    /// Random supports against the sort-and-merge reference, several calls
+    /// per oracle so every call starts from a table the last one zeroed:
+    /// repeated endpoints, parallel edges, several levels, zero multipliers,
+    /// multipliers from 1e-300 to 1e3 and capacities up to 3. The degree
+    /// list and the vertex-mass candidate must match bit for bit, in order.
+    #[test]
+    fn degree_table_matches_the_sorted_merge() {
+        let mut vertex_mass_calls = 0;
+        for case in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = rng.gen_range(2..12usize);
+            let mut g = Graph::with_capacities((0..n).map(|_| rng.gen_range(1..=3)).collect());
+            for _ in 0..rng.gen_range(1..3 * n) {
+                let u = rng.gen_range(0..n as VertexId);
+                let v = (u + rng.gen_range(1..n as VertexId)) % n as VertexId;
+                g.add_edge(u, v, rng.gen_range(1.0..50.0));
+            }
+            let levels = WeightLevels::new(&g, 0.2);
+            let num_levels = levels.num_levels();
+            let mut oracle = MicroOracle::new(&g, &levels);
+            for call in 0..4 {
+                let support: Vec<SupportEdge> = (0..rng.gen_range(0..4 * n))
+                    .map(|_| {
+                        let id = rng.gen_range(0..g.num_edges());
+                        let e = g.edge(id);
+                        // A few levels per support, so (vertex, level) runs repeat.
+                        let level = num_levels - 1 - rng.gen_range(0..num_levels.min(3));
+                        let us = match rng.gen_range(0..5) {
+                            0 => 0.0,
+                            _ => 10f64.powf(rng.gen_range(-300.0..3.0)),
+                        };
+                        SupportEdge { id, u: e.u, v: e.v, level, us }
+                    })
+                    .collect();
+                oracle.degrees.fill(&support);
+                assert_eq!(
+                    entry_bits(&oracle.degrees.entries),
+                    entry_bits(&sorted_degrees(&support)),
+                    "case {case}, call {call}"
+                );
+                let beta = 10f64.powf(rng.gen_range(-3.0..6.0));
+                let want = reference_vertex_mass(&g, &levels, &support, beta);
+                match (oracle.decide(&support, beta), want) {
+                    (
+                        OracleDecision::DualUpdate { update, vertex_mass: true, gamma },
+                        Some(want),
+                    ) if gamma > 0.0 => {
+                        assert_eq!(entry_bits(&update.vertices), entry_bits(&want), "case {case}");
+                        vertex_mass_calls += 1;
+                    }
+                    (OracleDecision::DualUpdate { vertex_mass: true, gamma, .. }, None)
+                        if gamma > 0.0 =>
+                    {
+                        panic!("case {case}, call {call}: unexpected vertex mass")
+                    }
+                    (_, Some(_)) => panic!("case {case}, call {call}: vertex mass missing"),
+                    _ => {}
+                }
+            }
+        }
+        assert!(vertex_mass_calls > 100, "only {vertex_mass_calls} vertex-mass calls");
+    }
+
     #[test]
     fn zero_multipliers_give_trivial_dual_update() {
         let mut rng = StdRng::seed_from_u64(1);
         let g = generators::gnm(20, 60, WeightModel::Unit, &mut rng);
         let levels = WeightLevels::new(&g, 0.2);
-        let oracle = MicroOracle::new(&g, &levels);
+        let mut oracle = MicroOracle::new(&g, &levels);
         let support = make_support(&g, &levels, 0.0);
         match oracle.decide(&support, 10.0) {
             OracleDecision::DualUpdate { gamma, .. } => assert_eq!(gamma, 0.0),
@@ -245,7 +425,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let g = generators::gnm(30, 200, WeightModel::Unit, &mut rng);
         let levels = WeightLevels::new(&g, 0.2);
-        let oracle = MicroOracle::new(&g, &levels);
+        let mut oracle = MicroOracle::new(&g, &levels);
         let support = make_support(&g, &levels, 1.0);
         match oracle.decide(&support, 1e9) {
             OracleDecision::DualUpdate { vertex_mass, gamma, update } => {
@@ -269,7 +449,7 @@ mod tests {
             g.add_edge(2 * i, 2 * i + 1, 4.0);
         }
         let levels = WeightLevels::new(&g, 0.2);
-        let oracle = MicroOracle::new(&g, &levels);
+        let mut oracle = MicroOracle::new(&g, &levels);
         let support = make_support(&g, &levels, 1.0);
         // beta equal to (roughly) the true optimum.
         let beta = levels.all_edges().map(|le| levels.level_weight(le.level)).sum::<f64>();
@@ -289,7 +469,7 @@ mod tests {
         // overload concentrates multiplier mass inside the triangle.
         let g = generators::triangle_gadget(0.2, 1.0);
         let levels = WeightLevels::new(&g, 0.2);
-        let oracle = MicroOracle::new(&g, &levels);
+        let mut oracle = MicroOracle::new(&g, &levels);
         let support = make_support(&g, &levels, 1.0);
         // Small beta relative to multiplier mass => progress must be possible.
         let decision = oracle.decide(&support, 0.4);
@@ -306,7 +486,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let g = generators::gnp(25, 0.4, WeightModel::Uniform(1.0, 4.0), &mut rng);
         let levels = WeightLevels::new(&g, 0.25);
-        let oracle = MicroOracle::new(&g, &levels);
+        let mut oracle = MicroOracle::new(&g, &levels);
         let support = make_support(&g, &levels, 0.7);
         if let OracleDecision::DualUpdate { update, .. } = oracle.decide(&support, 1e8) {
             // x_i(l) <= 24 w_l / eps (inner width bound of LP8).

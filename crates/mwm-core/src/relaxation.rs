@@ -23,6 +23,7 @@
 
 use mwm_graph::{Graph, VertexId, WeightLevels};
 use mwm_lp::{DualSnapshot, OddSetDual, VertexDual};
+use std::ops::Range;
 
 /// Membership-table entry of a vertex that belongs to no odd set of a level.
 const NO_SET: u32 = u32::MAX;
@@ -43,6 +44,9 @@ pub struct DualUpdate {
 /// `x` is one `n·L` array (`L` = number of weight levels) indexed `v·L + k`,
 /// where 0 means the variable is unset. Each level keeps its disjoint odd sets
 /// and a vertex → set table that stays empty until the level holds a set.
+/// Sets are only ever added, so the state keeps the lowest level holding one,
+/// and the odd-set sums of coverage and load start their level walk there:
+/// with no set, an edge's coverage reads only `x_u(k)` and `x_v(k)`.
 /// [`DualState::x`] and [`DualState::set_x`] panic on a level `k ≥ L`: every
 /// caller classifies edges of the graph the state was sized for.
 #[derive(Clone, Debug)]
@@ -58,6 +62,8 @@ pub struct DualState {
     /// Per level ℓ: `z_assign[ℓ][v]` is the index into `z[ℓ]` of the set
     /// holding `v`, or [`NO_SET`]; empty until the level holds a set.
     z_assign: Vec<Vec<u32>>,
+    /// The lowest level holding an odd set (`L` while none does).
+    first_odd_level: usize,
 }
 
 /// The index of the set holding `v` in one level's membership table.
@@ -75,6 +81,7 @@ impl DualState {
             x: vec![0.0; n * num_levels],
             z: vec![Vec::new(); num_levels],
             z_assign: vec![Vec::new(); num_levels],
+            first_odd_level: num_levels,
         }
     }
 
@@ -137,6 +144,12 @@ impl DualState {
             assign[v as usize] = idx;
         }
         self.z[level].push((members, value));
+        self.first_odd_level = self.first_odd_level.min(level);
+    }
+
+    /// The levels `ℓ ≤ k` that may hold an odd set.
+    fn odd_levels_upto(&self, k: usize) -> Range<usize> {
+        self.first_odd_level..k.saturating_add(1).min(self.num_levels)
     }
 
     /// Adds `value` to `z_{U,ℓ}`, keeping the level's sets disjoint: the mass
@@ -153,10 +166,11 @@ impl DualState {
     /// Sum of `z_{U,ℓ}` over levels `ℓ ≤ k` and sets containing **both** `i` and `j`.
     pub fn z_pair_sum(&self, i: VertexId, j: VertexId, k: usize) -> f64 {
         let mut total = 0.0;
-        for (assign, sets) in self.z_assign.iter().zip(&self.z).take(k.saturating_add(1)) {
+        for level in self.odd_levels_upto(k) {
+            let assign = &self.z_assign[level];
             if let (Some(si), Some(sj)) = (set_holding(assign, i), set_holding(assign, j)) {
                 if si == sj {
-                    total += sets[si].1;
+                    total += self.z[level][si].1;
                 }
             }
         }
@@ -166,9 +180,9 @@ impl DualState {
     /// Sum of `z_{U,ℓ}` over levels `ℓ ≤ k` and sets containing vertex `i`.
     pub fn z_vertex_sum(&self, i: VertexId, k: usize) -> f64 {
         let mut total = 0.0;
-        for (assign, sets) in self.z_assign.iter().zip(&self.z).take(k.saturating_add(1)) {
-            if let Some(si) = set_holding(assign, i) {
-                total += sets[si].1;
+        for level in self.odd_levels_upto(k) {
+            if let Some(si) = set_holding(&self.z_assign[level], i) {
+                total += self.z[level][si].1;
             }
         }
         total
@@ -263,8 +277,10 @@ impl DualState {
     /// vectors keyed by original-scale level weights, so the next epoch's
     /// solve can re-resolve every entry against *its* discretization even
     /// after the graph (and therefore the `B/W*` rescale factor) changed.
+    /// Both lists are allocated at their exact lengths, since a caller may
+    /// keep the snapshot for as long as a session lives.
     pub fn snapshot(&self, levels: &WeightLevels) -> DualSnapshot {
-        let mut vertex_duals = Vec::new();
+        let mut vertex_duals = Vec::with_capacity(self.x.iter().filter(|&&x| x > 0.0).count());
         for v in 0..self.n as u32 {
             for (k, &value) in self.row(v).iter().enumerate() {
                 if value > 0.0 {
@@ -277,7 +293,8 @@ impl DualState {
                 }
             }
         }
-        let mut odd_sets = Vec::new();
+        let mut odd_sets =
+            Vec::with_capacity(self.z.iter().flatten().filter(|(_, z)| *z > 0.0).count());
         for (level, sets) in self.z.iter().enumerate() {
             for (members, value) in sets {
                 if *value > 0.0 {

@@ -5,10 +5,12 @@
 //! its weight, the resource ledger of the run, and a flat list of named
 //! solver-specific statistics (e.g. the dual bound `beta` of the dual-primal
 //! solver). This is what lets the bench harness and examples drive any solver
-//! generically while still surfacing algorithm-specific telemetry.
+//! generically while still surfacing algorithm-specific telemetry. The
+//! dual-primal solver's final dual point is not part of the report: only a
+//! warm start reads it, so [`crate::DualPrimalSolver::solve_warm`] returns it
+//! beside the report and a report kept for its numbers holds no dual point.
 
 use mwm_graph::BMatching;
-use mwm_lp::DualSnapshot;
 use mwm_mapreduce::ResourceTracker;
 use std::fmt;
 
@@ -28,11 +30,6 @@ pub struct SolveReport {
     /// through [`SolveReport::rounds`]/[`SolveReport::peak_central_space`] so
     /// they can never disagree with the ledger.
     pub tracker: ResourceTracker,
-    /// The final dual point, exported by the dual-primal solver so the next
-    /// epoch can resume from it ([`crate::DualPrimalSolver::solve_warm`]);
-    /// `None` for solvers without a dual representation (baselines, offline
-    /// substrates).
-    pub final_duals: Option<DualSnapshot>,
     /// Named solver-specific scalars (`("beta", 41.3)`, ...).
     stats: Vec<(&'static str, f64)>,
 }
@@ -48,7 +45,6 @@ impl SolveReport {
             weight,
             oracle_iterations: 0,
             tracker,
-            final_duals: None,
             stats: Vec::new(),
         }
     }
@@ -66,12 +62,6 @@ impl SolveReport {
     /// Sets the oracle-iteration count (builder style).
     pub fn with_oracle_iterations(mut self, iterations: usize) -> Self {
         self.oracle_iterations = iterations;
-        self
-    }
-
-    /// Attaches the final dual point for warm-start chaining (builder style).
-    pub fn with_final_duals(mut self, duals: DualSnapshot) -> Self {
-        self.final_duals = Some(duals);
         self
     }
 

@@ -192,40 +192,33 @@ impl DualPrimalSolver {
         &self.config
     }
 
-    /// Solves on `graph` within `budget`, resuming from the previous epoch's
-    /// duals instead of paying the cold initial sampling rounds again.
+    /// Solves on `graph` within `budget` and returns the report together
+    /// with the final dual point, the seed of the next warm start. With
+    /// `warm` present the solve resumes from the previous epoch's duals
+    /// instead of paying the cold initial sampling rounds again; `None` is a
+    /// cold solve, whose report is [`MatchingSolver::solve`]'s.
     ///
     /// The contract is [`MatchingSolver::solve`]'s — the same budget
     /// semantics, a feasible matching, and results bit-identical across
-    /// parallelism levels — regardless of how stale `warm` is.
-    pub fn solve_warm(
-        &self,
-        graph: &Graph,
-        budget: &ResourceBudget,
-        warm: &WarmStartState,
-    ) -> Result<SolveReport, MwmError> {
-        self.run(graph, budget, Some(warm))
-    }
-
-    /// The solve loop behind [`MatchingSolver::solve`] and
-    /// [`DualPrimalSolver::solve_warm`]. Every per-pass edge consumption of
-    /// the main loop goes through a [`PassEngine`] over a sharded view of the
-    /// graph, with the budget's streamed-items limit enforced mid-pass: an
-    /// interrupted pass returns [`MwmError::BudgetExceeded`] — never a torn
-    /// matching. The round and oracle-iteration limits are checked before
-    /// each main round and each oracle call, and the ledger is checked
-    /// against the whole budget when the run ends.
+    /// parallelism levels — regardless of how stale `warm` is. Every
+    /// per-pass edge consumption of the main loop goes through a
+    /// [`PassEngine`] over a sharded view of the graph, with the budget's
+    /// streamed-items limit enforced mid-pass: an interrupted pass returns
+    /// [`MwmError::BudgetExceeded`] — never a torn matching. The round and
+    /// oracle-iteration limits are checked before each main round and each
+    /// oracle call, and the ledger is checked against the whole budget when
+    /// the run ends.
     ///
     /// With `warm` present, phase 1 — the `O(p)` sampling rounds of the cold
     /// initial solution — is replaced by importing the warm duals verbatim
     /// and seeding β from the feasible part of the warm primal hint: the
     /// round savings the dynamic matching subsystem's epoch ledger measures.
-    fn run(
+    pub fn solve_warm(
         &self,
         graph: &Graph,
         budget: &ResourceBudget,
         warm: Option<&WarmStartState>,
-    ) -> Result<SolveReport, MwmError> {
+    ) -> Result<(SolveReport, DualSnapshot), MwmError> {
         let cfg = &self.config;
         let eps = cfg.eps;
         let n = graph.num_vertices();
@@ -291,8 +284,10 @@ impl DualPrimalSolver {
         // ρ = 6 of the penalty relaxation (LP4/LP5).
         let rule = StepRule::new(eps, 6.0, levels.num_kept_edges());
         let a3 = eps / 2.0; // offline solver approximation slack in Step 5/6.
-        let oracle = MicroOracle::new(graph, &levels);
+        let mut oracle = MicroOracle::new(graph, &levels);
         let classes = levels.classes();
+        // One support buffer for every oracle call of the solve.
+        let mut support = Vec::new();
 
         let mut lambda = sharded_lambda(&engine, &source, classes, &dual);
         let mut main_rounds = 0usize;
@@ -350,7 +345,7 @@ impl DualPrimalSolver {
                 budget.check_oracle_iterations(oracle_iterations + 1)?;
                 oracle_iterations += 1;
                 let alpha = rule.alpha(lambda);
-                let support = reveal_support(graph, classes, &dual, d, alpha, lambda);
+                reveal_support(graph, classes, &dual, d, alpha, lambda, &mut support);
                 match oracle.decide(&support, beta) {
                     OracleDecision::DualUpdate { update, vertex_mass, gamma } => {
                         if gamma <= 0.0 {
@@ -408,17 +403,17 @@ impl DualPrimalSolver {
         self.finish(budget, best, tracker, dual.snapshot(&levels), stats)
     }
 
-    /// Both exits of [`DualPrimalSolver::run`] end here: the run's ledger and
-    /// oracle iterations are checked against `budget`, then the report lists
-    /// the solver-specific stats.
+    /// Both exits of [`DualPrimalSolver::solve_warm`] end here: the run's
+    /// ledger and oracle iterations are checked against `budget`, then the
+    /// report lists the solver-specific stats and is returned beside `duals`.
     fn finish(
         &self,
         budget: &ResourceBudget,
         matching: BMatching,
         tracker: ResourceTracker,
-        final_duals: DualSnapshot,
+        duals: DualSnapshot,
         s: RunStats,
-    ) -> Result<SolveReport, MwmError> {
+    ) -> Result<(SolveReport, DualSnapshot), MwmError> {
         budget.check_tracker(&tracker)?;
         budget.check_oracle_iterations(s.oracle_iterations)?;
         // Oracle iterations per round of data access: the factor by which the
@@ -429,9 +424,8 @@ impl DualPrimalSolver {
         } else {
             s.oracle_iterations as f64 / s.main_rounds as f64
         };
-        Ok(SolveReport::new("dual-primal", matching, tracker)
+        let report = SolveReport::new("dual-primal", matching, tracker)
             .with_oracle_iterations(s.oracle_iterations)
-            .with_final_duals(final_duals)
             .with_stat("warm_started", if s.warm_started { 1.0 } else { 0.0 })
             .with_stat("beta", s.beta)
             .with_stat("lambda", s.lambda)
@@ -445,7 +439,8 @@ impl DualPrimalSolver {
             .with_stat("odd_set_updates", s.odd_set_updates as f64)
             .with_stat("sparsifier_edges_last_round", s.sparsifier_edges_last_round as f64)
             .with_stat("sparsifiers_built", s.sparsifiers_built as f64)
-            .with_stat("adaptivity_ratio", adaptivity_ratio))
+            .with_stat("adaptivity_ratio", adaptivity_ratio);
+        Ok((report, duals))
     }
 }
 
@@ -466,7 +461,15 @@ impl MatchingSolver for DualPrimalSolver {
     /// `with_parallelism` override replaces the configured worker count for
     /// this solve.
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError> {
-        self.run(graph, budget, None)
+        self.solve_warm(graph, budget, None).map(|(report, _)| report)
+    }
+
+    fn solve_with_duals(
+        &self,
+        graph: &Graph,
+        budget: &ResourceBudget,
+    ) -> Result<(SolveReport, Option<DualSnapshot>), MwmError> {
+        self.solve_warm(graph, budget, None).map(|(report, duals)| (report, Some(duals)))
     }
 }
 
@@ -567,7 +570,7 @@ fn sharded_multipliers(
 
 /// Reveals the *current* multiplier values of a sparsifier's stored edges
 /// (Definition 4: the exact values of stored entries are revealed after `D` is
-/// fixed), producing the oracle's support.
+/// fixed) into `support`, the oracle's input, replacing its contents.
 fn reveal_support(
     graph: &Graph,
     classes: &WeightClasses,
@@ -575,19 +578,17 @@ fn reveal_support(
     sparsifier: &DeferredSparsifier,
     alpha: f64,
     lambda: f64,
-) -> Vec<SupportEdge> {
-    sparsifier
-        .stored_edges()
-        .iter()
-        .filter_map(|pe| {
-            let e = graph.edge(pe.id);
-            let level = classes.class_of(e.w)?;
-            let w_k = classes.weight(level);
-            let cov = dual.edge_coverage(e.u, e.v, level);
-            let us = StepRule::multiplier(alpha, cov / w_k, lambda, w_k);
-            Some(SupportEdge { id: pe.id, u: e.u, v: e.v, level, us })
-        })
-        .collect()
+    support: &mut Vec<SupportEdge>,
+) {
+    support.clear();
+    support.extend(sparsifier.stored_edges().iter().filter_map(|pe| {
+        let e = graph.edge(pe.id);
+        let level = classes.class_of(e.w)?;
+        let w_k = classes.weight(level);
+        let cov = dual.edge_coverage(e.u, e.v, level);
+        let us = StepRule::multiplier(alpha, cov / w_k, lambda, w_k);
+        Some(SupportEdge { id: pe.id, u: e.u, v: e.v, level, us })
+    }));
 }
 
 /// Runs the offline b-matching substrate on the union of the edges stored by a
@@ -647,7 +648,11 @@ mod tests {
         solver.solve(g, &ResourceBudget::unlimited()).expect("an unlimited budget cannot interrupt")
     }
 
-    fn solve_warm(solver: &DualPrimalSolver, g: &Graph, warm: &WarmStartState) -> SolveReport {
+    fn solve_warm(
+        solver: &DualPrimalSolver,
+        g: &Graph,
+        warm: Option<&WarmStartState>,
+    ) -> (SolveReport, DualSnapshot) {
         solver
             .solve_warm(g, &ResourceBudget::unlimited(), warm)
             .expect("an unlimited budget cannot interrupt")
@@ -655,11 +660,6 @@ mod tests {
 
     fn stat(report: &SolveReport, name: &str) -> f64 {
         report.stat(name).unwrap_or_else(|| panic!("missing stat {name}"))
-    }
-
-    fn warm_state(cold: &SolveReport) -> WarmStartState {
-        let duals = cold.final_duals.clone().expect("the dual-primal solver exports its duals");
-        WarmStartState { duals, hint: cold.matching.clone() }
     }
 
     #[test]
@@ -750,6 +750,13 @@ mod tests {
 
     type ResultFingerprint = (Vec<(usize, u64)>, u64, usize, usize);
 
+    /// The matching, the weight's bits, the rounds and the oracle iterations.
+    fn fingerprint(r: &SolveReport) -> ResultFingerprint {
+        let mut edges: Vec<(usize, u64)> = r.matching.iter().map(|(id, _, m)| (id, m)).collect();
+        edges.sort_unstable();
+        (edges, r.weight.to_bits(), r.rounds(), r.oracle_iterations)
+    }
+
     #[test]
     fn parallelism_levels_produce_bit_identical_results() {
         let mut rng = StdRng::seed_from_u64(21);
@@ -757,14 +764,10 @@ mod tests {
         let mut reference: Option<ResultFingerprint> = None;
         for workers in [1usize, 2, 8] {
             let config = DualPrimalConfig { parallelism: workers, ..Default::default() };
-            let res = solve(&DualPrimalSolver::new(config).unwrap(), &g);
-            let mut edges: Vec<(usize, u64)> =
-                res.matching.iter().map(|(id, _, mult)| (id, mult)).collect();
-            edges.sort_unstable();
-            let fingerprint = (edges, res.weight.to_bits(), res.rounds(), res.oracle_iterations);
+            let fp = fingerprint(&solve(&DualPrimalSolver::new(config).unwrap(), &g));
             match &reference {
-                None => reference = Some(fingerprint),
-                Some(r) => assert_eq!(r, &fingerprint, "parallelism {workers} diverged"),
+                None => reference = Some(fp),
+                Some(r) => assert_eq!(r, &fp, "parallelism {workers} diverged"),
             }
         }
     }
@@ -774,13 +777,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let g = generators::gnm(50, 300, WeightModel::Uniform(1.0, 8.0), &mut rng);
         let solver = solver(0.25, 2.0, 4);
-        let cold = solve(&solver, &g);
+        let (cold, duals) = solve_warm(&solver, &g, None);
         assert_eq!(stat(&cold, "warm_started"), 0.0);
         assert!(stat(&cold, "initial_rounds") > 0.0);
-        let warm_state = warm_state(&cold);
+        let warm_state = WarmStartState { duals, hint: cold.matching.clone() };
         assert!(!warm_state.duals.is_empty(), "a nonzero solve must export dual mass");
 
-        let warm = solve_warm(&solver, &g, &warm_state);
+        let (warm, _) = solve_warm(&solver, &g, Some(&warm_state));
         assert_eq!(stat(&warm, "warm_started"), 1.0);
         assert_eq!(stat(&warm, "initial_rounds"), 0.0, "warm start must skip the sampling phase");
         assert!(warm.rounds() < cold.rounds(), "warm {} !< cold {}", warm.rounds(), cold.rounds());
@@ -794,16 +797,43 @@ mod tests {
     fn warm_start_is_bit_identical_across_parallelism() {
         let mut rng = StdRng::seed_from_u64(33);
         let g = generators::gnm(60, 400, WeightModel::Uniform(1.0, 8.0), &mut rng);
-        let warm_state = warm_state(&solve(&solver(0.2, 2.0, 9), &g));
+        let (cold, duals) = solve_warm(&solver(0.2, 2.0, 9), &g, None);
+        let warm_state = WarmStartState { duals, hint: cold.matching };
         let mut reference: Option<(u64, usize)> = None;
         for workers in [1usize, 4] {
             let config = DualPrimalConfig { parallelism: workers, ..Default::default() };
-            let res = solve_warm(&DualPrimalSolver::new(config).unwrap(), &g, &warm_state);
+            let (res, _) =
+                solve_warm(&DualPrimalSolver::new(config).unwrap(), &g, Some(&warm_state));
             let fp = (res.weight.to_bits(), res.rounds());
             match &reference {
                 None => reference = Some(fp),
                 Some(r) => assert_eq!(r, &fp, "parallelism {workers} diverged on warm start"),
             }
+        }
+    }
+
+    #[test]
+    fn solve_is_the_cold_half_of_solve_warm() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut b_graph = generators::gnm(30, 150, WeightModel::Uniform(1.0, 6.0), &mut rng);
+        generators::randomize_capacities(&mut b_graph, 3, &mut rng);
+        let graphs = [
+            generators::gnm(50, 300, WeightModel::Uniform(1.0, 8.0), &mut rng),
+            b_graph,
+            generators::triangle_gadget(0.1, 1.0),
+            Graph::new(6),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let solver = solver(0.2, 2.0, i as u64);
+            let report = solve(&solver, g);
+            let (cold, _) = solve_warm(&solver, g, None);
+            assert_eq!(fingerprint(&report), fingerprint(&cold), "graph {i}");
+            let stat_bits = |r: &SolveReport| {
+                r.stats().iter().map(|&(n, v)| (n, v.to_bits())).collect::<Vec<_>>()
+            };
+            assert_eq!(stat_bits(&report), stat_bits(&cold), "graph {i}");
+            assert_eq!(report.solver, cold.solver);
+            assert_eq!(report.tracker.counters(), cold.tracker.counters(), "graph {i}");
         }
     }
 

@@ -24,7 +24,9 @@
 //!      `O(p)` cold sampling rounds.
 //!    * otherwise → **full rebuild** through the configured rebuild solver
 //!      (the umbrella crate wires any `SolverRegistry` entry in here — e.g.
-//!      the Lattanzi-filtering baseline for bulk rebuilds).
+//!      the Lattanzi-filtering baseline for bulk rebuilds); its
+//!      [`MatchingSolver::solve_with_duals`] hands back the duals that seed
+//!      the next warm re-solve, if it keeps any.
 //! 3. Every epoch appends an [`EpochStats`] row to the session ledger:
 //!    updates applied, the repair/warm/rebuild decision, rounds charged, and
 //!    (when auditing is on) the weight drift against a certified from-scratch
@@ -473,7 +475,7 @@ pub struct DynamicMatcher {
     config: DynamicConfig,
     overlay: GraphOverlay,
     /// Injected cold-rebuild backend; `None` uses the dual-primal solver
-    /// (which also re-exports duals, keeping the warm chain alive).
+    /// (which also returns duals, keeping the warm chain alive).
     rebuild_solver: Option<Box<dyn MatchingSolver>>,
     /// The maintained matching, in **stable overlay edge ids**.
     matching: BMatching,
@@ -1009,34 +1011,35 @@ impl DynamicMatcher {
                     hint,
                 };
                 let solver = DualPrimalSolver::new(self.config.solver_config(workers))?;
-                let report = solver.solve_warm(graph, budget, &warm)?;
+                let (report, duals) = solver.solve_warm(graph, budget, Some(&warm))?;
                 let rounds = report.rounds();
-                self.adopt_report(&report, back);
+                self.adopt_report(&report, back, Some(duals));
                 Ok((Some(report), rounds))
             }
             EpochDecision::Rebuild => {
-                let report = match &self.rebuild_solver {
-                    Some(solver) => solver.solve(graph, budget)?,
+                let (report, duals) = match &self.rebuild_solver {
+                    Some(solver) => solver.solve_with_duals(graph, budget)?,
                     None => DualPrimalSolver::new(self.config.solver_config(workers))?
-                        .solve(graph, budget)?,
+                        .solve_with_duals(graph, budget)?,
                 };
                 let rounds = report.rounds();
-                self.adopt_report(&report, back);
+                self.adopt_report(&report, back, duals);
                 Ok((Some(report), rounds))
             }
         }
     }
 
     /// Adopts a solver report produced on the materialized graph: the matching
-    /// is remapped to stable overlay ids and the exported duals (if any)
-    /// become the next warm-start seed.
-    fn adopt_report(&mut self, report: &SolveReport, back: &[EdgeId]) {
+    /// is remapped to stable overlay ids and `duals`, the solve's final dual
+    /// point (`None` from a solver without one), becomes the next warm-start
+    /// seed.
+    fn adopt_report(&mut self, report: &SolveReport, back: &[EdgeId], duals: Option<DualSnapshot>) {
         let mut matching = BMatching::new();
         for (mid, e, mult) in report.matching.iter() {
             matching.add(back[mid], e, mult);
         }
         self.matching = matching;
-        self.duals = report.final_duals.clone();
+        self.duals = duals;
     }
 
     /// The previous matching restricted to edges that are still alive (with

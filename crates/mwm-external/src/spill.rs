@@ -380,9 +380,14 @@ impl SpilledShards {
         slot.get_or_insert(err);
     }
 
-    fn read_shard(
+    /// Reads shard `shard`'s records in `io_batch` chunks and hands each
+    /// decoded record to `visit` until it returns false. The readback buffer
+    /// and `extra` more edges stay booked in `resident_edges` while the
+    /// shard is read.
+    fn read_records(
         &self,
         shard: usize,
+        extra: usize,
         visit: &mut dyn FnMut(EdgeId, Edge) -> bool,
     ) -> Result<(), SpillError> {
         let path = self.dir.join(shard_file_name(shard));
@@ -392,7 +397,7 @@ impl SpilledShards {
             .map_err(|e| SpillError::io(format!("seek {}", path.display()), e))?;
         let batch = self.io_batch;
         let mut buf = vec![0u8; batch * EDGE_RECORD_BYTES];
-        self.io.resident_edges.fetch_add(batch, Ordering::Relaxed);
+        self.io.resident_edges.fetch_add(batch + extra, Ordering::Relaxed);
         let resident = self.io.resident_edges.load(Ordering::Relaxed);
         self.io.peak_resident_edges.fetch_max(resident, Ordering::Relaxed);
         let result = (|| {
@@ -416,7 +421,7 @@ impl SpilledShards {
             }
             Ok(())
         })();
-        self.io.resident_edges.fetch_sub(batch, Ordering::Relaxed);
+        self.io.resident_edges.fetch_sub(batch + extra, Ordering::Relaxed);
         result
     }
 
@@ -425,59 +430,29 @@ impl SpilledShards {
     /// boundaries sit at multiples of `max_batch` within the shard — the same
     /// boundaries the trait default and the in-memory CSR override produce —
     /// independent of `io_batch`, so budget ledgers interrupt at identical
-    /// offsets over spilled and in-memory forms.
+    /// offsets over spilled and in-memory forms. The SoA columns are booked
+    /// beside the readback buffer, and the last slice is emitted with its
+    /// final record, while both are still booked.
     fn read_shard_soa(
         &self,
         shard: usize,
         max_batch: usize,
         visit: &mut dyn FnMut(EdgeBatch<'_>) -> bool,
     ) -> Result<(), SpillError> {
-        let path = self.dir.join(shard_file_name(shard));
-        let mut file =
-            File::open(&path).map_err(|e| SpillError::io(format!("open {}", path.display()), e))?;
-        file.seek(SeekFrom::Start(SHARD_HEADER_BYTES as u64))
-            .map_err(|e| SpillError::io(format!("seek {}", path.display()), e))?;
         let cap = max_batch.max(1);
-        let io = self.io_batch;
-        let mut buf = vec![0u8; io * EDGE_RECORD_BYTES];
-        let mut soa = SoaBatch::with_capacity(cap.min(self.counts[shard] as usize));
-        // Resident ceiling: the raw readback buffer plus the SoA columns.
-        self.io.resident_edges.fetch_add(io + cap, Ordering::Relaxed);
-        let resident = self.io.resident_edges.load(Ordering::Relaxed);
-        self.io.peak_resident_edges.fetch_max(resident, Ordering::Relaxed);
-        let result = (|| {
-            let mut remaining = self.counts[shard] as usize;
-            let mut stopped = false;
-            while remaining > 0 && !stopped {
-                let take = remaining.min(io);
-                let bytes = take * EDGE_RECORD_BYTES;
-                file.read_exact(&mut buf[..bytes]).map_err(|e| {
-                    SpillError::io(format!("read {take} records from {}", path.display()), e)
-                })?;
-                self.io.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
-                mwm_obs::counter!("external_readback_bytes_total").add(bytes as u64);
-                for chunk in buf[..bytes].chunks_exact(EDGE_RECORD_BYTES) {
-                    let record: &[u8; EDGE_RECORD_BYTES] = chunk.try_into().expect("exact chunk");
-                    let (id, e) = decode_edge_record(record);
-                    soa.push(id, e);
-                    if soa.len() == cap {
-                        let keep = visit(soa.view());
-                        soa.clear();
-                        if !keep {
-                            stopped = true;
-                            break;
-                        }
-                    }
-                }
-                remaining -= take;
+        let count = self.counts[shard] as usize;
+        let mut soa = SoaBatch::with_capacity(cap.min(count));
+        let mut decoded = 0;
+        self.read_records(shard, cap, &mut |id, e| {
+            soa.push(id, e);
+            decoded += 1;
+            if soa.len() < cap && decoded < count {
+                return true;
             }
-            if !stopped && !soa.is_empty() {
-                visit(soa.view());
-            }
-            Ok(())
-        })();
-        self.io.resident_edges.fetch_sub(io + cap, Ordering::Relaxed);
-        result
+            let keep = visit(soa.view());
+            soa.clear();
+            keep
+        })
     }
 }
 
@@ -499,7 +474,7 @@ impl EdgeSource for SpilledShards {
     }
 
     fn for_each_in_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeId, Edge) -> bool) {
-        if let Err(err) = self.read_shard(shard, visit) {
+        if let Err(err) = self.read_records(shard, 0, visit) {
             self.poison(err);
         }
     }

@@ -359,6 +359,30 @@ mod tests {
     }
 
     #[test]
+    fn registry_rebuilds_keep_the_warm_chain_only_with_duals() {
+        use crate::engine::{DynamicConfig, EpochDecision};
+        use mwm_graph::GraphUpdate;
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = generators::gnm(60, 300, WeightModel::Uniform(1.0, 9.0), &mut rng);
+        let budget = ResourceBudget::unlimited();
+        // 8 new edges touch 16 of 60 vertices: the warm band, if duals exist.
+        let updates: Vec<GraphUpdate> = (0..8u32)
+            .map(|i| GraphUpdate::InsertEdge { u: 2 * i, v: 2 * i + 31, w: 3.5 })
+            .collect();
+        let reg = SolverRegistry::default();
+        for (name, next) in [
+            ("dual-primal", EpochDecision::WarmResolve),
+            ("lattanzi-filtering", EpochDecision::Rebuild),
+        ] {
+            let mut dm = reg.create_dynamic(name, &g, DynamicConfig::default()).unwrap();
+            dm.apply_epoch(&[], &budget).unwrap();
+            assert_eq!(dm.duals().is_some(), name == "dual-primal", "{name}");
+            assert_eq!(dm.apply_epoch(&updates, &budget).unwrap().stats.decision, next, "{name}");
+        }
+    }
+
+    #[test]
     fn parallelism_reaches_factories_through_the_budget() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::gnm(30, 150, WeightModel::Uniform(1.0, 9.0), &mut rng);

@@ -52,8 +52,7 @@ proptest! {
 
         let config = DualPrimalConfig::builder().eps(eps).p(2.0).seed(seed).build().unwrap();
         let solver = DualPrimalSolver::new(config).unwrap();
-        let cold = solver.solve(&g, &ResourceBudget::unlimited()).unwrap();
-        let snap = cold.final_duals.clone().expect("dual-primal always exports duals");
+        let (cold, snap) = solver.solve_warm(&g, &ResourceBudget::unlimited(), None).unwrap();
         assert_canonical(&snap);
         prop_assert_eq!(snap.scale.to_bits(), levels.scale().to_bits(), "export keeps B/W*");
         prop_assert_eq!(snap.eps, eps);
@@ -68,15 +67,14 @@ proptest! {
         prop_assert_eq!(&thrice, &snap);
 
         // The warm leg: resume from the exported duals, export again.
-        let warm = solver
+        let (warm, warm_snap) = solver
             .solve_warm(
                 &g,
                 &ResourceBudget::unlimited(),
-                &WarmStartState { duals: snap, hint: cold.matching.clone() },
+                Some(&WarmStartState { duals: snap, hint: cold.matching.clone() }),
             )
             .unwrap();
         prop_assert_eq!(warm.stat("warm_started"), Some(1.0));
-        let warm_snap = warm.final_duals.expect("warm solve exports duals too");
         assert_canonical(&warm_snap);
         prop_assert_eq!(warm_snap.scale.to_bits(), levels.scale().to_bits());
         let warm_again =

@@ -121,7 +121,7 @@ fn round_and_oracle_limits_stop_the_solve_before_the_work_they_cannot_pay() {
     let g = gnm(3, 80, 2000);
     let config = DualPrimalConfig::builder().p(3.0).max_rounds(4).build().unwrap();
     let solver = DualPrimalSolver::new(config).unwrap();
-    let full = solver.solve(&g, &ResourceBudget::unlimited()).unwrap();
+    let (full, full_duals) = solver.solve_warm(&g, &ResourceBudget::unlimited(), None).unwrap();
     let (initial, main) = (stat(&full, "initial_rounds"), stat(&full, "main_rounds"));
     assert!(initial >= 2 && main > 2, "initial {initial}, main {main}");
     assert!(full.oracle_iterations > 3);
@@ -144,10 +144,9 @@ fn round_and_oracle_limits_stop_the_solve_before_the_work_they_cannot_pay() {
 
     // A warm solve pays no sampling rounds: the limit caps its main loop and
     // the solve succeeds.
-    let warm_state =
-        WarmStartState { duals: full.final_duals.clone().unwrap(), hint: full.matching };
-    let warm = solver
-        .solve_warm(&g, &ResourceBudget::unlimited().with_max_rounds(2), &warm_state)
+    let warm_state = WarmStartState { duals: full_duals, hint: full.matching };
+    let (warm, _) = solver
+        .solve_warm(&g, &ResourceBudget::unlimited().with_max_rounds(2), Some(&warm_state))
         .unwrap();
     assert_eq!(warm.rounds(), 2);
 }
@@ -169,7 +168,7 @@ fn one_ledger_carries_the_initial_phase_and_every_main_round() {
     let stat = |report: &SolveReport, name: &str| report.stat(name).unwrap() as usize;
     let g = gnm(5, 60, 400);
     let solver = DualPrimalSolver::default();
-    let cold = solver.solve(&g, &ResourceBudget::unlimited()).unwrap();
+    let (cold, duals) = solver.solve_warm(&g, &ResourceBudget::unlimited(), None).unwrap();
     let (initial, main) = (stat(&cold, "initial_rounds"), stat(&cold, "main_rounds"));
     assert!(initial > 0 && main > 0, "initial {initial}, main {main}");
     assert_eq!(cold.rounds(), initial + main);
@@ -179,10 +178,10 @@ fn one_ledger_carries_the_initial_phase_and_every_main_round() {
     );
 
     // A warm solve skips the sampling phase: its ledger is the main loop's alone.
-    let duals = cold.final_duals.clone().unwrap();
     let warm_state = WarmStartState { duals, hint: cold.matching.clone() };
     let drifted = gnm(6, 60, 400);
-    let warm = solver.solve_warm(&drifted, &ResourceBudget::unlimited(), &warm_state).unwrap();
+    let (warm, _) =
+        solver.solve_warm(&drifted, &ResourceBudget::unlimited(), Some(&warm_state)).unwrap();
     let main = stat(&warm, "main_rounds");
     assert_eq!(stat(&warm, "initial_rounds"), 0);
     assert!(main > 0, "the drifted graph needs at least one main round");
