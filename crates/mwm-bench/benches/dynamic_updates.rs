@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mwm_bench::workloads;
 use mwm_core::ResourceBudget;
 use mwm_dynamic::{DynamicConfig, DynamicMatcher};
-use mwm_mapreduce::{PassEngine, UpdateSource};
+use mwm_mapreduce::PassEngine;
 
 fn bench_dynamic_session(c: &mut Criterion) {
     let mut group = c.benchmark_group("dynamic_updates");
@@ -45,14 +45,9 @@ fn bench_update_ingestion(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 b.iter(|| {
-                    let source = UpdateSource::auto(&updates);
                     let mut engine = PassEngine::new(workers);
                     engine
-                        .pass_items(
-                            &source,
-                            |_| 0usize,
-                            |acc: &mut usize, _item: (usize, mwm_graph::GraphUpdate)| *acc += 1,
-                        )
+                        .pass_items(&updates, |_| 0usize, |acc, _| *acc += 1)
                         .expect("unbudgeted pass cannot fail")
                 })
             },

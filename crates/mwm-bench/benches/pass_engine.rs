@@ -43,7 +43,7 @@ fn bench_batch_pass_throughput(c: &mut Criterion) {
     let stream = workloads::pass_throughput_stream(1, 42);
     // CSR/SoA materialization happens once, outside the measured closure:
     // the bench compares the slice kernel against the per-edge fold above.
-    let soa = SoaShards::from_source(&stream);
+    let soa = SoaShards::from_source(&stream).expect("a generated stream cannot fail a read");
     for &workers in &[1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("multiplier_batch_pass", workers),

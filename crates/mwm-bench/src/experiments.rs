@@ -437,7 +437,7 @@ pub fn e11_pass_throughput() -> Result<ExperimentReport, MwmError> {
     // Materialize the stream into flat CSR/SoA columns ONCE, outside the
     // timed region: the experiment measures pass throughput over resident
     // shard storage, not the generator.
-    let soa = SoaShards::from_source(&stream);
+    let soa = SoaShards::from_source(&stream)?;
     let passes = 3usize;
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     let mut base_throughput = None;

@@ -7,10 +7,10 @@
 //! static reproduction into a serving-shaped session:
 //!
 //! 1. Callers feed batches of [`GraphUpdate`]s into an **epoch**. The batch
-//!    first streams through the [`PassEngine`] via an
-//!    [`mwm_mapreduce::UpdateSource`] — one charged, sharded, deterministic
-//!    pass producing a *damage summary* (touched vertices, update mix) — and
-//!    is then replayed sequentially into the journaled
+//!    first streams through the [`PassEngine`] via
+//!    [`PassEngine::pass_items`] — one charged, sharded, deterministic pass
+//!    producing a *damage summary* (touched vertices, update mix) — and is
+//!    then replayed sequentially into the journaled
 //!    [`mwm_graph::GraphOverlay`].
 //! 2. A **damage-ratio policy** picks the cheapest adequate reaction:
 //!    * `damage ≤ repair_threshold` → **incremental repair**: the previous
@@ -58,10 +58,7 @@ use mwm_graph::{
     BMatching, Edge, EdgeId, Graph, GraphOverlay, GraphUpdate, Matching, OverlayState, VertexId,
 };
 use mwm_lp::DualSnapshot;
-use mwm_mapreduce::{
-    auto_shard_count, GraphSource, ItemSource, PassEngine, ResourceTracker, TrackerCounters,
-    UpdateSource,
-};
+use mwm_mapreduce::{GraphSource, PassEngine, ResourceTracker, TrackerCounters};
 use mwm_matching::{greedy_b_matching, improve_matching};
 use mwm_sparsify::DeferredSparsifier;
 use mwm_turnstile::{EdgeDelta, SketchBank, SketchBankState, TurnstileConfig};
@@ -396,46 +393,6 @@ impl DamageSummary {
     }
 }
 
-/// [`ItemSource`] over a batch of turnstile deltas: sharded by batch length
-/// only (never by worker count), like [`UpdateSource`], so the per-shard bank
-/// partials merge in a stable order at every parallelism level.
-struct DeltaSource<'a> {
-    deltas: &'a [EdgeDelta],
-    num_shards: usize,
-}
-
-impl<'a> DeltaSource<'a> {
-    fn auto(deltas: &'a [EdgeDelta]) -> Self {
-        DeltaSource { deltas, num_shards: auto_shard_count(deltas.len()) }
-    }
-
-    fn bounds(&self, shard: usize) -> (usize, usize) {
-        let m = self.deltas.len();
-        (shard * m / self.num_shards, (shard + 1) * m / self.num_shards)
-    }
-}
-
-impl ItemSource for DeltaSource<'_> {
-    type Item = EdgeDelta;
-
-    fn num_items(&self) -> usize {
-        self.deltas.len()
-    }
-
-    fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    fn visit_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeDelta) -> bool) {
-        let (lo, hi) = self.bounds(shard);
-        for &d in &self.deltas[lo..hi] {
-            if !visit(d) {
-                break;
-            }
-        }
-    }
-}
-
 /// The full exported state of a [`DynamicMatcher`] session, public field by
 /// field, so a persistence layer can serialize it without this crate knowing
 /// about any on-disk format. [`DynamicMatcher::export_state`] and
@@ -740,12 +697,11 @@ impl DynamicMatcher {
         // ---- 1. Charged sharded ingestion pass: damage summary ----
         let mut damage = DamageSummary::default();
         if !updates.is_empty() {
-            let source = UpdateSource::auto(updates);
             let overlay = &self.overlay;
             let shards = engine.pass_items(
-                &source,
+                updates,
                 |_| DamageSummary::default(),
-                |acc: &mut DamageSummary, (_seq, u): (usize, GraphUpdate)| acc.absorb(overlay, &u),
+                |acc, u| acc.absorb(overlay, u),
             )?;
             for shard in shards {
                 damage.merge(shard);
@@ -774,11 +730,12 @@ impl DynamicMatcher {
         };
 
         // Everything past this point mutates the session and can still fail
-        // on a budget interrupt; snapshot the overlay (and sketch bank) so a
-        // failed epoch rolls back whole instead of leaving the batch
-        // half-adopted. The O(journal) clone is only paid when a limit is
-        // actually set.
-        let rollback = if budget.is_unlimited() {
+        // on a budget interrupt or in an injected rebuild solver; snapshot
+        // the overlay (and sketch bank) so a failed epoch rolls back whole
+        // instead of leaving the batch half-adopted. The default dual-primal
+        // path cannot fail without a limit, so the O(journal) clone is only
+        // paid when a limit is set or a rebuild solver is injected.
+        let rollback = if budget.is_unlimited() && self.rebuild_solver.is_none() {
             None
         } else {
             Some((self.overlay.clone(), self.bank.clone()))
@@ -1302,11 +1259,10 @@ impl DynamicMatcher {
         let incremental = self.bank.as_ref().is_some_and(|b| *b.config() == wanted);
         if incremental {
             if !deltas.is_empty() {
-                let source = DeltaSource::auto(deltas);
                 let shards = engine.pass_items(
-                    &source,
+                    deltas,
                     |_| SketchBank::new(wanted),
-                    |acc: &mut SketchBank, d: EdgeDelta| acc.apply_delta(d),
+                    |acc, d| acc.apply_delta(*d),
                 )?;
                 let bank = self.bank.as_mut().expect("incremental implies a live bank");
                 for shard in &shards {

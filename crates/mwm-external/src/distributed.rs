@@ -155,9 +155,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spill::{shard_file_name, SpillWriter, SpilledShards};
+    use crate::spill::{shard_file_name, SpillError, SpillWriter, SpilledShards};
     use mwm_graph::wire::EDGE_RECORD_BYTES;
-    use mwm_mapreduce::SyntheticStream;
+    use mwm_mapreduce::{SoaShards, SyntheticStream};
     use proptest::{prop_assert_eq, proptest, ProptestConfig};
     use std::collections::BTreeSet;
     use std::path::PathBuf;
@@ -232,6 +232,8 @@ mod tests {
         // reader for good, hence one reader per check.
         let batch_reader = SpilledShards::open(&dir).unwrap();
         let sequential_reader = SpilledShards::open(&dir).unwrap();
+        let spill_reader = SpilledShards::open(&dir).unwrap();
+        let soa_reader = SpilledShards::open(&dir).unwrap();
         let victim = dir.join(shard_file_name(2));
         let len = std::fs::metadata(&victim).unwrap().len();
         let truncated = len - 10 * EDGE_RECORD_BYTES as u64;
@@ -246,6 +248,15 @@ mod tests {
         assert!(matches!(counts, Err(PassError::Io { .. })), "batch pass: {counts:?}");
         let sequential = engine.pass_sequential(&sequential_reader, |_, _| {});
         assert!(matches!(sequential, Err(PassError::Io { .. })), "sequential pass: {sequential:?}");
+
+        // The materializers read through the same visitor: each must report
+        // the failed read instead of returning a copy without shard 2.
+        let copy_dir = temp_dir("truncated-copy");
+        let copy = SpillWriter::spill_edge_source(&copy_dir, &spill_reader).map(|s| s.num_edges());
+        assert!(matches!(copy, Err(SpillError::Io { .. })), "re-spill: {copy:?}");
+        let soa = SoaShards::from_source(&soa_reader).map(|s| s.num_edges());
+        assert!(matches!(soa, Err(PassError::Io { .. })), "SoA copy: {soa:?}");
+        let _ = std::fs::remove_dir_all(&copy_dir);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

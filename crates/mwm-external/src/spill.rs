@@ -13,16 +13,18 @@
 //! any [`EdgeSource`] (or edge by edge), **preserving the source's shard
 //! structure and in-shard order** — that is what keeps a pass over the spilled
 //! form bit-identical to a pass over the original. [`SpilledShards`] streams
-//! the files back through the `PassEngine` batch-at-a-time: at most
-//! [`SpilledShards::io_batch`] edges per reader are resident, so a stream far
-//! larger than memory runs under a fixed ceiling, and the readback buffers
-//! are charged to the resource ledger via [`SpilledShards::charge_io`].
+//! the files back through the `PassEngine` batch-at-a-time: each reader holds
+//! at most [`SpilledShards::io_batch`] records plus one engine slice, so a
+//! stream far larger than memory runs under a fixed ceiling, and the readback
+//! buffers are charged to the resource ledger via
+//! [`SpilledShards::charge_io`].
 //!
 //! Every structural problem — bad magic, shard/manifest disagreement, a
 //! truncated or over-long file — is a typed [`SpillError`], never a panic.
 
 use mwm_graph::wire::{decode_edge_record, encode_edge_record, EDGE_RECORD_BYTES};
 use mwm_graph::{Edge, EdgeId};
+use mwm_mapreduce::pass_engine::DEFAULT_BATCH;
 use mwm_mapreduce::{EdgeBatch, EdgeSource, PassError, ResourceTracker, SoaBatch};
 use std::fmt;
 use std::fs::{self, File};
@@ -39,7 +41,7 @@ pub const SHARD_MAGIC: &[u8; 8] = b"MWMSHRD1";
 pub const MANIFEST_NAME: &str = "spill.manifest";
 /// Fixed byte size of a shard-file header.
 pub const SHARD_HEADER_BYTES: usize = 24;
-/// Default readback batch, in edges (the per-reader resident ceiling).
+/// Default readback batch, in edges (the records each reader buffers).
 pub const DEFAULT_IO_BATCH: usize = 8192;
 
 /// Name of shard file `shard` inside a spill directory.
@@ -176,7 +178,9 @@ impl SpillWriter {
 
     /// Spills a whole [`EdgeSource`], **preserving its shard structure** (same
     /// shard count, same ids, same in-shard order), so passes over the result
-    /// are bit-identical to passes over `source`.
+    /// are bit-identical to passes over `source`. A read of `source` that
+    /// fails mid-shard (its [`EdgeSource::health`]) is an error, never a
+    /// shorter spill.
     pub fn spill_edge_source<S>(
         dir: impl Into<PathBuf>,
         source: &S,
@@ -187,17 +191,22 @@ impl SpillWriter {
         let mut writer = SpillWriter::create(dir, source.num_vertices(), source.num_shards())?;
         for shard in 0..source.num_shards() {
             let mut failed = None;
-            source.for_each_in_shard(shard, &mut |id, e| match writer.push(shard, id, e) {
-                Ok(()) => true,
-                Err(err) => {
-                    failed = Some(err);
-                    false
+            source.for_each_batch_in_shard(shard, DEFAULT_BATCH, &mut |b| {
+                for i in 0..b.len() {
+                    if let Err(err) = writer.push(shard, b.ids[i], b.edge(i)) {
+                        failed = Some(err);
+                        return false;
+                    }
                 }
+                true
             });
             if let Some(err) = failed {
                 return Err(err);
             }
         }
+        source
+            .health()
+            .map_err(|err| SpillError::Io { context: format!("read the source stream: {err}") })?;
         writer.finish()
     }
 }
@@ -214,7 +223,7 @@ struct IoStats {
 ///
 /// Opening validates the whole layout (manifest and every shard header and
 /// file length); reading streams records back in batches of at most
-/// [`SpilledShards::io_batch`] edges per concurrent reader. Mid-read failures
+/// [`SpilledShards::io_batch`] records per concurrent reader. Mid-read failures
 /// cannot surface through the `EdgeSource` visitor, so they poison the source
 /// instead: the affected shard stops early and [`SpilledShards::check`]
 /// returns the typed error afterwards. The `PassEngine` asks after every
@@ -323,8 +332,9 @@ impl SpilledShards {
         })
     }
 
-    /// Overrides the readback batch (builder style; clamped to ≥ 1). The
-    /// batch is the per-reader resident ceiling in edges.
+    /// Overrides the readback batch (builder style; clamped to ≥ 1): the
+    /// records each reader buffers, beside the one engine slice it decodes
+    /// them into.
     pub fn with_io_batch(mut self, edges: usize) -> Self {
         self.io_batch = edges.max(1);
         self
@@ -380,28 +390,34 @@ impl SpilledShards {
         slot.get_or_insert(err);
     }
 
-    /// Reads shard `shard`'s records in `io_batch` chunks and hands each
-    /// decoded record to `visit` until it returns false. The readback buffer
-    /// and `extra` more edges stay booked in `resident_edges` while the
-    /// shard is read.
-    fn read_records(
+    /// Reads shard `shard` back in `io_batch`-record chunks, decodes each
+    /// record into a reusable [`SoaBatch`] and emits [`EdgeBatch`] slices of
+    /// at most `max_batch` edges until `visit` returns false. Slice
+    /// boundaries sit at multiples of `max_batch` within the shard,
+    /// independent of `io_batch`, so budget ledgers interrupt at identical
+    /// offsets over spilled and in-memory forms. The readback buffer and the
+    /// slice columns stay booked in `resident_edges` until the last slice
+    /// has been visited.
+    fn read_shard(
         &self,
         shard: usize,
-        extra: usize,
-        visit: &mut dyn FnMut(EdgeId, Edge) -> bool,
+        max_batch: usize,
+        visit: &mut dyn FnMut(EdgeBatch<'_>) -> bool,
     ) -> Result<(), SpillError> {
         let path = self.dir.join(shard_file_name(shard));
         let mut file =
             File::open(&path).map_err(|e| SpillError::io(format!("open {}", path.display()), e))?;
         file.seek(SeekFrom::Start(SHARD_HEADER_BYTES as u64))
             .map_err(|e| SpillError::io(format!("seek {}", path.display()), e))?;
-        let batch = self.io_batch;
+        let (batch, cap) = (self.io_batch, max_batch.max(1));
+        let count = self.counts[shard] as usize;
         let mut buf = vec![0u8; batch * EDGE_RECORD_BYTES];
-        self.io.resident_edges.fetch_add(batch + extra, Ordering::Relaxed);
+        let mut soa = SoaBatch::with_capacity(cap.min(count));
+        self.io.resident_edges.fetch_add(batch + cap, Ordering::Relaxed);
         let resident = self.io.resident_edges.load(Ordering::Relaxed);
         self.io.peak_resident_edges.fetch_max(resident, Ordering::Relaxed);
         let result = (|| {
-            let mut remaining = self.counts[shard] as usize;
+            let mut remaining = count;
             while remaining > 0 {
                 let take = remaining.min(batch);
                 let bytes = take * EDGE_RECORD_BYTES;
@@ -413,46 +429,24 @@ impl SpilledShards {
                 for chunk in buf[..bytes].chunks_exact(EDGE_RECORD_BYTES) {
                     let record: &[u8; EDGE_RECORD_BYTES] = chunk.try_into().expect("exact chunk");
                     let (id, e) = decode_edge_record(record);
-                    if !visit(id, e) {
-                        return Ok(());
+                    soa.push(id, e);
+                    if soa.len() == cap {
+                        let keep = visit(soa.view());
+                        soa.clear();
+                        if !keep {
+                            return Ok(());
+                        }
                     }
                 }
                 remaining -= take;
             }
+            if !soa.is_empty() {
+                visit(soa.view());
+            }
             Ok(())
         })();
-        self.io.resident_edges.fetch_sub(batch + extra, Ordering::Relaxed);
+        self.io.resident_edges.fetch_sub(batch + cap, Ordering::Relaxed);
         result
-    }
-
-    /// Batch readback: decodes records straight into a reusable [`SoaBatch`]
-    /// and emits [`EdgeBatch`] slices of at most `max_batch` edges. Slice
-    /// boundaries sit at multiples of `max_batch` within the shard — the same
-    /// boundaries the trait default and the in-memory CSR override produce —
-    /// independent of `io_batch`, so budget ledgers interrupt at identical
-    /// offsets over spilled and in-memory forms. The SoA columns are booked
-    /// beside the readback buffer, and the last slice is emitted with its
-    /// final record, while both are still booked.
-    fn read_shard_soa(
-        &self,
-        shard: usize,
-        max_batch: usize,
-        visit: &mut dyn FnMut(EdgeBatch<'_>) -> bool,
-    ) -> Result<(), SpillError> {
-        let cap = max_batch.max(1);
-        let count = self.counts[shard] as usize;
-        let mut soa = SoaBatch::with_capacity(cap.min(count));
-        let mut decoded = 0;
-        self.read_records(shard, cap, &mut |id, e| {
-            soa.push(id, e);
-            decoded += 1;
-            if soa.len() < cap && decoded < count {
-                return true;
-            }
-            let keep = visit(soa.view());
-            soa.clear();
-            keep
-        })
     }
 }
 
@@ -473,19 +467,13 @@ impl EdgeSource for SpilledShards {
         self.counts[shard] as usize
     }
 
-    fn for_each_in_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeId, Edge) -> bool) {
-        if let Err(err) = self.read_records(shard, 0, visit) {
-            self.poison(err);
-        }
-    }
-
     fn for_each_batch_in_shard(
         &self,
         shard: usize,
         max_batch: usize,
         visit: &mut dyn FnMut(EdgeBatch<'_>) -> bool,
     ) {
-        if let Err(err) = self.read_shard_soa(shard, max_batch, visit) {
+        if let Err(err) = self.read_shard(shard, max_batch, visit) {
             self.poison(err);
         }
     }
@@ -528,18 +516,24 @@ mod tests {
     }
 
     #[test]
-    fn spilled_batch_readback_matches_the_per_edge_decode() {
+    fn spilled_batch_readback_matches_the_generated_stream() {
         let stream = SyntheticStream::with_shards(120, 10_000, 7, 5);
         let dir = temp_dir("soa");
         // io_batch 100 is NOT a multiple of the 37-edge slice cap, so SoA
         // slices must straddle readback buffers without reordering anything.
         let spilled = SpillWriter::spill_edge_source(&dir, &stream).unwrap().with_io_batch(100);
+        let mut lo = 0;
         for shard in 0..spilled.num_shards() {
-            let mut expect: Vec<(EdgeId, u32, u32, u64)> = Vec::new();
-            spilled.for_each_in_shard(shard, &mut |id, e| {
-                expect.push((id, e.u, e.v, e.w.to_bits()));
-                true
-            });
+            // The stream's shards are consecutive id ranges; the reference is
+            // generated from the ids alone.
+            let hi = lo + stream.shard_len(shard);
+            let expect: Vec<(EdgeId, u32, u32, u64)> = (lo..hi)
+                .map(|id| {
+                    let e = stream.edge_at(id);
+                    (id, e.u, e.v, e.w.to_bits())
+                })
+                .collect();
+            lo = hi;
             let mut got = Vec::new();
             let mut lens = Vec::new();
             spilled.for_each_batch_in_shard(shard, 37, &mut |b| {
@@ -567,14 +561,15 @@ mod tests {
         let stream = SyntheticStream::with_shards(50, 5_000, 3, 4);
         let dir = temp_dir("accounting");
         let spilled = SpillWriter::spill_edge_source(&dir, &stream).unwrap().with_io_batch(64);
-        let mut engine = PassEngine::new(1);
+        let mut engine = PassEngine::new(1).with_batch_size(16);
         let counts = engine.pass_shards(&spilled, |_| 0usize, |acc, _, _| *acc += 1).unwrap();
         assert_eq!(counts.iter().sum::<usize>(), 5_000);
         assert_eq!(spilled.bytes_read(), 5_000 * EDGE_RECORD_BYTES as u64);
-        let peak = spilled.peak_resident_edges();
-        assert!((64..=64 * 4).contains(&peak), "peak {peak} outside one batch per reader");
+        // One worker reads one shard at a time: its 64-record buffer and its
+        // 16-edge engine slice are the whole resident set.
+        assert_eq!(spilled.peak_resident_edges(), 64 + 16);
         spilled.charge_io(engine.tracker_mut());
-        assert!(engine.tracker().peak_central_space() >= 64);
+        assert_eq!(engine.tracker().peak_central_space(), 64 + 16);
         assert_eq!(engine.tracker().current_central_space(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -671,8 +666,8 @@ mod tests {
         let full = fs::metadata(&victim).unwrap().len();
         fs::OpenOptions::new().write(true).open(&victim).unwrap().set_len(full - 40).unwrap();
         let mut seen = 0usize;
-        spilled.for_each_in_shard(1, &mut |_, _| {
-            seen += 1;
+        spilled.for_each_batch_in_shard(1, 8, &mut |b| {
+            seen += b.len();
             true
         });
         assert!(seen < spilled.shard_len(1), "the read must stop early");

@@ -14,11 +14,11 @@
 //!   model's central-space budget [`central_space_budget`] (`4·n^{1+1/p}`)
 //!   and its check.
 //! * [`pass_engine`] — the sharded multi-threaded [`PassEngine`] executing
-//!   semi-streaming passes over [`EdgeSource`] streams (and, through the
-//!   item-generic [`ItemSource`], over [`UpdateSource`] update batches) with
-//!   deterministic (shard-order) merges and mid-pass budget enforcement.
-//!   Every pass runs in this process, on up to [`PassEngine::parallelism`]
-//!   threads.
+//!   semi-streaming passes over [`EdgeSource`] streams, each shard read as
+//!   [`EdgeBatch`] slices (and, through [`PassEngine::pass_items`], over plain
+//!   slices of update batches) with deterministic (shard-order) merges and
+//!   mid-pass budget enforcement. Every pass runs in this process, on up to
+//!   [`PassEngine::parallelism`] threads.
 //! * [`congested_clique`] — per-vertex message accounting (Section 1's
 //!   `O(n^{1/p})`-message-per-vertex corollary).
 //!
@@ -32,7 +32,7 @@ pub mod resources;
 
 pub use congested_clique::CongestedCliqueSim;
 pub use pass_engine::{
-    auto_shard_count, EdgeBatch, EdgeSource, GraphSource, ItemSource, PassBudget, PassEngine,
-    PassError, SoaBatch, SoaShards, SyntheticStream, UpdateSource,
+    auto_shard_count, EdgeBatch, EdgeSource, GraphSource, PassBudget, PassEngine, PassError,
+    SoaBatch, SoaShards, SyntheticStream,
 };
 pub use resources::{central_space_budget, ResourceTracker, TrackerCounters};

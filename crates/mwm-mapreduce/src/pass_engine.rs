@@ -3,24 +3,28 @@
 //! The paper's algorithms are defined by how they consume data: a small number
 //! of *passes* over an edge stream under a strict memory budget. The
 //! [`PassEngine`] executes such passes over **sharded** streams: an
-//! [`EdgeSource`] exposes the stream as a fixed list of shards, a pass fans
-//! the shards out across `std::thread` workers (at most
-//! [`PassEngine::parallelism`] at a time), each worker folds its shards into a
-//! private accumulator with a private resource ledger, and the per-shard
+//! [`EdgeSource`] exposes the stream as a fixed list of shards, each read in
+//! one way only — as [`EdgeBatch`] struct-of-arrays slices, by
+//! [`EdgeSource::for_each_batch_in_shard`]. A pass fans the shards out across
+//! `std::thread` workers (at most [`PassEngine::parallelism`] at a time), each
+//! worker folds its shards into a private accumulator, and the per-shard
 //! results are merged **in shard order** — so the outcome is bit-identical for
-//! any worker count. Order-dependent consumers (one-pass replacement
-//! matching) use [`PassEngine::pass_sequential`], which visits the shards in
-//! index order on the calling thread but still gets the engine's accounting
-//! and budget enforcement.
+//! any worker count. [`PassEngine::pass_shards`] and
+//! [`PassEngine::pass_sequential`] are per-edge loops over the same slice
+//! walk; the latter visits the shards in index order on the calling thread,
+//! for order-dependent consumers (one-pass replacement matching), but still
+//! gets the engine's accounting and budget enforcement.
+//! [`PassEngine::pass_items`] runs the same scheduler over a plain slice of
+//! any other payload (graph updates, turnstile deltas).
 //!
 //! Every pass runs through one shard scheduler and one budget gate:
 //! [`PassBudget::max_items_streamed`] is checked every
-//! [`PassEngine::batch_size`] edges of a shard, so an exhausted budget
+//! [`PassEngine::batch_size`] items of a shard, so an exhausted budget
 //! interrupts the pass mid-shard with [`PassError::BudgetExceeded`] and a
-//! ledger that reflects exactly the edges actually visited — never a panic.
-//! After every charged pass the source's [`EdgeSource::health`] is checked,
-//! so a read that failed mid-shard surfaces as [`PassError::Io`] instead of
-//! a result over part of the stream.
+//! ledger that reflects exactly the items actually visited — never a panic.
+//! After every charged edge pass the source's [`EdgeSource::health`] is
+//! checked, so a read that failed mid-shard surfaces as [`PassError::Io`]
+//! instead of a result over part of the stream.
 //!
 //! The number of shards is a property of the *source*, not of the engine:
 //! changing `parallelism` changes how many threads consume the shards, never
@@ -28,7 +32,7 @@
 //! machines and worker counts.
 
 use crate::resources::ResourceTracker;
-use mwm_graph::{Edge, EdgeId, Graph, GraphUpdate, VertexId};
+use mwm_graph::{Edge, EdgeId, Graph, VertexId};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -56,55 +60,11 @@ pub fn auto_shard_count(m: usize) -> usize {
     (m / 2048).clamp(1, MAX_AUTO_SHARDS)
 }
 
-/// A sharded stream of arbitrary items — the generalization the engine's
-/// worker loop actually runs on. [`EdgeSource`]s are adapted to it internally
-/// (item = `(EdgeId, Edge)`), and [`UpdateSource`] exposes a batch of
-/// [`GraphUpdate`]s the same way (item = `(seq, update)`), so edge passes and
-/// update passes share one scheduler, one budget enforcement path and one
-/// deterministic shard-order merge.
-pub trait ItemSource: Sync {
-    /// The per-item payload handed to the fold.
-    type Item;
-
-    /// Total number of items across all shards.
-    fn num_items(&self) -> usize;
-
-    /// Number of shards (always at least 1).
-    fn num_shards(&self) -> usize;
-
-    /// Visits the shard's items in stream order. `visit` returns `false` to
-    /// stop early (used by the engine for budget aborts).
-    fn visit_shard(&self, shard: usize, visit: &mut dyn FnMut(Self::Item) -> bool);
-
-    /// Whether every read so far delivered its items; see
-    /// [`EdgeSource::health`]. In-memory sources cannot fail.
-    fn health(&self) -> Result<(), PassError> {
-        Ok(())
-    }
-}
-
-/// Internal adapter presenting an [`EdgeSource`] as an [`ItemSource`] of
-/// `(EdgeId, Edge)` pairs, so the engine has exactly one worker loop.
-struct EdgeItems<'a, S: ?Sized>(&'a S);
-
-impl<S: EdgeSource + ?Sized> ItemSource for EdgeItems<'_, S> {
-    type Item = (EdgeId, Edge);
-
-    fn num_items(&self) -> usize {
-        self.0.num_edges()
-    }
-
-    fn num_shards(&self) -> usize {
-        self.0.num_shards()
-    }
-
-    fn visit_shard(&self, shard: usize, visit: &mut dyn FnMut(Self::Item) -> bool) {
-        self.0.for_each_in_shard(shard, &mut |id, e| visit((id, e)));
-    }
-
-    fn health(&self) -> Result<(), PassError> {
-        self.0.health()
-    }
+/// The bounds of shard `shard` when `len` items split into `num_shards`
+/// contiguous ranges: the layout of [`GraphSource`], [`SyntheticStream`] and
+/// [`PassEngine::pass_items`].
+fn contiguous_shard(shard: usize, num_shards: usize, len: usize) -> (usize, usize) {
+    (shard * len / num_shards, (shard + 1) * len / num_shards)
 }
 
 /// A borrowed struct-of-arrays view of consecutive edges from one shard: the
@@ -155,9 +115,9 @@ impl<'a> EdgeBatch<'a> {
 }
 
 /// An owned, reusable struct-of-arrays buffer that assembles [`EdgeBatch`]
-/// views for sources that produce edges one at a time (the default
-/// [`EdgeSource::for_each_batch_in_shard`] path and the spilled readback in
-/// `mwm-external` both decode into one of these).
+/// views for sources that produce edges one at a time (the index-addressable
+/// sources and the spilled readback in `mwm-external` both decode into one
+/// of these).
 #[derive(Default)]
 pub struct SoaBatch {
     ids: Vec<EdgeId>,
@@ -255,46 +215,19 @@ pub trait EdgeSource: Sync {
     /// Number of edges in one shard.
     fn shard_len(&self, shard: usize) -> usize;
 
-    /// Visits the shard's edges in stream order. `visit` returns `false` to
-    /// stop early (used by the engine for budget aborts).
-    fn for_each_in_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeId, Edge) -> bool);
-
-    /// Visits the shard's edges as consecutive [`EdgeBatch`] slices of at
-    /// most `max_batch` edges, in stream order — the data-oriented
-    /// counterpart of [`EdgeSource::for_each_in_shard`]. `visit` returning
-    /// `false` stops the walk; no further slice (including a trailing partial
-    /// one) is emitted.
-    ///
-    /// The default implementation assembles slices from the per-edge walk
-    /// through a reusable [`SoaBatch`]; SoA-native storage ([`SoaShards`])
-    /// overrides it with zero-copy subslices, and
-    /// index-addressable sources override it to skip the per-edge virtual
-    /// dispatch. The concatenation of the emitted slices must equal the
-    /// per-edge walk exactly — the engine's determinism suite holds every
-    /// source to that.
+    /// Visits the shard's edges as consecutive [`EdgeBatch`] slices, in
+    /// stream order: every slice but the last holds exactly `max_batch`
+    /// edges (clamped to at least 1), so slices start at in-shard offsets 0,
+    /// `max_batch`, 2·`max_batch`, … — the offsets the engine's budget gate
+    /// asks at. `visit` returning `false` stops the walk; no further slice
+    /// (including a trailing partial one) is emitted. This is the one way a
+    /// shard is read: the engine's per-edge passes loop over these slices.
     fn for_each_batch_in_shard(
         &self,
         shard: usize,
         max_batch: usize,
         visit: &mut dyn FnMut(EdgeBatch<'_>) -> bool,
-    ) {
-        let cap = max_batch.max(1);
-        let mut buf = SoaBatch::with_capacity(cap.min(self.shard_len(shard)));
-        let mut stopped = false;
-        self.for_each_in_shard(shard, &mut |id, e| {
-            buf.push(id, e);
-            if buf.len() < cap {
-                return true;
-            }
-            let keep = visit(buf.view());
-            buf.clear();
-            stopped = !keep;
-            keep
-        });
-        if !stopped && !buf.is_empty() {
-            visit(buf.view());
-        }
-    }
+    );
 
     /// Whether every read so far delivered its shard in full. The visitors
     /// above cannot return errors, so a source whose reads can fail (spilled
@@ -326,8 +259,7 @@ impl<'a> GraphSource<'a> {
     }
 
     fn bounds(&self, shard: usize) -> (usize, usize) {
-        let m = self.graph.num_edges();
-        (shard * m / self.num_shards, (shard + 1) * m / self.num_shards)
+        contiguous_shard(shard, self.num_shards, self.graph.num_edges())
     }
 }
 
@@ -347,15 +279,6 @@ impl EdgeSource for GraphSource<'_> {
     fn shard_len(&self, shard: usize) -> usize {
         let (lo, hi) = self.bounds(shard);
         hi - lo
-    }
-
-    fn for_each_in_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeId, Edge) -> bool) {
-        let (lo, hi) = self.bounds(shard);
-        for id in lo..hi {
-            if !visit(id, self.graph.edge(id)) {
-                return;
-            }
-        }
     }
 
     fn for_each_batch_in_shard(
@@ -390,8 +313,10 @@ pub struct SoaShards {
 impl SoaShards {
     /// Materializes any [`EdgeSource`] into the flat column layout, keeping
     /// its shard structure and stream order (so passes over the copy are
-    /// bit-identical to passes over the original).
-    pub fn from_source<S: EdgeSource + ?Sized>(source: &S) -> Self {
+    /// bit-identical to passes over the original). A read that fails
+    /// mid-shard (a damaged spill) returns the source's
+    /// [`EdgeSource::health`] error, never a shorter copy.
+    pub fn from_source<S: EdgeSource + ?Sized>(source: &S) -> Result<Self, PassError> {
         let m = source.num_edges();
         let mut soa = SoaShards {
             n: source.num_vertices(),
@@ -403,13 +328,17 @@ impl SoaShards {
         };
         soa.offsets.push(0);
         for shard in 0..source.num_shards() {
-            source.for_each_in_shard(shard, &mut |id, e| {
-                soa.push(id, e);
+            source.for_each_batch_in_shard(shard, DEFAULT_BATCH, &mut |b| {
+                soa.ids.extend_from_slice(b.ids);
+                soa.u.extend_from_slice(b.u);
+                soa.v.extend_from_slice(b.v);
+                soa.w.extend_from_slice(b.w);
                 true
             });
             soa.offsets.push(soa.ids.len());
         }
-        soa
+        source.health()?;
+        Ok(soa)
     }
 
     /// Converts explicit per-shard `(EdgeId, Edge)` lists over an `n`-vertex
@@ -487,15 +416,6 @@ impl EdgeSource for SoaShards {
         self.offsets[shard + 1] - self.offsets[shard]
     }
 
-    fn for_each_in_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeId, Edge) -> bool) {
-        let slice = self.shard_slice(shard);
-        for i in 0..slice.len() {
-            if !visit(slice.ids[i], slice.edge(i)) {
-                return;
-            }
-        }
-    }
-
     fn for_each_batch_in_shard(
         &self,
         shard: usize,
@@ -559,7 +479,7 @@ impl SyntheticStream {
     }
 
     fn bounds(&self, shard: usize) -> (usize, usize) {
-        (shard * self.m / self.num_shards, (shard + 1) * self.m / self.num_shards)
+        contiguous_shard(shard, self.num_shards, self.m)
     }
 }
 
@@ -590,15 +510,6 @@ impl EdgeSource for SyntheticStream {
         hi - lo
     }
 
-    fn for_each_in_shard(&self, shard: usize, visit: &mut dyn FnMut(EdgeId, Edge) -> bool) {
-        let (lo, hi) = self.bounds(shard);
-        for id in lo..hi {
-            if !visit(id, self.edge_at(id)) {
-                return;
-            }
-        }
-    }
-
     fn for_each_batch_in_shard(
         &self,
         shard: usize,
@@ -607,59 +518,6 @@ impl EdgeSource for SyntheticStream {
     ) {
         let (lo, hi) = self.bounds(shard);
         batch_by_index(lo, hi, max_batch, |id| self.edge_at(id), visit);
-    }
-}
-
-/// A batch of graph updates exposed as a sharded item stream, so the dynamic
-/// matching subsystem ingests update journals through the same engine (same
-/// charging, same budget enforcement, same deterministic shard-order merge)
-/// that edge passes use. Items are `(seq, update)` pairs, `seq` being the
-/// update's position in the batch — the order the sequential apply later
-/// replays.
-pub struct UpdateSource<'a> {
-    updates: &'a [GraphUpdate],
-    num_shards: usize,
-}
-
-impl<'a> UpdateSource<'a> {
-    /// Splits a batch into `num_shards` contiguous ranges
-    /// (clamped to `[1, len.max(1)]`).
-    pub fn new(updates: &'a [GraphUpdate], num_shards: usize) -> Self {
-        let num_shards = num_shards.clamp(1, updates.len().max(1));
-        UpdateSource { updates, num_shards }
-    }
-
-    /// Splits with the automatic shard count of [`auto_shard_count`] — like
-    /// edge streams, the sharding depends only on the batch length, never on
-    /// the worker count.
-    pub fn auto(updates: &'a [GraphUpdate]) -> Self {
-        Self::new(updates, auto_shard_count(updates.len()))
-    }
-
-    fn bounds(&self, shard: usize) -> (usize, usize) {
-        let m = self.updates.len();
-        (shard * m / self.num_shards, (shard + 1) * m / self.num_shards)
-    }
-}
-
-impl ItemSource for UpdateSource<'_> {
-    type Item = (usize, GraphUpdate);
-
-    fn num_items(&self) -> usize {
-        self.updates.len()
-    }
-
-    fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    fn visit_shard(&self, shard: usize, visit: &mut dyn FnMut(Self::Item) -> bool) {
-        let (lo, hi) = self.bounds(shard);
-        for seq in lo..hi {
-            if !visit((seq, self.updates[seq])) {
-                return;
-            }
-        }
     }
 }
 
@@ -719,8 +577,8 @@ type Run<A> = (Vec<A>, usize, bool);
 
 /// The one budget gate of a pass. Every charged walk asks it at in-shard
 /// offsets 0, batch, 2·batch, … and reports what it streamed since, so
-/// per-item, slice and sequential passes interrupt at the same offsets — at
-/// one worker with identical ledgers. The gate trips only when the limit is
+/// item, slice and sequential passes interrupt at the same offsets — at one
+/// worker with identical ledgers. The gate trips only when the limit is
 /// already reached AND more items are pending, so a pass whose consumption
 /// lands exactly on the limit as the stream ends succeeds.
 struct Gate {
@@ -756,34 +614,19 @@ impl Gate {
         self.streamed.fetch_add(items, Ordering::Relaxed);
     }
 
-    /// Folds one shard item by item into `acc`, asking the gate every `batch`
-    /// items. Returns the accumulator and the items folded.
-    fn walk_items<S, A>(
-        &self,
-        source: &S,
-        shard: usize,
-        mut acc: A,
-        mut fold: impl FnMut(&mut A, S::Item),
-    ) -> (A, usize)
-    where
-        S: ItemSource + ?Sized,
-    {
+    /// Folds one shard of an item pass into `acc` in chunks of `batch` items,
+    /// asking the gate before each chunk. Returns the accumulator and the
+    /// items folded.
+    fn walk_items<T, A>(&self, items: &[T], mut acc: A, fold: impl Fn(&mut A, &T)) -> (A, usize) {
         let mut visited = 0usize;
-        let mut pending = 0usize;
-        source.visit_shard(shard, &mut |item| {
-            if pending == 0 && !self.admit() {
-                return false;
+        for chunk in items.chunks(self.batch) {
+            if !self.admit() {
+                break;
             }
-            fold(&mut acc, item);
-            visited += 1;
-            pending += 1;
-            if pending == self.batch {
-                self.charge(pending);
-                pending = 0;
-            }
-            true
-        });
-        self.charge(pending);
+            chunk.iter().for_each(|item| fold(&mut acc, item));
+            visited += chunk.len();
+            self.charge(chunk.len());
+        }
         (acc, visited)
     }
 
@@ -887,6 +730,8 @@ impl PassEngine {
     ///
     /// The pass charges one round plus the items actually streamed, and stops
     /// mid-shard with [`PassError::BudgetExceeded`] if the budget runs out.
+    /// It is [`PassEngine::pass_batches`] with a fold that takes each slice's
+    /// edges one at a time, left to right.
     pub fn pass_shards<S, A, I, F>(
         &mut self,
         source: &S,
@@ -899,42 +744,51 @@ impl PassEngine {
         I: Fn(usize) -> A + Sync,
         F: Fn(&mut A, EdgeId, Edge) + Sync,
     {
-        self.pass_items(&EdgeItems(source), init, move |acc, (id, e)| fold(acc, id, e))
+        self.pass_batches(source, init, move |acc, b| {
+            for i in 0..b.len() {
+                fold(acc, b.ids[i], b.edge(i));
+            }
+        })
     }
 
-    /// The item-generic charged pass behind [`PassEngine::pass_shards`]:
-    /// works for any [`ItemSource`] — edge streams and [`UpdateSource`]
-    /// update batches alike. One round is charged plus every item actually
-    /// visited; the budget interrupts mid-shard exactly like an edge pass.
-    pub fn pass_items<S, A, I, F>(
+    /// One charged pass over a slice of items that are not edges (graph
+    /// updates, turnstile deltas). The slice is split into
+    /// [`auto_shard_count`]`(items.len())` contiguous shards — by length
+    /// only, never by worker count — and each shard is folded into its own
+    /// accumulator in slice order; the accumulators come back in shard
+    /// order, bit-identical for any worker count. One round is charged plus
+    /// every item visited, and the budget interrupts mid-shard exactly like
+    /// an edge pass.
+    pub fn pass_items<T, A, I, F>(
         &mut self,
-        source: &S,
+        items: &[T],
         init: I,
         fold: F,
     ) -> Result<Vec<A>, PassError>
     where
-        S: ItemSource + ?Sized,
+        T: Sync,
         A: Send,
         I: Fn(usize) -> A + Sync,
-        F: Fn(&mut A, S::Item) + Sync,
+        F: Fn(&mut A, &T) + Sync,
     {
-        self.charged("items", source, self.parallelism, |shard, gate| {
-            gate.walk_items(source, shard, init(shard), &fold)
+        let shards = auto_shard_count(items.len());
+        self.charged("items", items.len(), shards, self.parallelism, |shard, gate| {
+            let (lo, hi) = contiguous_shard(shard, shards, items.len());
+            gate.walk_items(&items[lo..hi], init(shard), &fold)
         })
     }
 
-    /// One charged pass over whole shard **slices**: like
-    /// [`PassEngine::pass_shards`], but the fold consumes [`EdgeBatch`]
-    /// struct-of-arrays views of up to [`PassEngine::batch_size`] edges per
-    /// call instead of one edge at a time — the data-oriented hot path, with
-    /// no per-edge virtual dispatch between the source and the fold.
+    /// One charged pass over whole shard **slices**: the fold consumes
+    /// [`EdgeBatch`] struct-of-arrays views of up to
+    /// [`PassEngine::batch_size`] edges per call — the data-oriented hot
+    /// path, with no per-edge virtual dispatch between the source and the
+    /// fold.
     ///
-    /// Accounting is identical to the per-edge pass: one round plus the edges
-    /// actually visited, with the budget gated at the same batch boundaries,
-    /// so an interrupt produces the **same partial ledger** the per-edge path
-    /// would. A fold that processes its slice left to right produces
-    /// bit-identical accumulators to the equivalent per-edge fold, at any
-    /// worker count.
+    /// One round is charged plus the edges actually visited, with the budget
+    /// gated before each slice, so an interrupt leaves the ledger at a slice
+    /// boundary. A fold that processes its slice left to right sees the
+    /// stream order, and the accumulators are bit-identical at any worker
+    /// count.
     pub fn pass_batches<S, A, I, F>(
         &mut self,
         source: &S,
@@ -947,9 +801,7 @@ impl PassEngine {
         I: Fn(usize) -> A + Sync,
         F: Fn(&mut A, EdgeBatch<'_>) + Sync,
     {
-        self.charged("batches", &EdgeItems(source), self.parallelism, |shard, gate| {
-            gate.walk_slices(source, shard, init(shard), &fold)
-        })
+        self.edge_pass("batches", source, self.parallelism, init, fold)
     }
 
     /// An **uncharged** sharded fold over [`EdgeBatch`] slices: same fan-out
@@ -989,41 +841,70 @@ impl PassEngine {
         // One worker claims the shards in index order on this thread; the
         // lock only satisfies the scheduler's `Sync` bound.
         let visit = Mutex::new(visit);
-        let items = EdgeItems(source);
-        self.charged("sequential", &items, 1, |shard, gate| {
-            let mut visit = visit.lock().expect("sequential visitor panicked");
-            gate.walk_items(&items, shard, (), |_, (id, e)| visit(id, e))
-        })?;
+        self.edge_pass(
+            "sequential",
+            source,
+            1,
+            |_| (),
+            |_, b| {
+                let mut visit = visit.lock().expect("sequential visitor panicked");
+                for i in 0..b.len() {
+                    visit(b.ids[i], b.edge(i));
+                }
+            },
+        )?;
         Ok(())
     }
 
-    /// One charged pass: opens the `pass` span and schedules `walk` on up to
-    /// `workers` threads under the engine's budget. Then it charges one round
-    /// plus the items visited, records the pass, and surfaces a failed source
-    /// read ([`ItemSource::health`]) or an exhausted budget as a typed error.
-    fn charged<S, A, W>(
+    /// One charged slice walk over `source` on up to `workers` threads, then
+    /// the source's health check: a read that failed mid-shard
+    /// ([`EdgeSource::health`]) is reported ahead of a budget interrupt.
+    fn edge_pass<S, A, I, F>(
         &mut self,
         kind: &'static str,
         source: &S,
         workers: usize,
+        init: I,
+        fold: F,
+    ) -> Result<Vec<A>, PassError>
+    where
+        S: EdgeSource + ?Sized,
+        A: Send,
+        I: Fn(usize) -> A + Sync,
+        F: Fn(&mut A, EdgeBatch<'_>) + Sync,
+    {
+        let run =
+            self.charged(kind, source.num_edges(), source.num_shards(), workers, |shard, gate| {
+                gate.walk_slices(source, shard, init(shard), &fold)
+            });
+        source.health()?;
+        run
+    }
+
+    /// One charged pass over `items` items in `shards` shards: opens the
+    /// `pass` span and schedules `walk` on up to `workers` threads under the
+    /// engine's budget. Then it charges one round plus the items visited,
+    /// records the pass, and surfaces an exhausted budget as a typed error.
+    fn charged<A, W>(
+        &mut self,
+        kind: &'static str,
+        items: usize,
+        shards: usize,
+        workers: usize,
         walk: W,
     ) -> Result<Vec<A>, PassError>
     where
-        S: ItemSource + ?Sized,
         A: Send,
         W: Fn(usize, &Gate) -> (A, usize) + Sync,
     {
-        let _span = mwm_obs::span!("pass", shards = source.num_shards());
+        let _span = mwm_obs::span!("pass", shards = shards);
         let gate =
             Gate::new(self.budget.max_items_streamed, self.tracker.items_streamed(), self.batch);
         let (accs, visited, exceeded) =
-            self.schedule(source.num_items(), source.num_shards(), workers, &gate, |shard| {
-                walk(shard, &gate)
-            });
+            self.schedule(items, shards, workers, &gate, |shard| walk(shard, &gate));
         self.tracker.charge_round();
         self.tracker.charge_stream(visited);
         Self::record_pass(kind, visited, exceeded);
-        source.health()?;
         if exceeded {
             return Err(PassError::BudgetExceeded {
                 resource: "streamed items",
@@ -1116,12 +997,37 @@ impl mwm_obs::Observable for PassEngine {
 mod tests {
     use super::*;
     use mwm_graph::generators::{self, WeightModel};
+    use mwm_graph::GraphUpdate;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
     fn graph(m: usize) -> Graph {
         let mut rng = StdRng::seed_from_u64(7);
         generators::gnm(64, m, WeightModel::Uniform(1.0, 9.0), &mut rng)
+    }
+
+    type Row = (EdgeId, VertexId, VertexId, u64);
+
+    fn row(id: EdgeId, e: Edge) -> Row {
+        (id, e.u, e.v, e.w.to_bits())
+    }
+
+    /// The reference stream of a source whose shards are consecutive id
+    /// ranges of lengths `shard_len`, built from `edge_at` alone — neither
+    /// the engine nor the source's visitor takes part.
+    fn contiguous_reference(
+        src: &dyn EdgeSource,
+        edge_at: impl Fn(EdgeId) -> Edge,
+    ) -> Vec<Vec<Row>> {
+        let mut lo = 0;
+        (0..src.num_shards())
+            .map(|shard| {
+                let hi = lo + src.shard_len(shard);
+                let rows = (lo..hi).map(|id| row(id, edge_at(id))).collect();
+                lo = hi;
+                rows
+            })
+            .collect()
     }
 
     #[test]
@@ -1266,7 +1172,7 @@ mod tests {
     }
 
     #[test]
-    fn update_batches_stream_like_edges() {
+    fn item_passes_shard_by_length_and_merge_in_order() {
         let updates: Vec<GraphUpdate> = (0..20_000)
             .map(|i| match i % 3 {
                 0 => GraphUpdate::InsertEdge {
@@ -1278,50 +1184,52 @@ mod tests {
                 _ => GraphUpdate::SetCapacity { v: (i % 50) as VertexId, b: 2 },
             })
             .collect();
-        let src = UpdateSource::auto(&updates);
-        assert!(src.num_items() >= MIN_PARALLEL_ITEMS, "force real multi-worker runs");
-        let mut reference: Option<Vec<(usize, usize)>> = None;
+        assert!(updates.len() >= MIN_PARALLEL_ITEMS, "force real multi-worker runs");
+        // Shard s holds the contiguous range of auto_shard_count's split, in
+        // slice order: an order-sensitive fold over each range is the
+        // reference.
+        let shards = auto_shard_count(updates.len());
+        let fold = |acc: &mut (usize, usize), u: &GraphUpdate| {
+            acc.0 += 1;
+            if let GraphUpdate::DeleteEdge { id } = *u {
+                acc.1 = acc.1.rotate_left(5) ^ id;
+            }
+        };
+        let reference: Vec<(usize, usize)> = (0..shards)
+            .map(|shard| {
+                let (lo, hi) =
+                    (shard * updates.len() / shards, (shard + 1) * updates.len() / shards);
+                let mut acc = (0, 0);
+                updates[lo..hi].iter().for_each(|u| fold(&mut acc, u));
+                acc
+            })
+            .collect();
         for workers in [1usize, 4] {
             let mut engine = PassEngine::new(workers);
-            let accs = engine
-                .pass_items(
-                    &src,
-                    |_| (0usize, 0usize),
-                    |acc: &mut (usize, usize), (seq, u): (usize, GraphUpdate)| {
-                        acc.0 += 1;
-                        if matches!(u, GraphUpdate::InsertEdge { .. }) {
-                            acc.1 = acc.1.wrapping_add(seq);
-                        }
-                    },
-                )
-                .unwrap();
-            let total: usize = accs.iter().map(|a| a.0).sum();
-            assert_eq!(total, updates.len());
+            let accs = engine.pass_items(&updates, |_| (0usize, 0usize), fold).unwrap();
+            assert_eq!(accs, reference, "workers={workers}");
             assert_eq!(engine.tracker().items_streamed(), updates.len());
             assert_eq!(engine.passes(), 1, "one update batch is one charged pass");
-            match &reference {
-                None => reference = Some(accs),
-                Some(r) => assert_eq!(r, &accs, "workers={workers}"),
-            }
         }
     }
 
     #[test]
-    fn update_pass_respects_the_stream_budget() {
+    fn item_pass_respects_the_stream_budget() {
         let updates: Vec<GraphUpdate> =
             (0..5_000).map(|i| GraphUpdate::DeleteEdge { id: i }).collect();
-        let src = UpdateSource::new(&updates, 4);
         let mut engine = PassEngine::new(2)
             .with_budget(PassBudget { max_items_streamed: Some(1_000) })
             .with_batch_size(32);
-        let err = engine
-            .pass_items(&src, |_| 0usize, |acc: &mut usize, _: (usize, GraphUpdate)| *acc += 1)
-            .unwrap_err();
+        let err = engine.pass_items(&updates, |_| 0usize, |acc, _| *acc += 1).unwrap_err();
         let PassError::BudgetExceeded { used, limit, .. } = err else {
             panic!("expected a budget interrupt, got {err:?}");
         };
         assert_eq!(limit, 1_000);
         assert_eq!(used, engine.tracker().items_streamed());
+        // The gate trips at the first 32-item chunk boundary past the limit,
+        // mid-way through the first of the two 2,500-item shards.
+        assert_eq!(used, 1_024);
+        assert_eq!(engine.passes(), 1, "the interrupted pass is still one round");
     }
 
     #[test]
@@ -1346,51 +1254,55 @@ mod tests {
     fn soa_shards_match_their_source_exactly() {
         let g = graph(700);
         let src = GraphSource::new(&g, 6);
-        let soa = SoaShards::from_source(&src);
+        let soa = SoaShards::from_source(&src).unwrap();
         assert_eq!(soa.num_vertices(), src.num_vertices());
         assert_eq!(soa.num_edges(), src.num_edges());
         assert_eq!(soa.num_shards(), src.num_shards());
-        for shard in 0..src.num_shards() {
-            let mut expected: Vec<(EdgeId, u32, u32, u64)> = Vec::new();
-            src.for_each_in_shard(shard, &mut |id, e| {
-                expected.push((id, e.u, e.v, e.w.to_bits()));
-                true
-            });
+        let expected = contiguous_reference(&src, |id| g.edge(id));
+        for (shard, expected) in expected.iter().enumerate() {
             let slice = soa.shard_slice(shard);
-            let got: Vec<(EdgeId, u32, u32, u64)> = (0..slice.len())
-                .map(|i| (slice.ids[i], slice.u[i], slice.v[i], slice.w[i]))
-                .collect();
-            assert_eq!(got, expected, "shard {shard}");
+            let got: Vec<Row> =
+                (0..slice.len()).map(|i| row(slice.ids[i], slice.edge(i))).collect();
+            assert_eq!(&got, expected, "shard {shard}");
         }
     }
 
     #[test]
-    fn batch_walk_concatenation_equals_per_edge_walk() {
-        // Every source's batch walk must deliver the per-edge stream exactly,
-        // in slices no longer than the requested cap, with no trailing slice
-        // after an early stop.
+    fn batch_walks_deliver_the_reference_stream() {
+        // Every source's batch walk must deliver its stream exactly — taken
+        // from `Graph::edge_iter` order or `SyntheticStream::edge_at`, not
+        // from any visitor — in full slices of the requested cap but the
+        // last, with no further slice after an early stop.
         let g = graph(900);
-        let soa = SoaShards::from_source(&GraphSource::new(&g, 5));
-        let sources: [&dyn EdgeSource; 4] = [
-            &GraphSource::new(&g, 5),
-            &SoaShards::round_robin(&g, 5),
-            &SyntheticStream::with_shards(80, 900, 11, 5),
-            &soa,
+        let soa = SoaShards::from_source(&GraphSource::new(&g, 5)).unwrap();
+        let synthetic = SyntheticStream::with_shards(80, 900, 11, 5);
+        let contiguous = GraphSource::new(&g, 5);
+        let round_robin = SoaShards::round_robin(&g, 5);
+        let mut dealt: Vec<Vec<Row>> = vec![Vec::new(); 5];
+        for (id, e) in g.edge_iter() {
+            dealt[id % 5].push(row(id, e));
+        }
+        let sources: [(&dyn EdgeSource, Vec<Vec<Row>>); 4] = [
+            (&contiguous, contiguous_reference(&contiguous, |id| g.edge(id))),
+            (&round_robin, dealt),
+            (&synthetic, contiguous_reference(&synthetic, |id| synthetic.edge_at(id))),
+            (&soa, contiguous_reference(&soa, |id| g.edge(id))),
         ];
-        for (si, src) in sources.iter().enumerate() {
-            for shard in 0..src.num_shards() {
-                let mut per_edge: Vec<(EdgeId, u64)> = Vec::new();
-                src.for_each_in_shard(shard, &mut |id, e| {
-                    per_edge.push((id, e.w.to_bits()));
-                    true
-                });
-                let mut batched: Vec<(EdgeId, u64)> = Vec::new();
+        for (si, (src, reference)) in sources.iter().enumerate() {
+            assert_eq!(src.num_shards(), reference.len(), "source {si}");
+            for (shard, expected) in reference.iter().enumerate() {
+                let mut batched: Vec<Row> = Vec::new();
+                let mut lens = Vec::new();
                 src.for_each_batch_in_shard(shard, 17, &mut |b| {
-                    assert!(b.len() <= 17 && !b.is_empty(), "source {si} shard {shard}");
-                    batched.extend(b.ids.iter().copied().zip(b.w.iter().copied()));
+                    lens.push(b.len());
+                    batched.extend((0..b.len()).map(|i| row(b.ids[i], b.edge(i))));
                     true
                 });
-                assert_eq!(batched, per_edge, "source {si} shard {shard}");
+                assert_eq!(&batched, expected, "source {si} shard {shard}");
+                if let Some((last, full)) = lens.split_last() {
+                    assert!(full.iter().all(|&l| l == 17), "source {si} shard {shard}");
+                    assert!((1..=17).contains(last), "source {si} shard {shard}");
+                }
                 let mut slices = 0usize;
                 src.for_each_batch_in_shard(shard, 17, &mut |_| {
                     slices += 1;
@@ -1402,37 +1314,36 @@ mod tests {
     }
 
     #[test]
-    fn batch_pass_is_bit_identical_to_per_edge_pass() {
+    fn per_edge_and_batch_passes_fold_the_reference_bits() {
         // An order-sensitive fold (the multiplier-update shape) must produce
-        // the same bits through the slice path as through the per-edge path,
-        // at every worker count.
+        // the bits of a fold over each shard's id range straight from
+        // `edge_at`, through the per-edge and the slice pass, at every
+        // worker count.
         let src = SyntheticStream::with_shards(500, 50_000, 21, 8);
-        let mut reference = PassEngine::new(1);
-        let expected = reference
-            .pass_shards(
-                &src,
-                |_| 0.0f64,
-                |acc, id, e| *acc = 0.5 * *acc + (e.w + (id % 13) as f64).sqrt(),
-            )
-            .unwrap();
-        let expected_bits: Vec<u64> = expected.iter().map(|s| s.to_bits()).collect();
+        let step = |acc: f64, id: EdgeId, w: f64| 0.5 * acc + (w + (id % 13) as f64).sqrt();
+        let expected: Vec<u64> = contiguous_reference(&src, |id| src.edge_at(id))
+            .iter()
+            .map(|rows| rows.iter().fold(0.0, |acc, r| step(acc, r.0, f64::from_bits(r.3))))
+            .map(f64::to_bits)
+            .collect();
+        let bits = |accs: Vec<f64>| accs.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
         for workers in [1usize, 2, 4, 8] {
             let mut engine = PassEngine::new(workers);
-            let accs = engine
-                .pass_batches(
-                    &src,
-                    |_| 0.0f64,
-                    |acc, b| {
-                        for i in 0..b.len() {
-                            *acc = 0.5 * *acc + (b.weight(i) + (b.ids[i] % 13) as f64).sqrt();
-                        }
-                    },
-                )
-                .unwrap();
-            let bits: Vec<u64> = accs.iter().map(|s| s.to_bits()).collect();
-            assert_eq!(bits, expected_bits, "workers={workers}");
-            assert_eq!(engine.tracker().items_streamed(), src.num_edges());
-            assert_eq!(engine.passes(), 1);
+            let per_edge =
+                engine.pass_shards(&src, |_| 0.0f64, |acc, id, e| *acc = step(*acc, id, e.w));
+            assert_eq!(bits(per_edge.unwrap()), expected, "per-edge, workers={workers}");
+            let batches = engine.pass_batches(
+                &src,
+                |_| 0.0f64,
+                |acc, b| {
+                    for i in 0..b.len() {
+                        *acc = step(*acc, b.ids[i], b.weight(i));
+                    }
+                },
+            );
+            assert_eq!(bits(batches.unwrap()), expected, "batch, workers={workers}");
+            assert_eq!(engine.tracker().items_streamed(), 2 * src.num_edges());
+            assert_eq!(engine.passes(), 2);
         }
     }
 

@@ -359,6 +359,39 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_rebuild_leaves_the_journal_untouched_without_a_limit() {
+        use crate::engine::DynamicConfig;
+        use mwm_graph::GraphUpdate;
+
+        // The exact solver rejects a 30-vertex non-bipartite graph, so the
+        // bootstrap rebuild fails although the budget is unlimited.
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = generators::gnm(30, 80, WeightModel::Uniform(1.0, 9.0), &mut rng);
+        let mut dm = SolverRegistry::default()
+            .create_dynamic("offline-exact", &g, DynamicConfig::default())
+            .unwrap();
+        let updates: Vec<GraphUpdate> = (0..5u32)
+            .map(|i| GraphUpdate::InsertEdge { u: i, v: i + 10, w: 2.0 + f64::from(i) })
+            .collect();
+        let overlay = |dm: &crate::engine::DynamicMatcher| {
+            let o = dm.overlay();
+            (o.version(), o.next_edge_id(), o.num_live_edges())
+        };
+        let before = overlay(&dm);
+        assert_eq!(before.2, 80);
+        for attempt in 0..2 {
+            let err = dm.apply_epoch(&updates, &ResourceBudget::unlimited()).unwrap_err();
+            assert!(matches!(err, MwmError::Unsupported { .. }), "attempt {attempt}: {err:?}");
+            assert_eq!(
+                overlay(&dm),
+                before,
+                "attempt {attempt}: the failed batch stayed journaled"
+            );
+            assert_eq!(dm.epochs(), 0);
+        }
+    }
+
+    #[test]
     fn registry_rebuilds_keep_the_warm_chain_only_with_duals() {
         use crate::engine::{DynamicConfig, EpochDecision};
         use mwm_graph::GraphUpdate;

@@ -4,7 +4,7 @@
 
 use dual_primal_matching::engine::{MwmError, ResourceBudget, SolverRegistry};
 use dual_primal_matching::graph::generators::{self, WeightModel};
-use dual_primal_matching::mapreduce::{GraphSource, PassBudget, PassEngine, PassError};
+use dual_primal_matching::mapreduce::{EdgeSource, GraphSource, PassBudget, PassEngine, PassError};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -43,11 +43,10 @@ fn engine_interrupt_leaves_an_accurate_partial_ledger() {
 
 #[test]
 fn batch_passes_interrupt_with_the_per_edge_ledger_at_mid_slice_limits() {
-    // The batch path gates the budget once per slice, at the same in-shard
-    // offsets (multiples of the engine batch) where the per-edge path checks.
-    // A limit landing mid-slice must therefore interrupt both paths with the
-    // SAME charged ledger at workers=1 — the slice in flight completes, then
-    // the gate trips.
+    // Both passes gate the budget once per slice, at in-shard offsets that
+    // are multiples of the engine batch. A limit landing mid-slice must
+    // therefore interrupt both with the SAME charged ledger at workers=1 —
+    // the slice in flight completes, then the gate trips.
     let g = big_graph(6);
     let src = GraphSource::auto(&g);
     let batch = 64usize;
@@ -82,11 +81,22 @@ fn batch_passes_interrupt_with_the_per_edge_ledger_at_mid_slice_limits() {
                 other => panic!("limit {limit}: expected BudgetExceeded, got {other:?}"),
             }
         };
-        assert_eq!(
-            run_per_edge(1),
-            run_batch(1),
-            "limit {limit}: per-edge and batch ledgers diverge at workers=1"
-        );
+        // The reference ledger at workers=1, from the shard lengths alone:
+        // the first slice end at or past the limit, slices being cut at
+        // multiples of the batch inside each shard.
+        let expected = (0..src.num_shards())
+            .flat_map(|shard| {
+                let len = src.shard_len(shard);
+                (0..len.div_ceil(batch)).map(move |k| ((k + 1) * batch).min(len) - k * batch)
+            })
+            .scan(0, |streamed, slice| {
+                *streamed += slice;
+                Some(*streamed)
+            })
+            .find(|&streamed| streamed >= limit)
+            .expect("every limit lies inside the stream");
+        assert_eq!(run_per_edge(1), expected, "limit {limit}: per-edge ledger at workers=1");
+        assert_eq!(run_batch(1), expected, "limit {limit}: batch ledger at workers=1");
         for workers in [2usize, 8] {
             let used = run_batch(workers);
             assert!(used >= limit, "workers={workers} limit {limit}: stopped early");

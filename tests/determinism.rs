@@ -7,7 +7,7 @@ use dual_primal_matching::engine::{ResourceBudget, SolverRegistry};
 use dual_primal_matching::external::SpillWriter;
 use dual_primal_matching::graph::generators::{self, WeightModel};
 use dual_primal_matching::graph::{Edge, EdgeId, Graph};
-use dual_primal_matching::mapreduce::{EdgeBatch, GraphSource, PassEngine, SoaShards};
+use dual_primal_matching::mapreduce::{EdgeBatch, EdgeSource, GraphSource, PassEngine, SoaShards};
 use dual_primal_matching::solver::SolveReport;
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -109,10 +109,12 @@ fn pass_counts_are_independent_of_parallelism() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// The batch (SoA slice) walk folds to exactly the bits of the per-edge
-    /// walk — over the original source, over the CSR/SoA copy, and over the
-    /// spilled on-disk form — at parallelism 1 and 4, with slice and I/O
-    /// sizes chosen to be mutually misaligned.
+    /// The batch (SoA slice) walk folds to exactly the bits of a per-edge
+    /// fold of `g.edge(id)` over each shard's id range, computed without the
+    /// engine — over the original source, over the CSR/SoA copy, and over
+    /// the spilled on-disk form, through the per-edge and the slice fold —
+    /// at parallelism 1 and 4, with slice and I/O sizes chosen to be
+    /// mutually misaligned.
     #[test]
     fn batch_walks_are_bit_identical_to_per_edge_walks(
         seed in 0u64..10_000,
@@ -122,7 +124,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = generators::gnm(n, n * deg, WeightModel::Uniform(0.5, 50.0), &mut rng);
         let src = GraphSource::auto(&g);
-        let soa = SoaShards::from_source(&src);
+        let soa = SoaShards::from_source(&src).unwrap();
         let dir = std::env::temp_dir()
             .join(format!("mwm-det-soa-{}-{seed}-{n}-{deg}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -137,9 +139,21 @@ proptest! {
             }
         };
         let bits = |accs: Vec<f64>| accs.iter().map(|a| a.to_bits()).collect::<Vec<u64>>();
+        // The graph source's shards are consecutive id ranges.
+        let mut lo = 0;
+        let mut reference = Vec::new();
+        for shard in 0..src.num_shards() {
+            let hi = lo + src.shard_len(shard);
+            let mut acc = 0.0f64;
+            (lo..hi).for_each(|id| per_edge(&mut acc, id, g.edge(id)));
+            reference.push(acc.to_bits());
+            lo = hi;
+        }
+        prop_assert_eq!(lo, g.num_edges());
         for workers in [1usize, 4] {
             let mut engine = PassEngine::new(workers).with_batch_size(57);
-            let reference = bits(engine.pass_shards(&src, |_| 0.0f64, per_edge).unwrap());
+            let per_edge_pass = bits(engine.pass_shards(&src, |_| 0.0f64, per_edge).unwrap());
+            prop_assert_eq!(&reference, &per_edge_pass, "per-edge pass diverged (workers {})", workers);
             let from_src = bits(engine.scan_batches(&src, |_| 0.0f64, per_batch));
             let from_soa = bits(engine.scan_batches(&soa, |_| 0.0f64, per_batch));
             let from_disk = bits(engine.scan_batches(&spilled, |_| 0.0f64, per_batch));
