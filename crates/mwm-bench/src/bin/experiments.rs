@@ -1,4 +1,4 @@
-//! Experiment runner: regenerates the tables of experiments E1–E16.
+//! Experiment runner: regenerates the tables of experiments E1–E15.
 //!
 //! Usage:
 //! ```text

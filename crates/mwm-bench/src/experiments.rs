@@ -1,4 +1,4 @@
-//! The experiment implementations E1–E16.
+//! The experiment implementations E1–E15.
 //!
 //! Every experiment returns a structured [`ExperimentReport`] (id, title,
 //! columns, raw cells) instead of pre-formatted strings, so integration tests
@@ -27,12 +27,11 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 /// All experiment ids, in run order.
-pub const EXPERIMENT_IDS: [&str; 16] = [
+pub const EXPERIMENT_IDS: [&str; 15] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16",
 ];
 
-/// Runs one experiment by id (`"e1"` … `"e16"`), or every experiment for
+/// Runs one experiment by id (`"e1"` … `"e15"`), or every experiment for
 /// `"all"`. Unknown ids are [`MwmError::UnknownExperiment`].
 pub fn run_experiment(id: &str) -> Result<Vec<ExperimentReport>, MwmError> {
     match id {
@@ -51,7 +50,6 @@ pub fn run_experiment(id: &str) -> Result<Vec<ExperimentReport>, MwmError> {
         "e13" => Ok(vec![e13_serving()?]),
         "e14" => Ok(vec![e14_out_of_core()?]),
         "e15" => Ok(vec![e15_hibernation()?]),
-        "e16" => Ok(vec![e16_turnstile()?]),
         "all" => {
             let mut all = Vec::with_capacity(EXPERIMENT_IDS.len());
             for e in EXPERIMENT_IDS {
@@ -513,7 +511,6 @@ pub fn e12_dynamic_stream() -> Result<ExperimentReport, MwmError> {
             "weight",
             "w/oracle",
             "journal_bytes",
-            "sketch_bytes",
             "checksum",
         ],
     );
@@ -567,7 +564,6 @@ pub fn e12_dynamic_stream() -> Result<ExperimentReport, MwmError> {
             format!("{:.2}", dm.weight()),
             format!("{:.3}", dm.weight() / cold.weight.max(1e-12)),
             format!("{}", last.journal_bytes),
-            format!("{}", last.sketch_bytes),
             format!("{checksum:016x}"),
         ]);
     }
@@ -1098,138 +1094,6 @@ fn e15_with(sessions: usize, requests: usize, cap: usize) -> Result<ExperimentRe
     Ok(rep)
 }
 
-/// E16 — turnstile ingestion: sliding-window streams at several delete
-/// fractions, journal-mode vs sketch-mode sessions at 1/2/4 workers.
-///
-/// Per (delete fraction, mode, workers) row: epochs/sec, final weight vs an
-/// exact replay oracle (replay the whole stream, cold-solve the final live
-/// graph), and the memory-per-session split — resident journal bytes vs
-/// sketch-bank bytes from the session's final epoch stats. The journal row is
-/// the reference: its journal grows with the entire stream, while the
-/// sketch-mode rows prune the dead journal prefix and carry a fixed-size bank,
-/// so `mem_ok` (`journal+sketch < journal-mode journal`) must read `yes` —
-/// per-session memory sublinear in total updates. The `checksum` column is
-/// identical across worker counts within a fraction: sharded sketch ingestion
-/// merges in shard order and recovery is seeded, so whole sessions are
-/// bit-identical at any parallelism.
-///
-/// `MWM_E16_N` / `MWM_E16_PER_EPOCH` / `MWM_E16_EPOCHS` override the scale
-/// (CI smoke shrinks the stream but keeps it long enough that sketch mode
-/// still undercuts the journal; `BENCH_9.json` records the full run).
-pub fn e16_turnstile() -> Result<ExperimentReport, MwmError> {
-    let env = |key: &str, default: usize| {
-        std::env::var(key).ok().and_then(|s| s.parse::<usize>().ok()).unwrap_or(default)
-    };
-    let n = env("MWM_E16_N", 40).max(8);
-    let per_epoch = env("MWM_E16_PER_EPOCH", 150).max(8);
-    let epochs = env("MWM_E16_EPOCHS", 120).max(8);
-    e16_with(n, per_epoch, epochs, 0.2)
-}
-
-/// The parameterized E16 body (the unit test runs a miniature instance with a
-/// coarser eps to keep debug-mode re-solves cheap).
-fn e16_with(
-    n: usize,
-    per_epoch: usize,
-    epochs: usize,
-    eps: f64,
-) -> Result<ExperimentReport, MwmError> {
-    use mwm_dynamic::{DynamicConfig, DynamicMatcher, IngestMode};
-    use mwm_graph::GraphOverlay;
-    use std::time::Instant;
-
-    let mut rep = ExperimentReport::new(
-        "e16",
-        format!(
-            "turnstile sliding-window stream (n={n}, {per_epoch}/epoch x {epochs} epochs, \
-             journal vs sketch ingestion)"
-        ),
-        vec![
-            "mode",
-            "del_frac",
-            "workers",
-            "epochs",
-            "epochs/s",
-            "w/oracle",
-            "journal_bytes",
-            "sketch_bytes",
-            "mem_ok",
-            "checksum",
-        ],
-    );
-    let window = 3usize;
-    let config =
-        DynamicConfig { eps, p: 2.0, seed: 16, turnstile_max_weight: 16.0, ..Default::default() };
-
-    for &frac in &[0.1f64, 0.3, 0.5] {
-        let wl = workloads::turnstile_stream(n, per_epoch, window, epochs, frac, 0xE16);
-
-        // The exact replay oracle: apply the whole stream without matching
-        // work, then cold-solve the final live graph once.
-        let mut oracle_overlay = GraphOverlay::new(&wl.initial);
-        for batch in &wl.batches {
-            for update in batch {
-                let _ = oracle_overlay.apply(update);
-            }
-        }
-        let (final_graph, _) = oracle_overlay.materialize();
-        let cold = dual_primal(config.eps, config.p, config.seed)?
-            .solve(&final_graph, &ResourceBudget::unlimited())?;
-
-        struct E16Run {
-            epochs_per_s: f64,
-            ratio: f64,
-            journal_bytes: usize,
-            sketch_bytes: usize,
-            checksum: u64,
-        }
-        let run = |ingest: IngestMode, workers: usize| -> Result<E16Run, MwmError> {
-            let mut dm = DynamicMatcher::new(&wl.initial, DynamicConfig { ingest, ..config })?;
-            let budget = ResourceBudget::unlimited().with_parallelism(workers);
-            let start = Instant::now();
-            for batch in &wl.batches {
-                dm.apply_epoch(batch, &budget)?;
-            }
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            let last = dm.ledger().last().expect("at least one epoch ran");
-            Ok(E16Run {
-                epochs_per_s: wl.batches.len() as f64 / secs,
-                ratio: dm.weight() / cold.weight.max(1e-12),
-                journal_bytes: last.journal_bytes,
-                sketch_bytes: last.sketch_bytes,
-                checksum: session_checksum(
-                    dm.weight(),
-                    dm.matching().iter().map(|(id, _, m)| (id, m)),
-                ),
-            })
-        };
-        let mut push = |mode: &str, workers: usize, r: &E16Run, mem_ok: &str| {
-            rep.push_row(vec![
-                mode.to_string(),
-                format!("{frac:.1}"),
-                format!("{workers}"),
-                format!("{epochs}"),
-                format!("{:.1}", r.epochs_per_s),
-                format!("{:.3}", r.ratio),
-                format!("{}", r.journal_bytes),
-                format!("{}", r.sketch_bytes),
-                mem_ok.to_string(),
-                format!("{:016x}", r.checksum),
-            ]);
-        };
-
-        // The journal-mode reference: its journal holds the whole stream.
-        let journal = run(IngestMode::Journal, 1)?;
-        push("journal", 1, &journal, "-");
-        for &workers in &[1usize, 2, 4] {
-            let sketch = run(IngestMode::Turnstile, workers)?;
-            let mem_ok = sketch.journal_bytes + sketch.sketch_bytes < journal.journal_bytes;
-            push("sketch", workers, &sketch, if mem_ok { "yes" } else { "no" });
-        }
-    }
-    Ok(rep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1265,33 +1129,6 @@ mod tests {
             "a hibernated/revived session diverged from the always-resident oracle"
         );
         assert_eq!(rep.cell(0, "checksum"), rep.cell(1, "checksum"));
-    }
-
-    #[test]
-    fn e16_sketch_mode_is_worker_invariant_and_undercuts_the_journal() {
-        // Miniature stream, but still long enough (4000 inserts on n=16) that
-        // the fixed-size sketch bank beats the ever-growing journal; the
-        // coarse eps keeps the debug-mode re-solves cheap.
-        let rep = e16_with(16, 80, 50, 0.45).unwrap();
-        assert_eq!(rep.rows.len(), 12, "3 fractions x (1 journal + 3 sketch rows)");
-        for block in 0..3 {
-            let base = block * 4;
-            assert_eq!(rep.cell(base, "mode"), Some("journal"));
-            let reference = rep.cell(base + 1, "checksum").unwrap().to_string();
-            for row in base + 1..base + 4 {
-                assert_eq!(rep.cell(row, "mode"), Some("sketch"));
-                assert_eq!(
-                    rep.cell(row, "checksum"),
-                    Some(reference.as_str()),
-                    "row {row}: worker count changed a turnstile session"
-                );
-                assert_eq!(rep.cell(row, "mem_ok"), Some("yes"), "row {row}");
-                let ratio: f64 = rep.cell(row, "w/oracle").unwrap().parse().unwrap();
-                assert!(ratio >= 0.5, "row {row}: ratio {ratio} below floor");
-                let sketch: usize = rep.cell(row, "sketch_bytes").unwrap().parse().unwrap();
-                assert!(sketch > 0, "row {row}: sketch mode must carry a bank");
-            }
-        }
     }
 
     #[test]

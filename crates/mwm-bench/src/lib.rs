@@ -1,4 +1,4 @@
-//! Experiment harness for experiments E1–E16.
+//! Experiment harness for experiments E1–E15.
 //!
 //! The paper (SPAA 2015) contains no empirical tables — its claims are
 //! theorems. Each experiment here measures one of those claims on synthetic

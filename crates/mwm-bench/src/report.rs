@@ -10,7 +10,7 @@ use std::fmt;
 /// The structured result of one experiment run.
 #[derive(Clone, Debug)]
 pub struct ExperimentReport {
-    /// Experiment id (`"e1"` … `"e16"`).
+    /// Experiment id (`"e1"` … `"e15"`).
     pub id: &'static str,
     /// Human-readable title (the table heading).
     pub title: String,

@@ -161,74 +161,6 @@ pub fn sliding_window_stream(
     TemporalWorkload { initial, batches }
 }
 
-/// A turnstile sliding-window stream at a chosen delete fraction: every epoch
-/// inserts `per_epoch` fresh edges and mass-expires the block inserted
-/// `window` epochs earlier with one [`GraphUpdate::ExpireWindow`] (the
-/// overlay's batch-tombstone fast path), so the live edge set is a bounded
-/// moving window while the journal of a non-pruning session grows with the
-/// whole stream — the workload the turnstile sketch bank exists for.
-///
-/// `delete_fraction` is the steady-state share of *edge operations* that are
-/// deletions. A sliding window pins deletes ≈ inserts, so lower fractions are
-/// realized by diluting each batch with reweights of still-live edges:
-/// `R = per_epoch·(1/f − 2)` reweights give `deletes/(inserts+deletes+R) = f`.
-/// `f = 0.5` is the pure insert+expire stream. Fully deterministic in `seed`.
-pub fn turnstile_stream(
-    n: usize,
-    per_epoch: usize,
-    window: usize,
-    epochs: usize,
-    delete_fraction: f64,
-    seed: u64,
-) -> TemporalWorkload {
-    assert!(n >= 2 && per_epoch >= 1 && window >= 1);
-    assert!(
-        delete_fraction > 0.0 && delete_fraction <= 0.5,
-        "a bounded sliding window cannot delete more than it inserts"
-    );
-    let reweights = (per_epoch as f64 * (1.0 / delete_fraction - 2.0)).round() as usize;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let initial = Graph::new(n);
-    let mut batches = Vec::with_capacity(epochs);
-    for e in 0..epochs {
-        let mut batch = Vec::new();
-        if e >= window {
-            // The block inserted `window` epochs ago, as one contiguous id
-            // range (id assignment is arithmetic on the empty initial graph).
-            let lo = (e - window) * per_epoch;
-            batch.push(GraphUpdate::ExpireWindow { lo, hi: lo + per_epoch });
-        }
-        for _ in 0..per_epoch {
-            let u = rng.gen_range(0..n as u32);
-            let mut v = rng.gen_range(0..(n - 1) as u32);
-            if v >= u {
-                v += 1;
-            }
-            batch.push(GraphUpdate::InsertEdge {
-                u: u as VertexId,
-                v: v as VertexId,
-                w: rng.gen_range(1.0..10.0),
-            });
-        }
-        if e + 1 < epochs {
-            // Reweights target edges of the *previous* live blocks (still live
-            // after this epoch's expiry, and their ids already exist).
-            let oldest_live = e.saturating_sub(window - 1) * per_epoch;
-            let newest = e * per_epoch;
-            if newest > oldest_live {
-                for _ in 0..reweights {
-                    batch.push(GraphUpdate::ReweightEdge {
-                        id: rng.gen_range(oldest_live..newest),
-                        w: rng.gen_range(1.0..10.0),
-                    });
-                }
-            }
-        }
-        batches.push(batch);
-    }
-    TemporalWorkload { initial, batches }
-}
-
 /// A b-matching workload with random capacities in `1..=max_b`.
 pub fn b_matching_graph(n: usize, avg_deg: usize, max_b: u64, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -3,7 +3,7 @@
 //! The representation is deliberately simple and cache friendly: a flat edge
 //! list plus a CSR-style adjacency index. All algorithms in the workspace
 //! treat the edge list as the canonical "read-only input" of the paper's model
-//! (sketches and simulators stream over it), while the adjacency index is a
+//! (passes and simulators stream over it), while the adjacency index is a
 //! convenience for the offline substrates that are allowed random access.
 
 use std::fmt;

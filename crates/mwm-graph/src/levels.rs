@@ -16,8 +16,8 @@ use crate::graph::{Edge, EdgeId, Graph};
 /// The table lists `ŵ_0 = 1, ŵ_1, …` until one entry strictly exceeds the
 /// largest rescaled weight it must cover, so a class lookup is one multiply
 /// plus a `partition_point` — no per-edge `ln` or `powi`. The solver's
-/// levels ([`WeightLevels::classes`]), its batch passes, Lattanzi's bucketing
-/// and the turnstile sketch bank all classify through this one table.
+/// levels ([`WeightLevels::classes`]), its batch passes and Lattanzi's
+/// bucketing all classify through this one table.
 #[derive(Clone, Debug)]
 pub struct WeightClasses {
     /// Rescale factor applied to a weight before classification.

@@ -9,7 +9,7 @@
 //! * [`levels`]: the weight discretization of Definitions 2–3 (`ŵ_k = (1+ε)^k`):
 //!   the one class table, [`WeightClasses`], and the per-level edge lists.
 //! * [`matching`]: (b-)matching containers with feasibility checks and weights.
-//! * [`union_find`]: a union-find used by sketches, sparsifiers and connectivity.
+//! * [`union_find`]: a union-find used by sparsifiers and connectivity.
 //! * [`odd_sets`]: odd-set utilities used by the relaxations of Section 3.
 //! * [`overlay`]: the journaled [`GraphOverlay`] + [`GraphUpdate`] delta layer
 //!   the dynamic matching subsystem edits between epochs.

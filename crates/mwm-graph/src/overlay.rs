@@ -10,9 +10,12 @@
 //! a monotonically increasing [`GraphOverlay::version`] bumped once per
 //! applied update. Edge updates are O(1); [`GraphUpdate::RemoveVertex`]
 //! scans the journal for incident edges (callers charging data access should
-//! account for that scan). Tombstoned deletes are kept until compaction, so
-//! a long-lived session's journal grows with total churn, not live size —
-//! epoch engines should compact periodically. An epoch engine materializes a
+//! account for that scan). Tombstoned deletes are kept until compaction,
+//! except for a dead prefix of the journal, which
+//! [`GraphOverlay::prune_dead_prefix`] reclaims without renumbering: a
+//! session that expires its oldest edges first (a sliding window) and prunes
+//! after every epoch holds its live edges plus trailing tombstones, not its
+//! whole history. An epoch engine materializes a
 //! compacted [`Graph`] of the live edges on demand, together with a back-map
 //! from materialized edge ids to stable overlay ids.
 
@@ -240,14 +243,6 @@ impl GraphOverlay {
         }
     }
 
-    /// The journal entry for stable id `id` whether alive or tombstoned —
-    /// `None` only for unassigned ids and for entries already pruned. Lets a
-    /// delta consumer (the turnstile sketch bank) recover the endpoints and
-    /// weight of an edge that an update just tombstoned.
-    pub fn journal_edge(&self, id: EdgeId) -> Option<Edge> {
-        self.slot(id).map(|slot| self.edges[slot])
-    }
-
     /// Iterates the live edges as `(stable id, edge)` in stable-id order.
     pub fn live_edge_iter(&self) -> impl Iterator<Item = (EdgeId, Edge)> + '_ {
         self.edges
@@ -259,7 +254,7 @@ impl GraphOverlay {
 
     /// Resident journal bytes: the edge records, liveness bitmap and vertex
     /// tables actually held in memory. This is what pruning and compaction
-    /// reclaim — the memory-per-session metric of the turnstile experiments.
+    /// reclaim — the memory-per-session metric of the dynamic experiments.
     pub fn resident_bytes(&self) -> usize {
         self.edges.len() * std::mem::size_of::<Edge>()
             + self.alive.len()
@@ -835,8 +830,8 @@ mod tests {
             ov.apply(&GraphUpdate::DeleteEdge { id: 2 }),
             Err(UpdateError::DeadEdge(2))
         ));
-        assert_eq!(ov.journal_edge(2), None, "pruned entries are gone from the journal");
-        assert!(ov.journal_edge(7).is_some());
+        assert_eq!(ov.export_state().edges.len(), 3, "pruned entries are gone from the journal");
+        assert!(ov.live_edge(7).is_some());
 
         // New inserts get the next stable id; deletes against it work.
         let a = ov.apply(&GraphUpdate::InsertEdge { u: 0, v: 1, w: 2.0 }).unwrap();

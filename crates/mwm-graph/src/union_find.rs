@@ -1,8 +1,8 @@
 //! Union-find (disjoint set union) with path compression and union by rank.
 //!
 //! Used by the streaming sparsifier (Algorithm 6 of the paper maintains `k`
-//! union-find structures per subsampling level), by the AGM spanning-forest
-//! recovery in `mwm-sketch`, and by connectivity queries in `mwm-graph`.
+//! union-find structures per subsampling level) and by connectivity queries
+//! in `mwm-graph`.
 
 /// Disjoint-set union structure over `0..n`.
 #[derive(Clone, Debug)]

@@ -15,7 +15,7 @@
 //! for order-dependent consumers (one-pass replacement matching), but still
 //! gets the engine's accounting and budget enforcement.
 //! [`PassEngine::pass_items`] runs the same scheduler over a plain slice of
-//! any other payload (graph updates, turnstile deltas).
+//! any other payload (a dynamic session's graph updates).
 //!
 //! Every pass runs through one shard scheduler and one budget gate:
 //! [`PassBudget::max_items_streamed`] is checked every
@@ -751,8 +751,8 @@ impl PassEngine {
         })
     }
 
-    /// One charged pass over a slice of items that are not edges (graph
-    /// updates, turnstile deltas). The slice is split into
+    /// One charged pass over a slice of items that are not edges (a dynamic
+    /// session's graph updates). The slice is split into
     /// [`auto_shard_count`]`(items.len())` contiguous shards — by length
     /// only, never by worker count — and each shard is folded into its own
     /// accumulator in slice order; the accumulators come back in shard

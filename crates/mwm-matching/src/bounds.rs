@@ -4,8 +4,12 @@
 //! experiments on larger graphs report approximation ratios against these
 //! certified bounds instead:
 //!
-//! * `OPT ≤ 2 · w(greedy)` — greedy is a ½-approximation for unit capacities,
-//!   so twice its weight is a valid upper bound on any matching.
+//! * `OPT ≤ 2 · w(greedy)` — greedy is a ½-approximation, so twice its weight
+//!   is a valid upper bound. This holds for b-matchings too: counted by unit
+//!   copies (an edge used `k` times is `k` elements) they form a 2-extendible
+//!   system, on which greedy by weight is a ½-approximation (Mestre 2006).
+//!   [`matching_weight_upper_bound`] uses it; [`b_matching_weight_upper_bound`]
+//!   does not (see there).
 //! * `OPT ≤ ½ Σ_i b_i · (mean of the b_i heaviest incident weights)` — the
 //!   fractional degree-constraint ("vertex cover by halves") bound.
 //! * feasibility checkers for matchings, b-matchings and small odd sets.
@@ -68,12 +72,16 @@ pub fn matching_weight_upper_bound(graph: &Graph) -> f64 {
     doubling.min(fractional)
 }
 
-/// An upper bound on the maximum-weight b-matching.
+/// An upper bound on the maximum-weight b-matching: the fractional degree
+/// bound (always valid: it dominates the LP1 degree constraints relaxed to
+/// halves).
 ///
-/// Unlike the unit-capacity case, the saturating greedy of
-/// [`greedy_b_matching`](crate::greedy::greedy_b_matching) has no ½-approximation guarantee, so only the
-/// fractional degree bound is used here (always valid: it dominates the LP1
-/// degree constraints relaxed to halves).
+/// The saturating greedy of
+/// [`greedy_b_matching`](crate::greedy::greedy_b_matching) is a
+/// ½-approximation here as well (b-matchings counted by unit copies are
+/// 2-extendible), so `2 · w(greedy)` is a second valid bound. It is not taken
+/// here: the minimum with it would move every ratio certified against this
+/// bound.
 pub fn b_matching_weight_upper_bound(graph: &Graph) -> f64 {
     fractional_vertex_bound(graph)
 }

@@ -10,11 +10,10 @@
 //! error type.
 
 use crate::PersistError;
-use mwm_dynamic::{DynamicConfig, EpochAudit, EpochDecision, EpochStats, IngestMode, SessionState};
+use mwm_dynamic::{DynamicConfig, EpochAudit, EpochDecision, EpochStats, SessionState};
 use mwm_graph::{Edge, Graph, GraphUpdate, OverlayState};
 use mwm_lp::{DualSnapshot, OddSetDual, VertexDual};
 use mwm_mapreduce::TrackerCounters;
-use mwm_turnstile::SketchBankState;
 
 /// An append-only byte sink with typed little-endian put methods.
 #[derive(Debug, Default)]
@@ -298,23 +297,6 @@ pub fn decode_updates(r: &mut ByteReader<'_>) -> Result<Vec<GraphUpdate>, String
 
 // ---- dynamic config ------------------------------------------------------
 
-fn encode_ingest(w: &mut ByteWriter, mode: IngestMode) {
-    w.u8(match mode {
-        IngestMode::Journal => 1,
-        IngestMode::Turnstile => 2,
-        IngestMode::Auto => 3,
-    });
-}
-
-fn decode_ingest(r: &mut ByteReader<'_>) -> Result<IngestMode, String> {
-    match r.u8("config ingest mode")? {
-        1 => Ok(IngestMode::Journal),
-        2 => Ok(IngestMode::Turnstile),
-        3 => Ok(IngestMode::Auto),
-        tag => Err(format!("unknown ingest mode {tag}")),
-    }
-}
-
 /// Encodes a [`DynamicConfig`].
 pub fn encode_config(w: &mut ByteWriter, c: &DynamicConfig) {
     w.f64(c.eps);
@@ -324,11 +306,6 @@ pub fn encode_config(w: &mut ByteWriter, c: &DynamicConfig) {
     w.f64(c.repair_threshold);
     w.f64(c.rebuild_threshold);
     w.u64(c.audit_every as u64);
-    encode_ingest(w, c.ingest);
-    w.f64(c.turnstile_enter);
-    w.f64(c.turnstile_exit);
-    w.f64(c.turnstile_max_weight);
-    w.u64(c.turnstile_reps as u64);
 }
 
 /// Decodes a [`DynamicConfig`] (semantic validation is the importer's job).
@@ -341,11 +318,6 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<DynamicConfig, String> {
         repair_threshold: r.f64("config repair_threshold")?,
         rebuild_threshold: r.f64("config rebuild_threshold")?,
         audit_every: r.u64("config audit_every")? as usize,
-        ingest: decode_ingest(r)?,
-        turnstile_enter: r.f64("config turnstile_enter")?,
-        turnstile_exit: r.f64("config turnstile_exit")?,
-        turnstile_max_weight: r.f64("config turnstile_max_weight")?,
-        turnstile_reps: r.u64("config turnstile_reps")? as usize,
     })
 }
 
@@ -448,11 +420,7 @@ pub fn encode_stats(w: &mut ByteWriter, s: &EpochStats) {
     w.u64(s.streamed_items as u64);
     w.f64(s.weight);
     w.u64(s.matching_edges as u64);
-    w.bool(s.sketch_mode);
-    w.u64(s.candidate_edges as u64);
-    w.u64(s.region_edges as u64);
     w.u64(s.journal_bytes as u64);
-    w.u64(s.sketch_bytes as u64);
     match &s.audit {
         None => w.u8(0),
         Some(a) => {
@@ -484,11 +452,7 @@ pub fn decode_stats(r: &mut ByteReader<'_>) -> Result<EpochStats, String> {
         streamed_items: r.u64("stats streamed")? as usize,
         weight: r.f64("stats weight")?,
         matching_edges: r.u64("stats matching edges")? as usize,
-        sketch_mode: r.bool("stats sketch mode")?,
-        candidate_edges: r.u64("stats candidate edges")? as usize,
-        region_edges: r.u64("stats region edges")? as usize,
         journal_bytes: r.u64("stats journal bytes")? as usize,
-        sketch_bytes: r.u64("stats sketch bytes")? as usize,
         audit: match r.u8("stats audit flag")? {
             0 => None,
             1 => Some(EpochAudit {
@@ -607,61 +571,6 @@ fn decode_overlay(r: &mut ByteReader<'_>) -> Result<OverlayState, String> {
     })
 }
 
-// ---- sketch banks --------------------------------------------------------
-
-/// Encodes a [`SketchBankState`] (the hibernated turnstile sketch bank).
-pub fn encode_bank(w: &mut ByteWriter, b: &SketchBankState) -> Result<(), PersistError> {
-    w.u64(b.num_vertices);
-    w.u64(b.eps_bits);
-    w.u64(b.scale_bits);
-    w.u64(b.max_scaled_bits);
-    w.u64(b.forest_copies);
-    w.u64(b.reps);
-    w.u64(b.seed);
-    w.u32(u32_len(b.class_support.len(), "bank class support")?);
-    for &s in &b.class_support {
-        w.u64(s as u64);
-    }
-    w.u32(u32_len(b.cell_words.len(), "bank cell words")?);
-    for &word in &b.cell_words {
-        w.u64(word);
-    }
-    Ok(())
-}
-
-/// Decodes a [`SketchBankState`]. Structural errors only — shape validation
-/// against the session config happens in `SketchBank::from_state`.
-pub fn decode_bank(r: &mut ByteReader<'_>) -> Result<SketchBankState, String> {
-    let num_vertices = r.u64("bank num_vertices")?;
-    let eps_bits = r.u64("bank eps bits")?;
-    let scale_bits = r.u64("bank scale bits")?;
-    let max_scaled_bits = r.u64("bank max_scaled bits")?;
-    let forest_copies = r.u64("bank forest copies")?;
-    let reps = r.u64("bank reps")?;
-    let seed = r.u64("bank seed")?;
-    let sn = checked_count(u64::from(r.u32("bank support count")?), "bank support")?;
-    let mut class_support = Vec::with_capacity(sn);
-    for _ in 0..sn {
-        class_support.push(r.u64("bank support entry")? as i64);
-    }
-    let cn = checked_count(u64::from(r.u32("bank cell word count")?), "bank cell word")?;
-    let mut cell_words = Vec::with_capacity(cn);
-    for _ in 0..cn {
-        cell_words.push(r.u64("bank cell word")?);
-    }
-    Ok(SketchBankState {
-        num_vertices,
-        eps_bits,
-        scale_bits,
-        max_scaled_bits,
-        forest_copies,
-        reps,
-        seed,
-        class_support,
-        cell_words,
-    })
-}
-
 /// Encodes a complete [`SessionState`].
 pub fn encode_session_state(w: &mut ByteWriter, s: &SessionState) -> Result<(), PersistError> {
     encode_config(w, &s.config);
@@ -693,13 +602,6 @@ pub fn encode_session_state(w: &mut ByteWriter, s: &SessionState) -> Result<(), 
     w.u64(t.peak_central_space);
     w.u64(t.shuffle_volume);
     w.u64(t.items_streamed);
-    match &s.bank {
-        None => w.u8(0),
-        Some(b) => {
-            w.u8(1);
-            encode_bank(w, b)?;
-        }
-    }
     Ok(())
 }
 
@@ -740,22 +642,7 @@ pub fn decode_session_state(r: &mut ByteReader<'_>) -> Result<SessionState, Stri
         shuffle_volume: r.u64("tracker shuffle")?,
         items_streamed: r.u64("tracker streamed")?,
     };
-    let bank = match r.u8("bank flag")? {
-        0 => None,
-        1 => Some(decode_bank(r)?),
-        b => return Err(format!("bank flag has invalid byte {b}")),
-    };
-    Ok(SessionState {
-        config,
-        overlay,
-        matching,
-        duals,
-        epoch,
-        bootstrapped,
-        ledger,
-        tracker,
-        bank,
-    })
+    Ok(SessionState { config, overlay, matching, duals, epoch, bootstrapped, ledger, tracker })
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
 //! Seeded pairwise-independent hash functions.
 //!
-//! All sketches must share randomness (the same "pseudorandom matrix") across
-//! machines so that merged sketches remain consistent; this is achieved by
-//! deriving every hash function deterministically from a `u64` seed.
+//! The streaming sparsifier ([`crate::streaming`]) decides each edge's
+//! geometric subsampling level by hashing its id, so every decision is a pure
+//! function of a `u64` seed: two runs over the same stream, or two machines
+//! over disjoint parts of it, subsample identically.
 
 /// A 2-universal style hash from `u64` keys to `u64` values, implemented with
 /// the multiply-shift family plus a splitmix finalizer. Deterministic in the
 /// seed, cheap, and good enough for the sub-sampling decisions made by the
-/// sketches (the paper only needs pairwise independence / limited randomness).
+/// streaming sparsifier (the paper only needs pairwise independence / limited
+/// randomness).
 #[derive(Clone, Copy, Debug)]
 pub struct PairwiseHash {
     a: u64,
@@ -61,42 +63,6 @@ impl PairwiseHash {
     }
 }
 
-/// Fingerprint arithmetic modulo the Mersenne prime `2^61 - 1`, used by the
-/// 1-sparse recovery test.
-pub const FP_PRIME: u64 = (1 << 61) - 1;
-
-/// Reduces a 128-bit product modulo `2^61 - 1`.
-#[inline]
-pub fn mod_mersenne61(x: u128) -> u64 {
-    let lo = (x & ((1u128 << 61) - 1)) as u64;
-    let hi = (x >> 61) as u64;
-    let mut r = lo.wrapping_add(hi);
-    if r >= FP_PRIME {
-        r -= FP_PRIME;
-    }
-    r
-}
-
-/// Modular multiplication modulo `2^61 - 1`.
-#[inline]
-pub fn mul_mod(a: u64, b: u64) -> u64 {
-    mod_mersenne61(a as u128 * b as u128)
-}
-
-/// Modular exponentiation modulo `2^61 - 1`.
-pub fn pow_mod(mut base: u64, mut exp: u64) -> u64 {
-    base %= FP_PRIME;
-    let mut acc = 1u64;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = mul_mod(acc, base);
-        }
-        base = mul_mod(base, base);
-        exp >>= 1;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,15 +95,6 @@ mod tests {
         let frac = level_ge_3 / n as f64;
         // Pr[level >= 3] = 1/8; allow generous slack.
         assert!((frac - 0.125).abs() < 0.02, "fraction at level>=3 was {frac}");
-    }
-
-    #[test]
-    fn mersenne_arithmetic() {
-        assert_eq!(mul_mod(FP_PRIME - 1, 2) % FP_PRIME, FP_PRIME - 2);
-        assert_eq!(pow_mod(3, 0), 1);
-        assert_eq!(pow_mod(3, 5), 243);
-        // Fermat: a^(p-1) = 1 mod p for prime p.
-        assert_eq!(pow_mod(12345, FP_PRIME - 1), 1);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!   connectivity estimates from a Nagamochi–Ibaraki forest decomposition of
 //!   each weight class's edges ([`connectivity`]).
 //! * The semi-streaming construction of Algorithm 6 ([`streaming`]), based on
-//!   geometric subsampling plus `k` union-find structures per level.
+//!   geometric subsampling plus `k` union-find structures per level, with the
+//!   seeded pairwise-independent hashes of [`hashing`] picking each edge's
+//!   subsampling level.
 //! * The **deferred** sparsifier of Definition 4 / Lemma 17 ([`deferred`]):
 //!   sampling decisions are made from *promise* weights `ς` (oversampled by
 //!   `χ²`), and only afterwards are the true weights `u` of the stored edges
@@ -20,6 +22,7 @@
 pub mod benczur_karger;
 pub mod connectivity;
 pub mod deferred;
+pub mod hashing;
 pub mod quality;
 pub mod streaming;
 

@@ -11,8 +11,8 @@
 //! connectivity drops below `k`, which is exactly the inverse sampling rate.
 
 use crate::benczur_karger::SparsifiedGraph;
+use crate::hashing::PairwiseHash;
 use mwm_graph::{Edge, EdgeId, Graph, UnionFind};
-use mwm_sketch::hashing::PairwiseHash;
 
 /// Per-level state: `k` union-find structures and the edges retained in forests.
 struct LevelState {
@@ -74,7 +74,7 @@ pub fn streaming_sparsify(graph: &Graph, k: usize, seed: u64) -> SparsifiedGraph
     // Determinism audit (PR 4): this used to be a `HashSet`. Insert-only
     // dedup never observes iteration order, but an id-indexed bitmap is both
     // obviously order-free and cheaper on the hot path; the remaining hash
-    // containers in mwm-sparsify/mwm-sketch live in `#[cfg(test)]` code.
+    // containers in mwm-sparsify live in `#[cfg(test)]` code.
     let mut out = Vec::new();
     let mut emitted = vec![false; m];
     for state in &levels {

@@ -7,10 +7,6 @@
 //! through `NetClient::metrics` (the request every worker-saturated server
 //! still answers, because the connection thread serves it directly).
 //!
-//! Journal-mode epochs build no repair region, so they leave the
-//! `dynamic_region_edges` histogram empty; a sketch-mode repair epoch records
-//! its region size there.
-//!
 //! Metrics are write-only taps: the final assertion replays the same stream
 //! with the registry disabled and checks the session weight is bit-identical.
 //!
@@ -61,14 +57,6 @@ fn run_session() -> Result<f64, MwmError> {
     Ok(dm.weight())
 }
 
-/// Observation count and sum of the `dynamic_region_edges` histogram.
-fn region_observations(snap: &obs::MetricsSnapshot) -> (u64, f64) {
-    match snap.get("dynamic_region_edges") {
-        Some(obs::MetricValue::Histogram(h)) => (h.count, h.sum),
-        _ => (0, 0.0),
-    }
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Switch the process-wide registry (and span recording) on ---
     obs::set_enabled(true);
@@ -83,25 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  epochs         {}", snap.counter_family("dynamic_epochs_total"));
     assert!(snap.counter_family("pass_total") > 0, "the epochs must have run engine passes");
     assert!(snap.counter_family("dynamic_epochs_total") >= 5);
-    assert_eq!(region_observations(&snap), (0, 0.0), "journal epochs built no repair region");
-
-    // --- 2b. A sketch-mode repair epoch records its repair-region size ---
-    let config = DynamicConfig {
-        ingest: IngestMode::Turnstile,
-        eps: 0.2,
-        p: 2.0,
-        seed: 21,
-        ..Default::default()
-    };
-    let mut dm = DynamicMatcher::new(&base_graph(7), config)?;
-    dm.apply_epoch(&[], &ResourceBudget::unlimited())?;
-    // Two touched vertices of 60 stay under the 5% repair threshold.
-    let insert = GraphUpdate::InsertEdge { u: 0, v: 1, w: 5.0 };
-    let repair = dm.apply_epoch(&[insert], &ResourceBudget::unlimited())?.stats;
-    assert!(repair.sketch_mode && repair.decision == EpochDecision::Repair);
-    let region = repair.region_edges as f64;
-    assert_eq!(region_observations(&obs::snapshot()), (1, region));
-    println!("  sketch-mode repair region {region} edges");
 
     // --- 3. A served deployment scraped over a live socket ---
     let service = Arc::new(MatchingService::start(ServiceConfig {

@@ -53,11 +53,7 @@
 //! The workspace crates are re-exported under stable module names:
 //!
 //! * [`graph`] — graphs, generators, weight levels, matchings ([`mwm_graph`]).
-//! * [`sketch`] — ℓ0-samplers and AGM graph sketches ([`mwm_sketch`]).
 //! * [`sparsify`] — cut sparsifiers and deferred sparsifiers ([`mwm_sparsify`]).
-//! * [`turnstile`] — per-weight-class sketch banks for deletion-heavy dynamic
-//!   streams: mergeable shard state, candidate recovery, bit-exact
-//!   hibernation ([`mwm_turnstile`]).
 //! * [`lp`] — the multiplicative-weights step rule of Theorem 5, the
 //!   fractional covering solver and the portable dual snapshot format
 //!   ([`mwm_lp`]).
@@ -88,9 +84,7 @@ pub use mwm_matching as matching;
 pub use mwm_obs as obs;
 pub use mwm_persist as persist;
 pub use mwm_serve as serve;
-pub use mwm_sketch as sketch;
 pub use mwm_sparsify as sparsify;
-pub use mwm_turnstile as turnstile;
 
 /// The engine facade: solver selection by name plus the engine API types.
 pub mod engine {
@@ -101,7 +95,6 @@ pub mod engine {
     };
     pub use mwm_dynamic::{
         CommittedSnapshot, CommittedView, DynamicConfig, DynamicMatcher, EpochDecision, EpochStats,
-        IngestMode,
     };
     pub use mwm_obs::{MetricsSnapshot, Observable, Registry};
     pub use mwm_persist::{Hibernate, PersistError, SessionImage, SessionStore, WalRecord};
@@ -257,7 +250,7 @@ pub mod prelude {
     };
     pub use mwm_dynamic::{
         CommittedSnapshot, CommittedView, DynamicConfig, DynamicMatcher, EpochDecision,
-        EpochReport, EpochStats, IngestMode,
+        EpochReport, EpochStats,
     };
     pub use mwm_external::{out_of_core_matching, SpillWriter, SpilledShards};
     pub use mwm_graph::{
@@ -270,7 +263,6 @@ pub mod prelude {
         MatchingService, NetClient, Request, Response, ServeError, ServiceConfig, SessionStats,
         SocketServer,
     };
-    pub use mwm_turnstile::{SketchBank, TurnstileConfig};
 }
 
 #[cfg(test)]

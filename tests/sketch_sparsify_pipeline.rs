@@ -1,51 +1,13 @@
-//! Cross-crate integration tests for the data-access substrates:
-//! sketches → spanning forests, and promises → deferred sparsifiers → cuts.
+//! Cross-crate integration tests for the data-access substrates: promises →
+//! deferred sparsifiers → cuts, checked against the offline sparsifier.
 
 use dual_primal_matching::graph::generators::{self, WeightModel};
 use dual_primal_matching::graph::Graph;
-use dual_primal_matching::sketch::{sketch_connected_components, GraphSketcher};
 use dual_primal_matching::sparsify::{
     cut_quality_report, sparsify, DeferredSparsifier, SparsifierConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-#[test]
-fn sketch_connectivity_matches_exact_connectivity() {
-    for seed in 0..5u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = 80;
-        let m = rng.gen_range(40..300);
-        let g = generators::gnm(n, m, WeightModel::Unit, &mut rng);
-        let (_, exact) = g.connected_components();
-        let (_, sketched) = sketch_connected_components(&g, 1000 + seed);
-        assert_eq!(exact, sketched, "seed {seed}: component counts differ");
-    }
-}
-
-#[test]
-fn cut_edge_sampling_respects_the_cut() {
-    let mut rng = StdRng::seed_from_u64(9);
-    let g = generators::gnm(60, 240, WeightModel::Unit, &mut rng);
-    let sk = GraphSketcher::sketch_graph(&g, 3, 77);
-    let edge_set: std::collections::HashSet<(u32, u32)> =
-        g.edges().iter().map(|e| e.key()).collect();
-    for trial in 0..30 {
-        let size = rng.gen_range(1..30);
-        let mut set: Vec<u32> = (0..60u32).collect();
-        for i in (1..set.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            set.swap(i, j);
-        }
-        set.truncate(size);
-        set.sort_unstable();
-        if let Some(e) = sk.sample_cut_edge(trial % 3, &set) {
-            assert!(edge_set.contains(&(e.u, e.v)));
-            let inside = |x: u32| set.binary_search(&x).is_ok();
-            assert!(inside(e.u) != inside(e.v));
-        }
-    }
-}
 
 #[test]
 fn offline_and_deferred_sparsifiers_agree_on_cut_quality() {
