@@ -26,7 +26,6 @@ use mwm_mapreduce::{central_space_budget, EdgeSource, GraphSource, PassEngine, R
 pub struct LattanziFiltering {
     p: f64,
     eps: f64,
-    parallelism: usize,
 }
 
 impl LattanziFiltering {
@@ -46,21 +45,13 @@ impl LattanziFiltering {
                 requirement: "must lie in (0, 1)",
             });
         }
-        Ok(LattanziFiltering { p, eps, parallelism: 1 })
-    }
-
-    /// Sets the pass-engine worker cap used by the weight-class bucketing
-    /// pass (builder style). Per-shard buckets merge in shard order, so the
-    /// matching is identical at every setting.
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers.max(1);
-        self
+        Ok(LattanziFiltering { p, eps })
     }
 }
 
 impl Default for LattanziFiltering {
     fn default() -> Self {
-        LattanziFiltering { p: 2.0, eps: 0.2, parallelism: 1 }
+        LattanziFiltering { p: 2.0, eps: 0.2 }
     }
 }
 
@@ -69,54 +60,32 @@ impl MatchingSolver for LattanziFiltering {
         "lattanzi-filtering"
     }
 
+    /// Runs weighted filtering with exponent `p` and accuracy `eps` for the
+    /// weight classes (`eps` only controls the class granularity, not the
+    /// quality bound). The budget's `with_parallelism` sets the bucketing
+    /// pass's worker count (1 when unset).
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError> {
-        let workers = budget.parallelism().unwrap_or(self.parallelism);
-        let res = run_filtering(graph, self.p, self.eps, workers, budget)?;
-        budget.check_tracker(&res.tracker)?;
-        Ok(SolveReport::new(self.name(), res.matching.to_b_matching(), res.tracker)
+        let (matching, tracker) = run_filtering(graph, self.p, self.eps, budget)?;
+        budget.check_tracker(&tracker)?;
+        Ok(SolveReport::new(self.name(), matching.to_b_matching(), tracker)
             .with_stat("p", self.p)
             .with_stat("eps", self.eps))
     }
 }
 
-/// Result of a filtering run.
-#[derive(Clone, Debug)]
-pub struct LattanziResult {
-    /// The matching found.
-    pub matching: Matching,
-    /// Its weight.
-    pub weight: f64,
-    /// The run's resource ledger: the bucketing pass and every sampling round.
-    pub tracker: ResourceTracker,
-}
-
-/// Runs weighted filtering with exponent `p` and accuracy `eps` for the weight
-/// classes (`eps` only controls the class granularity, not the quality bound).
-///
-/// # Panics
-/// If `p ≤ 1`. [`LattanziFiltering::new`] validates the parameter and returns
-/// a typed error instead.
-pub fn lattanzi_filtering(graph: &Graph, p: f64, eps: f64) -> LattanziResult {
-    assert!(p > 1.0);
-    run_filtering(graph, p, eps, 1, &ResourceBudget::unlimited())
-        .expect("an unlimited budget cannot interrupt the bucketing pass")
-}
-
-/// The engine-driven filtering run shared by the free function and the trait
-/// impl: one charged [`PassEngine`] **batch** pass precomputes every edge's
-/// class index over SoA shard slices, a per-shard counting sort scatters the
-/// ids into weight-class runs (stable, merged in shard order, so edge-id
-/// order — and therefore the matching — is identical for every worker
-/// count), then the per-class sampling rounds run. The engine's tracker is
-/// the run's one ledger: the bucketing pass and every sampling round are
-/// charged to it.
+/// The engine-driven filtering run behind [`LattanziFiltering::solve`]: one
+/// charged [`PassEngine`] **batch** pass precomputes every edge's class index
+/// over SoA shard slices, a per-shard counting sort scatters the ids into
+/// weight-class runs (stable, merged in shard order, so edge-id order — and
+/// therefore the matching — is identical for every worker count), then the
+/// per-class sampling rounds run. The engine's tracker is the run's one
+/// ledger: the bucketing pass and every sampling round are charged to it.
 fn run_filtering(
     graph: &Graph,
     p: f64,
     eps: f64,
-    workers: usize,
     res_budget: &ResourceBudget,
-) -> Result<LattanziResult, MwmError> {
+) -> Result<(Matching, ResourceTracker), MwmError> {
     let n = graph.num_vertices();
     let levels = WeightLevels::new(graph, eps);
     let mut matched = vec![false; n];
@@ -124,7 +93,8 @@ fn run_filtering(
 
     // One pass over the sharded stream splits it into weight classes.
     let source = GraphSource::auto(graph);
-    let mut engine = PassEngine::new(workers).with_budget(res_budget.pass_budget(0));
+    let mut engine = PassEngine::new(res_budget.parallelism().unwrap_or(1))
+        .with_budget(res_budget.pass_budget(0));
     let num_levels = levels.num_levels();
     let classes = levels.classes();
     let mut buckets: Vec<Vec<EdgeId>> = vec![Vec::new(); num_levels];
@@ -217,8 +187,7 @@ fn run_filtering(
         }
     }
 
-    let weight = matching.weight();
-    Ok(LattanziResult { matching, weight, tracker: engine.into_tracker() })
+    Ok((matching, engine.into_tracker()))
 }
 
 #[cfg(test)]
@@ -229,12 +198,17 @@ mod tests {
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
+    fn filtering(graph: &Graph, p: f64, eps: f64) -> SolveReport {
+        let solver = LattanziFiltering::new(p, eps).expect("test parameters are valid");
+        solver.solve(graph, &ResourceBudget::unlimited()).expect("an unlimited budget holds")
+    }
+
     #[test]
     fn produces_a_valid_matching() {
         let mut rng = StdRng::seed_from_u64(1);
         let g = generators::gnm(80, 600, WeightModel::Uniform(1.0, 9.0), &mut rng);
-        let res = lattanzi_filtering(&g, 2.0, 0.2);
-        assert!(res.matching.is_valid(80));
+        let res = filtering(&g, 2.0, 0.2);
+        assert!(res.matching.is_valid(&g));
         assert!(res.weight > 0.0);
         assert!(res.tracker.rounds() >= 1);
     }
@@ -243,7 +217,7 @@ mod tests {
     fn matching_is_maximal_per_heavy_class_and_constant_factor() {
         let mut rng = StdRng::seed_from_u64(2);
         let g = generators::gnm(60, 400, WeightModel::Uniform(1.0, 4.0), &mut rng);
-        let res = lattanzi_filtering(&g, 2.0, 0.2);
+        let res = filtering(&g, 2.0, 0.2);
         // Constant-factor sanity: at least 1/8 of the greedy weight (in practice much more).
         let greedy = greedy_matching(&g).weight();
         assert!(res.weight >= greedy / 8.0);
@@ -253,7 +227,7 @@ mod tests {
     fn unweighted_quality_is_at_least_half_of_optimum() {
         let mut rng = StdRng::seed_from_u64(3);
         let g = generators::gnm(16, 60, WeightModel::Unit, &mut rng);
-        let res = lattanzi_filtering(&g, 2.0, 0.2);
+        let res = filtering(&g, 2.0, 0.2);
         let opt = exact_max_weight_matching(&g).weight();
         assert!(res.weight >= opt / 2.0 - 1e-9, "weight {} vs opt {opt}", res.weight);
     }
@@ -263,7 +237,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let g = generators::gnp(150, 0.4, WeightModel::Unit, &mut rng);
         // p = 4 gives a space budget of ~4·150^{1.25} ≈ 2100, well below m ≈ 4500.
-        let res = lattanzi_filtering(&g, 4.0, 0.3);
+        let res = filtering(&g, 4.0, 0.3);
         let budget = 4.0 * (150f64).powf(1.25) + 1.0;
         let peak = res.tracker.peak_central_space();
         assert!((peak as f64) <= budget, "peak {peak} exceeds {budget}");
@@ -276,8 +250,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let sparse = generators::gnm(100, 300, WeightModel::Unit, &mut rng);
         let dense = generators::gnp(100, 0.5, WeightModel::Unit, &mut rng);
-        let r_sparse = lattanzi_filtering(&sparse, 2.0, 0.3);
-        let r_dense = lattanzi_filtering(&dense, 2.0, 0.3);
+        let r_sparse = filtering(&sparse, 2.0, 0.3);
+        let r_dense = filtering(&dense, 2.0, 0.3);
         let (sparse_rounds, dense_rounds) = (r_sparse.tracker.rounds(), r_dense.tracker.rounds());
         assert!(sparse_rounds <= dense_rounds + 4);
         assert!(dense_rounds <= 40, "rounds {dense_rounds}");
@@ -302,7 +276,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = Graph::new(5);
-        let res = lattanzi_filtering(&g, 2.0, 0.2);
+        let res = filtering(&g, 2.0, 0.2);
         assert!(res.matching.is_empty());
         assert_eq!(res.weight, 0.0);
     }

@@ -15,19 +15,17 @@
 //! rounds, space and quality against the dual-primal solver under the same
 //! accounting.
 //!
-//! Both baselines implement the engine API's
-//! [`MatchingSolver`](mwm_core::MatchingSolver) trait via the
+//! Each baseline has one entry point, its engine API
+//! [`MatchingSolver`](mwm_core::MatchingSolver) impl on the
 //! [`LattanziFiltering`] and [`StreamingGreedy`] solver types, so they are
 //! selectable through the umbrella crate's `SolverRegistry` and drivable as
-//! `Box<dyn MatchingSolver>` next to the dual-primal solver. The free
-//! functions remain available for callers that want the algorithm-specific
-//! result structs.
+//! `Box<dyn MatchingSolver>` next to the dual-primal solver.
 
 pub mod lattanzi;
 pub mod streaming_greedy;
 
-pub use lattanzi::{lattanzi_filtering, LattanziFiltering, LattanziResult};
-pub use streaming_greedy::{streaming_greedy_matching, StreamingGreedy, StreamingGreedyResult};
+pub use lattanzi::LattanziFiltering;
+pub use streaming_greedy::StreamingGreedy;
 
 #[cfg(test)]
 mod trait_tests {

@@ -53,47 +53,27 @@ impl MatchingSolver for StreamingGreedy {
         "streaming-greedy"
     }
 
+    /// Runs the one-pass replacement algorithm with improvement factor
+    /// `gamma_improve`. The report's ledger holds one round, and the matching
+    /// held as its peak central space.
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError> {
-        let res = run_replacement_pass(graph, self.gamma_improve, budget)?;
-        budget.check_tracker(&res.tracker)?;
-        let passes = res.tracker.rounds() as f64;
-        Ok(SolveReport::new(self.name(), res.matching.to_b_matching(), res.tracker)
+        let (matching, tracker) = run_replacement_pass(graph, self.gamma_improve, budget)?;
+        budget.check_tracker(&tracker)?;
+        let passes = tracker.rounds() as f64;
+        Ok(SolveReport::new(self.name(), matching.to_b_matching(), tracker)
             .with_stat("gamma_improve", self.gamma_improve)
             .with_stat("passes", passes))
     }
 }
 
-/// Result of a streaming-greedy run.
-#[derive(Clone, Debug)]
-pub struct StreamingGreedyResult {
-    /// The matching held at the end of the pass.
-    pub matching: Matching,
-    /// Its weight.
-    pub weight: f64,
-    /// The resource ledger of the pass: one round, and the matching held as
-    /// its peak central space.
-    pub tracker: ResourceTracker,
-}
-
-/// Runs the one-pass replacement algorithm with improvement factor `gamma_improve`.
-///
-/// # Panics
-/// If `gamma_improve < 0`. [`StreamingGreedy::new`] validates the parameter
-/// and returns a typed error instead.
-pub fn streaming_greedy_matching(graph: &Graph, gamma_improve: f64) -> StreamingGreedyResult {
-    assert!(gamma_improve >= 0.0);
-    run_replacement_pass(graph, gamma_improve, &ResourceBudget::unlimited())
-        .expect("an unlimited budget cannot interrupt the pass")
-}
-
-/// The engine-driven pass shared by the free function and the trait impl. A
-/// streamed-items budget can interrupt the pass mid-shard; in that case the
-/// partially built matching is discarded and the typed error is returned.
+/// The engine-driven pass behind [`StreamingGreedy::solve`]. A streamed-items
+/// budget can interrupt the pass mid-shard; in that case the partially built
+/// matching is discarded and the typed error is returned.
 fn run_replacement_pass(
     graph: &Graph,
     gamma_improve: f64,
     budget: &ResourceBudget,
-) -> Result<StreamingGreedyResult, MwmError> {
+) -> Result<(Matching, ResourceTracker), MwmError> {
     let n = graph.num_vertices();
     let source = GraphSource::auto(graph);
     let mut engine = PassEngine::new(1).with_budget(budget.pass_budget(0));
@@ -135,8 +115,7 @@ fn run_replacement_pass(
     for &(id, _) in in_matching.entries() {
         matching.push(id, graph.edge(id));
     }
-    let weight = matching.weight();
-    Ok(StreamingGreedyResult { matching, weight, tracker: engine.into_tracker() })
+    Ok((matching, engine.into_tracker()))
 }
 
 /// The matching store of the replacement pass: `(edge id, weight)` pairs in
@@ -208,13 +187,18 @@ mod tests {
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
+    fn streaming(graph: &Graph, gamma_improve: f64) -> SolveReport {
+        let solver = StreamingGreedy::new(gamma_improve).expect("test parameters are valid");
+        solver.solve(graph, &ResourceBudget::unlimited()).expect("an unlimited budget holds")
+    }
+
     #[test]
     fn single_pass_valid_matching() {
         let mut rng = StdRng::seed_from_u64(1);
         let g = generators::gnm(100, 800, WeightModel::Uniform(1.0, 9.0), &mut rng);
-        let res = streaming_greedy_matching(&g, 0.414);
+        let res = streaming(&g, 0.414);
         assert_eq!(res.tracker.rounds(), 1);
-        assert!(res.matching.is_valid(100));
+        assert!(res.matching.is_valid(&g));
         assert!(res.weight > 0.0);
         assert!(res.tracker.peak_central_space() <= 50);
     }
@@ -224,7 +208,7 @@ mod tests {
         // Edges arrive in increasing weight sharing a vertex: without replacement the
         // first (lightest) edge blocks everything.
         let g = generators::greedy_adversarial_path(8, 2.0);
-        let res = streaming_greedy_matching(&g, 0.1);
+        let res = streaming(&g, 0.1);
         // The heaviest edge must have displaced lighter conflicting ones.
         let heaviest = g.max_weight().unwrap();
         assert!(res.weight >= heaviest);
@@ -239,7 +223,7 @@ mod tests {
             if opt <= 0.0 {
                 continue;
             }
-            let res = streaming_greedy_matching(&g, 0.414);
+            let res = streaming(&g, 0.414);
             assert!(res.weight >= opt / 6.0, "seed {seed}: {} vs opt {opt}", res.weight);
         }
     }
@@ -248,7 +232,7 @@ mod tests {
     fn memory_is_linear_in_n_not_m() {
         let mut rng = StdRng::seed_from_u64(9);
         let g = generators::gnp(120, 0.5, WeightModel::Uniform(1.0, 3.0), &mut rng);
-        let res = streaming_greedy_matching(&g, 0.414);
+        let res = streaming(&g, 0.414);
         let held = res.tracker.peak_central_space();
         assert!(held <= 60, "held {held} edges");
         assert!(res.tracker.items_streamed() >= g.num_edges());
@@ -258,8 +242,8 @@ mod tests {
     fn zero_gamma_still_valid() {
         let mut rng = StdRng::seed_from_u64(10);
         let g = generators::gnm(30, 100, WeightModel::Uniform(1.0, 5.0), &mut rng);
-        let res = streaming_greedy_matching(&g, 0.0);
-        assert!(res.matching.is_valid(30));
+        let res = streaming(&g, 0.0);
+        assert!(res.matching.is_valid(&g));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! filtering baseline vs one-pass streaming greedy, same workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mwm_baselines::{lattanzi_filtering, streaming_greedy_matching};
+use mwm_baselines::{LattanziFiltering, StreamingGreedy};
 use mwm_bench::workloads;
 use mwm_core::{DualPrimalConfig, DualPrimalSolver, MatchingSolver, ResourceBudget};
 use mwm_matching::greedy_matching;
@@ -22,10 +22,12 @@ fn bench_baselines(c: &mut Criterion) {
         b.iter(|| solver.solve(g, &ResourceBudget::unlimited()))
     });
     group.bench_with_input(BenchmarkId::new("lattanzi_filtering", "n200"), &g, |b, g| {
-        b.iter(|| lattanzi_filtering(g, 2.0, 0.25))
+        let solver = LattanziFiltering::new(2.0, 0.25).expect("bench parameters are valid");
+        b.iter(|| solver.solve(g, &ResourceBudget::unlimited()))
     });
     group.bench_with_input(BenchmarkId::new("streaming_greedy", "n200"), &g, |b, g| {
-        b.iter(|| streaming_greedy_matching(g, 0.414))
+        let solver = StreamingGreedy::new(0.414).expect("bench parameters are valid");
+        b.iter(|| solver.solve(g, &ResourceBudget::unlimited()))
     });
     group.bench_with_input(BenchmarkId::new("offline_greedy", "n200"), &g, |b, g| {
         b.iter(|| greedy_matching(g))

@@ -84,11 +84,11 @@ fn bench_solver_parallelism(c: &mut Criterion) {
                     eps: 0.2,
                     p: 2.0,
                     seed: 2,
-                    parallelism: workers,
                     ..Default::default()
                 })
                 .expect("bench config is valid");
-                b.iter(|| solver.solve(&g, &ResourceBudget::unlimited()))
+                let budget = ResourceBudget::unlimited().with_parallelism(workers);
+                b.iter(|| solver.solve(&g, &budget))
             },
         );
     }

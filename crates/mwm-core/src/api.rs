@@ -39,17 +39,6 @@ pub trait MatchingSolver {
 
     /// Solves weighted b-matching on `graph` within `budget`.
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError>;
-
-    /// Solves like [`MatchingSolver::solve`] and also returns the final dual
-    /// point, the seed of a later warm start, for a solver that keeps one:
-    /// the dual-primal solver does, the default returns `None`.
-    fn solve_with_duals(
-        &self,
-        graph: &Graph,
-        budget: &ResourceBudget,
-    ) -> Result<(SolveReport, Option<DualSnapshot>), MwmError> {
-        self.solve(graph, budget).map(|report| (report, None))
-    }
 }
 
 /// The state a warm start resumes from: the previous epoch's exported dual

@@ -24,10 +24,11 @@ use mwm_mapreduce::{PassBudget, ResourceTracker};
 /// assert_eq!(budget.parallelism(), Some(4));
 /// ```
 ///
-/// Besides limits, a budget optionally carries the **parallelism** knob: how
-/// many worker threads the solver's `PassEngine` may use per pass. This is a
-/// per-solve override of the solver's configured default; it changes
-/// wall-clock speed only, never results (pass results merge in shard order).
+/// Besides limits, a budget carries the **parallelism** knob: how many worker
+/// threads the solver's `PassEngine` may use per pass. The budget is the only
+/// place a solver or a dynamic session reads it from, and a budget that does
+/// not set it runs one worker. It changes wall-clock speed only, never
+/// results (pass results merge in shard order).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResourceBudget {
     max_rounds: Option<usize>,
@@ -76,9 +77,9 @@ impl ResourceBudget {
         self
     }
 
-    /// Overrides the number of pass-engine worker threads for this solve
-    /// (clamped to at least 1 by the solvers). Not a limit: results are
-    /// bit-identical for every parallelism, only wall-clock time changes.
+    /// Sets the number of pass-engine worker threads for this solve or epoch
+    /// (1 when unset; 0 runs as 1). Not a limit: results are bit-identical
+    /// for every parallelism, only wall-clock time changes.
     pub const fn with_parallelism(mut self, workers: usize) -> Self {
         self.parallelism = Some(workers);
         self
@@ -104,7 +105,7 @@ impl ResourceBudget {
         self.max_streamed_items
     }
 
-    /// The parallelism override, if any.
+    /// The worker count set by [`ResourceBudget::with_parallelism`], if any.
     pub const fn parallelism(&self) -> Option<usize> {
         self.parallelism
     }

@@ -58,16 +58,11 @@ pub struct DualPrimalConfig {
     pub seed: u64,
     /// Override for the number of adaptive rounds (default `⌈2p/ε⌉`).
     pub max_rounds: Option<usize>,
-    /// Worker threads the pass engine may use per streaming pass (≥ 1).
-    /// Results are bit-identical for every value — per-shard partial results
-    /// merge in shard order — so this is purely a wall-clock knob. A
-    /// `ResourceBudget::with_parallelism` override takes precedence per solve.
-    pub parallelism: usize,
 }
 
 impl Default for DualPrimalConfig {
     fn default() -> Self {
-        DualPrimalConfig { eps: 0.2, p: 2.0, seed: 0xDA17, max_rounds: None, parallelism: 1 }
+        DualPrimalConfig { eps: 0.2, p: 2.0, seed: 0xDA17, max_rounds: None }
     }
 }
 
@@ -98,13 +93,6 @@ impl DualPrimalConfig {
                 param: "max_rounds",
                 value: "0".to_string(),
                 requirement: "must be at least 1 when set",
-            });
-        }
-        if self.parallelism == 0 {
-            return Err(MwmError::InvalidConfig {
-                param: "parallelism",
-                value: "0".to_string(),
-                requirement: "must be at least 1",
             });
         }
         Ok(())
@@ -141,12 +129,6 @@ impl DualPrimalConfigBuilder {
     /// Overrides the number of adaptive rounds (default `⌈2p/ε⌉`).
     pub fn max_rounds(mut self, rounds: usize) -> Self {
         self.config.max_rounds = Some(rounds);
-        self
-    }
-
-    /// Sets the pass-engine worker-thread cap (≥ 1).
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.config.parallelism = workers;
         self
     }
 
@@ -226,8 +208,8 @@ impl DualPrimalSolver {
         let levels = WeightLevels::new(graph, eps);
         // The solve's one ledger. The stream gate counts every item this
         // tracker has charged, the initial phase's sampling rounds included.
-        let workers = budget.parallelism().map_or(cfg.parallelism, |w| w.max(1));
-        let mut engine = PassEngine::new(workers).with_budget(budget.pass_budget(0));
+        let mut engine =
+            PassEngine::new(budget.parallelism().unwrap_or(1)).with_budget(budget.pass_budget(0));
 
         if levels.num_kept_edges() == 0 {
             let num_levels = levels.num_levels();
@@ -457,19 +439,11 @@ impl MatchingSolver for DualPrimalSolver {
     /// [`MwmError::BudgetExceeded`] before the round's work starts. An
     /// oracle-iteration budget is checked the same way before each oracle
     /// call. A streamed-items budget is enforced mid-pass by the pass engine,
-    /// and a space budget is verified against the run's ledger at the end. A
-    /// `with_parallelism` override replaces the configured worker count for
-    /// this solve.
+    /// and a space budget is verified against the run's ledger at the end.
+    /// The budget's `with_parallelism` sets the pass engine's worker count (1
+    /// when unset); it changes wall-clock time only.
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError> {
         self.solve_warm(graph, budget, None).map(|(report, _)| report)
-    }
-
-    fn solve_with_duals(
-        &self,
-        graph: &Graph,
-        budget: &ResourceBudget,
-    ) -> Result<(SolveReport, Option<DualSnapshot>), MwmError> {
-        self.solve_warm(graph, budget, None).map(|(report, duals)| (report, Some(duals)))
     }
 }
 
@@ -763,8 +737,8 @@ mod tests {
         let g = generators::gnm(60, 400, WeightModel::Uniform(1.0, 8.0), &mut rng);
         let mut reference: Option<ResultFingerprint> = None;
         for workers in [1usize, 2, 8] {
-            let config = DualPrimalConfig { parallelism: workers, ..Default::default() };
-            let fp = fingerprint(&solve(&DualPrimalSolver::new(config).unwrap(), &g));
+            let budget = ResourceBudget::unlimited().with_parallelism(workers);
+            let fp = fingerprint(&DualPrimalSolver::default().solve(&g, &budget).unwrap());
             match &reference {
                 None => reference = Some(fp),
                 Some(r) => assert_eq!(r, &fp, "parallelism {workers} diverged"),
@@ -801,9 +775,9 @@ mod tests {
         let warm_state = WarmStartState { duals, hint: cold.matching };
         let mut reference: Option<(u64, usize)> = None;
         for workers in [1usize, 4] {
-            let config = DualPrimalConfig { parallelism: workers, ..Default::default() };
+            let budget = ResourceBudget::unlimited().with_parallelism(workers);
             let (res, _) =
-                solve_warm(&DualPrimalSolver::new(config).unwrap(), &g, Some(&warm_state));
+                DualPrimalSolver::default().solve_warm(&g, &budget, Some(&warm_state)).unwrap();
             let fp = (res.weight.to_bits(), res.rounds());
             match &reference {
                 None => reference = Some(fp),

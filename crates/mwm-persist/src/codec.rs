@@ -10,7 +10,7 @@
 //! error type.
 
 use crate::PersistError;
-use mwm_dynamic::{DynamicConfig, EpochAudit, EpochDecision, EpochStats, SessionState};
+use mwm_dynamic::{DynamicConfig, EpochDecision, EpochStats, SessionState};
 use mwm_graph::{Edge, Graph, GraphUpdate, OverlayState};
 use mwm_lp::{DualSnapshot, OddSetDual, VertexDual};
 use mwm_mapreduce::TrackerCounters;
@@ -302,10 +302,8 @@ pub fn encode_config(w: &mut ByteWriter, c: &DynamicConfig) {
     w.f64(c.eps);
     w.f64(c.p);
     w.u64(c.seed);
-    w.u64(c.parallelism as u64);
     w.f64(c.repair_threshold);
     w.f64(c.rebuild_threshold);
-    w.u64(c.audit_every as u64);
 }
 
 /// Decodes a [`DynamicConfig`] (semantic validation is the importer's job).
@@ -314,10 +312,8 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<DynamicConfig, String> {
         eps: r.f64("config eps")?,
         p: r.f64("config p")?,
         seed: r.u64("config seed")?,
-        parallelism: r.u64("config parallelism")? as usize,
         repair_threshold: r.f64("config repair_threshold")?,
         rebuild_threshold: r.f64("config rebuild_threshold")?,
-        audit_every: r.u64("config audit_every")? as usize,
     })
 }
 
@@ -421,15 +417,6 @@ pub fn encode_stats(w: &mut ByteWriter, s: &EpochStats) {
     w.f64(s.weight);
     w.u64(s.matching_edges as u64);
     w.u64(s.journal_bytes as u64);
-    match &s.audit {
-        None => w.u8(0),
-        Some(a) => {
-            w.u8(1);
-            w.f64(a.oracle_weight);
-            w.f64(a.weight_drift);
-            w.bool(a.feasible);
-        }
-    }
 }
 
 /// Decodes one [`EpochStats`] ledger row.
@@ -453,15 +440,6 @@ pub fn decode_stats(r: &mut ByteReader<'_>) -> Result<EpochStats, String> {
         weight: r.f64("stats weight")?,
         matching_edges: r.u64("stats matching edges")? as usize,
         journal_bytes: r.u64("stats journal bytes")? as usize,
-        audit: match r.u8("stats audit flag")? {
-            0 => None,
-            1 => Some(EpochAudit {
-                oracle_weight: r.f64("audit oracle weight")?,
-                weight_drift: r.f64("audit drift")?,
-                feasible: r.bool("audit feasible")?,
-            }),
-            b => return Err(format!("audit flag has invalid byte {b}")),
-        },
     })
 }
 

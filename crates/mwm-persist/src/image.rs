@@ -29,8 +29,9 @@ pub const IMAGE_MAGIC: &[u8; 8] = b"MWMSESS1";
 /// and the sketch-bank fields. Version 3 dropped two fields nothing read: the
 /// config's `dual_decay` and the ledger's `peak_machine_space`. Version 4
 /// dropped the sketch bank with its five config fields and four ledger
-/// columns.
-pub const IMAGE_VERSION: u32 = 4;
+/// columns. Version 5 dropped the config's worker count and audit cadence
+/// and the ledger's audit column.
+pub const IMAGE_VERSION: u32 = 5;
 
 const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
 

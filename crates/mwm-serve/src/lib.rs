@@ -58,9 +58,9 @@
 //!   length-prefixed frame codec, mapping wire requests onto
 //!   [`MatchingService::submit`] with typed wire errors.
 //!
-//! Determinism contract: with a fixed per-epoch `parallelism` and no pool
-//! limit, a session's epoch history, matching and weight are bit-identical
-//! for every service worker count and every interleaving with other
+//! Determinism contract: with no pool limit, a session's epoch history,
+//! matching and weight are bit-identical for every service worker count,
+//! every per-epoch `parallelism` and every interleaving with other
 //! sessions — enforced by experiment E13's checksum column and
 //! `tests/serve_stress.rs`. (A shared pool is inherently cross-session
 //! state: *which* epoch trips a nearly-drained pool depends on arrival
@@ -93,9 +93,9 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Pending-request capacity of each worker's submission queue.
     pub queue_capacity: usize,
-    /// Pass-engine threads each epoch runs with. Part of the determinism
-    /// fingerprint only in wall-clock terms — results are bit-identical for
-    /// every value — but kept explicit so deployments pin it.
+    /// Pass-engine threads each epoch runs with: the service sets it on
+    /// every epoch's budget, so `epoch_budget` may not set its own. Results
+    /// are bit-identical for every value; only wall-clock time changes.
     pub parallelism: usize,
     /// Cumulative streamed-items pool shared by every session of the service;
     /// `None` is unlimited. Enforced through each epoch's [`ResourceBudget`],
@@ -103,7 +103,8 @@ pub struct ServiceConfig {
     /// dynamic layer, and an exhausted pool rejects batches at admission.
     pub max_streamed_items: Option<usize>,
     /// Policy budget applied to every epoch (rounds/space/oracle limits);
-    /// intersected with the pool-derived budget per submit.
+    /// intersected with the pool-derived budget per submit. Its worker count
+    /// must stay unset: [`ServiceConfig::parallelism`] is the one place for it.
     pub epoch_budget: ResourceBudget,
     /// Session configuration used when `CreateSession` carries none.
     pub session_defaults: DynamicConfig,
@@ -152,6 +153,13 @@ impl ServiceConfig {
                 param: "queue_capacity",
                 value: format!("{}", self.queue_capacity),
                 requirement: "must be at least 1",
+            });
+        }
+        if let Some(workers) = self.epoch_budget.parallelism() {
+            return Err(MwmError::InvalidConfig {
+                param: "epoch_budget",
+                value: format!("with_parallelism({workers})"),
+                requirement: "must leave the worker count to ServiceConfig::parallelism",
             });
         }
         if self.max_resident_sessions == Some(0) {
@@ -1159,10 +1167,7 @@ fn handle_request(
                     .with_max_streamed_items(dm.tracker().items_streamed() + grant),
                 None => ResourceBudget::unlimited(),
             };
-            let budget = ctx
-                .epoch_budget
-                .intersect(&pool_budget)
-                .with_parallelism(ctx.epoch_budget.parallelism().unwrap_or(ctx.parallelism));
+            let budget = ctx.epoch_budget.intersect(&pool_budget).with_parallelism(ctx.parallelism);
             let before = dm.tracker().items_streamed();
             let batch_len = updates.len();
             let epoch_index = dm.epochs() as u64;
@@ -1539,6 +1544,12 @@ mod tests {
     fn invalid_service_configs_are_rejected() {
         assert!(MatchingService::start(ServiceConfig { workers: 0, ..config() }).is_err());
         assert!(MatchingService::start(ServiceConfig { queue_capacity: 0, ..config() }).is_err());
+        // The worker count has one home, `parallelism`.
+        let pinned = ResourceBudget::unlimited().with_parallelism(4);
+        assert!(matches!(
+            MatchingService::start(ServiceConfig { epoch_budget: pinned, ..config() }),
+            Err(MwmError::InvalidConfig { param: "epoch_budget", .. })
+        ));
         let bad_session = DynamicConfig { rebuild_threshold: 2.0, ..DynamicConfig::default() };
         assert!(MatchingService::start(ServiceConfig {
             session_defaults: bad_session,

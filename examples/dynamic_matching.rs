@@ -3,14 +3,14 @@
 //! Demonstrates the epoch lifecycle: a bootstrap rebuild, quiet epochs
 //! handled by localized repair, medium-damage epochs handled by warm-started
 //! dual-primal re-solves (fewer rounds than a cold solve — the saving the
-//! subsystem exists for), a bulk rebuild through a registry-selected
-//! baseline, and the per-epoch `EpochStats` ledger.
+//! subsystem exists for), a bulk teardown that forces a cold rebuild, and
+//! the per-epoch `EpochStats` ledger.
 //!
 //! ```bash
 //! cargo run --release --example dynamic_matching
 //! ```
 
-use dual_primal_matching::engine::{DynamicConfig, DynamicMatcher, EpochDecision, SolverRegistry};
+use dual_primal_matching::engine::{DynamicConfig, DynamicMatcher, EpochDecision};
 use dual_primal_matching::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -71,20 +71,17 @@ fn main() {
         warm.stats.solver_rounds, cold_rounds
     );
 
-    // --- 2. Bulk rebuilds through the registry (Lattanzi filtering) ---
-    let registry = SolverRegistry::default();
-    let mut bulk = registry
-        .create_dynamic("lattanzi-filtering", &base, config)
-        .expect("registry-backed session");
+    // --- 2. A bulk teardown: damage past the warm band forces a rebuild ---
+    let mut bulk = DynamicMatcher::new(&base, config).expect("valid config");
     bulk.apply_epoch(&[], &budget).expect("bootstrap");
     // Remove a quarter of the graph in one batch → full rebuild.
     let teardown: Vec<GraphUpdate> =
         (0..75u32).map(|v| GraphUpdate::RemoveVertex { v: v * 4 }).collect();
     let r = bulk.apply_epoch(&teardown, &budget).expect("bulk epoch");
-    println!("\nbulk teardown through the registry:");
+    println!("\nbulk teardown:");
     print_epoch(&r);
     assert_eq!(r.stats.decision, EpochDecision::Rebuild);
-    assert_eq!(r.solve.as_ref().expect("rebuild solves").solver, "lattanzi-filtering");
+    assert_eq!(r.solve.as_ref().expect("rebuild solves").stat("warm_started"), Some(0.0));
 
     // --- 3. The ledger: the session's whole history in one place ---
     println!("\nledger of the first session ({} epochs):", dm.epochs());

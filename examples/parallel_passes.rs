@@ -2,7 +2,7 @@
 //!
 //! Demonstrates the three `EdgeSource` flavours, the deterministic
 //! shard-order merge (bit-identical results at every worker count), the
-//! `parallelism` knob threading through the `SolverRegistry`, and a pass
+//! worker count reaching a solver on its `ResourceBudget`, and a pass
 //! interrupted mid-shard by a streamed-items budget.
 //!
 //! ```bash
@@ -58,7 +58,7 @@ fn main() {
         engine.tracker()
     );
 
-    // --- 3. The parallelism knob through the registry ---
+    // --- 3. The worker count on the budget, through the registry ---
     let registry = SolverRegistry::default();
     for workers in [1usize, 4] {
         let budget = ResourceBudget::unlimited().with_parallelism(workers);

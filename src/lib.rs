@@ -103,23 +103,21 @@ pub mod engine {
         SocketServer, Ticket,
     };
 
-    use mwm_core::{DualPrimalConfig, DualPrimalSolver};
+    use mwm_core::DualPrimalSolver;
     use mwm_graph::Graph;
     use std::collections::BTreeMap;
 
-    /// A factory receives the requested pass-engine parallelism (worker
-    /// threads per streaming pass, ≥ 1) and builds a configured solver.
-    type SolverFactory =
-        Box<dyn Fn(usize) -> Result<Box<dyn MatchingSolver>, MwmError> + Send + Sync>;
+    /// A factory builds a configured solver.
+    type SolverFactory = Box<dyn Fn() -> Result<Box<dyn MatchingSolver>, MwmError> + Send + Sync>;
 
     /// A registry of named solver factories.
     ///
     /// [`SolverRegistry::default`] knows every built-in solver; custom
     /// backends register factories under new names and are then selectable
     /// exactly like the built-ins — the seam all multi-backend work (sharded,
-    /// async, remote) plugs into. Every factory is handed the requested
-    /// parallelism, so `registry.solve(name, &g, &budget.with_parallelism(8))`
-    /// threads the knob from the caller down to the solver's `PassEngine`.
+    /// async, remote) plugs into. The pass-engine worker count is not a
+    /// solver setting: `registry.solve(name, &g, &budget.with_parallelism(8))`
+    /// hands it to the solver on the budget.
     pub struct SolverRegistry {
         factories: BTreeMap<String, SolverFactory>,
     }
@@ -133,18 +131,14 @@ pub mod engine {
         /// A registry with every built-in solver under its canonical name.
         pub fn with_default_solvers() -> Self {
             let mut reg = SolverRegistry::empty();
-            reg.register("dual-primal", |workers| {
-                let config = DualPrimalConfig { parallelism: workers.max(1), ..Default::default() };
-                Ok(Box::new(DualPrimalSolver::new(config)?) as Box<dyn MatchingSolver>)
+            reg.register("dual-primal", || {
+                Ok(Box::new(DualPrimalSolver::default()) as Box<dyn MatchingSolver>)
             });
-            // The replacement pass is order-dependent and always runs on the
-            // calling thread; the knob is accepted and ignored.
-            reg.register("streaming-greedy", |_workers| {
+            reg.register("streaming-greedy", || {
                 Ok(Box::new(StreamingGreedy::default()) as Box<dyn MatchingSolver>)
             });
-            reg.register("lattanzi-filtering", |workers| {
-                Ok(Box::new(LattanziFiltering::default().with_parallelism(workers))
-                    as Box<dyn MatchingSolver>)
+            reg.register("lattanzi-filtering", || {
+                Ok(Box::new(LattanziFiltering::default()) as Box<dyn MatchingSolver>)
             });
             for strategy in [
                 OfflineStrategy::Auto,
@@ -152,40 +146,25 @@ pub mod engine {
                 OfflineStrategy::LocalSearch,
                 OfflineStrategy::Exact,
             ] {
-                // The offline substrates hold the whole instance in memory and
-                // have no pass loop; the knob is accepted and ignored.
-                reg.register(strategy.name(), move |_workers| {
+                reg.register(strategy.name(), move || {
                     Ok(Box::new(OfflineSolver::new(strategy)) as Box<dyn MatchingSolver>)
                 });
             }
             reg
         }
 
-        /// Registers (or replaces) a factory under `name`. The factory is
-        /// called with the requested pass-engine parallelism.
+        /// Registers (or replaces) a factory under `name`.
         pub fn register<F>(&mut self, name: impl Into<String>, factory: F)
         where
-            F: Fn(usize) -> Result<Box<dyn MatchingSolver>, MwmError> + Send + Sync + 'static,
+            F: Fn() -> Result<Box<dyn MatchingSolver>, MwmError> + Send + Sync + 'static,
         {
             self.factories.insert(name.into(), Box::new(factory));
         }
 
-        /// Instantiates the solver registered under `name` with the default
-        /// single-worker pass engine.
+        /// Instantiates the solver registered under `name`.
         pub fn create(&self, name: &str) -> Result<Box<dyn MatchingSolver>, MwmError> {
-            self.create_with_parallelism(name, 1)
-        }
-
-        /// Instantiates the solver registered under `name` with a pass engine
-        /// of up to `workers` threads. Results are independent of `workers`
-        /// for every built-in solver; only wall-clock time changes.
-        pub fn create_with_parallelism(
-            &self,
-            name: &str,
-            workers: usize,
-        ) -> Result<Box<dyn MatchingSolver>, MwmError> {
             match self.factories.get(name) {
-                Some(factory) => factory(workers.max(1)),
+                Some(factory) => factory(),
                 None => {
                     Err(MwmError::UnknownSolver { name: name.to_string(), available: self.names() })
                 }
@@ -202,34 +181,16 @@ pub mod engine {
             self.factories.keys().cloned().collect()
         }
 
-        /// Starts a [`DynamicMatcher`] session whose **full rebuilds** go
-        /// through the solver registered under `rebuild` (e.g.
-        /// `"lattanzi-filtering"` for cheap bulk rebuilds, `"dual-primal"` to
-        /// keep exporting warm-start duals on rebuilds too). Repair and warm
-        /// re-solve epochs always use the dual-primal machinery configured by
-        /// `config`.
-        pub fn create_dynamic(
-            &self,
-            rebuild: &str,
-            base: &Graph,
-            config: DynamicConfig,
-        ) -> Result<DynamicMatcher, MwmError> {
-            let solver = self.create_with_parallelism(rebuild, config.parallelism.max(1))?;
-            Ok(DynamicMatcher::new(base, config)?.with_rebuild_solver(solver))
-        }
-
         /// Convenience: instantiate `name` and solve `graph` within `budget`.
-        /// A `budget.with_parallelism(..)` override reaches the factory, so
-        /// this is the one-call path from "caller wants 8 workers" to a
-        /// multi-threaded pass engine.
+        /// The budget's `with_parallelism(..)` sets the solver's pass-engine
+        /// worker count.
         pub fn solve(
             &self,
             name: &str,
             graph: &Graph,
             budget: &ResourceBudget,
         ) -> Result<SolveReport, MwmError> {
-            self.create_with_parallelism(name, budget.parallelism().unwrap_or(1))?
-                .solve(graph, budget)
+            self.create(name)?.solve(graph, budget)
         }
     }
 
@@ -312,7 +273,7 @@ mod tests {
     #[test]
     fn custom_factories_are_selectable() {
         let mut reg = SolverRegistry::empty();
-        reg.register("custom-greedy", |_workers| {
+        reg.register("custom-greedy", || {
             Ok(Box::new(crate::engine::OfflineSolver::new(crate::engine::OfflineStrategy::Greedy))
                 as _)
         });
@@ -322,109 +283,24 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_sessions_wire_rebuilds_through_the_registry() {
-        use crate::engine::{DynamicConfig, EpochDecision};
-        use mwm_graph::GraphUpdate;
-
-        let mut rng = StdRng::seed_from_u64(17);
-        let g = generators::gnm(30, 120, WeightModel::Uniform(1.0, 9.0), &mut rng);
-        let reg = SolverRegistry::default();
-        // Bulk rebuilds through the Lattanzi baseline, per the serving story.
-        // One deleted edge touches 2/30 vertices, so the repair band must
-        // reach past 0.067.
-        let config = DynamicConfig { repair_threshold: 0.1, ..DynamicConfig::default() };
-        let mut dm = reg
-            .create_dynamic("lattanzi-filtering", &g, config)
-            .expect("registry-backed dynamic session");
-        let r0 = dm.apply_epoch(&[], &ResourceBudget::unlimited()).unwrap();
-        assert_eq!(r0.stats.decision, EpochDecision::Rebuild);
-        assert_eq!(r0.solve.as_ref().unwrap().solver, "lattanzi-filtering");
-
-        let r1 = dm
-            .apply_epoch(&[GraphUpdate::DeleteEdge { id: 0 }], &ResourceBudget::unlimited())
-            .unwrap();
-        assert_eq!(r1.stats.decision, EpochDecision::Repair);
-        assert!(dm.weight() > 0.0);
-
-        // Unknown rebuild names fail like any registry lookup.
-        assert!(reg.create_dynamic("warp-drive", &g, DynamicConfig::default()).is_err());
-    }
-
-    #[test]
-    fn a_failed_rebuild_leaves_the_journal_untouched_without_a_limit() {
-        use crate::engine::DynamicConfig;
-        use mwm_graph::GraphUpdate;
-
-        // The exact solver rejects a 30-vertex non-bipartite graph, so the
-        // bootstrap rebuild fails although the budget is unlimited.
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = generators::gnm(30, 80, WeightModel::Uniform(1.0, 9.0), &mut rng);
-        let mut dm = SolverRegistry::default()
-            .create_dynamic("offline-exact", &g, DynamicConfig::default())
-            .unwrap();
-        let updates: Vec<GraphUpdate> = (0..5u32)
-            .map(|i| GraphUpdate::InsertEdge { u: i, v: i + 10, w: 2.0 + f64::from(i) })
-            .collect();
-        let overlay = |dm: &crate::engine::DynamicMatcher| {
-            let o = dm.overlay();
-            (o.version(), o.next_edge_id(), o.num_live_edges())
-        };
-        let before = overlay(&dm);
-        assert_eq!(before.2, 80);
-        for attempt in 0..2 {
-            let err = dm.apply_epoch(&updates, &ResourceBudget::unlimited()).unwrap_err();
-            assert!(matches!(err, MwmError::Unsupported { .. }), "attempt {attempt}: {err:?}");
-            assert_eq!(
-                overlay(&dm),
-                before,
-                "attempt {attempt}: the failed batch stayed journaled"
-            );
-            assert_eq!(dm.epochs(), 0);
-        }
-    }
-
-    #[test]
-    fn registry_rebuilds_keep_the_warm_chain_only_with_duals() {
-        use crate::engine::{DynamicConfig, EpochDecision};
-        use mwm_graph::GraphUpdate;
-
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = generators::gnm(60, 300, WeightModel::Uniform(1.0, 9.0), &mut rng);
-        let budget = ResourceBudget::unlimited();
-        // 8 new edges touch 16 of 60 vertices: the warm band, if duals exist.
-        let updates: Vec<GraphUpdate> = (0..8u32)
-            .map(|i| GraphUpdate::InsertEdge { u: 2 * i, v: 2 * i + 31, w: 3.5 })
-            .collect();
-        let reg = SolverRegistry::default();
-        for (name, next) in [
-            ("dual-primal", EpochDecision::WarmResolve),
-            ("lattanzi-filtering", EpochDecision::Rebuild),
-        ] {
-            let mut dm = reg.create_dynamic(name, &g, DynamicConfig::default()).unwrap();
-            dm.apply_epoch(&[], &budget).unwrap();
-            assert_eq!(dm.duals().is_some(), name == "dual-primal", "{name}");
-            assert_eq!(dm.apply_epoch(&updates, &budget).unwrap().stats.decision, next, "{name}");
-        }
-    }
-
-    #[test]
     fn parallelism_reaches_factories_through_the_budget() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::gnm(30, 150, WeightModel::Uniform(1.0, 9.0), &mut rng);
         let reg = SolverRegistry::default();
         let budget1 = ResourceBudget::unlimited().with_parallelism(1);
-        let budget8 = ResourceBudget::unlimited().with_parallelism(8);
         for name in ["dual-primal", "streaming-greedy", "lattanzi-filtering"] {
             let a = reg.solve(name, &g, &budget1).unwrap();
-            let b = reg.solve(name, &g, &budget8).unwrap();
-            assert_eq!(
-                a.weight.to_bits(),
-                b.weight.to_bits(),
-                "{name}: parallelism changed the result"
-            );
-            assert_eq!(a.rounds(), b.rounds(), "{name}: parallelism changed the pass count");
+            // 0 asks for no workers; the engine runs it as 1.
+            for workers in [0, 8] {
+                let budget = ResourceBudget::unlimited().with_parallelism(workers);
+                let b = reg.solve(name, &g, &budget).unwrap();
+                assert_eq!(
+                    a.weight.to_bits(),
+                    b.weight.to_bits(),
+                    "{name}: {workers} workers changed the result"
+                );
+                assert_eq!(a.rounds(), b.rounds(), "{name}: {workers} workers changed the passes");
+            }
         }
-        // Explicit instantiation at a worker count also works.
-        assert!(reg.create_with_parallelism("dual-primal", 4).is_ok());
     }
 }

@@ -165,20 +165,3 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
-
-#[test]
-fn configured_parallelism_matches_budget_override() {
-    // The two ways of threading the knob — solver config vs budget override —
-    // must agree bit-for-bit.
-    use dual_primal_matching::prelude::*;
-    let g = workload(45);
-    let configured =
-        DualPrimalSolver::new(DualPrimalConfig::builder().parallelism(4).build().unwrap())
-            .unwrap()
-            .solve(&g, &ResourceBudget::unlimited())
-            .unwrap();
-    let overridden = DualPrimalSolver::default()
-        .solve(&g, &ResourceBudget::unlimited().with_parallelism(4))
-        .unwrap();
-    assert_eq!(fingerprint(&configured), fingerprint(&overridden));
-}

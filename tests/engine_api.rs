@@ -72,8 +72,6 @@ fn config_builder_rejects_invalid_parameters() {
     // Structural overrides must be non-zero.
     let err = DualPrimalConfig::builder().max_rounds(0).build().unwrap_err();
     assert!(matches!(err, MwmError::InvalidConfig { param: "max_rounds", .. }));
-    let err = DualPrimalConfig::builder().parallelism(0).build().unwrap_err();
-    assert!(matches!(err, MwmError::InvalidConfig { param: "parallelism", .. }));
 
     // The same validation guards the direct constructor.
     let err =
