@@ -6,10 +6,9 @@
 //! [`mwm_matching::bounds`] otherwise (in which case the reported ratio is a
 //! lower bound on the true ratio).
 
-use mwm_graph::{BMatching, Graph, Matching, VertexId};
+use mwm_graph::{BMatching, Graph};
 use mwm_matching::{
-    best_offline_matching, bounds, exact_max_weight_matching, greedy_b_matching,
-    max_cardinality_matching, try_max_weight_bipartite_matching,
+    best_offline_matching, bounds, greedy_b_matching, max_cardinality_matching, try_exact_matching,
 };
 
 /// A certificate for one solve.
@@ -29,30 +28,23 @@ pub struct SolutionCertificate {
     pub ratio_vs_exact: Option<f64>,
 }
 
-/// How large an instance the DP and the cardinality blossom take on (they are
-/// only used for certification, so the cut-offs are conservative).
-const DP_LIMIT: usize = 18;
+/// How large an instance the cardinality blossom takes on (it is only used
+/// for certification, so the cut-off is conservative).
 const BLOSSOM_LIMIT: usize = 400;
 
 /// Computes the exact optimum of the (unit-capacity) matching problem when one
 /// of the exact substrates applies; `None` otherwise. These are the exact
-/// routes of [`best_offline_matching`]'s rule (the bitmask DP on tiny graphs,
-/// the bipartite solver at any size), plus the cardinality blossom on
-/// unit-weight graphs up to 400 vertices.
+/// routes of [`best_offline_matching`]'s rule ([`try_exact_matching`]), plus
+/// the cardinality blossom on unit-weight graphs up to 400 vertices.
 pub fn exact_optimum(graph: &Graph) -> Option<f64> {
-    let n = graph.num_vertices();
-    let unit_caps = (0..n).all(|v| graph.b(v as VertexId) == 1);
-    if !unit_caps {
+    if !graph.has_unit_capacities() {
         return None;
     }
-    if n <= DP_LIMIT {
-        return Some(exact_max_weight_matching(graph).weight());
-    }
-    if let Some(m) = try_max_weight_bipartite_matching(graph) {
+    if let Some(m) = try_exact_matching(graph) {
         return Some(m.weight());
     }
     let unit_weights = graph.edges().iter().all(|e| (e.w - 1.0).abs() < 1e-12);
-    if n <= BLOSSOM_LIMIT && unit_weights {
+    if graph.num_vertices() <= BLOSSOM_LIMIT && unit_weights {
         return Some(max_cardinality_matching(graph).len() as f64);
     }
     None
@@ -77,14 +69,11 @@ pub fn certify_b_matching(graph: &Graph, bm: &BMatching) -> SolutionCertificate 
 }
 
 /// The offline b-matching substrate used by the solver on in-memory subgraphs:
-/// exact/near-exact matching when all capacities are 1, greedy b-matching plus
-/// the per-level refinement otherwise.
+/// [`best_offline_matching`] when all capacities are 1, greedy b-matching
+/// otherwise.
 pub fn offline_b_matching(graph: &Graph) -> BMatching {
-    let n = graph.num_vertices();
-    let unit_caps = (0..n).all(|v| graph.b(v as VertexId) == 1);
-    if unit_caps {
-        let m: Matching = best_offline_matching(graph);
-        m.to_b_matching()
+    if graph.has_unit_capacities() {
+        best_offline_matching(graph).to_b_matching()
     } else {
         greedy_b_matching(graph)
     }
@@ -94,6 +83,7 @@ pub fn offline_b_matching(graph: &Graph) -> BMatching {
 mod tests {
     use super::*;
     use mwm_graph::generators::{self, WeightModel};
+    use mwm_matching::exact_max_weight_matching;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 

@@ -39,7 +39,8 @@ pub struct InitialSolution {
 
 /// Builds the initial solution for round/space exponent `p`, charging its
 /// `O(p)` sampling rounds and their `O(n^{1+1/p})` central space to
-/// `tracker`.
+/// `tracker`. `levels` must come from `graph`: each edge's level is its
+/// class in `levels.classes()`.
 pub fn build_initial_solution(
     graph: &Graph,
     levels: &WeightLevels,
@@ -52,9 +53,15 @@ pub fn build_initial_solution(
     let mut rng = StdRng::seed_from_u64(seed);
     let eps = levels.eps();
 
-    // Remaining (unfiltered) edges per level and the growing maximal b-matchings.
-    let mut remaining: Vec<Vec<usize>> =
-        (0..num_levels).map(|k| levels.level_edges(k).iter().map(|le| le.id).collect()).collect();
+    // Remaining (unfiltered) edges per level, in input order, and the
+    // growing maximal b-matchings.
+    let classes = levels.classes();
+    let mut remaining: Vec<Vec<usize>> = vec![Vec::new(); num_levels];
+    for (id, e) in graph.edge_iter() {
+        if let Some(k) = classes.class_of(e.w) {
+            remaining[k].push(id);
+        }
+    }
     let mut residual: Vec<Vec<u64>> =
         (0..num_levels).map(|_| (0..n).map(|v| graph.b(v as VertexId)).collect()).collect();
     let mut matchings: Vec<BMatching> = (0..num_levels).map(|_| BMatching::new()).collect();
@@ -114,8 +121,9 @@ pub fn build_initial_solution(
     // Lemma 21: build the dual point from saturation.
     let r = eps / 256.0;
     let mut dual = DualState::new(n, num_levels.max(1), eps);
-    for (k, matching) in matchings.iter().enumerate().take(num_levels) {
-        if levels.level_edges(k).is_empty() {
+    for (k, matching) in matchings.iter().enumerate() {
+        // An empty matching saturates no vertex.
+        if matching.is_empty() {
             continue;
         }
         let w_k = levels.level_weight(k);
@@ -167,8 +175,7 @@ mod tests {
             assert!(bm.is_valid(&g), "level {k} b-matching violates capacities");
             // Maximality: every level-k edge has a saturated endpoint.
             let loads = bm.vertex_loads(g.num_vertices());
-            for le in levels.level_edges(*k) {
-                let e = le.edge;
+            for e in g.edges().iter().filter(|e| levels.classes().class_of(e.w) == Some(*k)) {
                 assert!(
                     loads[e.u as usize] >= g.b(e.u) || loads[e.v as usize] >= g.b(e.v),
                     "level {k} matching is not maximal"
@@ -182,10 +189,11 @@ mod tests {
         let (g, levels) = setup(2, 50, 300);
         let init = build_initial_solution(&g, &levels, 2.0, &mut ResourceTracker::new(), 11);
         let r = levels.eps() / 256.0;
-        for le in levels.all_edges() {
-            let cov = init.dual.edge_coverage(le.edge.u, le.edge.v, le.level);
-            let need = r * levels.level_weight(le.level);
-            assert!(cov >= need - 1e-12, "edge at level {} undercovered: {cov} < {need}", le.level);
+        for e in g.edges() {
+            let Some(k) = levels.classes().class_of(e.w) else { continue };
+            let cov = init.dual.edge_coverage(e.u, e.v, k);
+            let need = r * levels.level_weight(k);
+            assert!(cov >= need - 1e-12, "edge at level {k} undercovered: {cov} < {need}");
         }
     }
 
@@ -196,7 +204,12 @@ mod tests {
         assert!(init.beta0 > 0.0);
         // beta0 <= beta^b/4 <= (3/2) beta_hat / 4 is hard to check exactly; use the
         // loose sanity bound beta0 <= total rescaled weight.
-        let total: f64 = levels.all_edges().map(|le| levels.level_weight(le.level)).sum();
+        let total: f64 = g
+            .edges()
+            .iter()
+            .filter_map(|e| levels.classes().class_of(e.w))
+            .map(|k| levels.level_weight(k))
+            .sum();
         assert!(init.beta0 <= total);
     }
 

@@ -13,7 +13,7 @@ use crate::budget::ResourceBudget;
 use crate::certificate::offline_b_matching;
 use crate::error::MwmError;
 use crate::report::SolveReport;
-use mwm_graph::{Graph, VertexId};
+use mwm_graph::Graph;
 use mwm_mapreduce::ResourceTracker;
 use mwm_matching::exact::MAX_DP_VERTICES;
 use mwm_matching::{
@@ -24,10 +24,10 @@ use mwm_matching::{
 /// Which offline algorithm [`OfflineSolver`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OfflineStrategy {
-    /// Exact optimum by the exact routes of
-    /// [`mwm_matching::best_offline_matching`]'s rule: the bitmask DP (as far
-    /// as [`MAX_DP_VERTICES`] reaches) or the bipartite solver at any size. A
-    /// larger non-bipartite graph is [`MwmError::Unsupported`]. Unit
+    /// Exact optimum: the bitmask DP as far as it reaches
+    /// ([`MAX_DP_VERTICES`], beyond the 18 vertices of
+    /// [`mwm_matching::try_exact_matching`]), else the bipartite solver at any
+    /// size. A larger non-bipartite graph is [`MwmError::Unsupported`]. Unit
     /// capacities only.
     Exact,
     /// Greedy by weight: ½-approximation, works for arbitrary capacities.
@@ -70,8 +70,7 @@ impl OfflineSolver {
     }
 
     fn require_unit_capacities(&self, graph: &Graph) -> Result<(), MwmError> {
-        let unit = (0..graph.num_vertices()).all(|v| graph.b(v as VertexId) == 1);
-        if unit {
+        if graph.has_unit_capacities() {
             Ok(())
         } else {
             Err(MwmError::Unsupported {

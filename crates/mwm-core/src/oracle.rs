@@ -267,11 +267,18 @@ mod tests {
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
-    fn make_support(_graph: &Graph, levels: &WeightLevels, us: f64) -> Vec<SupportEdge> {
-        levels
-            .all_edges()
-            .map(|le| SupportEdge { id: le.id, u: le.edge.u, v: le.edge.v, level: le.level, us })
-            .collect()
+    /// Every kept edge of `graph` with multiplier `us`, grouped by level
+    /// ascending and in input order within a level.
+    fn make_support(graph: &Graph, levels: &WeightLevels, us: f64) -> Vec<SupportEdge> {
+        let mut support: Vec<SupportEdge> = graph
+            .edge_iter()
+            .filter_map(|(id, e)| {
+                let level = levels.classes().class_of(e.w)?;
+                Some(SupportEdge { id, u: e.u, v: e.v, level, us })
+            })
+            .collect();
+        support.sort_by_key(|se| se.level);
+        support
     }
 
     /// The degree table as it was built before the `n·L` table: every
@@ -452,7 +459,7 @@ mod tests {
         let mut oracle = MicroOracle::new(&g, &levels);
         let support = make_support(&g, &levels, 1.0);
         // beta equal to (roughly) the true optimum.
-        let beta = levels.all_edges().map(|le| levels.level_weight(le.level)).sum::<f64>();
+        let beta = support.iter().map(|se| levels.level_weight(se.level)).sum::<f64>();
         match oracle.decide(&support, beta) {
             OracleDecision::PrimalCertificate { gamma, y_scale } => {
                 assert!(gamma > 0.0);

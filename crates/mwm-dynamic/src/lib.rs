@@ -291,12 +291,12 @@ pub struct SessionState {
     /// The maintained matching as `(stable overlay id, edge, multiplicity)`
     /// entries, in ascending id order.
     pub matching: Vec<(EdgeId, Edge, u64)>,
-    /// The last solve's exported duals (the next warm-start seed), if any.
+    /// The last solve's exported duals (the next warm-start seed). Present
+    /// exactly when `epoch > 0`: the bootstrap epoch always solves, and every
+    /// solve exports its duals.
     pub duals: Option<DualSnapshot>,
     /// Committed epochs.
     pub epoch: u64,
-    /// Whether the bootstrap epoch has run.
-    pub bootstrapped: bool,
     /// The per-epoch ledger (one row per committed epoch).
     pub ledger: Vec<EpochStats>,
     /// The cumulative resource ledger.
@@ -312,12 +312,12 @@ pub struct DynamicMatcher {
     solver: DualPrimalSolver,
     /// The maintained matching, in **stable overlay edge ids**.
     matching: BMatching,
-    /// Duals exported by the last solve, for the next warm start.
+    /// Duals exported by the last solve, for the next warm start; `None`
+    /// until the bootstrap epoch commits.
     duals: Option<DualSnapshot>,
     epoch: usize,
     stats: Vec<EpochStats>,
     tracker: ResourceTracker,
-    bootstrapped: bool,
     /// The published committed-state slot behind every [`CommittedView`].
     committed: Arc<RwLock<Arc<CommittedSnapshot>>>,
 }
@@ -346,14 +346,8 @@ impl DynamicMatcher {
             epoch: 0,
             stats: Vec::new(),
             tracker: ResourceTracker::new(),
-            bootstrapped: false,
             committed: Arc::new(RwLock::new(initial)),
         })
-    }
-
-    /// Starts a session over an initially empty graph on `n` vertices.
-    pub fn from_empty(n: usize, config: DynamicConfig) -> Result<Self, MwmError> {
-        Self::new(&Graph::new(n), config)
     }
 
     /// The session configuration.
@@ -407,16 +401,16 @@ impl DynamicMatcher {
             matching: self.matching.iter().collect(),
             duals: self.duals.clone(),
             epoch: self.epoch as u64,
-            bootstrapped: self.bootstrapped,
             ledger: self.stats.clone(),
             tracker: self.tracker.counters(),
         }
     }
 
     /// Rebuilds a session from an exported state, validating the config, the
-    /// overlay invariants, the epoch/ledger agreement, and that every
-    /// matching entry names a live overlay edge with the exact recorded
-    /// endpoints and weight bits. The committed snapshot is republished, so
+    /// overlay invariants, the epoch/ledger agreement, that duals are present
+    /// exactly after the bootstrap epoch, and that every matching entry names
+    /// a live overlay edge with the exact recorded endpoints and weight bits.
+    /// The committed snapshot is republished, so
     /// [`DynamicMatcher::committed_view`] handles taken afterwards see the
     /// restored state immediately.
     pub fn import_state(state: SessionState) -> Result<Self, MwmError> {
@@ -430,6 +424,13 @@ impl DynamicMatcher {
                 "epoch counter {} disagrees with ledger of {} rows",
                 state.epoch,
                 state.ledger.len()
+            )));
+        }
+        if state.duals.is_some() != (state.epoch > 0) {
+            return Err(invalid(format!(
+                "duals {} at epoch {}: a session holds duals exactly once it has bootstrapped",
+                if state.duals.is_some() { "present" } else { "missing" },
+                state.epoch
             )));
         }
         let mut matching = BMatching::new();
@@ -463,7 +464,6 @@ impl DynamicMatcher {
             epoch: state.epoch as usize,
             stats: state.ledger,
             tracker: ResourceTracker::from_counters(state.tracker),
-            bootstrapped: state.bootstrapped,
             committed: Arc::new(RwLock::new(committed)),
         })
     }
@@ -603,14 +603,12 @@ impl DynamicMatcher {
         // ---- 4. Damage-ratio policy ----
         let live_vertices = self.overlay.num_live_vertices().max(1);
         let damage_ratio = (damage.touched.len() as f64 / live_vertices as f64).min(1.0);
-        let decision = if !self.bootstrapped {
-            EpochDecision::Rebuild
-        } else if damage_ratio <= self.config.repair_threshold {
-            EpochDecision::Repair
-        } else if damage_ratio <= self.config.rebuild_threshold && self.duals.is_some() {
-            EpochDecision::WarmResolve
-        } else {
-            EpochDecision::Rebuild
+        // No duals means no epoch has committed yet: bootstrap with a rebuild.
+        let decision = match self.duals {
+            None => EpochDecision::Rebuild,
+            Some(_) if damage_ratio <= self.config.repair_threshold => EpochDecision::Repair,
+            Some(_) if damage_ratio <= self.config.rebuild_threshold => EpochDecision::WarmResolve,
+            Some(_) => EpochDecision::Rebuild,
         };
 
         // ---- 5. Execute the decision on the materialized live graph ----
@@ -641,7 +639,6 @@ impl DynamicMatcher {
                 return Err(err);
             }
         };
-        self.bootstrapped = true;
 
         // The epoch has committed: reclaim the journal's dead prefix, so a
         // sliding-window session holds its live window instead of the whole
@@ -723,14 +720,11 @@ impl DynamicMatcher {
                 self.matching = self.repair(engine, graph, back, touched, survivors)?;
                 return Ok((None, 0));
             }
-            EpochDecision::WarmResolve => {
+            // The policy picks a warm re-solve only when duals exist.
+            EpochDecision::WarmResolve => self.duals.clone().map(|duals| {
                 let fwd = forward_map(back, self.overlay.next_edge_id());
-                Some(WarmStartState {
-                    // The branch is only reachable when duals exist.
-                    duals: self.duals.clone().expect("WarmResolve requires stored duals"),
-                    hint: to_materialized_ids(survivors, &fwd, graph),
-                })
-            }
+                WarmStartState { duals, hint: to_materialized_ids(survivors, &fwd, graph) }
+            }),
             EpochDecision::Rebuild => None,
         };
         let (report, duals) = self.solver.solve_warm(graph, budget, warm.as_ref())?;
@@ -866,8 +860,7 @@ impl DynamicMatcher {
             }
         }
 
-        let unit_caps = (0..n).all(|v| graph.b(v as VertexId) == 1);
-        let improved_sub: BMatching = if unit_caps {
+        let improved_sub: BMatching = if graph.has_unit_capacities() {
             let mut seed = Matching::new();
             for &(mid, _) in &seed_mids {
                 if sub_of[mid] != usize::MAX {
@@ -1387,6 +1380,28 @@ mod tests {
         let mut state = dm.export_state();
         state.overlay.alive.pop();
         assert!(DynamicMatcher::import_state(state).is_err(), "broken overlay invariant");
+    }
+
+    #[test]
+    fn import_rejects_duals_that_disagree_with_the_epoch() {
+        let g = base_graph(44);
+        let fresh = DynamicMatcher::new(&g, config()).unwrap();
+        let mut dm = DynamicMatcher::new(&g, config()).unwrap();
+        dm.apply_epoch(&[], &ResourceBudget::unlimited()).unwrap();
+
+        // A bootstrapped session without duals.
+        let mut state = dm.export_state();
+        state.duals = None;
+        assert!(matches!(DynamicMatcher::import_state(state), Err(MwmError::InvalidInput { .. })));
+
+        // A session before its bootstrap epoch with duals.
+        let mut state = fresh.export_state();
+        state.duals = dm.duals().cloned();
+        assert!(matches!(DynamicMatcher::import_state(state), Err(MwmError::InvalidInput { .. })));
+
+        // Both sessions as exported import fine.
+        assert!(DynamicMatcher::import_state(fresh.export_state()).is_ok());
+        assert!(DynamicMatcher::import_state(dm.export_state()).is_ok());
     }
 
     #[test]

@@ -140,11 +140,6 @@ impl SpillWriter {
         Ok(())
     }
 
-    /// Total records written so far.
-    pub fn edges_written(&self) -> usize {
-        self.counts.iter().map(|&c| c as usize).sum()
-    }
-
     /// Flushes every shard file, patches the record counts into the shard
     /// headers, writes the manifest, and opens the result for reading.
     pub fn finish(self) -> Result<SpilledShards, SpillError> {

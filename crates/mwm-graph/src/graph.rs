@@ -1,10 +1,10 @@
 //! Weighted undirected graphs with per-vertex b-matching capacities.
 //!
-//! The representation is deliberately simple and cache friendly: a flat edge
-//! list plus a CSR-style adjacency index. All algorithms in the workspace
-//! treat the edge list as the canonical "read-only input" of the paper's model
-//! (passes and simulators stream over it), while the adjacency index is a
-//! convenience for the offline substrates that are allowed random access.
+//! The representation is a flat edge list plus the capacities. All
+//! algorithms in the workspace treat the edge list as the canonical
+//! "read-only input" of the paper's model (passes stream over it); an offline
+//! substrate that needs adjacency (the exact DP, the bipartite solver, the
+//! cardinality blossom) builds its own from the list.
 
 use std::fmt;
 
@@ -56,11 +56,6 @@ impl Edge {
             (self.v, self.u)
         }
     }
-
-    /// True if the edge is a self-loop. Self-loops are rejected by [`Graph`].
-    pub fn is_loop(&self) -> bool {
-        self.u == self.v
-    }
 }
 
 /// A weighted undirected graph with per-vertex capacities `b_i`.
@@ -71,46 +66,17 @@ pub struct Graph {
     n: usize,
     edges: Vec<Edge>,
     b: Vec<u64>,
-    /// CSR offsets: `adj_off[v]..adj_off[v+1]` indexes into `adj_edges`.
-    adj_off: Vec<usize>,
-    /// Edge ids sorted by incident vertex.
-    adj_edges: Vec<EdgeId>,
-    adj_dirty: bool,
 }
 
 impl Graph {
     /// Creates an empty graph on `n` vertices with all capacities `b_i = 1`.
     pub fn new(n: usize) -> Self {
-        Graph {
-            n,
-            edges: Vec::new(),
-            b: vec![1; n],
-            adj_off: vec![0; n + 1],
-            adj_edges: Vec::new(),
-            adj_dirty: false,
-        }
+        Graph::with_capacities(vec![1; n])
     }
 
     /// Creates an empty graph with explicit capacities.
     pub fn with_capacities(b: Vec<u64>) -> Self {
-        let n = b.len();
-        Graph {
-            n,
-            edges: Vec::new(),
-            b,
-            adj_off: vec![0; n + 1],
-            adj_edges: Vec::new(),
-            adj_dirty: false,
-        }
-    }
-
-    /// Builds a graph from an edge list.
-    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = Edge>) -> Self {
-        let mut g = Graph::new(n);
-        for e in edges {
-            g.add_edge(e.u, e.v, e.w);
-        }
-        g
+        Graph { n: b.len(), edges: Vec::new(), b }
     }
 
     /// Number of vertices.
@@ -139,14 +105,14 @@ impl Graph {
         self.b.iter().sum()
     }
 
-    /// `||U||_b = Σ_{i∈U} b_i` for a set of vertices.
-    pub fn set_capacity(&self, set: &[VertexId]) -> u64 {
-        set.iter().map(|&v| self.b(v)).sum()
-    }
-
     /// Slice of all capacities, indexed by vertex id.
     pub fn capacities(&self) -> &[u64] {
         &self.b
+    }
+
+    /// True if every capacity is 1: a b-matching of the graph is a matching.
+    pub fn has_unit_capacities(&self) -> bool {
+        self.b.iter().all(|&b| b == 1)
     }
 
     /// Adds an undirected edge and returns its id. Self-loops are rejected.
@@ -156,7 +122,6 @@ impl Graph {
         assert!(w.is_finite() && w > 0.0, "edge weight must be positive and finite");
         let id = self.edges.len();
         self.edges.push(Edge::new(u, v, w));
-        self.adj_dirty = true;
         id
     }
 
@@ -183,80 +148,9 @@ impl Graph {
         })
     }
 
-    /// Minimum edge weight; `None` on an empty graph.
-    pub fn min_weight(&self) -> Option<f64> {
-        self.edges.iter().map(|e| e.w).fold(None, |acc, w| match acc {
-            None => Some(w),
-            Some(a) => Some(a.min(w)),
-        })
-    }
-
     /// Total weight of all edges.
     pub fn total_weight(&self) -> f64 {
         self.edges.iter().map(|e| e.w).sum()
-    }
-
-    /// Rebuilds the adjacency index if edges were added since the last build.
-    pub fn ensure_adjacency(&mut self) {
-        if !self.adj_dirty && self.adj_off.len() == self.n + 1 {
-            return;
-        }
-        let mut deg = vec![0usize; self.n];
-        for e in &self.edges {
-            deg[e.u as usize] += 1;
-            deg[e.v as usize] += 1;
-        }
-        let mut off = vec![0usize; self.n + 1];
-        for v in 0..self.n {
-            off[v + 1] = off[v] + deg[v];
-        }
-        let mut pos = off.clone();
-        let mut adj = vec![0usize; 2 * self.edges.len()];
-        for (id, e) in self.edges.iter().enumerate() {
-            adj[pos[e.u as usize]] = id;
-            pos[e.u as usize] += 1;
-            adj[pos[e.v as usize]] = id;
-            pos[e.v as usize] += 1;
-        }
-        self.adj_off = off;
-        self.adj_edges = adj;
-        self.adj_dirty = false;
-    }
-
-    /// Edge ids incident to `v`. Requires a non-dirty adjacency index
-    /// (call [`Graph::ensure_adjacency`] after the last `add_edge`).
-    pub fn incident_edges(&self, v: VertexId) -> &[EdgeId] {
-        assert!(!self.adj_dirty, "call ensure_adjacency() after adding edges");
-        &self.adj_edges[self.adj_off[v as usize]..self.adj_off[v as usize + 1]]
-    }
-
-    /// Degree of `v` (number of incident edges, counting parallel edges).
-    pub fn degree(&self, v: VertexId) -> usize {
-        assert!(!self.adj_dirty, "call ensure_adjacency() after adding edges");
-        self.adj_off[v as usize + 1] - self.adj_off[v as usize]
-    }
-
-    /// Maximum degree over all vertices.
-    pub fn max_degree(&mut self) -> usize {
-        self.ensure_adjacency();
-        (0..self.n).map(|v| self.degree(v as VertexId)).max().unwrap_or(0)
-    }
-
-    /// Weighted degree of `v` (sum of incident edge weights).
-    pub fn weighted_degree(&self, v: VertexId) -> f64 {
-        self.incident_edges(v).iter().map(|&id| self.edges[id].w).sum()
-    }
-
-    /// Returns the subgraph induced by keeping exactly the edges whose id
-    /// satisfies the predicate. Vertex set and capacities are preserved.
-    pub fn edge_subgraph(&self, mut keep: impl FnMut(EdgeId, Edge) -> bool) -> Graph {
-        let mut g = Graph::with_capacities(self.b.clone());
-        for (id, e) in self.edge_iter() {
-            if keep(id, e) {
-                g.add_edge(e.u, e.v, e.w);
-            }
-        }
-        g
     }
 
     /// Value of the cut `(U, V \ U)`: total weight of edges with exactly one
@@ -264,18 +158,6 @@ impl Graph {
     pub fn cut_value(&self, in_u: &[bool]) -> f64 {
         assert_eq!(in_u.len(), self.n);
         self.edges.iter().filter(|e| in_u[e.u as usize] != in_u[e.v as usize]).map(|e| e.w).sum()
-    }
-
-    /// Unweighted cut size of `(U, V \ U)`.
-    pub fn cut_size(&self, in_u: &[bool]) -> usize {
-        assert_eq!(in_u.len(), self.n);
-        self.edges.iter().filter(|e| in_u[e.u as usize] != in_u[e.v as usize]).count()
-    }
-
-    /// Total weight of edges with *both* endpoints inside `U`.
-    pub fn internal_weight(&self, in_u: &[bool]) -> f64 {
-        assert_eq!(in_u.len(), self.n);
-        self.edges.iter().filter(|e| in_u[e.u as usize] && in_u[e.v as usize]).map(|e| e.w).sum()
     }
 
     /// Connected components; returns a component id per vertex and the count.
@@ -290,7 +172,6 @@ impl Graph {
     /// True if the graph is bipartite; if so also returns a 2-coloring.
     pub fn bipartition(&self) -> Option<Vec<bool>> {
         let mut color = vec![None; self.n];
-        // Build a lightweight adjacency on the fly to stay independent of the CSR state.
         let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); self.n];
         for e in &self.edges {
             adj[e.u as usize].push(e.v);
@@ -320,14 +201,6 @@ impl Graph {
             }
         }
         Some(color.into_iter().map(|c| c.unwrap_or(false)).collect())
-    }
-
-    /// Rescales every weight by `scale` (used by the `W*/B` rescaling of Observation 1).
-    pub fn rescale_weights(&mut self, scale: f64) {
-        assert!(scale.is_finite() && scale > 0.0);
-        for e in &mut self.edges {
-            e.w *= scale;
-        }
     }
 }
 
@@ -368,29 +241,15 @@ mod tests {
 
     #[test]
     fn basic_counts_and_weights() {
-        let g = triangle();
+        let mut g = triangle();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.max_weight(), Some(3.0));
-        assert_eq!(g.min_weight(), Some(1.0));
         assert!((g.total_weight() - 6.0).abs() < 1e-12);
         assert_eq!(g.total_capacity(), 3);
-    }
-
-    #[test]
-    fn adjacency_and_degrees() {
-        let mut g = triangle();
-        g.ensure_adjacency();
-        assert_eq!(g.degree(0), 2);
-        assert_eq!(g.degree(1), 2);
-        assert_eq!(g.degree(2), 2);
-        assert_eq!(g.max_degree(), 2);
-        assert!((g.weighted_degree(0) - 4.0).abs() < 1e-12);
-        let ids = g.incident_edges(1).to_vec();
-        assert_eq!(ids.len(), 2);
-        for id in ids {
-            assert!(g.edge(id).is_incident(1));
-        }
+        assert!(g.has_unit_capacities());
+        g.set_b(2, 2);
+        assert!(!g.has_unit_capacities());
     }
 
     #[test]
@@ -398,20 +257,8 @@ mod tests {
         let g = triangle();
         let in_u = vec![true, false, false];
         assert!((g.cut_value(&in_u) - 4.0).abs() < 1e-12);
-        assert_eq!(g.cut_size(&in_u), 2);
         let in_u = vec![true, true, false];
         assert!((g.cut_value(&in_u) - 5.0).abs() < 1e-12);
-        assert!((g.internal_weight(&in_u) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn subgraph_keeps_capacities() {
-        let mut g = triangle();
-        g.set_b(1, 4);
-        let sub = g.edge_subgraph(|_, e| e.w >= 2.0);
-        assert_eq!(sub.num_edges(), 2);
-        assert_eq!(sub.b(1), 4);
-        assert_eq!(sub.num_vertices(), 3);
     }
 
     #[test]
@@ -427,13 +274,6 @@ mod tests {
 
         let tri = triangle();
         assert!(tri.bipartition().is_none());
-    }
-
-    #[test]
-    fn rescale() {
-        let mut g = triangle();
-        g.rescale_weights(0.5);
-        assert_eq!(g.max_weight(), Some(1.5));
     }
 
     #[test]

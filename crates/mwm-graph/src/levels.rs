@@ -7,7 +7,7 @@
 //! for a `(1-ε)` approximation because even taking all of them is dominated by
 //! a single heaviest edge (Observation 1).
 
-use crate::graph::{Edge, EdgeId, Graph};
+use crate::graph::Graph;
 
 /// The weight-class table of Definitions 2–3: class `k` holds the weights
 /// whose rescaled value `w · scale` lies in `[(1+ε)^k, (1+ε)^{k+1})`, and its
@@ -78,18 +78,9 @@ impl WeightClasses {
     }
 }
 
-/// An edge annotated with its weight class.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LevelledEdge {
-    /// Id of the edge in the original graph.
-    pub id: EdgeId,
-    /// The edge itself (original weight).
-    pub edge: Edge,
-    /// Weight level `k` such that `ŵ_ij = (1+ε)^k` (after rescaling).
-    pub level: usize,
-}
-
-/// The weight-level decomposition of a graph (Definition 3).
+/// The weight-level decomposition of a graph (Definition 3): the class table
+/// plus the counts of one classification scan. It holds no edge; the edges of
+/// level `k` are those whose weight `classes().class_of(w)` puts in class `k`.
 #[derive(Clone, Debug)]
 pub struct WeightLevels {
     eps: f64,
@@ -97,27 +88,26 @@ pub struct WeightLevels {
     /// above the heaviest level, so every edge of the construction graph
     /// classifies inside it.
     classes: WeightClasses,
-    /// Edges of each level `Ê_k`, `k = 0..=max_level`.
-    levels: Vec<Vec<LevelledEdge>>,
+    /// Number of levels: one past the heaviest edge's class.
+    num_levels: usize,
+    /// Number of edges with a level.
+    kept: usize,
     /// Number of edges dropped because their rescaled weight was below 1.
     dropped: usize,
-    /// Total number of vertices of the underlying graph.
-    n: usize,
 }
 
 impl WeightLevels {
     /// Builds the decomposition for accuracy parameter `eps ∈ (0, 1)`.
     pub fn new(graph: &Graph, eps: f64) -> Self {
         assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
-        let n = graph.num_vertices();
         let w_star = graph.max_weight().unwrap_or(0.0);
         if w_star <= 0.0 {
             return WeightLevels {
                 eps,
                 classes: WeightClasses { scale: 1.0, weights: Vec::new() },
-                levels: Vec::new(),
+                num_levels: 0,
+                kept: 0,
                 dropped: 0,
-                n,
             };
         }
         let b_total = graph.total_capacity().max(1) as f64;
@@ -125,20 +115,17 @@ impl WeightLevels {
         // The largest scaled weight is exactly w_star * scale (weights are
         // positive and multiplication by a positive scale is monotone).
         let classes = WeightClasses::new(eps, scale, w_star * scale);
-        let mut levels: Vec<Vec<LevelledEdge>> = Vec::new();
-        let mut dropped = 0usize;
-        for (id, edge) in graph.edge_iter() {
+        let (mut num_levels, mut kept, mut dropped) = (0, 0, 0);
+        for edge in graph.edges() {
             match classes.class_of(edge.w) {
                 None => dropped += 1,
                 Some(k) => {
-                    if levels.len() <= k {
-                        levels.resize_with(k + 1, Vec::new);
-                    }
-                    levels[k].push(LevelledEdge { id, edge, level: k });
+                    kept += 1;
+                    num_levels = num_levels.max(k + 1);
                 }
             }
         }
-        WeightLevels { eps, classes, levels, dropped, n }
+        WeightLevels { eps, classes, num_levels, kept, dropped }
     }
 
     /// The accuracy parameter used for discretization.
@@ -156,28 +143,19 @@ impl WeightLevels {
         &self.classes
     }
 
-    /// Number of vertices of the underlying graph.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Number of levels `L + 1` (possibly zero for an empty graph).
+    /// Number of levels `L + 1` (zero for an empty graph).
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Index `L` of the heaviest non-empty level; `None` if no levels exist.
-    pub fn max_level(&self) -> Option<usize> {
-        if self.levels.is_empty() {
-            None
-        } else {
-            Some(self.levels.len() - 1)
-        }
+        self.num_levels
     }
 
     /// Number of edges dropped during rescaling.
     pub fn dropped_edges(&self) -> usize {
         self.dropped
+    }
+
+    /// Number of kept (levelled) edges.
+    pub fn num_kept_edges(&self) -> usize {
+        self.kept
     }
 
     /// The discretized (rescaled) weight `ŵ_k = (1+ε)^k` of level `k`.
@@ -188,36 +166,6 @@ impl WeightLevels {
     /// The discretized weight converted back to the original weight scale.
     pub fn level_weight_original(&self, k: usize) -> f64 {
         self.level_weight(k) / self.classes.scale
-    }
-
-    /// Edges of level `k` (`Ê_k`); empty slice if the level does not exist.
-    pub fn level_edges(&self, k: usize) -> &[LevelledEdge] {
-        self.levels.get(k).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Iterator over `(level, edges)` pairs for non-empty levels.
-    pub fn iter_levels(&self) -> impl Iterator<Item = (usize, &[LevelledEdge])> {
-        self.levels
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(k, v)| (k, v.as_slice()))
-    }
-
-    /// All levelled edges across all levels (`Ê = ∪_k Ê_k`).
-    pub fn all_edges(&self) -> impl Iterator<Item = &LevelledEdge> {
-        self.levels.iter().flatten()
-    }
-
-    /// Total number of kept (levelled) edges.
-    pub fn num_kept_edges(&self) -> usize {
-        self.levels.iter().map(|v| v.len()).sum()
-    }
-
-    /// Sum over kept edges of the discretized weight; a lower bound on the total
-    /// rescaled weight and within `(1+ε)` of it.
-    pub fn discretized_total_weight(&self) -> f64 {
-        self.iter_levels().map(|(k, es)| self.level_weight(k) * es.len() as f64).sum()
     }
 }
 
@@ -251,30 +199,34 @@ mod tests {
         let g = sample_graph();
         let eps = 0.2;
         let levels = WeightLevels::new(&g, eps);
-        for le in levels.all_edges() {
-            let scaled = le.edge.w * levels.scale();
-            let disc = levels.level_weight(le.level);
+        for edge in g.edges() {
+            let Some(k) = levels.classes().class_of(edge.w) else { continue };
+            let scaled = edge.w * levels.scale();
+            let disc = levels.level_weight(k);
             assert!(disc <= scaled + 1e-9, "discretized weight must not exceed the scaled weight");
             assert!(scaled <= disc * (1.0 + eps) + 1e-9, "discretization loses at most (1+eps)");
         }
     }
 
     #[test]
-    fn class_lookup_matches_assignment() {
+    fn class_lookup_matches_the_counts() {
         let g = sample_graph();
         let levels = WeightLevels::new(&g, 0.3);
-        for le in levels.all_edges() {
-            assert_eq!(levels.classes().class_of(le.edge.w), Some(le.level));
-            assert_eq!(levels.classes().class_of_bits(le.edge.w.to_bits()), Some(le.level));
+        let classes = levels.classes();
+        let ks: Vec<Option<usize>> = g.edges().iter().map(|e| classes.class_of(e.w)).collect();
+        for (e, &k) in g.edges().iter().zip(&ks) {
+            assert_eq!(classes.class_of_bits(e.w.to_bits()), k);
         }
+        assert_eq!(ks.iter().flatten().count(), levels.num_kept_edges());
+        assert_eq!(ks.iter().filter(|k| k.is_none()).count(), levels.dropped_edges());
     }
 
     #[test]
-    fn max_level_holds_heaviest_edge() {
+    fn num_levels_is_one_past_the_heaviest_class() {
         let g = sample_graph();
         let levels = WeightLevels::new(&g, 0.1);
-        let top = levels.max_level().unwrap();
-        assert!(levels.level_edges(top).iter().any(|le| (le.edge.w - 16.0).abs() < 1e-12));
+        let top = levels.classes().class_of(16.0).expect("the heaviest edge is never dropped");
+        assert_eq!(levels.num_levels(), top + 1);
     }
 
     #[test]
@@ -282,7 +234,6 @@ mod tests {
         let g = Graph::new(4);
         let levels = WeightLevels::new(&g, 0.2);
         assert_eq!(levels.num_levels(), 0);
-        assert_eq!(levels.max_level(), None);
         assert_eq!(levels.num_kept_edges(), 0);
     }
 

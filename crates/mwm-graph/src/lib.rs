@@ -7,10 +7,10 @@
 //! * [`generators`]: synthetic workload generators (Erdős–Rényi, power-law,
 //!   geometric, bipartite, the paper's triangle gadget, ...).
 //! * [`levels`]: the weight discretization of Definitions 2–3 (`ŵ_k = (1+ε)^k`):
-//!   the one class table, [`WeightClasses`], and the per-level edge lists.
+//!   the one class table, [`WeightClasses`], and the level counts of a graph,
+//!   [`WeightLevels`].
 //! * [`matching`]: (b-)matching containers with feasibility checks and weights.
 //! * [`union_find`]: a union-find used by sparsifiers and connectivity.
-//! * [`odd_sets`]: odd-set utilities used by the relaxations of Section 3.
 //! * [`overlay`]: the journaled [`GraphOverlay`] + [`GraphUpdate`] delta layer
 //!   the dynamic matching subsystem edits between epochs.
 //! * [`wire`]: the fixed-width `(EdgeId, Edge)` record codec of the
@@ -21,13 +21,12 @@ pub mod generators;
 pub mod graph;
 pub mod levels;
 pub mod matching;
-pub mod odd_sets;
 pub mod overlay;
 pub mod union_find;
 pub mod wire;
 
 pub use graph::{Edge, EdgeId, Graph, VertexId};
-pub use levels::{LevelledEdge, WeightClasses, WeightLevels};
+pub use levels::{WeightClasses, WeightLevels};
 pub use matching::{BMatching, Matching};
 pub use overlay::{AppliedUpdate, GraphOverlay, GraphUpdate, OverlayState, UpdateError};
 pub use union_find::UnionFind;

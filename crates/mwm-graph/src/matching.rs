@@ -45,14 +45,6 @@ impl Matching {
         &self.edges
     }
 
-    /// Set of matched vertices.
-    pub fn matched_vertices(&self) -> Vec<VertexId> {
-        let mut vs: Vec<VertexId> = self.edges.iter().flat_map(|(_, e)| [e.u, e.v]).collect();
-        vs.sort_unstable();
-        vs.dedup();
-        vs
-    }
-
     /// True if no vertex appears in more than one matched edge.
     pub fn is_valid(&self, n: usize) -> bool {
         let mut used = vec![false; n];
@@ -105,11 +97,6 @@ impl BMatching {
         self.edges.len()
     }
 
-    /// Sum of multiplicities.
-    pub fn total_multiplicity(&self) -> u64 {
-        self.edges.values().map(|(_, m)| m).sum()
-    }
-
     /// True if no edge is used.
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
@@ -145,30 +132,6 @@ impl BMatching {
         let load = self.vertex_loads(graph.num_vertices());
         load.iter().enumerate().all(|(v, &l)| l <= graph.b(v as VertexId))
     }
-
-    /// Residual capacity of vertex `v` w.r.t. `graph`.
-    pub fn residual(&self, graph: &Graph, v: VertexId) -> u64 {
-        let load: u64 = self.edges.values().filter(|(e, _)| e.is_incident(v)).map(|(_, m)| m).sum();
-        graph.b(v).saturating_sub(load)
-    }
-
-    /// Extracts a plain matching (only edges with multiplicity ≥ 1, at most one
-    /// per vertex, greedily by weight); useful when all `b_i = 1`.
-    pub fn to_matching(&self, n: usize) -> Matching {
-        let mut edges: Vec<(EdgeId, Edge)> =
-            self.edges.iter().map(|(&id, &(e, _))| (id, e)).collect();
-        edges.sort_by(|a, b| b.1.w.total_cmp(&a.1.w));
-        let mut used = vec![false; n];
-        let mut m = Matching::new();
-        for (id, e) in edges {
-            if !used[e.u as usize] && !used[e.v as usize] {
-                used[e.u as usize] = true;
-                used[e.v as usize] = true;
-                m.push(id, e);
-            }
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +156,6 @@ mod tests {
         assert!(m.is_valid(4));
         assert_eq!(m.len(), 2);
         assert!((m.weight() - 7.0).abs() < 1e-12);
-        assert_eq!(m.matched_vertices(), vec![0, 1, 2, 3]);
 
         let mut bad = Matching::new();
         bad.push(0, g.edge(0));
@@ -212,34 +174,9 @@ mod tests {
         bm.add(2, g.edge(2), 1);
         assert!(bm.is_valid(&g));
         assert!((bm.weight() - 10.0).abs() < 1e-12);
-        assert_eq!(bm.total_multiplicity(), 3);
 
         bm.add(1, g.edge(1), 5);
         assert!(!bm.is_valid(&g));
-    }
-
-    #[test]
-    fn residual_capacity() {
-        let mut g = path_graph();
-        g.set_b(1, 3);
-        let mut bm = BMatching::new();
-        bm.add(0, g.edge(0), 2);
-        assert_eq!(bm.residual(&g, 1), 1);
-        assert_eq!(bm.residual(&g, 0), 0);
-        assert_eq!(bm.residual(&g, 3), 1);
-    }
-
-    #[test]
-    fn b_matching_to_matching_is_valid() {
-        let g = path_graph();
-        let mut bm = BMatching::new();
-        bm.add(0, g.edge(0), 1);
-        bm.add(1, g.edge(1), 1);
-        bm.add(2, g.edge(2), 1);
-        let m = bm.to_matching(4);
-        assert!(m.is_valid(4));
-        // Greedy by weight picks the 5.0 and the 2.0 edge.
-        assert!((m.weight() - 7.0).abs() < 1e-12);
     }
 
     #[test]

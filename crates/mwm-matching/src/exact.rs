@@ -65,11 +65,6 @@ pub fn exact_max_weight_matching(graph: &Graph) -> Matching {
     m
 }
 
-/// Exact maximum-weight matching value (weight only), convenience wrapper.
-pub fn exact_max_weight(graph: &Graph) -> f64 {
-    exact_max_weight_matching(graph).weight()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,12 @@
-//! Greedy and maximal matchings.
+//! Greedy matchings.
 //!
 //! * [`greedy_matching`]: process edges in non-increasing weight order, take an
 //!   edge whenever both endpoints are free — the classical ½-approximation.
-//! * [`maximal_matching`]: arbitrary-order maximal matching (what one round of
-//!   Lattanzi-style filtering computes on its sample).
-//! * [`maximal_b_matching`]: the uncapacitated maximal b-matching of Lemma 20 —
-//!   whenever an edge is chosen its multiplicity is raised to the residual
-//!   `min(b_u, b_v)`, saturating at least one endpoint.
+//! * [`greedy_b_matching`]: the same order over a b-matching, each edge taken
+//!   with the residual `min(b_u, b_v)`, which saturates at least one endpoint;
+//!   the result is a maximal b-matching.
 
-use mwm_graph::{BMatching, Graph, Matching, VertexId};
+use mwm_graph::{BMatching, Graph, Matching};
 
 /// Greedy maximum-weight matching: ½-approximation of the optimum.
 pub fn greedy_matching(graph: &Graph) -> Matching {
@@ -27,46 +25,16 @@ pub fn greedy_matching(graph: &Graph) -> Matching {
     m
 }
 
-/// Maximal matching in the order the edges are listed (no weight ordering).
-pub fn maximal_matching(graph: &Graph) -> Matching {
-    maximal_matching_of_edges(graph, 0..graph.num_edges())
-}
-
-/// Maximal matching restricted to the given edge ids, processed in order.
-pub fn maximal_matching_of_edges(
-    graph: &Graph,
-    edge_ids: impl IntoIterator<Item = usize>,
-) -> Matching {
-    let mut used = vec![false; graph.num_vertices()];
-    let mut m = Matching::new();
-    for id in edge_ids {
-        let e = graph.edge(id);
-        if !used[e.u as usize] && !used[e.v as usize] {
-            used[e.u as usize] = true;
-            used[e.v as usize] = true;
-            m.push(id, e);
-        }
-    }
-    m
-}
-
-/// Uncapacitated maximal b-matching (Lemma 20): edges are processed in order;
-/// when an edge `(u, v)` with residual capacity on both endpoints is found,
-/// its multiplicity is set to `min(residual(u), residual(v))`, saturating at
-/// least one endpoint. The result admits no further edge additions.
-pub fn maximal_b_matching(graph: &Graph) -> BMatching {
-    maximal_b_matching_of_edges(graph, 0..graph.num_edges())
-}
-
-/// [`maximal_b_matching`] restricted to the given edge ids (processed in order).
-pub fn maximal_b_matching_of_edges(
-    graph: &Graph,
-    edge_ids: impl IntoIterator<Item = usize>,
-) -> BMatching {
-    let n = graph.num_vertices();
-    let mut residual: Vec<u64> = (0..n).map(|v| graph.b(v as VertexId)).collect();
+/// Greedy weighted b-matching: edges in non-increasing weight order, each
+/// taken with the residual `min(b_u, b_v)` of its endpoints, which saturates
+/// at least one of them — so the result is a maximal b-matching that admits
+/// no further edge. ½-approximation for b-matching.
+pub fn greedy_b_matching(graph: &Graph) -> BMatching {
+    let mut order: Vec<usize> = (0..graph.num_edges()).collect();
+    order.sort_by(|&a, &b| graph.edge(b).w.total_cmp(&graph.edge(a).w));
+    let mut residual: Vec<u64> = graph.capacities().to_vec();
     let mut bm = BMatching::new();
-    for id in edge_ids {
+    for id in order {
         let e = graph.edge(id);
         let (u, v) = (e.u as usize, e.v as usize);
         let take = residual[u].min(residual[v]);
@@ -77,14 +45,6 @@ pub fn maximal_b_matching_of_edges(
         }
     }
     bm
-}
-
-/// Greedy weighted b-matching: edges in non-increasing weight order, each taken
-/// with the largest feasible multiplicity. ½-approximation for b-matching.
-pub fn greedy_b_matching(graph: &Graph) -> BMatching {
-    let mut order: Vec<usize> = (0..graph.num_edges()).collect();
-    order.sort_by(|&a, &b| graph.edge(b).w.total_cmp(&graph.edge(a).w));
-    maximal_b_matching_of_edges(graph, order)
 }
 
 #[cfg(test)]
@@ -120,25 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn maximal_matching_is_maximal() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let g = generators::gnm(50, 200, WeightModel::Unit, &mut rng);
-        let m = maximal_matching(&g);
-        assert!(m.is_valid(50));
-        let mut used = [false; 50];
-        for (_, e) in m.edges() {
-            used[e.u as usize] = true;
-            used[e.v as usize] = true;
-        }
-        for e in g.edges() {
-            assert!(
-                used[e.u as usize] || used[e.v as usize],
-                "maximal matching left an addable edge"
-            );
-        }
-    }
-
-    #[test]
     fn maximal_b_matching_saturates_an_endpoint_per_edge() {
         let mut g = Graph::new(4);
         g.set_b(0, 3);
@@ -147,7 +88,8 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 2, 1.0);
         g.add_edge(0, 2, 1.0);
-        let bm = maximal_b_matching(&g);
+        // Equal weights: greedy's stable sort keeps the id order.
+        let bm = greedy_b_matching(&g);
         assert!(bm.is_valid(&g));
         // Edge (0,1) gets multiplicity 2 (saturating 1), edge (0,2) gets 1 (saturating 0).
         assert_eq!(bm.multiplicity(0), 2);

@@ -2,12 +2,11 @@
 //!
 //! The dual-primal driver repeatedly needs an *offline* matching solver on the
 //! small in-memory subgraphs assembled from deferred sparsifiers (Algorithm 2,
-//! Step 5, and Lemma 13), plus maximal (b-)matchings for the initial solution
-//! (Lemma 20) and exact solvers to validate approximation ratios in tests and
-//! experiments. This crate collects all of them:
+//! Step 5, and Lemma 13), plus exact solvers to validate approximation ratios
+//! in tests and experiments. This crate collects all of them:
 //!
-//! * [`greedy`] — greedy weighted matching (½-approximation), arbitrary-order
-//!   maximal matching and maximal b-matching (used by Lemma 20).
+//! * [`greedy`] — greedy weighted matching and greedy b-matching (both
+//!   ½-approximations; greedy b-matching is maximal).
 //! * [`exact`] — exact maximum-weight matching by bitmask DP (tiny graphs).
 //! * [`hungarian`] — exact maximum-weight bipartite matching (assignment) by
 //!   successive shortest paths over the graph's edges.
@@ -18,7 +17,8 @@
 //!   graphs.
 //! * [`odd_set_finder`] — detection of dense small odd sets, the substitute
 //!   for the Padberg–Rao / Gomory–Hu machinery of Lemma 25.
-//! * [`bounds`] — upper/lower bounds and certificates used by the experiments.
+//! * [`bounds`] — upper bounds on the optimum, which the experiments certify
+//!   ratios against.
 
 pub mod blossom;
 pub mod bounds;
@@ -29,31 +29,37 @@ pub mod local_search;
 pub mod odd_set_finder;
 
 pub use blossom::max_cardinality_matching;
-pub use bounds::{matching_weight_upper_bound, verify_matching};
+pub use bounds::matching_weight_upper_bound;
 pub use exact::exact_max_weight_matching;
-pub use greedy::{greedy_b_matching, greedy_matching, maximal_b_matching, maximal_matching};
+pub use greedy::{greedy_b_matching, greedy_matching};
 pub use hungarian::try_max_weight_bipartite_matching;
 pub use local_search::improve_matching;
 pub use odd_set_finder::{find_dense_odd_sets, DenseOddSetConfig};
 
 use mwm_graph::{Graph, Matching};
 
+/// The exact routes of the offline substrate: the bitmask DP
+/// ([`exact_max_weight_matching`]) up to 18 vertices, else exact successive
+/// shortest paths on a bipartite graph of any size
+/// ([`try_max_weight_bipartite_matching`]). `None` for a larger
+/// non-bipartite graph. All `b_i` are treated as 1.
+pub fn try_exact_matching(graph: &Graph) -> Option<Matching> {
+    if graph.num_vertices() <= 18 {
+        return Some(exact_max_weight_matching(graph));
+    }
+    try_max_weight_bipartite_matching(graph)
+}
+
 /// The workspace's best offline weighted matching solver, used on the small
 /// in-memory subgraphs of Algorithm 2 Step 5.
 ///
-/// This is the workspace's one routing rule for the offline substrate:
-/// * `n ≤ 18`: exact bitmask DP ([`exact_max_weight_matching`]),
-/// * bipartite graphs of any size: exact successive shortest paths
-///   ([`try_max_weight_bipartite_matching`]),
-/// * otherwise: greedy + local-search improvements (2-swaps and short
-///   augmentations), which is exact on trees and ≥ 2/3·OPT in general. The
-///   paper assumes a near-linear-time `(1-ε)` solver here (Duan–Pettie).
+/// This is the workspace's one routing rule for the offline substrate: the
+/// exact routes of [`try_exact_matching`], otherwise greedy + local-search
+/// improvements (2-swaps and short augmentations), which is exact on trees
+/// and ≥ 2/3·OPT in general. The paper assumes a near-linear-time `(1-ε)`
+/// solver here (Duan–Pettie).
 pub fn best_offline_matching(graph: &Graph) -> Matching {
-    if graph.num_vertices() <= 18 {
-        return exact_max_weight_matching(graph);
-    }
-    try_max_weight_bipartite_matching(graph)
-        .unwrap_or_else(|| improve_matching(graph, greedy_matching(graph)))
+    try_exact_matching(graph).unwrap_or_else(|| improve_matching(graph, greedy_matching(graph)))
 }
 
 #[cfg(test)]

@@ -378,21 +378,8 @@ impl Registry {
     /// Bounds are fixed at first registration; later callers get the
     /// existing instance regardless of the bounds they pass.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        self.histogram_full(name.to_string(), bounds)
-    }
-
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> Arc<Histogram> {
-        self.histogram_full(full_name(name, labels), bounds)
-    }
-
-    fn histogram_full(&self, name: String, bounds: &[f64]) -> Arc<Histogram> {
         let mut metrics = self.metrics.lock().unwrap();
-        match metrics.entry(name).or_insert_with_key(|_| {
+        match metrics.entry(name.to_string()).or_insert_with_key(|_| {
             Metric::Histogram(Arc::new(Histogram {
                 bounds: bounds.to_vec(),
                 buckets: (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect(),

@@ -569,7 +569,6 @@ pub fn encode_session_state(w: &mut ByteWriter, s: &SessionState) -> Result<(), 
         }
     }
     w.u64(s.epoch);
-    w.bool(s.bootstrapped);
     w.u32(u32_len(s.ledger.len(), "ledger rows")?);
     for row in &s.ledger {
         encode_stats(w, row);
@@ -607,7 +606,6 @@ pub fn decode_session_state(r: &mut ByteReader<'_>) -> Result<SessionState, Stri
         b => return Err(format!("duals flag has invalid byte {b}")),
     };
     let epoch = r.u64("session epoch")?;
-    let bootstrapped = r.bool("session bootstrapped")?;
     let ln = checked_count(u64::from(r.u32("ledger row count")?), "ledger row")?;
     let mut ledger = Vec::with_capacity(ln);
     for _ in 0..ln {
@@ -620,7 +618,7 @@ pub fn decode_session_state(r: &mut ByteReader<'_>) -> Result<SessionState, Stri
         shuffle_volume: r.u64("tracker shuffle")?,
         items_streamed: r.u64("tracker streamed")?,
     };
-    Ok(SessionState { config, overlay, matching, duals, epoch, bootstrapped, ledger, tracker })
+    Ok(SessionState { config, overlay, matching, duals, epoch, ledger, tracker })
 }
 
 #[cfg(test)]

@@ -30,8 +30,9 @@ pub const IMAGE_MAGIC: &[u8; 8] = b"MWMSESS1";
 /// config's `dual_decay` and the ledger's `peak_machine_space`. Version 4
 /// dropped the sketch bank with its five config fields and four ledger
 /// columns. Version 5 dropped the config's worker count and audit cadence
-/// and the ledger's audit column.
-pub const IMAGE_VERSION: u32 = 5;
+/// and the ledger's audit column. Version 6 dropped the session's
+/// bootstrapped flag, which always equalled "duals present".
+pub const IMAGE_VERSION: u32 = 6;
 
 const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
 

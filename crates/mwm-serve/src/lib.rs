@@ -74,7 +74,7 @@ use mwm_dynamic::{
     CommittedSnapshot, CommittedView, DynamicConfig, DynamicMatcher, EpochDecision, EpochStats,
 };
 use mwm_graph::{Graph, GraphUpdate};
-use mwm_persist::{PersistError, SessionStore, WalRecord};
+use mwm_persist::{fnv1a, PersistError, SessionStore, WalRecord};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
@@ -558,12 +558,7 @@ impl Shard {
 /// FNV-1a of the session name: the sharding key. Stable across runs and
 /// platforms, so a deployment's session→worker placement is reproducible.
 fn shard_of(session: &str, workers: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in session.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % workers as u64) as usize
+    (fnv1a(session.as_bytes()) % workers as u64) as usize
 }
 
 /// The service-wide streamed-items pool, with **reservation** accounting so
@@ -854,11 +849,6 @@ impl MatchingService {
     /// Requests fully processed so far.
     pub fn requests_served(&self) -> usize {
         self.served.load(Ordering::Relaxed)
-    }
-
-    /// Number of worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.shards.len()
     }
 
     // ---- typed convenience wrappers (submit + wait) ----

@@ -55,15 +55,6 @@ impl SparsifiedGraph {
         self.edges.len()
     }
 
-    /// Materializes the sparsifier as a [`Graph`] carrying the *sparsifier* weights.
-    pub fn to_graph(&self) -> Graph {
-        let mut g = Graph::new(self.n);
-        for &(_, e, w) in &self.edges {
-            g.add_edge(e.u, e.v, w);
-        }
-        g
-    }
-
     /// Materializes the subgraph of kept edges carrying their *original* weights.
     pub fn to_support_graph(&self) -> Graph {
         let mut g = Graph::new(self.n);
@@ -81,11 +72,6 @@ impl SparsifiedGraph {
             .map(|&(_, _, w)| w)
             .sum()
     }
-
-    /// Ids of the original edges retained by the sparsifier.
-    pub fn kept_edge_ids(&self) -> Vec<EdgeId> {
-        self.edges.iter().map(|&(id, _, _)| id).collect()
-    }
 }
 
 /// The sampling probabilities of one Benczúr–Karger sparsifier, computed
@@ -93,8 +79,8 @@ impl SparsifiedGraph {
 ///
 /// Entries are listed in sampling order: `⌊log₂ w⌋` classes ascending, input
 /// order within a class. Entry `e` carries
-/// `p_e = max(min(1, C·ln n / (ξ²·k_e)), floor(e))`, where `k_e` is the
-/// edge's forest index among the edges of its class.
+/// `p_e = min(1, C·ln n / (ξ²·k_e))`, where `k_e` is the edge's forest index
+/// among the edges of its class.
 #[derive(Debug)]
 pub(crate) struct SamplingTable {
     entries: Vec<(EdgeId, f64)>,
@@ -103,14 +89,12 @@ pub(crate) struct SamplingTable {
 impl SamplingTable {
     /// Builds the table over `edges`, `(id, edge)` pairs of an `n`-vertex
     /// graph whose `edge.w` is the weight the sampling classes by. `xi` and
-    /// `oversample` are `ξ` and `C`; `floor(id)` is a lower bound on the
-    /// probability of edge `id`.
+    /// `oversample` are `ξ` and `C`.
     pub(crate) fn new(
         n: usize,
         edges: impl IntoIterator<Item = (EdgeId, Edge)>,
         xi: f64,
         oversample: f64,
-        floor: impl Fn(EdgeId) -> f64,
     ) -> Self {
         // Group edges into geometric weight classes [2^l, 2^{l+1}); the sort
         // is stable, so a class keeps the input order.
@@ -134,7 +118,7 @@ impl SamplingTable {
             let ks = forest_decomposition_of_edges(n, &pairs);
             for (&(_, id, _, _), &k) in class_edges.iter().zip(&ks) {
                 let k_e = k.max(1) as f64;
-                entries.push((id, (base_rate / k_e).min(1.0).max(floor(id).min(1.0))));
+                entries.push((id, (base_rate / k_e).min(1.0)));
             }
         }
         SamplingTable { entries }
@@ -149,20 +133,11 @@ impl SamplingTable {
     }
 }
 
-/// Builds a `(1±ξ)` cut sparsifier of `graph`.
+/// Builds a `(1±ξ)` cut sparsifier of `graph`: one sampling table and one
+/// draw with `config.seed`.
 pub fn sparsify(graph: &Graph, config: &SparsifierConfig) -> SparsifiedGraph {
-    sparsify_with_probability_floor(graph, config, |_| 0.0)
-}
-
-/// Builds a sparsifier while forcing the sampling probability of edge `e` to be
-/// at least `floor(e)`: one sampling table and one draw with `config.seed`.
-pub fn sparsify_with_probability_floor(
-    graph: &Graph,
-    config: &SparsifierConfig,
-    floor: impl Fn(EdgeId) -> f64,
-) -> SparsifiedGraph {
     let n = graph.num_vertices();
-    let table = SamplingTable::new(n, graph.edge_iter(), config.xi, config.oversample, floor);
+    let table = SamplingTable::new(n, graph.edge_iter(), config.xi, config.oversample);
     let edges = table
         .draw(config.seed)
         .map(|(id, p)| {
@@ -214,18 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn probability_floor_forces_inclusion() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let g = generators::complete(60, WeightModel::Unit, &mut rng);
-        let all = sparsify_with_probability_floor(
-            &g,
-            &SparsifierConfig { xi: 0.3, oversample: 1.0, seed: 5 },
-            |_| 1.0,
-        );
-        assert_eq!(all.num_edges(), g.num_edges());
-    }
-
-    #[test]
     fn expected_total_weight_is_preserved() {
         // Reweighting by 1/p keeps the total weight right in expectation; check
         // it is within a loose factor on one draw.
@@ -242,6 +205,6 @@ mod tests {
         let g = Graph::new(10);
         let s = sparsify(&g, &SparsifierConfig::default());
         assert_eq!(s.num_edges(), 0);
-        assert_eq!(s.to_graph().num_vertices(), 10);
+        assert_eq!(s.to_support_graph().num_vertices(), 10);
     }
 }

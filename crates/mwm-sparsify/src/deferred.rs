@@ -80,8 +80,7 @@ impl DeferredSparsifier {
             .map(|(id, e)| (id, Edge::new(e.u, e.v, promise[id])));
         // Oversample by chi^2: the probability computed from promise values is
         // inflated so it dominates the probability the true weights would need.
-        let table =
-            SamplingTable::new(graph.num_vertices(), promised, xi, 6.0 * chi * chi, |_| 0.0);
+        let table = SamplingTable::new(graph.num_vertices(), promised, xi, 6.0 * chi * chi);
         seeds
             .iter()
             .map(|&seed| DeferredSparsifier {

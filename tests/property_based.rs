@@ -6,7 +6,7 @@ use dual_primal_matching::graph::{Graph, UnionFind, WeightClasses, WeightLevels}
 use dual_primal_matching::lp::{DualSnapshot, OddSetDual, VertexDual};
 use dual_primal_matching::matching::{
     bounds, exact_max_weight_matching, greedy_b_matching, greedy_matching, improve_matching,
-    maximal_b_matching, try_max_weight_bipartite_matching,
+    try_max_weight_bipartite_matching,
 };
 use dual_primal_matching::prelude::*;
 use dual_primal_matching::solver::{DualState, DualUpdate};
@@ -283,18 +283,25 @@ proptest! {
     }
 
     /// Weight-level discretization never overestimates a weight and loses at
-    /// most a (1+eps) factor, for every kept edge.
+    /// most a (1+eps) factor, for every kept edge; the levels end one past
+    /// the heaviest edge's class.
     #[test]
     fn weight_levels_sandwich(seed in 0u64..500, n in 4usize..40, eps in 0.05f64..0.45) {
         let g = graph_from(seed, n, n * 3, 50.0);
         let levels = WeightLevels::new(&g, eps);
-        for le in levels.all_edges() {
-            let scaled = le.edge.w * levels.scale();
-            let disc = levels.level_weight(le.level);
+        let classes = levels.classes();
+        for e in g.edges() {
+            let Some(k) = classes.class_of(e.w) else { continue };
+            let scaled = e.w * levels.scale();
+            let disc = levels.level_weight(k);
             prop_assert!(disc <= scaled * (1.0 + 1e-9));
             prop_assert!(scaled <= disc * (1.0 + eps) * (1.0 + 1e-9));
         }
         prop_assert!(levels.num_kept_edges() + levels.dropped_edges() == g.num_edges());
+        if let Some(w_star) = g.max_weight() {
+            let top = classes.class_of(w_star).expect("the heaviest edge is never dropped");
+            prop_assert_eq!(levels.num_levels(), top + 1);
+        }
     }
 
     /// The one weight-class table follows Definition 3: class `k` of a weight
@@ -429,13 +436,14 @@ proptest! {
         );
     }
 
-    /// Maximal b-matchings are feasible and maximal: every edge has a saturated endpoint.
+    /// Greedy b-matching, the maximal b-matching of its weight order, is
+    /// feasible and maximal: every edge has a saturated endpoint.
     #[test]
     fn maximal_b_matching_is_maximal(seed in 0u64..500, n in 4usize..40, max_b in 1u64..5) {
         let mut g = graph_from(seed, n, n * 3, 5.0);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         generators::randomize_capacities(&mut g, max_b, &mut rng);
-        let bm = maximal_b_matching(&g);
+        let bm = greedy_b_matching(&g);
         prop_assert!(bm.is_valid(&g));
         let loads = bm.vertex_loads(g.num_vertices());
         for e in g.edges() {
