@@ -19,7 +19,7 @@ fn bench_dynamic_session(c: &mut Criterion) {
             |b, &workers| {
                 let budget = ResourceBudget::unlimited().with_parallelism(workers);
                 b.iter(|| {
-                    let config = DynamicConfig { eps: 0.25, p: 2.0, seed: 3, ..Default::default() };
+                    let config = DynamicConfig { eps: 0.25, p: 2.0, seed: 3 };
                     let mut dm =
                         DynamicMatcher::new(&wl.initial, config).expect("bench config is valid");
                     for batch in &wl.batches {

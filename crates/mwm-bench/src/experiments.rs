@@ -516,7 +516,7 @@ pub fn e12_dynamic_stream() -> Result<ExperimentReport, MwmError> {
     );
     let (n, per_epoch, window, epochs) = (800usize, 60usize, 4usize, 12usize);
     let wl = workloads::sliding_window_stream(n, per_epoch, window, epochs, 0xE12);
-    let config = DynamicConfig { eps: 0.2, p: 2.0, seed: 5, ..Default::default() };
+    let config = DynamicConfig { eps: 0.2, p: 2.0, seed: 5 };
 
     // The oracle: replay the stream without matching work, then cold-solve
     // the final graph once.
@@ -632,7 +632,7 @@ fn e13_with(
             "=serial",
         ],
     );
-    let dyn_config = DynamicConfig { eps: 0.2, p: 2.0, seed: 5, ..Default::default() };
+    let dyn_config = DynamicConfig { eps: 0.2, p: 2.0, seed: 5 };
     let wls: Vec<workloads::TemporalWorkload> = (0..sessions)
         .map(|s| workloads::sliding_window_stream(n, per_epoch, window, epochs, 0xE13 + s as u64))
         .collect();
@@ -958,7 +958,7 @@ fn e15_with(sessions: usize, requests: usize, cap: usize) -> Result<ExperimentRe
         .map(|(s, &c)| workloads::sliding_window_stream(12, 4, 3, c, 0xE15_0000 + s as u64))
         .collect();
 
-    let dyn_config = DynamicConfig { eps: 0.2, p: 2.0, seed: 15, ..Default::default() };
+    let dyn_config = DynamicConfig { eps: 0.2, p: 2.0, seed: 15 };
     let client_threads = 4usize;
     let workers = 4usize;
 

@@ -53,12 +53,6 @@ pub use certificate::{certify_b_matching, SolutionCertificate};
 pub use error::{MwmError, MwmResult};
 pub use initial::{build_initial_solution, InitialSolution};
 pub use mwm_lp::DualSnapshot;
-// The engine's observability hook: components implement `Observable` to
-// publish their internal levels into a metrics registry on demand. The
-// trait lives in the leaf `mwm-obs` crate (so every layer can implement
-// it without dependency cycles) and is re-exported here as part of the
-// engine API.
-pub use mwm_obs::Observable;
 pub use offline::{OfflineSolver, OfflineStrategy};
 pub use oracle::{MicroOracle, OracleDecision};
 pub use relaxation::{relaxation_widths, DualState, DualUpdate, RelaxationWidths};

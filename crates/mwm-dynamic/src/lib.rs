@@ -10,15 +10,15 @@
 //!    first streams through the [`PassEngine`] via
 //!    [`PassEngine::pass_items`] — one charged, sharded, deterministic pass
 //!    producing a *damage summary* (touched vertices, update mix) — and is
-//!    then replayed sequentially into the journaled
-//!    [`mwm_graph::GraphOverlay`].
-//! 2. A **damage-ratio policy** picks the cheapest adequate reaction:
-//!    * `damage ≤ repair_threshold` → **incremental repair**: the previous
+//!    then applied in order to the [`mwm_graph::GraphOverlay`].
+//! 2. A **damage-ratio policy** (touched vertices / live vertices) picks the
+//!    cheapest adequate reaction:
+//!    * `damage ≤ 0.05` → **incremental repair**: the previous
 //!      matching keeps its surviving edges; a localized 2-swap/augmentation
 //!      repair ([`mwm_matching::local_search`]) runs on the 1-hop region
 //!      around the touched vertices, with a global greedy pass as a ½-floor
 //!      safety net.
-//!    * `damage ≤ rebuild_threshold` (and duals available) → **warm
+//!    * `damage ≤ 0.5` (and duals available) → **warm
 //!      re-solve**: the dual-primal solver resumes from the previous epoch's
 //!      exported [`DualSnapshot`] ([`DualPrimalSolver::solve_warm`]), skipping the
 //!      `O(p)` cold sampling rounds.
@@ -31,12 +31,10 @@
 //!    exactly as one that stayed resident.
 //! 3. Every epoch appends an [`EpochStats`] row to the session ledger:
 //!    updates applied, the repair/warm/rebuild decision, rounds charged,
-//!    items streamed, the weight and the journal's resident bytes.
+//!    items streamed, the weight and the overlay's resident bytes.
 //!
-//! After every committed epoch the session prunes the journal's dead prefix
-//! ([`GraphOverlay::prune_dead_prefix`]): edge ids stay stable, and pruned ids
-//! answer exactly as tombstoned ones did, so a sliding-window session holds
-//! its live edges plus trailing tombstones instead of the whole stream.
+//! The overlay holds only the live edges under stable ids, so a session's
+//! memory follows its live graph, not the length of its update stream.
 //!
 //! Determinism contract: like every pass in the workspace, epochs are
 //! **bit-identical across parallelism levels** — update ingestion and repair
@@ -56,6 +54,13 @@ use mwm_matching::{greedy_b_matching, improve_matching};
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
+/// Damage ratio (touched vertices / live vertices) at or below which an
+/// epoch is handled by localized incremental repair.
+const REPAIR_THRESHOLD: f64 = 0.05;
+/// Damage ratio at or below which an epoch warm re-solves from the previous
+/// epoch's duals; above it the epoch rebuilds cold.
+const REBUILD_THRESHOLD: f64 = 0.5;
+
 /// Configuration of a [`DynamicMatcher`] session.
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicConfig {
@@ -65,50 +70,19 @@ pub struct DynamicConfig {
     pub p: f64,
     /// RNG seed threaded into the solver.
     pub seed: u64,
-    /// Damage ratio (touched vertices / live vertices) at or below which an
-    /// epoch is handled by localized incremental repair.
-    pub repair_threshold: f64,
-    /// Damage ratio at or below which a warm re-solve is attempted (above it,
-    /// or when no duals are available, the epoch falls back to full rebuild).
-    /// A warm re-solve resumes the previous epoch's duals verbatim.
-    pub rebuild_threshold: f64,
 }
 
 impl Default for DynamicConfig {
     fn default() -> Self {
-        DynamicConfig {
-            eps: 0.2,
-            p: 2.0,
-            seed: 0xD1A,
-            repair_threshold: 0.05,
-            rebuild_threshold: 0.5,
-        }
+        DynamicConfig { eps: 0.2, p: 2.0, seed: 0xD1A }
     }
 }
 
 impl DynamicConfig {
-    /// Validates every parameter, returning the first violation.
+    /// Validates every parameter through the solver config they feed into,
+    /// returning the first violation.
     pub fn validate(&self) -> Result<(), MwmError> {
-        // eps / p / seed are validated by the solver config they feed into.
-        self.solver_config().validate()?;
-        if !self.repair_threshold.is_finite() || self.repair_threshold < 0.0 {
-            return Err(MwmError::InvalidConfig {
-                param: "repair_threshold",
-                value: format!("{}", self.repair_threshold),
-                requirement: "must be finite and non-negative",
-            });
-        }
-        if !self.rebuild_threshold.is_finite()
-            || self.rebuild_threshold < self.repair_threshold
-            || self.rebuild_threshold > 1.0
-        {
-            return Err(MwmError::InvalidConfig {
-                param: "rebuild_threshold",
-                value: format!("{}", self.rebuild_threshold),
-                requirement: "must lie in [repair_threshold, 1]",
-            });
-        }
-        Ok(())
+        self.solver_config().validate()
     }
 
     /// The dual-primal configuration an epoch solve runs with.
@@ -177,15 +151,15 @@ pub struct EpochStats {
     pub weight: f64,
     /// Distinct edges in the maintained matching.
     pub matching_edges: usize,
-    /// Resident bytes of the journaled overlay after the epoch, once its dead
-    /// prefix has been pruned.
+    /// Resident bytes of the overlay after the epoch: its live edges and
+    /// vertex tables ([`GraphOverlay::resident_bytes`]).
     pub journal_bytes: usize,
 }
 
 /// The state of a session at its last **committed** epoch boundary.
 ///
-/// Snapshots are immutable values published atomically when an epoch (or a
-/// compaction) fully commits — a failed epoch rolls back without publishing,
+/// Snapshots are immutable values published atomically when an epoch fully
+/// commits — a failed epoch rolls back without publishing,
 /// so a snapshot never exposes a mid-epoch or torn state. Edge ids are the
 /// session's stable overlay ids as of `version`.
 #[derive(Clone, Debug)]
@@ -256,7 +230,7 @@ impl DamageSummary {
             }
             GraphUpdate::SetCapacity { .. } => self.capacity_ops += 1,
             GraphUpdate::ExpireWindow { lo, hi } => {
-                // Counts as one delete per live edge it will tombstone, so the
+                // Counts as one delete per live edge it will remove, so the
                 // delete-fraction policy sees mass expiry for what it is.
                 self.deletes +=
                     overlay.live_edge_iter().filter(|&(id, _)| id >= *lo && id < *hi).count();
@@ -286,7 +260,7 @@ impl DamageSummary {
 pub struct SessionState {
     /// The session configuration.
     pub config: DynamicConfig,
-    /// The journaled overlay (base graph + full update journal).
+    /// The overlay: its live edges under stable ids and its vertex tables.
     pub overlay: OverlayState,
     /// The maintained matching as `(stable overlay id, edge, multiplicity)`
     /// entries, in ascending id order.
@@ -355,7 +329,7 @@ impl DynamicMatcher {
         &self.config
     }
 
-    /// The journaled overlay (read access).
+    /// The overlay of live edges (read access).
     pub fn overlay(&self) -> &GraphOverlay {
         &self.overlay
     }
@@ -391,7 +365,7 @@ impl DynamicMatcher {
         self.duals.as_ref()
     }
 
-    /// Exports the complete session state for persistence (`O(journal +
+    /// Exports the complete session state for persistence (`O(live graph +
     /// matching + ledger)` copy). [`DynamicMatcher::import_state`] restores a
     /// session that behaves bit-identically from this point on.
     pub fn export_state(&self) -> SessionState {
@@ -440,7 +414,7 @@ impl DynamicMatcher {
             })?;
             if live.u != e.u || live.v != e.v || live.w.to_bits() != e.w.to_bits() {
                 return Err(invalid(format!(
-                    "matching entry {id} disagrees with the journaled edge"
+                    "matching entry {id} disagrees with the overlay edge"
                 )));
             }
             if mult == 0 {
@@ -470,8 +444,8 @@ impl DynamicMatcher {
 
     /// A handle onto the session's last committed state, safe to hand to any
     /// number of reader threads. Loads are O(1) and never observe a mid-epoch
-    /// state: the matcher publishes a fresh snapshot only after an epoch (or
-    /// compaction) fully commits, and failed epochs publish nothing.
+    /// state: the matcher publishes a fresh snapshot only after an epoch
+    /// fully commits, and failed epochs publish nothing.
     pub fn committed_view(&self) -> CommittedView {
         CommittedView { slot: Arc::clone(&self.committed) }
     }
@@ -483,8 +457,8 @@ impl DynamicMatcher {
     }
 
     /// Publishes the current session state as the committed snapshot. Only
-    /// called once per fully successful epoch/compaction, so readers see
-    /// epoch boundaries and nothing else.
+    /// called once per fully successful epoch, so readers see epoch
+    /// boundaries and nothing else.
     fn publish(&self) {
         let snap = Arc::new(CommittedSnapshot {
             epoch: self.epoch,
@@ -496,36 +470,14 @@ impl DynamicMatcher {
         *self.committed.write().expect("committed-view lock poisoned") = snap;
     }
 
-    /// Materializes the current live graph (compacted ids; see
-    /// [`GraphOverlay::materialize`] for the id back-map).
+    /// Materializes the current live graph, its edges numbered `0..m` in
+    /// stable-id order (see [`GraphOverlay::materialize`] for the back-map).
     pub fn current_graph(&self) -> Graph {
         self.overlay.materialize().0
     }
 
-    /// Compacts the overlay journal: dead edges are reclaimed and live edges
-    /// renumbered contiguously; the maintained matching follows the new ids
-    /// automatically (duals are vertex-keyed and unaffected). Returns the
-    /// old-id → new-id map (`usize::MAX` for dead ids) so callers that track
-    /// stable edge ids externally can follow. Never done implicitly — the
-    /// stable-id contract is part of the update API. Every committed epoch
-    /// already prunes the journal's dead prefix, so sessions that expire
-    /// their oldest edges first (sliding windows) stay at live size without
-    /// this; sessions that delete edges out of order keep every tombstone
-    /// that follows their oldest live edge until they compact.
-    pub fn compact(&mut self) -> Vec<usize> {
-        let remap = self.overlay.compact();
-        let mut matching = BMatching::new();
-        for (id, e, mult) in self.matching.iter() {
-            debug_assert!(remap[id] != usize::MAX, "maintained matching only holds live edges");
-            matching.add(remap[id], e, mult);
-        }
-        self.matching = matching;
-        self.publish();
-        remap
-    }
-
     /// Applies one epoch: stream `updates` through the engine (sharded,
-    /// charged, budget-enforced), journal them into the overlay, pick
+    /// charged, budget-enforced), apply them to the overlay, pick
     /// repair / warm re-solve / rebuild by damage ratio, and return the
     /// ledger row.
     ///
@@ -536,9 +488,8 @@ impl DynamicMatcher {
     /// Round, oracle-iteration and central-space limits apply per solver
     /// call: the solver refuses a round or an oracle iteration the limit
     /// cannot pay for before doing its work, and checks central space once
-    /// the solve ends. Once an epoch commits,
-    /// the journal's dead prefix is pruned. Epochs are atomic: if any stage
-    /// errors after the updates were journaled, the overlay is rolled back,
+    /// the solve ends. Epochs are atomic: if any stage
+    /// errors after the updates were applied, the overlay is rolled back,
     /// so a caller can raise the budget and re-submit the same batch without
     /// double-applying it.
     pub fn apply_epoch(
@@ -569,33 +520,30 @@ impl DynamicMatcher {
         // Everything past this point mutates the session and can still fail
         // on a budget interrupt; snapshot the overlay so a failed epoch rolls
         // back whole instead of leaving the batch half-adopted. Nothing can
-        // fail without a limit, so the O(journal) clone is only paid when
+        // fail without a limit, so the O(live graph) clone is only paid when
         // the budget sets one.
         let rollback = (!budget.is_unlimited()).then(|| self.overlay.clone());
 
-        // ---- 2. Sequential journal replay (updates take effect in order) ----
+        // ---- 2. Sequential apply (updates take effect in order) ----
         let mut applied = 0usize;
         let mut rejected = 0usize;
-        let mut removal_scans = 0usize;
+        // A vertex removal scans the live edges for incident ones: charge the
+        // edges live before each removal instead of hiding that scan behind
+        // the one-item-per-update ingestion charge.
+        let mut removal_scan = 0usize;
         for update in updates {
+            let live = self.overlay.num_live_edges();
             match self.overlay.apply(update) {
                 Ok(_) => {
                     applied += 1;
                     if matches!(update, GraphUpdate::RemoveVertex { .. }) {
-                        removal_scans += 1;
+                        removal_scan += live;
                     }
                 }
                 Err(_) => rejected += 1,
             }
         }
-        // A vertex removal scans the resident journal for incident edges;
-        // charge that data access honestly instead of hiding it behind the
-        // one-item-per-update ingestion charge. Ids below the journal base
-        // were pruned, so the scan never reads them.
-        if removal_scans > 0 {
-            let resident = self.overlay.next_edge_id() - self.overlay.journal_base();
-            engine.tracker_mut().charge_stream(removal_scans * resident);
-        }
+        engine.tracker_mut().charge_stream(removal_scan);
 
         // ---- 3. Survivors: previous matching minus dead/overloaded edges ----
         let survivors = self.surviving_matching();
@@ -606,8 +554,8 @@ impl DynamicMatcher {
         // No duals means no epoch has committed yet: bootstrap with a rebuild.
         let decision = match self.duals {
             None => EpochDecision::Rebuild,
-            Some(_) if damage_ratio <= self.config.repair_threshold => EpochDecision::Repair,
-            Some(_) if damage_ratio <= self.config.rebuild_threshold => EpochDecision::WarmResolve,
+            Some(_) if damage_ratio <= REPAIR_THRESHOLD => EpochDecision::Repair,
+            Some(_) if damage_ratio <= REBUILD_THRESHOLD => EpochDecision::WarmResolve,
             Some(_) => EpochDecision::Rebuild,
         };
 
@@ -639,12 +587,6 @@ impl DynamicMatcher {
                 return Err(err);
             }
         };
-
-        // The epoch has committed: reclaim the journal's dead prefix, so a
-        // sliding-window session holds its live window instead of the whole
-        // stream. Observationally invisible: ids stay stable, and pruned ids
-        // answer exactly as tombstoned ones did.
-        self.overlay.prune_dead_prefix();
 
         // ---- 6. Ledger row ----
         let epoch_tracker = engine.into_tracker();
@@ -702,7 +644,7 @@ impl DynamicMatcher {
 
     /// Runs the fallible core of an epoch (repair pass or solver call) and
     /// adopts the result. Split out so [`DynamicMatcher::apply_epoch`] can
-    /// roll the journal back when any stage errors: nothing here mutates the
+    /// roll the overlay back when any stage errors: nothing here mutates the
     /// session before its stage has fully succeeded.
     #[allow(clippy::too_many_arguments)]
     fn execute_decision(
@@ -721,9 +663,9 @@ impl DynamicMatcher {
                 return Ok((None, 0));
             }
             // The policy picks a warm re-solve only when duals exist.
-            EpochDecision::WarmResolve => self.duals.clone().map(|duals| {
-                let fwd = forward_map(back, self.overlay.next_edge_id());
-                WarmStartState { duals, hint: to_materialized_ids(survivors, &fwd, graph) }
+            EpochDecision::WarmResolve => self.duals.clone().map(|duals| WarmStartState {
+                duals,
+                hint: to_materialized_ids(survivors, back, graph),
             }),
             EpochDecision::Rebuild => None,
         };
@@ -821,16 +763,13 @@ impl DynamicMatcher {
             active[e.v as usize] = true;
         }
 
-        let fwd = forward_map(back, self.overlay.next_edge_id());
-
         // Split survivors: frozen edges (no endpoint active) keep their
         // capacity; edges in the active region become the repair seed.
         let mut frozen = BMatching::new();
         let mut seed_mids: Vec<(usize, u64)> = Vec::new();
         for (oid, e, mult) in survivors.iter() {
-            let mid = fwd[oid];
-            debug_assert!(mid != usize::MAX, "survivor edge must be alive");
             if active[e.u as usize] || active[e.v as usize] {
+                let mid = back.binary_search(&oid).expect("survivor edges are live");
                 seed_mids.push((mid, mult));
             } else {
                 frozen.add(oid, e, mult);
@@ -912,39 +851,14 @@ impl DynamicMatcher {
     }
 }
 
-/// On-demand publication of the session's levels (the per-epoch counters
-/// record themselves as epochs commit).
-impl mwm_obs::Observable for DynamicMatcher {
-    fn obs_scope(&self) -> &'static str {
-        "dynamic"
-    }
-
-    fn publish_metrics(&self, registry: &mwm_obs::Registry) {
-        registry.gauge("dynamic_epochs").set(self.epochs() as i64);
-        registry.gauge("dynamic_journal_bytes").set(self.overlay().resident_bytes() as i64);
-        registry.gauge("dynamic_matching_edges").set(self.matching().num_edges() as i64);
-    }
-}
-
-/// Inverts a materialize back-map: overlay id → materialized id
-/// (`usize::MAX` for dead edges).
-fn forward_map(back: &[EdgeId], overlay_edges: usize) -> Vec<usize> {
-    let mut fwd = vec![usize::MAX; overlay_edges];
-    for (mid, &oid) in back.iter().enumerate() {
-        fwd[oid] = mid;
-    }
-    fwd
-}
-
-/// Remaps an overlay-id b-matching into materialized ids, dropping entries
+/// Remaps an overlay-id b-matching into materialized ids through the
+/// ascending back-map of [`GraphOverlay::materialize`], dropping entries
 /// whose edge died (belt-and-braces; survivors are alive by construction).
-fn to_materialized_ids(bm: &BMatching, fwd: &[usize], graph: &Graph) -> BMatching {
+fn to_materialized_ids(bm: &BMatching, back: &[EdgeId], graph: &Graph) -> BMatching {
     let mut out = BMatching::new();
     for (oid, _, mult) in bm.iter() {
-        if let Some(&mid) = fwd.get(oid) {
-            if mid != usize::MAX {
-                out.add(mid, graph.edge(mid), mult);
-            }
+        if let Ok(mid) = back.binary_search(&oid) {
+            out.add(mid, graph.edge(mid), mult);
         }
     }
     out
@@ -964,7 +878,7 @@ mod tests {
     }
 
     fn config() -> DynamicConfig {
-        DynamicConfig { eps: 0.25, p: 2.0, seed: 7, ..Default::default() }
+        DynamicConfig { eps: 0.25, p: 2.0, seed: 7 }
     }
 
     /// Deterministic pseudo-random update batch generator for tests.
@@ -1002,9 +916,8 @@ mod tests {
         assert_eq!(r1.stats.decision, EpochDecision::Repair);
         assert!(r1.solve.is_none());
         assert_eq!(r1.stats.solver_rounds, 0);
-        let (graph, _) = dm.overlay().materialize();
-        let fwd = forward_map(&dm.overlay().materialize().1, dm.overlay().next_edge_id());
-        let ours = to_materialized_ids(dm.matching(), &fwd, &graph);
+        let (graph, back) = dm.overlay().materialize();
+        let ours = to_materialized_ids(dm.matching(), &back, &graph);
         assert!(ours.is_valid(&graph), "repaired matching must stay feasible");
     }
 
@@ -1101,8 +1014,7 @@ mod tests {
         let r = dm.apply_epoch(&upd, &ResourceBudget::unlimited()).unwrap();
         assert_eq!(r.stats.updates_applied, 4);
         let (graph, back) = dm.overlay().materialize();
-        let fwd = forward_map(&back, dm.overlay().next_edge_id());
-        let ours = to_materialized_ids(dm.matching(), &fwd, &graph);
+        let ours = to_materialized_ids(dm.matching(), &back, &graph);
         assert!(ours.is_valid(&graph));
         assert!(!dm.overlay().is_live_vertex(2));
     }
@@ -1156,7 +1068,7 @@ mod tests {
         let tight = ResourceBudget::unlimited().with_max_streamed_items(limit);
         let err = dm.apply_epoch(&upd, &tight).unwrap_err();
         assert!(matches!(err, MwmError::BudgetExceeded { .. }));
-        assert_eq!(dm.overlay().version(), version, "failed epoch must roll back the journal");
+        assert_eq!(dm.overlay().version(), version, "failed epoch must roll back the overlay");
         assert_eq!(dm.overlay().next_edge_id(), next_id);
         assert_eq!(dm.overlay().num_live_edges(), live);
         assert_eq!(dm.weight(), weight);
@@ -1185,70 +1097,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_the_session_and_renumbers_the_matching() {
-        let g = base_graph(22);
-        let mut dm = DynamicMatcher::new(&g, config()).unwrap();
-        dm.apply_epoch(&[], &ResourceBudget::unlimited()).unwrap();
-        let upd = batch(dm.overlay().next_edge_id(), 40, 23, 25);
-        dm.apply_epoch(&upd, &ResourceBudget::unlimited()).unwrap();
-        let weight = dm.weight();
-        let edges = dm.matching().num_edges();
-
-        let remap = dm.compact();
-        assert!(remap.contains(&usize::MAX), "dead edges were reclaimed");
-        assert_eq!(dm.overlay().next_edge_id(), dm.overlay().num_live_edges());
-        assert_eq!(dm.weight(), weight, "compaction must not change the matching");
-        assert_eq!(dm.matching().num_edges(), edges);
-        for (id, _, _) in dm.matching().iter() {
-            assert!(dm.overlay().live_edge(id).is_some(), "matching ids follow the remap");
-        }
-        // The session keeps working on the renumbered journal.
-        let more = batch(dm.overlay().next_edge_id(), 40, 24, 10);
-        let r = dm.apply_epoch(&more, &ResourceBudget::unlimited()).unwrap();
-        assert!(r.stats.updates_applied > 0);
-    }
-
-    #[test]
-    fn compaction_is_invisible_to_subsequent_insert_only_epochs() {
-        // Two sessions consume the same stream; one compacts mid-way. Since
-        // compaction only renumbers ids (the materialized live graph — edge
-        // order included — is unchanged), insert-only epochs afterwards must
-        // produce bit-identical weights and decisions in both sessions.
-        let g = base_graph(26);
-        let mut with_compact = DynamicMatcher::new(&g, config()).unwrap();
-        let mut without = DynamicMatcher::new(&g, config()).unwrap();
-        let budget = ResourceBudget::unlimited();
-        for dm in [&mut with_compact, &mut without] {
-            dm.apply_epoch(&[], &budget).unwrap();
-            let upd = batch(dm.overlay().next_edge_id(), 40, 27, 20);
-            dm.apply_epoch(&upd, &budget).unwrap();
-        }
-        with_compact.compact();
-        let (ga, _) = with_compact.overlay().materialize();
-        let (gb, _) = without.overlay().materialize();
-        assert_eq!(ga.num_edges(), gb.num_edges());
-        assert_eq!(ga.total_weight().to_bits(), gb.total_weight().to_bits());
-
-        let mut rng = StdRng::seed_from_u64(28);
-        let inserts: Vec<GraphUpdate> = (0..12)
-            .map(|_| {
-                let u = rng.gen_range(0..40u32);
-                let mut v = rng.gen_range(0..39u32);
-                if v >= u {
-                    v += 1;
-                }
-                GraphUpdate::InsertEdge { u, v, w: rng.gen_range(1.0..9.0) }
-            })
-            .collect();
-        let ra = with_compact.apply_epoch(&inserts, &budget).unwrap();
-        let rb = without.apply_epoch(&inserts, &budget).unwrap();
-        assert_eq!(ra.stats.decision, rb.stats.decision);
-        assert_eq!(ra.stats.weight.to_bits(), rb.stats.weight.to_bits());
-        assert_eq!(ra.stats.touched_vertices, rb.stats.touched_vertices);
-        assert_eq!(with_compact.weight().to_bits(), without.weight().to_bits());
-    }
-
-    #[test]
     fn committed_view_publishes_only_at_epoch_boundaries() {
         let g = base_graph(30);
         let mut dm = DynamicMatcher::new(&g, config()).unwrap();
@@ -1274,16 +1122,6 @@ mod tests {
         let s_after_fail = view.load();
         assert_eq!(s_after_fail.epoch, 1);
         assert_eq!(s_after_fail.weight.to_bits(), s1.weight.to_bits());
-
-        // Compaction republishes under the renumbered ids.
-        let upd = batch(dm.overlay().next_edge_id(), 40, 32, 15);
-        dm.apply_epoch(&upd, &ResourceBudget::unlimited()).unwrap();
-        dm.compact();
-        let s2 = view.load();
-        assert_eq!(s2.epoch, 2);
-        for (id, _, _) in s2.matching.iter() {
-            assert!(dm.overlay().live_edge(id).is_some(), "snapshot follows the remap");
-        }
     }
 
     #[test]
@@ -1378,7 +1216,7 @@ mod tests {
         assert!(DynamicMatcher::import_state(state).is_err(), "weight bits disagree");
 
         let mut state = dm.export_state();
-        state.overlay.alive.pop();
+        state.overlay.removed.pop();
         assert!(DynamicMatcher::import_state(state).is_err(), "broken overlay invariant");
     }
 
@@ -1405,19 +1243,35 @@ mod tests {
     }
 
     #[test]
-    fn invalid_thresholds_are_rejected() {
-        let g = base_graph(16);
-        let bad = DynamicConfig { repair_threshold: 0.6, rebuild_threshold: 0.5, ..config() };
-        assert!(DynamicMatcher::new(&g, bad).is_err());
-        let bad2 = DynamicConfig { rebuild_threshold: 2.0, ..config() };
-        assert!(DynamicMatcher::new(&g, bad2).is_err());
+    fn out_of_order_deletes_leave_no_dead_edges() {
+        // The newest edges die while the oldest stay live: the session holds
+        // exactly what a fresh session on its live graph holds.
+        let g = base_graph(46);
+        let mut dm = DynamicMatcher::new(&g, config()).unwrap();
+        let budget = ResourceBudget::unlimited();
+        dm.apply_epoch(&[], &budget).unwrap();
+        let first_insert = dm.overlay().next_edge_id();
+        let inserts: Vec<GraphUpdate> = (0..30u32)
+            .map(|i| GraphUpdate::InsertEdge { u: i % 40, v: (i * 7 + 1) % 40, w: 2.5 })
+            .collect();
+        dm.apply_epoch(&inserts, &budget).unwrap();
+        let deletes: Vec<GraphUpdate> = (first_insert..dm.overlay().next_edge_id())
+            .rev()
+            .map(|id| GraphUpdate::DeleteEdge { id })
+            .collect();
+        let long = dm.apply_epoch(&deletes, &budget).unwrap().stats;
+
+        let mut fresh = DynamicMatcher::new(&dm.current_graph(), config()).unwrap();
+        let short = fresh.apply_epoch(&[], &budget).unwrap().stats;
+        assert_eq!(long.journal_bytes, short.journal_bytes, "deleted edges are still held");
+        assert_eq!(dm.overlay().export_state().edges, fresh.overlay().export_state().edges);
     }
 
     #[test]
     fn expiring_streams_keep_the_journal_at_window_size() {
         // A sliding-window stream: each round expires everything older and
-        // inserts a fresh block. Every committed epoch prunes the journal's
-        // dead prefix, so the journal holds the live window, not the history.
+        // inserts a fresh block. The overlay holds the live window, not the
+        // history.
         let mut rng = StdRng::seed_from_u64(56);
         let g = generators::gnm(16, 40, WeightModel::Uniform(1.0, 9.0), &mut rng);
         // Coarse eps keeps the 30 full re-solves cheap.
@@ -1428,7 +1282,6 @@ mod tests {
 
         let mut prev_lo = 0usize;
         let mut journal_bytes = Vec::new();
-        let mut bases = Vec::new();
         for round in 0..30u64 {
             let hi = dm.overlay().next_edge_id();
             let mut upd = vec![GraphUpdate::ExpireWindow { lo: prev_lo, hi }];
@@ -1444,26 +1297,23 @@ mod tests {
             prev_lo = hi;
             let r = dm.apply_epoch(&upd, &budget).unwrap();
             journal_bytes.push(r.stats.journal_bytes);
-            bases.push(dm.overlay().journal_base());
             assert_eq!(
                 dm.overlay().export_state().edges.len(),
                 dm.overlay().num_live_edges(),
-                "round {round}: the journal must hold exactly the live window"
+                "round {round}: the overlay must hold exactly the live window"
             );
         }
         assert!(
             journal_bytes[1..].iter().all(|&b| b == journal_bytes[0]),
-            "the journal must stay at window size, not grow with the stream: {journal_bytes:?}"
+            "the overlay must stay at window size, not grow with the stream: {journal_bytes:?}"
         );
-        assert!(bases.windows(2).all(|w| w[0] < w[1]), "journal base must advance: {bases:?}");
+        assert_eq!(dm.overlay().next_edge_id(), 40 + 30 * 120, "ids keep counting");
         let (graph, back) = dm.overlay().materialize();
-        let fwd = forward_map(&back, dm.overlay().next_edge_id());
-        let ours = to_materialized_ids(dm.matching(), &fwd, &graph);
+        let ours = to_materialized_ids(dm.matching(), &back, &graph);
         assert!(ours.is_valid(&graph));
 
-        // A vertex removal scans the resident journal, not the pruned
-        // history: it reads exactly what it reads in a fresh session on the
-        // same live graph.
+        // A vertex removal scans the live edges, not the history: it reads
+        // exactly what it reads in a fresh session on the same live graph.
         let mut fresh = DynamicMatcher::new(&graph, coarse).unwrap();
         fresh.apply_epoch(&[], &budget).unwrap();
         let removal = [GraphUpdate::RemoveVertex { v: 3 }];

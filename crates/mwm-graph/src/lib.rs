@@ -11,8 +11,9 @@
 //!   [`WeightLevels`].
 //! * [`matching`]: (b-)matching containers with feasibility checks and weights.
 //! * [`union_find`]: a union-find used by sparsifiers and connectivity.
-//! * [`overlay`]: the journaled [`GraphOverlay`] + [`GraphUpdate`] delta layer
-//!   the dynamic matching subsystem edits between epochs.
+//! * [`overlay`]: the [`GraphOverlay`] of live edges under stable ids + the
+//!   [`GraphUpdate`] delta layer the dynamic matching subsystem edits between
+//!   epochs.
 //! * [`wire`]: the fixed-width `(EdgeId, Edge)` record codec of the
 //!   out-of-core spill format, and the length-prefixed frame codec of the
 //!   persistence and serving wire formats.

@@ -1,25 +1,21 @@
-//! A journaled delta overlay on [`Graph`]: the mutable view a stream of
+//! A versioned delta overlay on [`Graph`]: the mutable view a stream of
 //! [`GraphUpdate`]s edits between matching epochs.
 //!
 //! The paper's model treats the edge list as a read-only input; a serving
 //! system never gets that luxury — edges arrive, expire and change weight
-//! continuously. [`GraphOverlay`] keeps the canonical edge list *append-only*
-//! (edge ids are stable: base edges keep their ids, inserts append, and only
-//! an explicit [`GraphOverlay::compact`] renumbers) and records deletions,
-//! reweights, vertex additions/removals and capacity changes in place, with
-//! a monotonically increasing [`GraphOverlay::version`] bumped once per
-//! applied update. Edge updates are O(1); [`GraphUpdate::RemoveVertex`]
-//! scans the journal for incident edges (callers charging data access should
-//! account for that scan). Tombstoned deletes are kept until compaction,
-//! except for a dead prefix of the journal, which
-//! [`GraphOverlay::prune_dead_prefix`] reclaims without renumbering: a
-//! session that expires its oldest edges first (a sliding window) and prunes
-//! after every epoch holds its live edges plus trailing tombstones, not its
-//! whole history. An epoch engine materializes a
-//! compacted [`Graph`] of the live edges on demand, together with a back-map
-//! from materialized edge ids to stable overlay ids.
+//! continuously. [`GraphOverlay`] holds exactly the live edges, keyed by
+//! stable id: base edges keep their ids, every insert takes the next id, and
+//! no id is ever renumbered or reused, so a deleted id is simply absent.
+//! Deletions, reweights, vertex additions/removals and capacity changes
+//! apply in place, with a monotonically increasing [`GraphOverlay::version`]
+//! bumped once per applied update. Edge updates cost `O(log m)`;
+//! [`GraphUpdate::RemoveVertex`] scans the live edges for incident ones
+//! (callers charging data access should account for that scan). An epoch
+//! engine materializes a [`Graph`] of the live edges on demand, together
+//! with a back-map from materialized edge ids to stable overlay ids.
 
 use crate::graph::{Edge, EdgeId, Graph, VertexId};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One mutation of the evolving graph. All variants are `Copy`, so batches of
@@ -66,8 +62,8 @@ pub enum GraphUpdate {
         /// The new capacity.
         b: u64,
     },
-    /// Mass expiry: tombstones every live edge with stable id in `[lo, hi)`
-    /// in one journal scan — the sliding-window fast path, equivalent to (but
+    /// Mass expiry: deletes every live edge with stable id in `[lo, hi)` in
+    /// one range removal — the sliding-window fast path, equivalent to (but
     /// far cheaper than) one [`GraphUpdate::DeleteEdge`] per id. Ids in the
     /// window that are already dead or were never assigned are skipped, so an
     /// empty window is a successful no-op, and the whole window counts as a
@@ -130,13 +126,10 @@ pub struct AppliedUpdate {
 /// `f64` values whose bit patterns are preserved by the caller's codec).
 #[derive(Clone, Debug, PartialEq)]
 pub struct OverlayState {
-    /// Stable id of the first still-resident journal entry (ids below it were
-    /// pruned as dead; see [`GraphOverlay::prune_dead_prefix`]).
-    pub base: EdgeId,
-    /// The resident journaled edges, indexed by `stable id - base`.
-    pub edges: Vec<Edge>,
-    /// Liveness per resident journal entry (`edges.len()` entries).
-    pub alive: Vec<bool>,
+    /// The stable id the next insert will receive.
+    pub next_id: EdgeId,
+    /// The live edges as `(stable id, edge)`, in ascending id order.
+    pub edges: Vec<(EdgeId, Edge)>,
     /// Capacities per vertex slot, including removed vertices.
     pub capacities: Vec<u64>,
     /// Removal marker per vertex slot (`capacities.len()` entries).
@@ -147,22 +140,17 @@ pub struct OverlayState {
     pub applied: u64,
 }
 
-/// A journaled, versioned delta overlay over a base [`Graph`].
+/// A versioned delta overlay over a base [`Graph`].
 #[derive(Clone, Debug)]
 pub struct GraphOverlay {
-    /// Stable id of journal slot 0: ids below `base` were pruned while dead
-    /// and behave exactly like tombstoned ids forever after.
-    base: EdgeId,
-    /// The resident journaled edges (base edges then inserts), indexed by
-    /// `stable id - base`.
-    edges: Vec<Edge>,
-    /// Liveness per resident journal slot.
-    alive: Vec<bool>,
+    /// The live edges by stable id; a deleted id is absent.
+    edges: BTreeMap<EdgeId, Edge>,
+    /// The stable id the next insert receives.
+    next_id: EdgeId,
     /// Capacities per vertex (including removed vertices, frozen at removal).
     capacities: Vec<u64>,
     /// Removal marker per vertex.
     removed: Vec<bool>,
-    live_edges: usize,
     live_vertices: usize,
     version: u64,
     applied: u64,
@@ -173,12 +161,10 @@ impl GraphOverlay {
     /// the overlay is self-contained.
     pub fn new(base: &Graph) -> Self {
         GraphOverlay {
-            base: 0,
-            edges: base.edges().to_vec(),
-            alive: vec![true; base.num_edges()],
+            edges: base.edges().iter().copied().enumerate().collect(),
+            next_id: base.num_edges(),
             capacities: base.capacities().to_vec(),
             removed: vec![false; base.num_vertices()],
-            live_edges: base.num_edges(),
             live_vertices: base.num_vertices(),
             version: 0,
             applied: 0,
@@ -213,69 +199,38 @@ impl GraphOverlay {
 
     /// Currently live edges.
     pub fn num_live_edges(&self) -> usize {
-        self.live_edges
+        self.edges.len()
     }
 
     /// The stable id the next [`GraphUpdate::InsertEdge`] will receive.
     /// Deterministic, so an update generator can pre-compute ids for deletes.
     pub fn next_edge_id(&self) -> EdgeId {
-        self.base + self.edges.len()
-    }
-
-    /// Stable id of the first still-resident journal entry; ids below it were
-    /// pruned while dead and stay dead.
-    pub fn journal_base(&self) -> EdgeId {
-        self.base
-    }
-
-    #[inline]
-    fn slot(&self, id: EdgeId) -> Option<usize> {
-        id.checked_sub(self.base).filter(|&s| s < self.edges.len())
+        self.next_id
     }
 
     /// The live edge with stable id `id`, if it exists and is alive.
     pub fn live_edge(&self, id: EdgeId) -> Option<Edge> {
-        let slot = self.slot(id)?;
-        if self.alive[slot] {
-            Some(self.edges[slot])
-        } else {
-            None
-        }
+        self.edges.get(&id).copied()
     }
 
     /// Iterates the live edges as `(stable id, edge)` in stable-id order.
     pub fn live_edge_iter(&self) -> impl Iterator<Item = (EdgeId, Edge)> + '_ {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|&(slot, _)| self.alive[slot])
-            .map(|(slot, e)| (self.base + slot, *e))
+        self.edges.iter().map(|(&id, &e)| (id, e))
     }
 
-    /// Resident journal bytes: the edge records, liveness bitmap and vertex
-    /// tables actually held in memory. This is what pruning and compaction
-    /// reclaim — the memory-per-session metric of the dynamic experiments.
+    /// The live edges with stable id in `[lo, hi)`, in stable-id order
+    /// (none when `lo >= hi`).
+    fn window(&self, lo: EdgeId, hi: EdgeId) -> impl Iterator<Item = (EdgeId, Edge)> + '_ {
+        self.edges.range(lo..hi.max(lo)).map(|(&id, &e)| (id, e))
+    }
+
+    /// Resident bytes: one `(EdgeId, Edge)` record per live edge plus the
+    /// vertex tables — the memory-per-session metric of the dynamic
+    /// experiments. The map's node overhead is not counted.
     pub fn resident_bytes(&self) -> usize {
-        self.edges.len() * std::mem::size_of::<Edge>()
-            + self.alive.len()
+        self.edges.len() * std::mem::size_of::<(EdgeId, Edge)>()
             + self.capacities.len() * std::mem::size_of::<u64>()
             + self.removed.len()
-    }
-
-    /// Drops the longest all-dead prefix of the journal, sliding
-    /// [`GraphOverlay::journal_base`] forward. Pruned ids behave exactly as
-    /// they did while tombstoned (dead to every lookup and update), so this
-    /// is observationally invisible — no version bump — but the resident
-    /// journal shrinks to `O(live + trailing tombstones)` instead of growing
-    /// with all updates ever. Returns the number of entries reclaimed.
-    pub fn prune_dead_prefix(&mut self) -> usize {
-        let dead = self.alive.iter().take_while(|&&a| !a).count();
-        if dead > 0 {
-            self.edges.drain(..dead);
-            self.alive.drain(..dead);
-            self.base += dead;
-        }
-        dead
     }
 
     /// True if vertex `v` exists and has not been removed.
@@ -300,25 +255,12 @@ impl GraphOverlay {
                 self.live_edge(id).map(|e| vec![e.u, e.v]).unwrap_or_default()
             }
             GraphUpdate::AddVertex { .. } => vec![self.num_vertex_slots() as VertexId],
-            GraphUpdate::RemoveVertex { v } => {
-                let mut touched = vec![v];
-                for (slot, e) in self.edges.iter().enumerate() {
-                    if self.alive[slot] && e.is_incident(v) {
-                        touched.push(e.other(v));
-                    }
-                }
-                touched
-            }
+            GraphUpdate::RemoveVertex { v } => std::iter::once(v)
+                .chain(self.edges.values().filter(|e| e.is_incident(v)).map(|e| e.other(v)))
+                .collect(),
             GraphUpdate::SetCapacity { v, .. } => vec![v],
             GraphUpdate::ExpireWindow { lo, hi } => {
-                let mut touched = Vec::new();
-                for (id, e) in self.live_edge_iter() {
-                    if id >= lo && id < hi {
-                        touched.push(e.u);
-                        touched.push(e.v);
-                    }
-                }
-                touched
+                self.window(lo, hi).flat_map(|(_, e)| [e.u, e.v]).collect()
             }
         }
     }
@@ -340,10 +282,9 @@ impl GraphOverlay {
                 if !self.is_live_vertex(v) {
                     return Err(UpdateError::DeadVertex(v));
                 }
-                let id = self.base + self.edges.len();
-                self.edges.push(Edge::new(u, v, w));
-                self.alive.push(true);
-                self.live_edges += 1;
+                let id = self.next_id;
+                self.next_id += 1;
+                self.edges.insert(id, Edge::new(u, v, w));
                 AppliedUpdate {
                     touched: vec![u, v],
                     deleted_edges: Vec::new(),
@@ -351,10 +292,7 @@ impl GraphOverlay {
                 }
             }
             GraphUpdate::DeleteEdge { id } => {
-                let e = self.live_edge(id).ok_or(UpdateError::DeadEdge(id))?;
-                let slot = self.slot(id).expect("live edge has a resident slot");
-                self.alive[slot] = false;
-                self.live_edges -= 1;
+                let e = self.edges.remove(&id).ok_or(UpdateError::DeadEdge(id))?;
                 AppliedUpdate {
                     touched: vec![e.u, e.v],
                     deleted_edges: vec![id],
@@ -365,9 +303,8 @@ impl GraphOverlay {
                 if !w.is_finite() || w <= 0.0 {
                     return Err(UpdateError::BadWeight(w));
                 }
-                let e = self.live_edge(id).ok_or(UpdateError::DeadEdge(id))?;
-                let slot = self.slot(id).expect("live edge has a resident slot");
-                self.edges[slot].w = w;
+                let e = self.edges.get_mut(&id).ok_or(UpdateError::DeadEdge(id))?;
+                e.w = w;
                 AppliedUpdate {
                     touched: vec![e.u, e.v],
                     deleted_edges: Vec::new(),
@@ -390,14 +327,15 @@ impl GraphOverlay {
                 }
                 let mut deleted = Vec::new();
                 let mut touched = vec![v];
-                for slot in 0..self.edges.len() {
-                    if self.alive[slot] && self.edges[slot].is_incident(v) {
-                        self.alive[slot] = false;
-                        self.live_edges -= 1;
-                        deleted.push(self.base + slot);
-                        touched.push(self.edges[slot].other(v));
+                // `retain` visits the edges in ascending id order.
+                self.edges.retain(|&id, e| {
+                    let incident = e.is_incident(v);
+                    if incident {
+                        deleted.push(id);
+                        touched.push(e.other(v));
                     }
-                }
+                    !incident
+                });
                 self.removed[v as usize] = true;
                 self.live_vertices -= 1;
                 AppliedUpdate { touched, deleted_edges: deleted, changed_edge: None }
@@ -413,18 +351,14 @@ impl GraphOverlay {
                 AppliedUpdate { touched: vec![v], deleted_edges: Vec::new(), changed_edge: None }
             }
             GraphUpdate::ExpireWindow { lo, hi } => {
-                let from = lo.max(self.base) - self.base;
-                let to = hi.clamp(self.base, self.base + self.edges.len()) - self.base;
-                let mut deleted = Vec::new();
-                let mut touched = Vec::new();
-                for slot in from..to.max(from) {
-                    if self.alive[slot] {
-                        self.alive[slot] = false;
-                        self.live_edges -= 1;
-                        deleted.push(self.base + slot);
-                        touched.push(self.edges[slot].u);
-                        touched.push(self.edges[slot].v);
-                    }
+                let expired: Vec<(EdgeId, Edge)> = self.window(lo, hi).collect();
+                let mut deleted = Vec::with_capacity(expired.len());
+                let mut touched = Vec::with_capacity(2 * expired.len());
+                for (id, e) in expired {
+                    self.edges.remove(&id);
+                    deleted.push(id);
+                    touched.push(e.u);
+                    touched.push(e.v);
                 }
                 AppliedUpdate { touched, deleted_edges: deleted, changed_edge: None }
             }
@@ -434,38 +368,13 @@ impl GraphOverlay {
         Ok(applied)
     }
 
-    /// Compacts the journal: dead edges are reclaimed and live edges are
-    /// renumbered contiguously in order. Returns the old-id → new-id map
-    /// (`usize::MAX` for dead ids). This deliberately breaks the stable-id
-    /// contract — callers that precompute ids (update generators, stored
-    /// matchings) must consume the remap — so it is never done implicitly.
-    /// Bumps the version; vertex ids are untouched. The remap covers every
-    /// stable id ever assigned (pruned ids map to `usize::MAX` like any other
-    /// dead id), and the journal base resets to 0.
-    pub fn compact(&mut self) -> Vec<usize> {
-        let mut remap = vec![usize::MAX; self.next_edge_id()];
-        let mut live = Vec::with_capacity(self.live_edges);
-        for (slot, &e) in self.edges.iter().enumerate() {
-            if self.alive[slot] {
-                remap[self.base + slot] = live.len();
-                live.push(e);
-            }
-        }
-        self.base = 0;
-        self.edges = live;
-        self.alive = vec![true; self.edges.len()];
-        self.version += 1;
-        remap
-    }
-
     /// Exports the complete overlay state for persistence. The copy is
     /// `O(n + m)`; [`GraphOverlay::from_state`] restores an overlay that is
     /// indistinguishable from this one.
     pub fn export_state(&self) -> OverlayState {
         OverlayState {
-            base: self.base,
-            edges: self.edges.clone(),
-            alive: self.alive.clone(),
+            next_id: self.next_id,
+            edges: self.live_edge_iter().collect(),
             capacities: self.capacities.clone(),
             removed: self.removed.clone(),
             version: self.version,
@@ -474,17 +383,11 @@ impl GraphOverlay {
     }
 
     /// Rebuilds an overlay from an exported state, re-deriving the live
-    /// counters and validating the cross-array invariants (parallel lengths,
-    /// live edges referencing existing vertex slots). Errors are strings:
-    /// the caller (a persistence codec) wraps them in its own error type.
+    /// vertex count and validating the invariants: parallel vertex tables,
+    /// edge ids strictly ascending and below `next_id`, and edges referencing
+    /// existing vertex slots. Errors are strings: the caller (a persistence
+    /// codec) wraps them in its own error type.
     pub fn from_state(state: OverlayState) -> Result<Self, String> {
-        if state.alive.len() != state.edges.len() {
-            return Err(format!(
-                "alive has {} entries for {} edges",
-                state.alive.len(),
-                state.edges.len()
-            ));
-        }
         if state.removed.len() != state.capacities.len() {
             return Err(format!(
                 "removed has {} entries for {} vertex slots",
@@ -492,24 +395,27 @@ impl GraphOverlay {
                 state.capacities.len()
             ));
         }
+        if let Some(pair) = state.edges.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+            return Err(format!("edge ids {} and {} are out of order", pair[0].0, pair[1].0));
+        }
+        if let Some(&(id, _)) = state.edges.last().filter(|&&(id, _)| id >= state.next_id) {
+            return Err(format!("edge id {id} is not below the next id {}", state.next_id));
+        }
         let slots = state.capacities.len() as u64;
-        for (id, (e, &alive)) in state.edges.iter().zip(&state.alive).enumerate() {
-            if alive && (u64::from(e.u) >= slots || u64::from(e.v) >= slots) {
+        for &(id, e) in &state.edges {
+            if u64::from(e.u) >= slots || u64::from(e.v) >= slots {
                 return Err(format!("live edge {id} references a vertex outside {slots} slots"));
             }
         }
         if state.capacities.iter().zip(&state.removed).any(|(&b, &dead)| !dead && b < 1) {
             return Err("live vertex with capacity below 1".to_string());
         }
-        let live_edges = state.alive.iter().filter(|&&a| a).count();
         let live_vertices = state.removed.iter().filter(|&&r| !r).count();
         Ok(GraphOverlay {
-            base: state.base,
-            edges: state.edges,
-            alive: state.alive,
+            edges: state.edges.into_iter().collect(),
+            next_id: state.next_id,
             capacities: state.capacities,
             removed: state.removed,
-            live_edges,
             live_vertices,
             version: state.version,
             applied: state.applied,
@@ -517,10 +423,10 @@ impl GraphOverlay {
     }
 
     /// Materializes the current live graph plus the back-map from materialized
-    /// edge ids to stable overlay ids. Removed vertices keep their slots (with
-    /// capacity 1 and no incident edges) so vertex ids stay stable across the
-    /// overlay's whole lifetime — a dual snapshot exported three epochs ago
-    /// still names the right vertices.
+    /// edge ids to stable overlay ids, ascending. Removed vertices keep their
+    /// slots (with capacity 1 and no incident edges) so vertex ids stay stable
+    /// across the overlay's whole lifetime — a dual snapshot exported three
+    /// epochs ago still names the right vertices.
     pub fn materialize(&self) -> (Graph, Vec<EdgeId>) {
         let caps: Vec<u64> = self
             .capacities
@@ -529,12 +435,10 @@ impl GraphOverlay {
             .map(|(&b, &dead)| if dead { 1 } else { b })
             .collect();
         let mut g = Graph::with_capacities(caps);
-        let mut back = Vec::with_capacity(self.live_edges);
-        for (slot, e) in self.edges.iter().enumerate() {
-            if self.alive[slot] {
-                g.add_edge(e.u, e.v, e.w);
-                back.push(self.base + slot);
-            }
+        let mut back = Vec::with_capacity(self.edges.len());
+        for (id, e) in self.live_edge_iter() {
+            g.add_edge(e.u, e.v, e.w);
+            back.push(id);
         }
         (g, back)
     }
@@ -627,112 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_reclaims_dead_edges_and_remaps() {
-        let mut ov = GraphOverlay::new(&base());
-        ov.apply(&GraphUpdate::InsertEdge { u: 0, v: 3, w: 4.0 }).unwrap();
-        ov.apply(&GraphUpdate::DeleteEdge { id: 1 }).unwrap();
-        let before = ov.materialize().0;
-        let remap = ov.compact();
-        assert_eq!(remap, vec![0, usize::MAX, 1, 2]);
-        assert_eq!(ov.next_edge_id(), 3, "journal shrank to the live edges");
-        assert_eq!(ov.num_live_edges(), 3);
-        let after = ov.materialize().0;
-        assert_eq!(before.num_edges(), after.num_edges());
-        assert_eq!(before.total_weight(), after.total_weight());
-        // Post-compaction ids keep working: delete the renumbered insert.
-        ov.apply(&GraphUpdate::DeleteEdge { id: remap[3] }).unwrap();
-        assert_eq!(ov.num_live_edges(), 2);
-    }
-
-    #[test]
-    fn compact_remap_is_total_order_preserving_and_weight_exact() {
-        // A heavily churned journal: interleaved inserts, deletes (including
-        // re-deleting via vertex removal) and reweights.
-        let mut ov = GraphOverlay::new(&base());
-        for i in 0..40u32 {
-            ov.apply(&GraphUpdate::InsertEdge { u: i % 4, v: (i + 1) % 4, w: 1.0 + i as f64 })
-                .unwrap();
-        }
-        for id in (0..ov.next_edge_id()).step_by(3) {
-            let _ = ov.apply(&GraphUpdate::DeleteEdge { id });
-        }
-        for id in (1..ov.next_edge_id()).step_by(5) {
-            let _ = ov.apply(&GraphUpdate::ReweightEdge { id, w: 0.5 + id as f64 });
-        }
-        let live_before = ov.num_live_edges();
-        let survivors: Vec<(EdgeId, Edge)> =
-            (0..ov.next_edge_id()).filter_map(|id| ov.live_edge(id).map(|e| (id, e))).collect();
-
-        let journal_len = ov.next_edge_id();
-        let remap = ov.compact();
-        // Total: every pre-compaction id has an entry; dead ids map to MAX,
-        // live ids biject onto 0..live in their original relative order.
-        assert_eq!(remap.len(), journal_len);
-        let mapped: Vec<usize> = survivors.iter().map(|&(id, _)| remap[id]).collect();
-        assert_eq!(mapped, (0..live_before).collect::<Vec<_>>(), "order-preserving bijection");
-        for (old, &new) in remap.iter().enumerate() {
-            if new == usize::MAX {
-                continue;
-            }
-            let e_new = ov.live_edge(new).expect("remapped id is live");
-            let (_, e_old) = survivors.iter().find(|&&(id, _)| id == old).unwrap();
-            assert_eq!(
-                (e_new.u, e_new.v, e_new.w.to_bits()),
-                (e_old.u, e_old.v, e_old.w.to_bits())
-            );
-        }
-        // Tombstones are gone: the journal holds exactly the live edges.
-        assert_eq!(ov.next_edge_id(), live_before);
-        assert_eq!(ov.num_live_edges(), live_before);
-    }
-
-    #[test]
-    fn compact_is_idempotent_once_tombstones_are_reclaimed() {
-        let mut ov = GraphOverlay::new(&base());
-        ov.apply(&GraphUpdate::InsertEdge { u: 0, v: 2, w: 5.0 }).unwrap();
-        ov.apply(&GraphUpdate::DeleteEdge { id: 0 }).unwrap();
-        let first = ov.compact();
-        assert!(first.contains(&usize::MAX));
-        let (g_first, _) = ov.materialize();
-        // With no tombstones left, a second compaction is the identity remap
-        // and changes nothing but the version.
-        let v = ov.version();
-        let second = ov.compact();
-        assert_eq!(second, (0..ov.next_edge_id()).collect::<Vec<_>>());
-        assert_eq!(ov.version(), v + 1);
-        let (g_second, back) = ov.materialize();
-        assert_eq!(g_first.num_edges(), g_second.num_edges());
-        assert_eq!(g_first.total_weight().to_bits(), g_second.total_weight().to_bits());
-        assert_eq!(back, (0..ov.num_live_edges()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn compaction_preserves_vertex_state_and_future_updates() {
-        // Vertex removals and capacities are orthogonal to edge compaction:
-        // the journal shrinks, vertex ids and capacities stay put, and the
-        // overlay keeps accepting updates against the renumbered ids.
-        let mut ov = GraphOverlay::new(&base());
-        ov.apply(&GraphUpdate::AddVertex { b: 3 }).unwrap();
-        ov.apply(&GraphUpdate::InsertEdge { u: 4, v: 0, w: 2.5 }).unwrap();
-        ov.apply(&GraphUpdate::RemoveVertex { v: 1 }).unwrap();
-        let live_vertices = ov.num_live_vertices();
-        let remap = ov.compact();
-        assert_eq!(ov.num_live_vertices(), live_vertices);
-        assert!(!ov.is_live_vertex(1) && ov.is_live_vertex(4));
-        assert_eq!(ov.capacity(4), 3);
-        // The renumbered insert is addressable through the remap.
-        let new_id = remap[3];
-        assert!(ov.live_edge(new_id).is_some());
-        ov.apply(&GraphUpdate::ReweightEdge { id: new_id, w: 9.0 }).unwrap();
-        assert_eq!(ov.live_edge(new_id).unwrap().w, 9.0);
-        // Dead-vertex inserts stay rejected after compaction.
-        assert!(matches!(
-            ov.apply(&GraphUpdate::InsertEdge { u: 1, v: 0, w: 1.0 }),
-            Err(UpdateError::DeadVertex(1))
-        ));
-    }
-
-    #[test]
     fn export_import_round_trips_bit_exactly() {
         let mut ov = GraphOverlay::new(&base());
         ov.apply(&GraphUpdate::InsertEdge { u: 0, v: 3, w: 0.1 + 0.2 }).unwrap();
@@ -756,15 +554,19 @@ mod tests {
     fn from_state_rejects_inconsistent_arrays() {
         let ov = GraphOverlay::new(&base());
         let mut state = ov.export_state();
-        state.alive.pop();
-        assert!(GraphOverlay::from_state(state).is_err());
+        state.edges.swap(0, 1);
+        assert!(GraphOverlay::from_state(state).is_err(), "edge ids out of order");
+
+        let mut state = ov.export_state();
+        state.edges[2].0 = state.next_id;
+        assert!(GraphOverlay::from_state(state).is_err(), "edge id at or past the next id");
 
         let mut state = ov.export_state();
         state.removed.push(false);
         assert!(GraphOverlay::from_state(state).is_err());
 
         let mut state = ov.export_state();
-        state.edges[0].u = 99;
+        state.edges[0].1.u = 99;
         assert!(GraphOverlay::from_state(state).is_err(), "live edge past vertex slots");
 
         let mut state = ov.export_state();
@@ -797,62 +599,56 @@ mod tests {
         let again = windowed.apply(&GraphUpdate::ExpireWindow { lo: 0, hi: 4 }).unwrap();
         assert_eq!(again.deleted_edges, vec![0]);
         assert_eq!(windowed.version(), v + 1);
-        // Windows past the journal end (or entirely dead) still succeed.
+        // Windows past the last id, entirely dead or reversed still succeed.
         let empty = windowed.apply(&GraphUpdate::ExpireWindow { lo: 50, hi: 99 }).unwrap();
         assert!(empty.deleted_edges.is_empty() && empty.touched.is_empty());
+        let reversed = windowed.apply(&GraphUpdate::ExpireWindow { lo: 4, hi: 2 }).unwrap();
+        assert!(reversed.deleted_edges.is_empty() && reversed.touched.is_empty());
+        assert!(windowed.touched_by(&GraphUpdate::ExpireWindow { lo: 4, hi: 2 }).is_empty());
     }
 
     #[test]
-    fn prune_dead_prefix_is_observationally_invisible() {
+    fn deleted_ids_stay_dead_and_new_ids_keep_counting() {
         let mut ov = GraphOverlay::new(&base());
         for i in 0..6u32 {
             ov.apply(&GraphUpdate::InsertEdge { u: i % 4, v: (i + 1) % 4, w: 1.0 + i as f64 })
                 .unwrap();
         }
         ov.apply(&GraphUpdate::ExpireWindow { lo: 0, hi: 6 }).unwrap();
-        let bytes_before = ov.resident_bytes();
-        let (g_before, back_before) = ov.materialize();
-        let version = ov.version();
+        assert_eq!(ov.export_state().edges.len(), 3, "only the live edges are held");
+        let vertex_tables = 4 * std::mem::size_of::<u64>() + 4;
+        let record = std::mem::size_of::<(EdgeId, Edge)>();
+        assert_eq!(ov.resident_bytes(), 3 * record + vertex_tables);
+        assert_eq!(ov.next_edge_id(), 9, "stable ids keep counting past deleted ones");
 
-        let pruned = ov.prune_dead_prefix();
-        assert_eq!(pruned, 6);
-        assert_eq!(ov.journal_base(), 6);
-        assert!(ov.resident_bytes() < bytes_before, "pruning must reclaim journal bytes");
-        assert_eq!(ov.version(), version, "pruning is not an update");
-        assert_eq!(ov.next_edge_id(), 9, "stable ids keep counting past the pruned prefix");
-
-        // Identical observable state: materialization, lookups, rejections.
-        let (g_after, back_after) = ov.materialize();
-        assert_eq!(back_before, back_after);
-        assert_eq!(g_before.total_weight().to_bits(), g_after.total_weight().to_bits());
+        // Deleted ids stay dead to every lookup and update.
         assert_eq!(ov.live_edge(2), None);
         assert!(matches!(
             ov.apply(&GraphUpdate::DeleteEdge { id: 2 }),
             Err(UpdateError::DeadEdge(2))
         ));
-        assert_eq!(ov.export_state().edges.len(), 3, "pruned entries are gone from the journal");
         assert!(ov.live_edge(7).is_some());
 
-        // New inserts get the next stable id; deletes against it work.
+        // New inserts get the next stable id; deleting the newest edges
+        // first leaves nothing behind either.
         let a = ov.apply(&GraphUpdate::InsertEdge { u: 0, v: 1, w: 2.0 }).unwrap();
         assert_eq!(a.changed_edge, Some(9));
         ov.apply(&GraphUpdate::DeleteEdge { id: 9 }).unwrap();
+        ov.apply(&GraphUpdate::DeleteEdge { id: 8 }).unwrap();
+        let ids: Vec<EdgeId> = ov.export_state().edges.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, vec![6, 7]);
+        assert_eq!(ov.resident_bytes(), 2 * record + vertex_tables);
 
-        // Export/import round-trips the base; compact resets it.
+        // Export/import keeps the next id.
         let restored = GraphOverlay::from_state(ov.export_state()).unwrap();
         assert_eq!(restored.export_state(), ov.export_state());
-        assert_eq!(restored.journal_base(), 6);
-        let remap = ov.compact();
-        assert_eq!(remap.len(), 10);
-        assert_eq!(ov.journal_base(), 0);
-        assert_eq!(remap[..6], [usize::MAX; 6]);
+        assert_eq!(restored.next_edge_id(), 10);
     }
 
     #[test]
     fn live_edge_iter_yields_stable_ids() {
         let mut ov = GraphOverlay::new(&base());
         ov.apply(&GraphUpdate::DeleteEdge { id: 0 }).unwrap();
-        ov.prune_dead_prefix();
         let ids: Vec<EdgeId> = ov.live_edge_iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![1, 2]);
         for (id, e) in ov.live_edge_iter() {

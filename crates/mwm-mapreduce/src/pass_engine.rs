@@ -977,22 +977,6 @@ impl PassEngine {
     }
 }
 
-/// On-demand publication of the engine's resource ledger (the per-pass
-/// counters record themselves as passes run).
-impl mwm_obs::Observable for PassEngine {
-    fn obs_scope(&self) -> &'static str {
-        "pass_engine"
-    }
-
-    fn publish_metrics(&self, registry: &mwm_obs::Registry) {
-        let t = self.tracker();
-        registry.gauge("pass_engine_rounds").set(t.rounds() as i64);
-        registry.gauge("pass_engine_items_streamed").set(t.items_streamed() as i64);
-        registry.gauge("pass_engine_peak_central_space").set(t.peak_central_space() as i64);
-        registry.gauge("pass_engine_shuffle_volume").set(t.shuffle_volume() as i64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -481,21 +481,6 @@ macro_rules! histogram {
     }};
 }
 
-/// Implemented by long-lived components that can publish internal state
-/// into a registry on demand (beyond the event-time counters they already
-/// record). Lives here so every layer of the stack can implement it
-/// without dependency cycles; `mwm-core` re-exports it as the engine's
-/// observability hook.
-pub trait Observable {
-    /// Stable metric-name prefix for this component, e.g. `"pass_engine"`.
-    fn obs_scope(&self) -> &'static str;
-
-    /// Publish current totals into `registry` (gauges for levels,
-    /// counters for monotone totals). Must not mutate `self` in any way
-    /// that affects later outputs — observability is read-only.
-    fn publish_metrics(&self, registry: &Registry);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

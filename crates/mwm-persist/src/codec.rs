@@ -302,8 +302,6 @@ pub fn encode_config(w: &mut ByteWriter, c: &DynamicConfig) {
     w.f64(c.eps);
     w.f64(c.p);
     w.u64(c.seed);
-    w.f64(c.repair_threshold);
-    w.f64(c.rebuild_threshold);
 }
 
 /// Decodes a [`DynamicConfig`] (semantic validation is the importer's job).
@@ -312,8 +310,6 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<DynamicConfig, String> {
         eps: r.f64("config eps")?,
         p: r.f64("config p")?,
         seed: r.u64("config seed")?,
-        repair_threshold: r.f64("config repair_threshold")?,
-        rebuild_threshold: r.f64("config rebuild_threshold")?,
     })
 }
 
@@ -490,15 +486,13 @@ pub fn decode_graph(r: &mut ByteReader<'_>) -> Result<Graph, String> {
 // ---- full session state --------------------------------------------------
 
 fn encode_overlay(w: &mut ByteWriter, o: &OverlayState) -> Result<(), PersistError> {
-    w.u64(o.base as u64);
+    w.u64(o.next_id as u64);
     w.u32(u32_len(o.edges.len(), "overlay edges")?);
-    for e in &o.edges {
+    for &(id, e) in &o.edges {
+        w.u64(id as u64);
         w.u32(e.u);
         w.u32(e.v);
         w.f64(e.w);
-    }
-    for &a in &o.alive {
-        w.bool(a);
     }
     w.u32(u32_len(o.capacities.len(), "overlay capacities")?);
     for &b in &o.capacities {
@@ -513,21 +507,19 @@ fn encode_overlay(w: &mut ByteWriter, o: &OverlayState) -> Result<(), PersistErr
 }
 
 fn decode_overlay(r: &mut ByteReader<'_>) -> Result<OverlayState, String> {
-    let base = r.u64("overlay base")? as usize;
+    let next_id = r.u64("overlay next id")? as usize;
     let m = checked_count(u64::from(r.u32("overlay edge count")?), "overlay edge")?;
     let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
-        // Constructed literally: the journal must round-trip any bit pattern
+        let id = r.u64("overlay edge id")? as usize;
+        // Constructed literally: the image must round-trip any bit pattern
         // the overlay accepted (the importer re-validates invariants).
-        edges.push(Edge {
+        let e = Edge {
             u: r.u32("overlay edge u")?,
             v: r.u32("overlay edge v")?,
             w: r.f64("overlay edge weight")?,
-        });
-    }
-    let mut alive = Vec::with_capacity(m);
-    for _ in 0..m {
-        alive.push(r.bool("overlay alive bit")?);
+        };
+        edges.push((id, e));
     }
     let n = checked_count(u64::from(r.u32("overlay vertex count")?), "overlay vertex")?;
     let mut capacities = Vec::with_capacity(n);
@@ -539,9 +531,8 @@ fn decode_overlay(r: &mut ByteReader<'_>) -> Result<OverlayState, String> {
         removed.push(r.bool("overlay removed bit")?);
     }
     Ok(OverlayState {
-        base,
+        next_id,
         edges,
-        alive,
         capacities,
         removed,
         version: r.u64("overlay version")?,

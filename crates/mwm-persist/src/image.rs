@@ -31,8 +31,11 @@ pub const IMAGE_MAGIC: &[u8; 8] = b"MWMSESS1";
 /// dropped the sketch bank with its five config fields and four ledger
 /// columns. Version 5 dropped the config's worker count and audit cadence
 /// and the ledger's audit column. Version 6 dropped the session's
-/// bootstrapped flag, which always equalled "duals present".
-pub const IMAGE_VERSION: u32 = 6;
+/// bootstrapped flag, which always equalled "duals present". Version 7
+/// stores the overlay as its next id plus `(id, edge)` pairs of the live
+/// edges (no journal base, no liveness bits) and drops the config's two
+/// policy thresholds.
+pub const IMAGE_VERSION: u32 = 7;
 
 const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
 
@@ -47,7 +50,7 @@ pub struct SessionImage {
 }
 
 impl SessionImage {
-    /// Serializes a session into an image (`O(journal + ledger)`).
+    /// Serializes a session into an image (`O(live graph + ledger)`).
     pub fn from_session(dm: &DynamicMatcher) -> Result<SessionImage, PersistError> {
         let mut w = ByteWriter::new();
         encode_session_state(&mut w, &dm.export_state())?;
@@ -154,27 +157,6 @@ impl SessionImage {
     }
 }
 
-/// Extension trait giving [`DynamicMatcher`] its hibernation verbs without
-/// `mwm-dynamic` depending on this crate. Import the trait and write
-/// `dm.hibernate()` / `DynamicMatcher::revive(&image)`.
-pub trait Hibernate: Sized {
-    /// Serializes the session into a portable image. Fails only if the
-    /// session's collections overflow the codec's `u32` count prefixes.
-    fn hibernate(&self) -> Result<SessionImage, PersistError>;
-    /// Restores a session from an image, bit-identical to the hibernated one.
-    fn revive(image: &SessionImage) -> Result<Self, PersistError>;
-}
-
-impl Hibernate for DynamicMatcher {
-    fn hibernate(&self) -> Result<SessionImage, PersistError> {
-        SessionImage::from_session(self)
-    }
-
-    fn revive(image: &SessionImage) -> Result<Self, PersistError> {
-        image.restore()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,15 +184,15 @@ mod tests {
     #[test]
     fn hibernate_revive_is_bit_identical() {
         let dm = session();
-        let image = dm.hibernate().unwrap();
-        let back = DynamicMatcher::revive(&image).unwrap();
+        let image = SessionImage::from_session(&dm).unwrap();
+        let back = image.restore().unwrap();
         assert_eq!(back.weight().to_bits(), dm.weight().to_bits());
         assert_eq!(back.epochs(), dm.epochs());
         assert_eq!(back.overlay().version(), dm.overlay().version());
         assert_eq!(back.duals().map(|d| d.fingerprint()), dm.duals().map(|d| d.fingerprint()));
         // The image of the revived session is byte-identical: write→open→write
         // is a fixed point at the session level too.
-        assert_eq!(back.hibernate().unwrap(), image);
+        assert_eq!(SessionImage::from_session(&back).unwrap(), image);
     }
 
     #[test]
@@ -228,7 +210,7 @@ mod tests {
         encode_session_state(&mut w, &state).unwrap();
         let payload = w.into_bytes();
         let image = SessionImage { checksum: fnv1a(&payload), payload };
-        match DynamicMatcher::revive(&image) {
+        match image.restore() {
             Err(PersistError::Corrupt { context }) => {
                 assert!(context.contains("strictly ascending"), "{context}")
             }
@@ -241,7 +223,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mwm-image-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.img");
-        let image = session().hibernate().unwrap();
+        let image = SessionImage::from_session(&session()).unwrap();
         image.write(&path).unwrap();
         assert_eq!(SessionImage::open(&path).unwrap(), image);
 

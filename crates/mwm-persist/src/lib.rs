@@ -5,7 +5,7 @@
 //! *edges*, this crate delivers it for *sessions*. A [`SessionImage`] is a
 //! versioned, checksummed binary serialization of a full
 //! [`mwm_dynamic::DynamicMatcher`] session — base-graph parameters, the
-//! journaled overlay, the maintained matching, the last committed
+//! overlay of live edges, the maintained matching, the last committed
 //! [`mwm_lp::DualSnapshot`], and the epoch ledger — such that
 //! `hibernate → revive` restores a session **bit-identical** to the
 //! original: every subsequent epoch produces the same weight bits, matching
@@ -29,7 +29,7 @@ pub mod store;
 
 use std::fmt;
 
-pub use image::{Hibernate, SessionImage, IMAGE_MAGIC, IMAGE_VERSION};
+pub use image::{SessionImage, IMAGE_MAGIC, IMAGE_VERSION};
 pub use store::{SessionStore, WalRecord};
 
 /// Typed persistence failures. Never panics: torn files, bad magic, bad

@@ -6,8 +6,8 @@
 //!                       | checksum u64 | count u32 | (name str, stem str)×
 //! <dir>/<stem>.img      a `SessionImage` (see `image`)
 //! <dir>/<stem>.wal      magic "MWMWAL01" | frame× (shared frame codec)
-//! wal frame payload     tag u8 | 1 = batch:   epoch u64 | updates
-//!                              | 2 = compact: overlay version u64
+//! wal frame payload     tag u8 = 1 | epoch u64 | updates
+//!                       (tag 2, a journal compaction, is retired)
 //! ```
 //!
 //! **Journal discipline.** A batch record is appended only *after* its epoch
@@ -40,7 +40,6 @@ pub const WAL_MAGIC: &[u8; 8] = b"MWMWAL01";
 
 const MANIFEST_VERSION: u32 = 1;
 const WAL_TAG_BATCH: u8 = 1;
-const WAL_TAG_COMPACT: u8 = 2;
 
 /// One record of a session's write-ahead journal.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,27 +52,14 @@ pub enum WalRecord {
         /// The batch, verbatim.
         updates: Vec<GraphUpdate>,
     },
-    /// A journal compaction that committed, identified by the overlay
-    /// version it produced.
-    Compact {
-        /// `GraphOverlay::version()` after the compaction.
-        version: u64,
-    },
 }
 
 fn encode_wal_record(rec: &WalRecord) -> Result<Vec<u8>, PersistError> {
+    let WalRecord::Batch { epoch, updates } = rec;
     let mut w = ByteWriter::new();
-    match rec {
-        WalRecord::Batch { epoch, updates } => {
-            w.u8(WAL_TAG_BATCH);
-            w.u64(*epoch);
-            encode_updates(&mut w, updates)?;
-        }
-        WalRecord::Compact { version } => {
-            w.u8(WAL_TAG_COMPACT);
-            w.u64(*version);
-        }
-    }
+    w.u8(WAL_TAG_BATCH);
+    w.u64(*epoch);
+    encode_updates(&mut w, updates)?;
     Ok(w.into_bytes())
 }
 
@@ -83,7 +69,6 @@ fn decode_wal_record(payload: &[u8]) -> Result<WalRecord, String> {
         WAL_TAG_BATCH => {
             WalRecord::Batch { epoch: r.u64("wal epoch")?, updates: decode_updates(&mut r)? }
         }
-        WAL_TAG_COMPACT => WalRecord::Compact { version: r.u64("wal compact version")? },
         tag => return Err(format!("unknown wal record tag {tag}")),
     };
     r.finish("wal record")?;
@@ -331,39 +316,20 @@ impl SessionStore {
         let image = SessionImage::open(&self.image_path(stem))?;
         let mut dm = image.restore()?;
         let mut replayed = 0usize;
-        for record in self.journal(name)? {
-            match record {
-                WalRecord::Batch { epoch, updates } => {
-                    let current = dm.epochs() as u64;
-                    if epoch < current {
-                        continue; // already inside the image
-                    }
-                    if epoch > current {
-                        return Err(PersistError::corrupt(format!(
-                            "journal of {name:?} jumps to epoch {epoch} while the session is at \
-                             {current}"
-                        )));
-                    }
-                    dm.apply_epoch(&updates, &ResourceBudget::unlimited()).map_err(|e| {
-                        PersistError::corrupt(format!("replaying epoch {epoch} of {name:?}: {e}"))
-                    })?;
-                    replayed += 1;
-                }
-                WalRecord::Compact { version } => {
-                    if dm.overlay().version() >= version {
-                        continue; // already inside the image
-                    }
-                    dm.compact();
-                    if dm.overlay().version() != version {
-                        return Err(PersistError::corrupt(format!(
-                            "journal of {name:?} records compaction at version {version} but \
-                             replay reached {}",
-                            dm.overlay().version()
-                        )));
-                    }
-                    replayed += 1;
-                }
+        for WalRecord::Batch { epoch, updates } in self.journal(name)? {
+            let current = dm.epochs() as u64;
+            if epoch < current {
+                continue; // already inside the image
             }
+            if epoch > current {
+                return Err(PersistError::corrupt(format!(
+                    "journal of {name:?} jumps to epoch {epoch} while the session is at {current}"
+                )));
+            }
+            dm.apply_epoch(&updates, &ResourceBudget::unlimited()).map_err(|e| {
+                PersistError::corrupt(format!("replaying epoch {epoch} of {name:?}: {e}"))
+            })?;
+            replayed += 1;
         }
         Ok((dm, replayed))
     }
@@ -524,10 +490,11 @@ mod tests {
                 updates: vec![GraphUpdate::DeleteEdge { id: 1 }, GraphUpdate::AddVertex { b: 2 }],
             },
             WalRecord::Batch { epoch: 0, updates: vec![] },
-            WalRecord::Compact { version: 99 },
         ] {
             assert_eq!(decode_wal_record(&encode_wal_record(&rec).unwrap()).unwrap(), rec);
         }
         assert!(decode_wal_record(&[9, 9]).is_err());
+        // Tag 2, the retired compaction record, is unknown.
+        assert!(decode_wal_record(&[2, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
     }
 }

@@ -47,8 +47,8 @@
 //!
 //! * **Hibernation & recovery** (with [`ServiceConfig::store_dir`]). Sessions
 //!   checkpoint to a [`mwm_persist::SessionStore`] at creation, journal every
-//!   committed epoch batch, hibernate when idle or over the resident cap
-//!   (LRU-first), and revive transparently on their next request — clients
+//!   committed epoch batch, hibernate LRU-first when over the resident cap,
+//!   and revive transparently on their next request — clients
 //!   never see the difference except in [`SessionStats::revives`] and the
 //!   latency ledger. [`MatchingService::recover`] restarts a crashed service
 //!   from its store, replaying each session's journal tail; torn files are
@@ -110,16 +110,13 @@ pub struct ServiceConfig {
     pub session_defaults: DynamicConfig,
     /// Hibernation store directory. `Some` turns persistence on: sessions
     /// are checkpointed on create, journaled per committed epoch, evicted to
-    /// disk under the resident cap / idle deadline, and transparently revived
-    /// on their next request. Required by [`MatchingService::recover`].
+    /// disk under the resident cap, and transparently revived on their next
+    /// request. Required by [`MatchingService::recover`].
     pub store_dir: Option<PathBuf>,
     /// Service-wide cap on resident (in-memory) sessions; the overflow is
     /// hibernated LRU-first. Enforced per worker as `ceil(cap / workers)`
     /// (sessions are pinned to workers by name). Requires `store_dir`.
     pub max_resident_sessions: Option<usize>,
-    /// Sessions idle longer than this are hibernated at the next sweep
-    /// (sweeps piggyback on request processing). Requires `store_dir`.
-    pub hibernate_after: Option<Duration>,
 }
 
 impl Default for ServiceConfig {
@@ -133,7 +130,6 @@ impl Default for ServiceConfig {
             session_defaults: DynamicConfig::default(),
             store_dir: None,
             max_resident_sessions: None,
-            hibernate_after: None,
         }
     }
 }
@@ -169,13 +165,11 @@ impl ServiceConfig {
                 requirement: "must be at least 1 when set",
             });
         }
-        if self.store_dir.is_none()
-            && (self.max_resident_sessions.is_some() || self.hibernate_after.is_some())
-        {
+        if self.store_dir.is_none() && self.max_resident_sessions.is_some() {
             return Err(MwmError::InvalidConfig {
                 param: "store_dir",
                 value: "None".to_string(),
-                requirement: "resident caps and idle hibernation need a session store",
+                requirement: "a resident cap needs a session store",
             });
         }
         self.session_defaults.validate()
@@ -224,12 +218,6 @@ pub enum Request {
         /// The target session.
         session: String,
     },
-    /// Compacts the session's overlay journal (see
-    /// [`DynamicMatcher::compact`]); stable edge ids are renumbered.
-    CompactSession {
-        /// The target session.
-        session: String,
-    },
 }
 
 impl Request {
@@ -241,8 +229,7 @@ impl Request {
             | Request::SubmitBatch { session, .. }
             | Request::QueryMatching { session }
             | Request::QueryWeight { session }
-            | Request::SnapshotStats { session }
-            | Request::CompactSession { session } => session,
+            | Request::SnapshotStats { session } => session,
         }
     }
 }
@@ -315,11 +302,6 @@ pub enum Response {
     Stats {
         /// The summary.
         stats: SessionStats,
-    },
-    /// The journal was compacted; this many dead edge ids were reclaimed.
-    Compacted {
-        /// Tombstoned edges reclaimed by the compaction.
-        reclaimed: usize,
     },
 }
 
@@ -626,7 +608,6 @@ struct PersistCtx {
     revive_ms: Mutex<Vec<f64>>,
     /// Per-worker resident cap (`ceil(max_resident_sessions / workers)`).
     per_worker_cap: Option<usize>,
-    hibernate_after: Option<Duration>,
 }
 
 /// Everything a worker thread needs besides its own queue and session map.
@@ -689,7 +670,6 @@ impl MatchingService {
                     store: Mutex::new(store),
                     revive_ms: Mutex::new(Vec::new()),
                     per_worker_cap,
-                    hibernate_after: config.hibernate_after,
                 }))
             }
         };
@@ -920,12 +900,14 @@ impl MatchingService {
         }
     }
 
-    /// Compacts the session's journal; returns the reclaimed edge count.
-    pub fn compact_session(&self, session: &str) -> Result<usize, ServeError> {
-        match self.submit(Request::CompactSession { session: session.to_string() })?.wait()? {
-            Response::Compacted { reclaimed } => Ok(reclaimed),
-            _ => Err(ServeError::Protocol { expected: "Compacted" }),
-        }
+    /// Publishes the service's levels into `registry` as gauges (event-time
+    /// counters like `serve_requests_total` record themselves as requests
+    /// flow). Read-only: nothing published feeds back into any result.
+    pub fn publish_metrics(&self, registry: &mwm_obs::Registry) {
+        registry.gauge("serve_sessions").set(self.sessions().len() as i64);
+        registry.gauge("serve_pool_used").set(self.pool_used() as i64);
+        registry.gauge("serve_requests_submitted").set(self.requests_submitted() as i64);
+        registry.gauge("serve_requests_served").set(self.requests_served() as i64);
     }
 
     /// Closes every queue and joins the workers. Requests already queued are
@@ -956,26 +938,11 @@ impl Drop for MatchingService {
     }
 }
 
-/// On-demand publication of the service's levels (event-time counters like
-/// `serve_requests_total` record themselves as requests flow).
-impl mwm_obs::Observable for MatchingService {
-    fn obs_scope(&self) -> &'static str {
-        "serve"
-    }
-
-    fn publish_metrics(&self, registry: &mwm_obs::Registry) {
-        registry.gauge("serve_sessions").set(self.sessions().len() as i64);
-        registry.gauge("serve_pool_used").set(self.pool_used() as i64);
-        registry.gauge("serve_requests_submitted").set(self.requests_submitted() as i64);
-        registry.gauge("serve_requests_served").set(self.requests_served() as i64);
-    }
-}
-
 /// One worker: drains its shard's queue in FIFO order, owning every session
 /// hashed to it (no locks around session state — a session is touched by
 /// exactly one thread for its whole life, resident or hibernated). With
-/// persistence on, every request is followed by an eviction sweep, so idle
-/// and over-cap sessions drain to disk as long as any traffic flows.
+/// persistence on, every request is followed by an eviction sweep, so
+/// over-cap sessions drain to disk as long as any traffic flows.
 fn worker_loop(shard: &Shard, ctx: &WorkerCtx) {
     let mut sessions = WorkerSessions::default();
     loop {
@@ -1069,23 +1036,11 @@ fn hibernate_one(name: &str, sessions: &mut WorkerSessions, persist: &PersistCtx
     }
 }
 
-/// The post-request eviction sweep: first every session idle past
-/// `hibernate_after`, then LRU-first down to the per-worker resident cap.
-/// The view registry keeps hibernated sessions' entries, so
+/// The post-request eviction sweep: LRU-first down to the per-worker
+/// resident cap. The view registry keeps hibernated sessions' entries, so
 /// [`MatchingService::sessions`] and existing view handles stay intact.
 fn evict_sweep(sessions: &mut WorkerSessions, ctx: &WorkerCtx) {
     let Some(persist) = &ctx.persist else { return };
-    if let Some(idle) = persist.hibernate_after {
-        let expired: Vec<String> = sessions
-            .resident
-            .iter()
-            .filter(|(_, r)| r.last_used.elapsed() >= idle)
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in expired {
-            hibernate_one(&name, sessions, persist);
-        }
-    }
     if let Some(cap) = persist.per_worker_cap {
         while sessions.resident.len() > cap {
             let lru = sessions
@@ -1223,20 +1178,6 @@ fn handle_request(
             stats.revives = sessions.revives.get(&session).copied().unwrap_or(0);
             Ok(Response::Stats { stats })
         }
-        Request::CompactSession { session } => {
-            let dm = resolve(&session, sessions, ctx)?;
-            let remap = dm.compact();
-            let reclaimed = remap.iter().filter(|&&m| m == usize::MAX).count();
-            let version = dm.overlay().version();
-            if let Some(persist) = &ctx.persist {
-                persist
-                    .store
-                    .lock()
-                    .expect("store lock poisoned")
-                    .append(&session, &WalRecord::Compact { version })?;
-            }
-            Ok(Response::Compacted { reclaimed })
-        }
     }
 }
 
@@ -1274,7 +1215,7 @@ mod tests {
     fn config() -> ServiceConfig {
         ServiceConfig {
             workers: 2,
-            session_defaults: DynamicConfig { eps: 0.25, p: 2.0, seed: 7, ..Default::default() },
+            session_defaults: DynamicConfig { eps: 0.25, p: 2.0, seed: 7 },
             ..Default::default()
         }
     }
@@ -1540,12 +1481,11 @@ mod tests {
             MatchingService::start(ServiceConfig { epoch_budget: pinned, ..config() }),
             Err(MwmError::InvalidConfig { param: "epoch_budget", .. })
         ));
-        let bad_session = DynamicConfig { rebuild_threshold: 2.0, ..DynamicConfig::default() };
-        assert!(MatchingService::start(ServiceConfig {
-            session_defaults: bad_session,
-            ..config()
-        })
-        .is_err());
+        let bad_session = DynamicConfig { eps: 2.0, ..DynamicConfig::default() };
+        assert!(matches!(
+            MatchingService::start(ServiceConfig { session_defaults: bad_session, ..config() }),
+            Err(MwmError::InvalidConfig { param: "eps", .. })
+        ));
     }
 
     #[test]
@@ -1687,26 +1627,5 @@ mod tests {
     fn caps_without_a_store_are_rejected() {
         let cfg = ServiceConfig { max_resident_sessions: Some(4), ..config() };
         assert!(MatchingService::start(cfg).is_err());
-        let cfg = ServiceConfig { hibernate_after: Some(Duration::from_secs(1)), ..config() };
-        assert!(MatchingService::start(cfg).is_err());
-    }
-
-    #[test]
-    fn compaction_through_the_service_keeps_the_session_serving() {
-        let service = MatchingService::start(config()).unwrap();
-        let base = base_graph(10, 40, 160);
-        service.create_session("s", &base).unwrap();
-        service.submit_batch("s", Vec::new()).unwrap();
-        let b = batch(base.num_edges(), 40, 77, 30);
-        service.submit_batch("s", b).unwrap();
-        let before = service.session_stats("s").unwrap();
-        let reclaimed = service.compact_session("s").unwrap();
-        assert!(reclaimed > 0, "the batch deleted edges to reclaim");
-        let after = service.session_stats("s").unwrap();
-        assert_eq!(after.weight.to_bits(), before.weight.to_bits());
-        // The renumbered session still accepts epochs.
-        let more = batch(after.live_edges, 40, 78, 10);
-        assert!(service.submit_batch("s", more).is_ok());
-        service.shutdown();
     }
 }

@@ -15,8 +15,8 @@
 //!             4 QueryMatching   body = —
 //!             5 QueryWeight     body = —
 //!             6 SnapshotStats   body = —
-//!             7 CompactSession  body = —
 //!             8 Metrics         body = —   (session must be empty)
+//!           (tag 7, a journal compaction, is retired and decodes as unknown)
 //! response  0x80+tag on success (same numbering), body per variant
 //!           0xFF on error: code u8 | a u64 | b u64 | msg str
 //!             1 UnknownSession        msg = session
@@ -75,7 +75,6 @@ const REQ_SUBMIT: u8 = 3;
 const REQ_MATCHING: u8 = 4;
 const REQ_WEIGHT: u8 = 5;
 const REQ_STATS: u8 = 6;
-const REQ_COMPACT: u8 = 7;
 const REQ_METRICS: u8 = 8;
 const RESP_OK_BASE: u8 = 0x80;
 const RESP_ERR: u8 = 0xFF;
@@ -97,7 +96,6 @@ enum WireRequest {
     Matching { session: String },
     Weight { session: String },
     Stats { session: String },
-    Compact { session: String },
     Metrics,
 }
 
@@ -127,7 +125,6 @@ fn decode_request(payload: &[u8]) -> Result<WireRequest, String> {
         REQ_MATCHING => WireRequest::Matching { session },
         REQ_WEIGHT => WireRequest::Weight { session },
         REQ_STATS => WireRequest::Stats { session },
-        REQ_COMPACT => WireRequest::Compact { session },
         REQ_METRICS => {
             if !session.is_empty() {
                 return Err(format!("metrics request names a session ({session:?})"));
@@ -259,10 +256,6 @@ fn encode_response(result: &Result<Response, ServeError>) -> Result<Vec<u8>, Per
             w.u8(RESP_OK_BASE + REQ_STATS);
             encode_session_stats(&mut w, stats)?;
         }
-        Ok(Response::Compacted { reclaimed }) => {
-            w.u8(RESP_OK_BASE + REQ_COMPACT);
-            w.u64(*reclaimed as u64);
-        }
         Err(e) => encode_error(&mut w, e)?,
     }
     Ok(w.into_bytes())
@@ -382,7 +375,6 @@ enum WireResponse {
     Matching(RemoteMatching),
     Weight { epoch: usize, version: u64, weight: f64 },
     Stats { stats: SessionStats },
-    Compacted { reclaimed: usize },
     Metrics(MetricsSnapshot),
 }
 
@@ -425,9 +417,6 @@ fn decode_response(payload: &[u8]) -> Result<WireResponse, ServeError> {
             weight: r.f64("weight value").map_err(corrupt)?,
         },
         REQ_STATS => WireResponse::Stats { stats: decode_session_stats(&mut r).map_err(corrupt)? },
-        REQ_COMPACT => WireResponse::Compacted {
-            reclaimed: r.u64("compacted count").map_err(corrupt)? as usize,
-        },
         REQ_METRICS => WireResponse::Metrics(decode_metrics_body(&mut r).map_err(corrupt)?),
         _ => return Err(corrupt(format!("unknown response tag {tag:#04x}"))),
     };
@@ -662,7 +651,6 @@ fn dispatch(
         WireRequest::Matching { session } => (false, Request::QueryMatching { session }),
         WireRequest::Weight { session } => (false, Request::QueryWeight { session }),
         WireRequest::Stats { session } => (false, Request::SnapshotStats { session }),
-        WireRequest::Compact { session } => (false, Request::CompactSession { session }),
         // Never queued: serve_conn answers Metrics before calling dispatch.
         WireRequest::Metrics => {
             return Err(ServeError::Protocol { expected: "Metrics handled at connection layer" })
@@ -823,14 +811,6 @@ impl NetClient {
         }
     }
 
-    /// Compacts the session's journal; returns the reclaimed edge count.
-    pub fn compact_session(&mut self, session: &str) -> Result<usize, ServeError> {
-        match self.call(&Self::header(REQ_COMPACT, session)?.into_bytes())? {
-            WireResponse::Compacted { reclaimed } => Ok(reclaimed),
-            _ => Err(ServeError::Protocol { expected: "Compacted" }),
-        }
-    }
-
     /// Scrapes the server's process-wide metrics registry. Served by the
     /// connection thread, so it succeeds even when the service queue is full.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ServeError> {
@@ -903,8 +883,6 @@ mod tests {
         );
 
         client.submit_batch("net-a", &[GraphUpdate::InsertEdge { u: 0, v: 7, w: 9.0 }]).unwrap();
-        let reclaimed = client.compact_session("net-a");
-        assert!(reclaimed.is_ok());
         assert_eq!(client.drop_session("net-a").unwrap(), 2);
     }
 
@@ -1035,16 +1013,18 @@ mod tests {
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
-        // Garbage request tag.
-        write_frame(&mut writer, &[0xEE, 0, 0, 0, 0]).unwrap();
-        writer.flush().unwrap();
-        let payload = read_frame(&mut reader).unwrap().expect("an error frame");
-        match decode_response(&payload) {
-            Err(ServeError::Corrupt { context }) => {
-                assert!(context.contains("unknown request tag"), "got: {context}")
+        // A garbage request tag, then the retired compaction tag 7.
+        for tag in [0xEE, 7] {
+            write_frame(&mut writer, &[tag, 0, 0, 0, 0]).unwrap();
+            writer.flush().unwrap();
+            let payload = read_frame(&mut reader).unwrap().expect("an error frame");
+            match decode_response(&payload) {
+                Err(ServeError::Corrupt { context }) => {
+                    assert!(context.contains("unknown request tag"), "got: {context}")
+                }
+                Err(other) => panic!("expected Corrupt, got {other:?}"),
+                Ok(_) => panic!("tag {tag} decoded as success"),
             }
-            Err(other) => panic!("expected Corrupt, got {other:?}"),
-            Ok(_) => panic!("a garbage frame decoded as success"),
         }
         // The connection survives: a well-formed request still works.
         let mut client = NetClient {
@@ -1086,7 +1066,7 @@ mod tests {
         let mut client = NetClient::connect_tcp(server.tcp_addr().unwrap()).unwrap();
         client.create_session("obs", &small_graph()).unwrap();
         client.submit_batch("obs", &[]).unwrap();
-        mwm_obs::Observable::publish_metrics(&*service, mwm_obs::global());
+        service.publish_metrics(mwm_obs::global());
 
         let snap = client.metrics().unwrap();
         assert!(

@@ -39,7 +39,7 @@ fn main() {
     let base = generators::gnm(300, 1500, generators::WeightModel::Uniform(1.0, 9.0), &mut rng);
 
     // --- 1. A session with dual-primal warm re-solves (the default) ---
-    let config = DynamicConfig { eps: 0.2, p: 2.0, seed: 7, ..Default::default() };
+    let config = DynamicConfig { eps: 0.2, p: 2.0, seed: 7 };
     let mut dm = DynamicMatcher::new(&base, config).expect("valid config");
     let budget = ResourceBudget::unlimited().with_parallelism(4);
 

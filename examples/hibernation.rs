@@ -12,7 +12,7 @@
 //! ```
 
 use dual_primal_matching::engine::{
-    Hibernate, MatchingService, NetClient, ServeError, ServiceConfig, SocketServer,
+    MatchingService, NetClient, ServeError, ServiceConfig, SessionImage, SocketServer,
 };
 use dual_primal_matching::prelude::*;
 use rand::prelude::*;
@@ -28,7 +28,7 @@ fn base_graph(seed: u64) -> Graph {
 }
 
 fn session_config() -> DynamicConfig {
-    DynamicConfig { eps: 0.2, p: 2.0, seed: 21, ..Default::default() }
+    DynamicConfig { eps: 0.2, p: 2.0, seed: 21 }
 }
 
 /// Deterministic per-(session, round) update batch.
@@ -58,13 +58,13 @@ fn main() {
     for round in 0..4 {
         dm.apply_epoch(&batch(0, round), &ResourceBudget::unlimited()).expect("epoch");
     }
-    let image = dm.hibernate().expect("session fits the image codec");
+    let image = SessionImage::from_session(&dm).expect("session fits the image codec");
     println!(
         "session image: {} payload bytes, checksum {:016x}",
         image.payload_len(),
         image.checksum()
     );
-    let revived = DynamicMatcher::revive(&image).expect("revive");
+    let revived = image.restore().expect("revive");
     assert_eq!(revived.weight().to_bits(), dm.weight().to_bits());
     println!(
         "revived session: weight {:.3} (bit-identical), {} epochs\n",

@@ -49,7 +49,7 @@ fn batch(round: usize) -> Vec<GraphUpdate> {
 }
 
 fn run_session() -> Result<f64, MwmError> {
-    let config = DynamicConfig { eps: 0.2, p: 2.0, seed: 21, ..Default::default() };
+    let config = DynamicConfig { eps: 0.2, p: 2.0, seed: 21 };
     let mut dm = DynamicMatcher::new(&base_graph(7), config)?;
     for round in 0..5 {
         dm.apply_epoch(&batch(round), &ResourceBudget::unlimited())?;
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. A served deployment scraped over a live socket ---
     let service = Arc::new(MatchingService::start(ServiceConfig {
         workers: 2,
-        session_defaults: DynamicConfig { eps: 0.2, p: 2.0, seed: 21, ..Default::default() },
+        session_defaults: DynamicConfig { eps: 0.2, p: 2.0, seed: 21 },
         ..Default::default()
     })?);
     let path = std::env::temp_dir().join(format!("mwm-obs-{}.sock", std::process::id()));

@@ -36,7 +36,7 @@ fn main() {
     // --- 1. A service: 4 workers, sessions sharded by name ---
     let config = ServiceConfig {
         workers: 4,
-        session_defaults: DynamicConfig { eps: 0.2, p: 2.0, seed: 7, ..Default::default() },
+        session_defaults: DynamicConfig { eps: 0.2, p: 2.0, seed: 7 },
         ..Default::default()
     };
     let service = MatchingService::start(config).expect("valid service config");
@@ -123,7 +123,7 @@ fn main() {
     let pooled = MatchingService::start(ServiceConfig {
         workers: 2,
         max_streamed_items: Some(200_000),
-        session_defaults: DynamicConfig { eps: 0.2, p: 2.0, seed: 7, ..Default::default() },
+        session_defaults: DynamicConfig { eps: 0.2, p: 2.0, seed: 7 },
         ..Default::default()
     })
     .expect("valid service config");

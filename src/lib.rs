@@ -96,8 +96,8 @@ pub mod engine {
     pub use mwm_dynamic::{
         CommittedSnapshot, CommittedView, DynamicConfig, DynamicMatcher, EpochDecision, EpochStats,
     };
-    pub use mwm_obs::{MetricsSnapshot, Observable, Registry};
-    pub use mwm_persist::{Hibernate, PersistError, SessionImage, SessionStore, WalRecord};
+    pub use mwm_obs::{MetricsSnapshot, Registry};
+    pub use mwm_persist::{PersistError, SessionImage, SessionStore, WalRecord};
     pub use mwm_serve::{
         MatchingService, NetClient, Request, Response, ServeError, ServiceConfig, SessionStats,
         SocketServer, Ticket,
@@ -218,8 +218,8 @@ pub mod prelude {
         generators, BMatching, Edge, Graph, GraphOverlay, GraphUpdate, Matching, WeightLevels,
     };
     pub use mwm_mapreduce::ResourceTracker;
-    pub use mwm_obs::{MetricsSnapshot, Observable, Registry};
-    pub use mwm_persist::{Hibernate, SessionImage, SessionStore};
+    pub use mwm_obs::{MetricsSnapshot, Registry};
+    pub use mwm_persist::{SessionImage, SessionStore};
     pub use mwm_serve::{
         MatchingService, NetClient, Request, Response, ServeError, ServiceConfig, SessionStats,
         SocketServer,

@@ -4,8 +4,7 @@
 //! is within the solver's approximation floor of a from-scratch solve on the
 //! final graph, and (c) survive a hibernate → revive cycle as a bit-identical
 //! fixed point that continues the stream in step with the original session.
-//! Every epoch prunes the journal's dead prefix, so these properties hold
-//! with pruning on.
+//! After every epoch the overlay holds exactly the live edges.
 
 use dual_primal_matching::engine::EpochDecision;
 use dual_primal_matching::prelude::*;
@@ -23,10 +22,10 @@ const APPROX_FLOOR: f64 = 0.66;
 type RawUpdate = (u32, u64, u64, f64);
 
 /// Decodes one proptest tuple into a valid-by-construction update against the
-/// current overlay state (ids wrap into the live id range, weights are
+/// current overlay state (ids wrap into the assigned id range, weights are
 /// positive), so almost every generated update applies. Op 4 is mass expiry:
-/// a half-open window over recent stable ids (already-dead or pruned ids in
-/// the window are no-ops).
+/// a half-open window over recent stable ids (already-dead ids in the window
+/// are no-ops).
 fn decode_update(overlay_edges: usize, n: usize, op: u32, a: u64, b: u64, w: f64) -> GraphUpdate {
     match op {
         0 | 1 => {
@@ -72,9 +71,10 @@ fn run_session(
         let updates = decode_batch(&dm, n, raw);
         let r = dm.apply_epoch(&updates, &budget).expect("unbudgeted epoch cannot fail");
         history.push((r.stats.decision, r.stats.weight.to_bits(), r.stats.touched_vertices));
-        // The committed epoch pruned the journal: its oldest entry is live.
+        // The exported journal holds exactly the live edges.
         let journal = dm.overlay().export_state();
-        assert!(journal.alive.first() != Some(&false), "the journal kept a dead prefix");
+        assert_eq!(journal.edges.len(), dm.overlay().num_live_edges(), "dead edges were kept");
+        assert!(journal.edges.iter().all(|&(id, e)| dm.overlay().live_edge(id) == Some(e)));
     }
     let mut edges: Vec<(usize, u64)> = dm.matching().iter().map(|(id, _, m)| (id, m)).collect();
     edges.sort_unstable();
@@ -121,10 +121,10 @@ fn check_session(base: &Graph, batches: &[Vec<RawUpdate>], config: DynamicConfig
     );
 
     // (c) Hibernate → revive is a fixed point that continues in step.
-    let image = dm.hibernate().unwrap();
-    let mut revived = DynamicMatcher::revive(&image).expect("valid image");
+    let image = SessionImage::from_session(&dm).unwrap();
+    let mut revived = image.restore().expect("valid image");
     prop_assert_eq!(
-        revived.hibernate().unwrap(),
+        SessionImage::from_session(&revived).unwrap(),
         image,
         "revive must be a bit-identical fixed point"
     );
@@ -141,8 +141,8 @@ fn check_session(base: &Graph, batches: &[Vec<RawUpdate>], config: DynamicConfig
     );
     prop_assert_eq!(ra.stats.journal_bytes, rb.stats.journal_bytes);
     prop_assert_eq!(
-        original.overlay().journal_base(),
-        revived.overlay().journal_base(),
+        original.overlay().export_state(),
+        revived.overlay().export_state(),
         "revived journal diverged from the original on the next epoch"
     );
     let a: Vec<(usize, u64)> = original.matching().iter().map(|(id, _, m)| (id, m)).collect();
@@ -167,13 +167,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(graph_seed);
         let base = generators::gnm(24, 70, generators::WeightModel::Uniform(1.0, 9.0), &mut rng);
         let batches: Vec<Vec<RawUpdate>> = raw_updates.chunks(7).map(|c| c.to_vec()).collect();
-        check_session(&base, &batches, DynamicConfig { eps: 0.25, p: 2.0, seed: 11, ..Default::default() });
+        check_session(&base, &batches, DynamicConfig { eps: 0.25, p: 2.0, seed: 11 });
     }
 
     /// The same three clauses on a sparser base graph (50 edges) with shorter
     /// batches, so an expiry window of up to 8 ids covers a larger share of
-    /// the live graph and the journal's dead prefix grows faster between
-    /// prunes; the cold solve runs at a coarser ε.
+    /// the live graph; the cold solve runs at a coarser ε.
     #[test]
     fn expiring_sessions_are_invariant_feasible_and_revivable(
         graph_seed in 0u64..200,
@@ -182,7 +181,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(graph_seed);
         let base = generators::gnm(20, 50, generators::WeightModel::Uniform(1.0, 9.0), &mut rng);
         let batches: Vec<Vec<RawUpdate>> = raw_updates.chunks(6).map(|c| c.to_vec()).collect();
-        check_session(&base, &batches, DynamicConfig { eps: 0.3, p: 2.0, seed: 13, ..Default::default() });
+        check_session(&base, &batches, DynamicConfig { eps: 0.3, p: 2.0, seed: 13 });
     }
 }
 
@@ -193,7 +192,7 @@ proptest! {
 fn warm_epochs_use_fewer_rounds_than_the_cold_bootstrap() {
     let mut rng = StdRng::seed_from_u64(99);
     let base = generators::gnm(200, 700, generators::WeightModel::Uniform(1.0, 9.0), &mut rng);
-    let config = DynamicConfig { eps: 0.25, p: 2.0, seed: 3, ..Default::default() };
+    let config = DynamicConfig { eps: 0.25, p: 2.0, seed: 3 };
     let mut dm = DynamicMatcher::new(&base, config).unwrap();
     let budget = ResourceBudget::unlimited();
     let cold_rounds = dm.apply_epoch(&[], &budget).unwrap().stats.solver_rounds;

@@ -10,7 +10,7 @@
 //! every subsequent epoch.
 
 use dual_primal_matching::engine::{
-    Hibernate, MatchingService, PersistError, ServeError, ServiceConfig, SessionImage,
+    MatchingService, PersistError, ServeError, ServiceConfig, SessionImage,
 };
 use dual_primal_matching::prelude::*;
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn session_config(seed: u64) -> DynamicConfig {
-    DynamicConfig { eps: 0.25, p: 2.0, seed, ..Default::default() }
+    DynamicConfig { eps: 0.25, p: 2.0, seed }
 }
 
 fn base_graph(seed: u64) -> Graph {
@@ -104,7 +104,7 @@ proptest! {
             dm.apply_epoch(&batch, &ResourceBudget::unlimited()).unwrap();
         }
 
-        let image = dm.hibernate().unwrap();
+        let image = SessionImage::from_session(&dm).unwrap();
         let bytes = image.to_bytes();
         let reread = SessionImage::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&bytes, &reread.to_bytes(), "from_bytes -> to_bytes drifted");
@@ -119,7 +119,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         prop_assert!(identical, "write -> open -> write changed the on-disk bytes");
 
-        let revived = DynamicMatcher::revive(&image).unwrap();
+        let revived = image.restore().unwrap();
         prop_assert_eq!(session_state(&revived), session_state(&dm));
     }
 
@@ -137,7 +137,7 @@ proptest! {
             resident.apply_epoch(batch, &ResourceBudget::unlimited()).unwrap();
         }
 
-        let mut revived = DynamicMatcher::revive(&resident.hibernate().unwrap()).unwrap();
+        let mut revived = SessionImage::from_session(&resident).unwrap().restore().unwrap();
         for batch in &batches[cut..] {
             resident.apply_epoch(batch, &ResourceBudget::unlimited()).unwrap();
             revived.apply_epoch(batch, &ResourceBudget::unlimited()).unwrap();

@@ -491,10 +491,9 @@ proptest! {
     }
 
     /// The mass-expiry fast path is pure sugar: `ExpireWindow { lo, hi }`
-    /// followed by compaction leaves the overlay in exactly the state that
-    /// per-edge `DeleteEdge` over every live id in `[lo, hi)` (plus the same
-    /// compaction) would — same live edges, same remap, same materialized
-    /// graph, same resident footprint.
+    /// leaves the overlay in exactly the state that per-edge `DeleteEdge`
+    /// over every live id in `[lo, hi)` would — same live edges, same
+    /// materialized graph, same resident footprint.
     #[test]
     fn mass_expiry_equals_per_edge_deletion(
         seed in 0u64..300,
@@ -526,11 +525,7 @@ proptest! {
         prop_assert_eq!(bulk.num_live_edges(), one_by_one.num_live_edges());
         let live_a: Vec<_> = bulk.live_edge_iter().map(|(id, e)| (id, e.key(), e.w.to_bits())).collect();
         let live_b: Vec<_> = one_by_one.live_edge_iter().map(|(id, e)| (id, e.key(), e.w.to_bits())).collect();
-        prop_assert_eq!(live_a, live_b, "live edge sets diverged before compaction");
-
-        let remap_a = bulk.compact();
-        let remap_b = one_by_one.compact();
-        prop_assert_eq!(remap_a, remap_b, "compaction remaps diverged");
+        prop_assert_eq!(live_a, live_b, "live edge sets diverged");
         prop_assert_eq!(bulk.resident_bytes(), one_by_one.resident_bytes());
         let (ga, backs_a) = bulk.materialize();
         let (gb, backs_b) = one_by_one.materialize();

@@ -14,9 +14,6 @@
 //!    epochs, never a mid-epoch or rolled-back state.
 //! 3. **Worker-count invariance.** Rerunning the whole stress with a
 //!    different worker-pool size reproduces the same final fingerprints.
-//!
-//! The scripts include a mid-stream `CompactSession`, so continuing across a
-//! journal compaction is exercised under concurrency too.
 
 use dual_primal_matching::engine::{MatchingService, ServiceConfig};
 use dual_primal_matching::prelude::*;
@@ -28,8 +25,6 @@ use std::sync::Arc;
 
 const SESSIONS: usize = 6;
 const BATCHES: usize = 5;
-/// Sequence position (batch index) after which each session compacts.
-const COMPACT_AFTER: usize = 3;
 const N: usize = 40;
 const M: usize = 150;
 
@@ -39,7 +34,7 @@ fn base_graph(seed: u64) -> Graph {
 }
 
 fn session_config() -> DynamicConfig {
-    DynamicConfig { eps: 0.25, p: 2.0, seed: 11, ..Default::default() }
+    DynamicConfig { eps: 0.25, p: 2.0, seed: 11 }
 }
 
 /// Deterministic update batch for (session, round); ids stay inside the
@@ -101,9 +96,9 @@ fn fingerprint_snapshot(
     (epoch, version, weight.to_bits(), checksum)
 }
 
-/// Serial oracle for one session: replay bootstrap + batches (+ the fixed
-/// compaction point) on a bare `DynamicMatcher`, recording the fingerprint
-/// of every committed state in order.
+/// Serial oracle for one session: replay bootstrap + batches on a bare
+/// `DynamicMatcher`, recording the fingerprint of every committed state in
+/// order.
 fn serial_history(session: usize, script: &[Vec<GraphUpdate>]) -> Vec<Fingerprint> {
     let base = base_graph(session as u64);
     let mut dm = DynamicMatcher::new(&base, session_config()).expect("valid config");
@@ -113,13 +108,9 @@ fn serial_history(session: usize, script: &[Vec<GraphUpdate>]) -> Vec<Fingerprin
     let mut history = vec![fp(&dm)];
     dm.apply_epoch(&[], &ResourceBudget::unlimited()).expect("bootstrap");
     history.push(fp(&dm));
-    for (round, b) in script.iter().enumerate() {
+    for b in script {
         dm.apply_epoch(b, &ResourceBudget::unlimited()).expect("epoch");
         history.push(fp(&dm));
-        if round == COMPACT_AFTER {
-            dm.compact();
-            history.push(fp(&dm));
-        }
     }
     history
 }
@@ -199,32 +190,14 @@ fn run_stress(workers: usize, histories: &[Vec<Fingerprint>]) -> Vec<Fingerprint
                             .expect("epoch");
                         assert_eq!(stats.epoch + 1, round + 2, "s{s}: epochs applied in order");
                         // FIFO read-your-writes: the post-batch state is
-                        // exactly the serial state at this sequence point
-                        // (the serial history gains one extra entry at the
-                        // compaction, shifting later rounds by one).
-                        let idx = if round > COMPACT_AFTER { round + 3 } else { round + 2 };
-                        let expected = &histories[s][idx];
+                        // exactly the serial state at this sequence point.
+                        let expected = &histories[s][round + 2];
                         let (epoch, version, weight) = service.weight(&name).expect("query");
                         assert_eq!(
                             (epoch, version, weight.to_bits()),
                             (expected.0, expected.1, expected.2),
                             "s{s} round {round}: state diverged from serial replay"
                         );
-                        if round == COMPACT_AFTER {
-                            service.compact_session(&name).expect("compact");
-                            let snap = service.matching(&name).expect("query");
-                            let got = fingerprint_snapshot(
-                                snap.epoch,
-                                snap.version,
-                                snap.weight,
-                                &snap.matching,
-                            );
-                            assert_eq!(
-                                &got,
-                                &histories[s][round + 3],
-                                "s{s}: compaction diverged from serial replay"
-                            );
-                        }
                     }
                 }
             });
@@ -272,9 +245,10 @@ fn concurrent_sessions_are_bit_identical_to_serial_replay() {
     let all_scripts = scripts();
     let histories: Vec<Vec<Fingerprint>> =
         (0..SESSIONS).map(|s| serial_history(s, &all_scripts[s])).collect();
-    // Sanity: each history is bootstrap + BATCHES epochs + one compaction.
+    // Sanity: each history is the fresh state, the bootstrap and BATCHES
+    // epochs.
     for h in &histories {
-        assert_eq!(h.len(), BATCHES + 3);
+        assert_eq!(h.len(), BATCHES + 2);
     }
     let finals_4 = run_stress(4, &histories);
     let finals_1 = run_stress(1, &histories);
