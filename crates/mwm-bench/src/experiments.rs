@@ -487,10 +487,8 @@ pub fn e11_pass_throughput() -> Result<ExperimentReport, MwmError> {
 /// One session per worker count replays the same deterministic stream; the
 /// `checksum` column fingerprints the final matching, so equal checksums
 /// prove the whole *session* (damage passes, repairs, warm re-solves) is
-/// bit-identical at every parallelism. `avg_warm_rounds` vs `cold_rounds`
-/// shows the warm-start saving: warm epochs skip the `O(p)` sampling rounds
-/// a cold solve pays, so the column pair is the round-count reduction the
-/// subsystem exists for.
+/// bit-identical at every parallelism. `repair`, `warm` and `rebuild` count
+/// the epochs each policy band handled.
 pub fn e12_dynamic_stream() -> Result<ExperimentReport, MwmError> {
     use mwm_dynamic::{DynamicConfig, DynamicMatcher, EpochDecision};
     use mwm_graph::GraphOverlay;
@@ -498,7 +496,7 @@ pub fn e12_dynamic_stream() -> Result<ExperimentReport, MwmError> {
 
     let mut rep = ExperimentReport::new(
         "e12",
-        "dynamic matching (sliding-window stream, warm-started epochs, 1/2/4/8 workers)",
+        "dynamic matching (sliding-window stream, 1/2/4/8 workers)",
         vec![
             "workers",
             "epochs",
@@ -506,8 +504,6 @@ pub fn e12_dynamic_stream() -> Result<ExperimentReport, MwmError> {
             "warm",
             "rebuild",
             "epochs/s",
-            "avg_warm_rounds",
-            "cold_rounds",
             "weight",
             "w/oracle",
             "journal_bytes",
@@ -535,20 +531,14 @@ pub fn e12_dynamic_stream() -> Result<ExperimentReport, MwmError> {
         let budget = ResourceBudget::unlimited().with_parallelism(workers);
         let start = Instant::now();
         let (mut repairs, mut warms, mut rebuilds) = (0usize, 0usize, 0usize);
-        let mut warm_rounds = 0usize;
         for batch in &wl.batches {
-            let r = dm.apply_epoch(batch, &budget)?;
-            match r.stats.decision {
+            match dm.apply_epoch(batch, &budget)?.stats.decision {
                 EpochDecision::Repair => repairs += 1,
-                EpochDecision::WarmResolve => {
-                    warms += 1;
-                    warm_rounds += r.stats.solver_rounds;
-                }
+                EpochDecision::WarmResolve => warms += 1,
                 EpochDecision::Rebuild => rebuilds += 1,
             }
         }
         let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let avg_warm_rounds = if warms > 0 { warm_rounds as f64 / warms as f64 } else { f64::NAN };
         let checksum =
             session_checksum(dm.weight(), dm.matching().iter().map(|(id, _, m)| (id, m)));
         let last = dm.ledger().last().expect("the stream has epochs");
@@ -559,8 +549,6 @@ pub fn e12_dynamic_stream() -> Result<ExperimentReport, MwmError> {
             format!("{warms}"),
             format!("{rebuilds}"),
             format!("{:.1}", wl.batches.len() as f64 / secs),
-            format!("{avg_warm_rounds:.1}"),
-            format!("{}", cold.rounds()),
             format!("{:.2}", dm.weight()),
             format!("{:.3}", dm.weight() / cold.weight.max(1e-12)),
             format!("{}", last.journal_bytes),
@@ -884,9 +872,9 @@ fn e14_with(m: usize) -> Result<ExperimentReport, MwmError> {
 /// schedule with a session store and `max_resident_sessions` far below the
 /// session count, so the service must hibernate LRU overflow to disk and
 /// revive sessions on demand. The `checksum` column folds every session's
-/// final matching fingerprint with its dual-vector fingerprint; `=resident`
-/// confirms each capped session finishes **bit-identical** (weight bits,
-/// matching, duals) to the always-resident run. Revives and their p50/p99
+/// final matching fingerprint with its weight bits; `=resident` confirms
+/// each capped session finishes **bit-identical** (weight bits, matching)
+/// to the always-resident run. Revives and their p50/p99
 /// latency are sampled during the request phase only — the verification
 /// sweep at the end (which itself revives every hibernated session) is
 /// excluded, so the columns describe steady-state serving.
@@ -919,8 +907,8 @@ fn e15_with(sessions: usize, requests: usize, cap: usize) -> Result<ExperimentRe
     }
 
     struct E15Run {
-        /// Per session: (weight bits, matching checksum, duals checksum).
-        per_session: Vec<(u64, u64, u64)>,
+        /// Per session: (weight bits, matching checksum).
+        per_session: Vec<(u64, u64)>,
         weight_sum: f64,
         req_s: f64,
         revives: usize,
@@ -1020,10 +1008,9 @@ fn e15_with(sessions: usize, requests: usize, cap: usize) -> Result<ExperimentRe
         for s in 0..sessions {
             let name = format!("s-{s}");
             let snap = service.matching(&name).map_err(serve_err)?;
-            let stats = service.session_stats(&name).map_err(serve_err)?;
             let checksum =
                 session_checksum(snap.weight, snap.matching.iter().map(|(id, _, m)| (id, m)));
-            per_session.push((snap.weight.to_bits(), checksum, stats.duals_checksum));
+            per_session.push((snap.weight.to_bits(), checksum));
             weight_sum += snap.weight;
         }
         service.shutdown();
@@ -1060,7 +1047,7 @@ fn e15_with(sessions: usize, requests: usize, cap: usize) -> Result<ExperimentRe
     let fold = |r: &E15Run| -> u64 {
         r.per_session
             .iter()
-            .fold(0u64, |acc, &(_, cs, duals)| (acc.rotate_left(9) ^ cs).rotate_left(9) ^ duals)
+            .fold(0u64, |acc, &(weight, cs)| (acc.rotate_left(9) ^ cs).rotate_left(9) ^ weight)
     };
     let mut push = |mode: &str, resident_cap: usize, r: &E15Run, identical: bool| {
         rep.push_row(vec![
@@ -1213,7 +1200,7 @@ mod tests {
     }
 
     #[test]
-    fn e12_sessions_are_bit_identical_and_warm_epochs_save_rounds() {
+    fn e12_sessions_are_bit_identical_across_worker_counts() {
         let rep = e12_dynamic_stream().unwrap();
         assert_eq!(rep.rows.len(), 4);
         let checksum0 = rep.cell(0, "checksum").unwrap().to_string();
@@ -1228,12 +1215,6 @@ mod tests {
         assert!(warm_epochs >= 2, "the stream must exercise the warm band");
         let repairs: usize = rep.cell(0, "repair").unwrap().parse().unwrap();
         assert!(repairs >= 1, "quiet epochs must exercise the repair band");
-        let avg_warm: f64 = rep.cell(0, "avg_warm_rounds").unwrap().parse().unwrap();
-        let cold: f64 = rep.cell(0, "cold_rounds").unwrap().parse().unwrap();
-        assert!(
-            avg_warm > 0.0 && avg_warm < cold,
-            "warm epochs must use fewer rounds than a cold solve ({avg_warm} vs {cold})"
-        );
         let ratio: f64 = rep.cell(0, "w/oracle").unwrap().parse().unwrap();
         assert!(ratio >= 0.6, "weight-vs-oracle ratio {ratio} below floor");
     }

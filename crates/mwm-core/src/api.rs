@@ -22,8 +22,7 @@
 use crate::budget::ResourceBudget;
 use crate::error::MwmError;
 use crate::report::SolveReport;
-use mwm_graph::{BMatching, Graph};
-use mwm_lp::DualSnapshot;
+use mwm_graph::Graph;
 
 /// A weighted b-matching solver under the paper's resource model.
 ///
@@ -39,29 +38,6 @@ pub trait MatchingSolver {
 
     /// Solves weighted b-matching on `graph` within `budget`.
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError>;
-}
-
-/// The state a warm start resumes from: the previous epoch's exported dual
-/// point plus a feasible primal hint (the repaired previous matching).
-///
-/// This is the seam the dynamic matching subsystem plugs into: epoch `t`'s
-/// [`crate::DualPrimalSolver::solve_warm`] returns its final duals beside the
-/// report, and epoch `t+1` feeds them back through the same call.
-///
-/// Both halves are advisory. The duals seed the covering loop so it starts
-/// near feasibility instead of from zero (skipping the `O(p)` sampling rounds
-/// of a cold initial solution); the hint seeds the primal bound β. A solver
-/// must produce a correct result for *any* warm state — stale duals and an
-/// infeasible hint may cost rounds, never correctness.
-#[derive(Clone, Debug, Default)]
-pub struct WarmStartState {
-    /// The dual point exported by the previous solve (the second half of
-    /// [`crate::DualPrimalSolver::solve_warm`]'s result).
-    pub duals: DualSnapshot,
-    /// A b-matching believed feasible on the current graph (the dynamic
-    /// matcher passes the previous matching with dead edges dropped). Solvers
-    /// validate it and ignore it when infeasible.
-    pub hint: BMatching,
 }
 
 #[cfg(test)]

@@ -47,12 +47,11 @@ pub mod relaxation;
 pub mod report;
 pub mod solver;
 
-pub use api::{MatchingSolver, WarmStartState};
+pub use api::MatchingSolver;
 pub use budget::ResourceBudget;
 pub use certificate::{certify_b_matching, SolutionCertificate};
 pub use error::{MwmError, MwmResult};
 pub use initial::{build_initial_solution, InitialSolution};
-pub use mwm_lp::DualSnapshot;
 pub use offline::{OfflineSolver, OfflineStrategy};
 pub use oracle::{MicroOracle, OracleDecision};
 pub use relaxation::{relaxation_widths, DualState, DualUpdate, RelaxationWidths};

@@ -21,8 +21,7 @@
 //! [`DualUpdate`] (plain lists of vertex and odd-set entries), and
 //! [`DualState::step`] is the one Theorem 5 step `x ← (1-σ)·x + σ·x̃`.
 
-use mwm_graph::{Graph, VertexId, WeightLevels};
-use mwm_lp::{DualSnapshot, OddSetDual, VertexDual};
+use mwm_graph::{Graph, VertexId};
 use std::ops::Range;
 
 /// Membership-table entry of a vertex that belongs to no odd set of a level.
@@ -251,8 +250,8 @@ impl DualState {
     /// Extracts a classical (LP11-style) dual: `x_i = max_k x_i(k)/(1-3ε)`,
     /// `z_U = Σ_ℓ z_{U,ℓ}/(1-3ε)` — the transformation used in Section 3 to
     /// prove condition (d1). The odd-set list is sorted by member set so the
-    /// extraction is deterministic (it feeds snapshots and reports); each
-    /// set's values are summed by ascending level.
+    /// extraction is deterministic; each set's values are summed by
+    /// ascending level.
     pub fn to_classical_dual(&self) -> (Vec<f64>, Vec<(Vec<VertexId>, f64)>) {
         let scale = 1.0 / (1.0 - 3.0 * self.eps);
         let xs: Vec<f64> = (0..self.n).map(|v| self.x_max(v as VertexId) * scale).collect();
@@ -271,105 +270,6 @@ impl DualState {
             same
         });
         (xs, zs)
-    }
-
-    /// Exports the dual point as a portable [`DualSnapshot`]: sorted plain
-    /// vectors keyed by original-scale level weights, so the next epoch's
-    /// solve can re-resolve every entry against *its* discretization even
-    /// after the graph (and therefore the `B/W*` rescale factor) changed.
-    /// Both lists are allocated at their exact lengths, since a caller may
-    /// keep the snapshot for as long as a session lives.
-    pub fn snapshot(&self, levels: &WeightLevels) -> DualSnapshot {
-        let mut vertex_duals = Vec::with_capacity(self.x.iter().filter(|&&x| x > 0.0).count());
-        for v in 0..self.n as u32 {
-            for (k, &value) in self.row(v).iter().enumerate() {
-                if value > 0.0 {
-                    vertex_duals.push(VertexDual {
-                        vertex: v,
-                        level: k,
-                        level_weight: levels.level_weight_original(k),
-                        value,
-                    });
-                }
-            }
-        }
-        let mut odd_sets =
-            Vec::with_capacity(self.z.iter().flatten().filter(|(_, z)| *z > 0.0).count());
-        for (level, sets) in self.z.iter().enumerate() {
-            for (members, value) in sets {
-                if *value > 0.0 {
-                    odd_sets.push(OddSetDual {
-                        level,
-                        level_weight: levels.level_weight_original(level),
-                        members: members.clone(),
-                        value: *value,
-                    });
-                }
-            }
-        }
-        let mut snap = DualSnapshot {
-            eps: self.eps,
-            scale: levels.scale(),
-            num_levels: self.num_levels,
-            vertex_duals,
-            odd_sets,
-        };
-        snap.normalize();
-        snap
-    }
-
-    /// Imports a snapshot against the *current* graph's levels: every entry is
-    /// re-resolved by its original-scale level weight, values are rescaled by
-    /// `new_scale / old_scale`, entries naming vertices ≥ `n` or levels that
-    /// no longer exist are dropped, and odd sets that lost a member die whole.
-    /// Odd sets that now overlap a same-level set are folded into it, as a
-    /// step folds them. Import is best-effort by design — a warm start only
-    /// needs *a* valid dual point; the solve loop restores feasibility and
-    /// quality.
-    pub fn from_snapshot(n: usize, levels: &WeightLevels, snap: &DualSnapshot) -> DualState {
-        let mut d = DualState::new(n, levels.num_levels().max(1), levels.eps());
-        if levels.num_levels() == 0 {
-            return d;
-        }
-        let value_scale = if snap.scale > 0.0 && snap.scale.is_finite() {
-            levels.scale() / snap.scale
-        } else {
-            1.0
-        };
-        let max_level = levels.num_levels() - 1;
-        let remap = |level_weight: f64| -> Option<usize> {
-            // The nudge keeps exact level boundaries (ŵ_k round-tripped
-            // through the original scale) from flooring one level down; it is
-            // far below the (1+ε) level spacing, so no genuine interior
-            // weight can cross a boundary. Weights heavier than the current
-            // table land in its top class, one above `max_level`, and clamp.
-            levels.classes().class_of(level_weight * (1.0 + 1e-9)).map(|k| k.min(max_level))
-        };
-        for vd in &snap.vertex_duals {
-            if (vd.vertex as usize) >= n || vd.value <= 0.0 {
-                continue;
-            }
-            if let Some(k) = remap(vd.level_weight) {
-                let cur = d.x(vd.vertex, k);
-                d.set_x(vd.vertex, k, cur + vd.value * value_scale);
-            }
-        }
-        for os in &snap.odd_sets {
-            if os.value <= 0.0 || os.members.iter().any(|&v| (v as usize) >= n) {
-                continue;
-            }
-            // A set is its distinct members; fewer than 3 is no odd set.
-            let mut members = os.members.clone();
-            members.sort_unstable();
-            members.dedup();
-            if members.len() < 3 {
-                continue;
-            }
-            if let Some(level) = remap(os.level_weight) {
-                d.add_odd_mass(level, &members, os.value * value_scale);
-            }
-        }
-        d
     }
 }
 
@@ -499,83 +399,6 @@ mod tests {
         assert!((xs[1] - 0.9 / 0.7_f64.mul_add(0.0, 1.0 - 0.3)).abs() < 1e-9);
         assert_eq!(zs.len(), 1);
         assert!((zs[0].1 - 0.75 / (1.0 - 0.3)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_coverage_on_the_same_graph() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1, 5.0);
-        g.add_edge(1, 2, 3.0);
-        g.add_edge(2, 3, 5.0);
-        g.add_edge(3, 4, 4.0);
-        let levels = WeightLevels::new(&g, 0.2);
-        let k = levels.classes().class_of(5.0).expect("heaviest edge is never dropped");
-        let mut d = DualState::new(5, levels.num_levels(), levels.eps());
-        d.set_x(0, k, 1.5);
-        d.set_x(1, k, 0.5);
-        d.add_odd_set(0, vec![1, 2, 3], 0.25);
-
-        let snap = d.snapshot(&levels);
-        assert_eq!(snap.num_entries(), 3);
-        let d2 = DualState::from_snapshot(5, &levels, &snap);
-        for (i, j, lvl) in [(0u32, 1u32, k), (1, 2, k), (2, 3, 0)] {
-            assert!(
-                (d.edge_coverage(i, j, lvl) - d2.edge_coverage(i, j, lvl)).abs() < 1e-9,
-                "coverage of ({i},{j}) at level {lvl} drifted"
-            );
-        }
-        // The snapshot of the re-import is the canonical form of the original.
-        assert_eq!(d2.snapshot(&levels), snap);
-    }
-
-    #[test]
-    fn snapshot_import_counts_distinct_odd_set_members() {
-        let mut g = Graph::new(6);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(2, 3, 1.0);
-        g.add_edge(4, 5, 1.0);
-        let levels = WeightLevels::new(&g, 0.2);
-        let level_weight = levels.level_weight_original(0);
-        let odd_set =
-            |members: Vec<u32>| OddSetDual { level: 0, level_weight, members, value: 0.5 };
-        let snap = DualSnapshot {
-            eps: levels.eps(),
-            scale: levels.scale(),
-            num_levels: levels.num_levels(),
-            vertex_duals: Vec::new(),
-            // Two distinct members: skipped. Three distinct: kept once.
-            odd_sets: vec![odd_set(vec![1, 1, 2]), odd_set(vec![3, 4, 4, 5])],
-        };
-        let d = DualState::from_snapshot(6, &levels, &snap);
-        let back = d.snapshot(&levels);
-        assert_eq!(back.odd_sets.len(), 1);
-        assert_eq!(back.odd_sets[0].members, vec![3, 4, 5]);
-        assert_eq!(d.z_vertex_sum(1, 0), 0.0);
-    }
-
-    #[test]
-    fn snapshot_import_drops_dead_vertices_and_rescales_values() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 8.0);
-        g.add_edge(2, 3, 8.0);
-        let levels = WeightLevels::new(&g, 0.25);
-        let k = levels.classes().class_of(8.0).unwrap();
-        let mut d = DualState::new(4, levels.num_levels(), levels.eps());
-        d.set_x(0, k, 2.0);
-        d.set_x(3, k, 1.0);
-        let snap = d.snapshot(&levels);
-
-        // Import onto a shrunk graph: vertex 3 no longer exists; the rescale
-        // factor differs (different B and W*), so values must follow it.
-        let mut g2 = Graph::new(3);
-        g2.add_edge(0, 1, 8.0);
-        g2.add_edge(1, 2, 2.0);
-        let levels2 = WeightLevels::new(&g2, 0.25);
-        let d2 = DualState::from_snapshot(3, &levels2, &snap);
-        let k2 = levels2.classes().class_of(8.0).unwrap();
-        let expected = 2.0 * levels2.scale() / levels.scale();
-        assert!((d2.x(0, k2) - expected).abs() < 1e-9 * expected.max(1.0));
-        assert_eq!(d2.x_max(2), 0.0, "vertex 3's mass must not leak anywhere");
     }
 
     #[test]

@@ -5,10 +5,7 @@
 //! its weight, the resource ledger of the run, and a flat list of named
 //! solver-specific statistics (e.g. the dual bound `beta` of the dual-primal
 //! solver). This is what lets the bench harness and examples drive any solver
-//! generically while still surfacing algorithm-specific telemetry. The
-//! dual-primal solver's final dual point is not part of the report: only a
-//! warm start reads it, so [`crate::DualPrimalSolver::solve_warm`] returns it
-//! beside the report and a report kept for its numbers holds no dual point.
+//! generically while still surfacing algorithm-specific telemetry.
 
 use mwm_graph::BMatching;
 use mwm_mapreduce::ResourceTracker;

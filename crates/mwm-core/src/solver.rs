@@ -31,7 +31,7 @@
 //! them, so the round/iteration separation the paper is about is measured,
 //! not assumed.
 
-use crate::api::{MatchingSolver, WarmStartState};
+use crate::api::MatchingSolver;
 use crate::budget::ResourceBudget;
 use crate::certificate::offline_b_matching;
 use crate::error::MwmError;
@@ -40,7 +40,7 @@ use crate::oracle::{MicroOracle, OracleDecision, SupportEdge};
 use crate::relaxation::DualState;
 use crate::report::SolveReport;
 use mwm_graph::{BMatching, Graph, WeightClasses, WeightLevels};
-use mwm_lp::{DualSnapshot, StepRule};
+use mwm_lp::StepRule;
 use mwm_mapreduce::{EdgeSource, GraphSource, PassEngine, PassError, ResourceTracker};
 use mwm_sparsify::DeferredSparsifier;
 
@@ -148,7 +148,6 @@ pub struct DualPrimalSolver {
 /// The scalars one run reports as named stats (ε and p come from the config).
 #[derive(Default)]
 struct RunStats {
-    warm_started: bool,
     beta: f64,
     lambda: f64,
     initial_rounds: usize,
@@ -174,33 +173,31 @@ impl DualPrimalSolver {
         &self.config
     }
 
-    /// Solves on `graph` within `budget` and returns the report together
-    /// with the final dual point, the seed of the next warm start. With
-    /// `warm` present the solve resumes from the previous epoch's duals
-    /// instead of paying the cold initial sampling rounds again; `None` is a
-    /// cold solve, whose report is [`MatchingSolver::solve`]'s.
+    /// Solves on `graph` within `budget`, starting from `seed`: a b-matching
+    /// believed feasible on `graph` (a dynamic session passes the previous
+    /// epoch's surviving edges). An empty seed is [`MatchingSolver::solve`].
     ///
-    /// The contract is [`MatchingSolver::solve`]'s — the same budget
-    /// semantics, a feasible matching, and results bit-identical across
-    /// parallelism levels — regardless of how stale `warm` is. Every
-    /// per-pass edge consumption of the main loop goes through a
+    /// Every solve runs the initial phase of Lemmas 12/20/21, the `O(p)`
+    /// sampling rounds that give the dual point λ grows from. A seed whose
+    /// every edge matches `graph` and whose loads fit the capacities replaces
+    /// that phase's matching as the starting best, and β starts from the
+    /// heavier of it and the phase's bound; any other seed is ignored, so a
+    /// stale seed costs nothing but its check. The returned matching is
+    /// never lighter than a usable seed.
+    ///
+    /// Every per-pass edge consumption of the main loop goes through a
     /// [`PassEngine`] over a sharded view of the graph, with the budget's
     /// streamed-items limit enforced mid-pass: an interrupted pass returns
     /// [`MwmError::BudgetExceeded`] — never a torn matching. The round and
     /// oracle-iteration limits are checked before each main round and each
     /// oracle call, and the ledger is checked against the whole budget when
-    /// the run ends.
-    ///
-    /// With `warm` present, phase 1 — the `O(p)` sampling rounds of the cold
-    /// initial solution — is replaced by importing the warm duals verbatim
-    /// and seeding β from the feasible part of the warm primal hint: the
-    /// round savings the dynamic matching subsystem's epoch ledger measures.
-    pub fn solve_warm(
+    /// the run ends. Results are bit-identical across parallelism levels.
+    pub fn solve_seeded(
         &self,
         graph: &Graph,
         budget: &ResourceBudget,
-        warm: Option<&WarmStartState>,
-    ) -> Result<(SolveReport, DualSnapshot), MwmError> {
+        seed: &BMatching,
+    ) -> Result<SolveReport, MwmError> {
         let cfg = &self.config;
         let eps = cfg.eps;
         let n = graph.num_vertices();
@@ -212,43 +209,17 @@ impl DualPrimalSolver {
             PassEngine::new(budget.parallelism().unwrap_or(1)).with_budget(budget.pass_budget(0));
 
         if levels.num_kept_edges() == 0 {
-            let num_levels = levels.num_levels();
-            let duals = DualSnapshot::empty(eps, num_levels);
-            let stats = RunStats { lambda: 1.0, num_levels, ..RunStats::default() };
-            return self.finish(budget, BMatching::new(), engine.into_tracker(), duals, stats);
+            let stats =
+                RunStats { lambda: 1.0, num_levels: levels.num_levels(), ..RunStats::default() };
+            return self.finish(budget, BMatching::new(), engine.into_tracker(), stats);
         }
 
-        // Phase 1: initial solution — cold sampling (Lemmas 12/20/21), or a
-        // warm resume from the previous epoch's exported duals.
-        let (mut dual, mut best, mut beta, initial_rounds) = match warm {
-            Some(state) => {
-                let dual = DualState::from_snapshot(n, &levels, &state.duals);
-                let best = if hint_is_usable(graph, &state.hint) {
-                    state.hint.clone()
-                } else {
-                    BMatching::new()
-                };
-                let beta = rescaled_weight(&best, &levels).max(1e-12);
-                (dual, best, beta, 0usize)
-            }
-            None => {
-                let InitialSolution { dual, beta0, combined: best, rounds_used, .. } =
-                    build_initial_solution(
-                        graph,
-                        &levels,
-                        cfg.p,
-                        engine.tracker_mut(),
-                        cfg.seed ^ 0x1357,
-                    );
-                let mut beta = beta0.max(1e-12);
-                // The combined initial b-matching is itself a lower bound on β*.
-                let init_weight_rescaled = rescaled_weight(&best, &levels);
-                if init_weight_rescaled > beta {
-                    beta = init_weight_rescaled;
-                }
-                (dual, best, beta, rounds_used)
-            }
-        };
+        // Phase 1: initial solution (Lemmas 12/20/21).
+        let InitialSolution { mut dual, beta0, combined, rounds_used: initial_rounds, .. } =
+            build_initial_solution(graph, &levels, cfg.p, engine.tracker_mut(), cfg.seed ^ 0x1357);
+        let mut best = if seed_is_usable(graph, seed) { seed.clone() } else { combined };
+        // The starting b-matching is itself a lower bound on β*.
+        let mut beta = beta0.max(1e-12).max(rescaled_weight(&best, &levels));
 
         // The sharded stream the main loop reads through. Sharding depends
         // only on the edge count — never on the worker count — so per-shard
@@ -360,16 +331,11 @@ impl DualPrimalSolver {
         let tracker = engine.into_tracker();
         // Write-only taps: nothing read back, so outputs are bit-identical
         // with the registry enabled or disabled.
-        if warm.is_some() {
-            mwm_obs::counter!("solver_solves_total{warm=true}").inc();
-        } else {
-            mwm_obs::counter!("solver_solves_total{warm=false}").inc();
-        }
+        mwm_obs::counter!("solver_solves_total").inc();
         mwm_obs::counter!("solver_rounds_total").add(tracker.rounds() as u64);
         mwm_obs::counter!("solver_oracle_iterations_total").add(oracle_iterations as u64);
 
         let stats = RunStats {
-            warm_started: warm.is_some(),
             beta,
             lambda,
             initial_rounds,
@@ -382,20 +348,19 @@ impl DualPrimalSolver {
             sparsifier_edges_last_round,
             sparsifiers_built: main_rounds * t_sparsifiers,
         };
-        self.finish(budget, best, tracker, dual.snapshot(&levels), stats)
+        self.finish(budget, best, tracker, stats)
     }
 
-    /// Both exits of [`DualPrimalSolver::solve_warm`] end here: the run's
+    /// Both exits of [`DualPrimalSolver::solve_seeded`] end here: the run's
     /// ledger and oracle iterations are checked against `budget`, then the
-    /// report lists the solver-specific stats and is returned beside `duals`.
+    /// report lists the solver-specific stats.
     fn finish(
         &self,
         budget: &ResourceBudget,
         matching: BMatching,
         tracker: ResourceTracker,
-        duals: DualSnapshot,
         s: RunStats,
-    ) -> Result<(SolveReport, DualSnapshot), MwmError> {
+    ) -> Result<SolveReport, MwmError> {
         budget.check_tracker(&tracker)?;
         budget.check_oracle_iterations(s.oracle_iterations)?;
         // Oracle iterations per round of data access: the factor by which the
@@ -408,7 +373,6 @@ impl DualPrimalSolver {
         };
         let report = SolveReport::new("dual-primal", matching, tracker)
             .with_oracle_iterations(s.oracle_iterations)
-            .with_stat("warm_started", if s.warm_started { 1.0 } else { 0.0 })
             .with_stat("beta", s.beta)
             .with_stat("lambda", s.lambda)
             .with_stat("eps", self.config.eps)
@@ -422,7 +386,7 @@ impl DualPrimalSolver {
             .with_stat("sparsifier_edges_last_round", s.sparsifier_edges_last_round as f64)
             .with_stat("sparsifiers_built", s.sparsifiers_built as f64)
             .with_stat("adaptivity_ratio", adaptivity_ratio);
-        Ok((report, duals))
+        Ok(report)
     }
 }
 
@@ -443,20 +407,20 @@ impl MatchingSolver for DualPrimalSolver {
     /// The budget's `with_parallelism` sets the pass engine's worker count (1
     /// when unset); it changes wall-clock time only.
     fn solve(&self, graph: &Graph, budget: &ResourceBudget) -> Result<SolveReport, MwmError> {
-        self.solve_warm(graph, budget, None).map(|(report, _)| report)
+        self.solve_seeded(graph, budget, &BMatching::new())
     }
 }
 
-/// True if a warm primal hint can seed β on `graph`: every edge id exists and
-/// matches the graph's endpoints/weight, and the capacity constraints hold.
-/// A stale hint (edges deleted or reweighted since it was built) is simply
-/// ignored — correctness never depends on the hint.
-fn hint_is_usable(graph: &Graph, hint: &BMatching) -> bool {
-    if hint.is_empty() {
+/// True if `seed` can start a solve on `graph`: it is nonempty, every edge id
+/// exists and matches the graph's endpoints/weight, and the capacity
+/// constraints hold. A stale seed (edges deleted or reweighted since it was
+/// built) is simply ignored — correctness never depends on the seed.
+fn seed_is_usable(graph: &Graph, seed: &BMatching) -> bool {
+    if seed.is_empty() {
         return false;
     }
     let n = graph.num_vertices();
-    for (id, e, _) in hint.iter() {
+    for (id, e, _) in seed.iter() {
         if id >= graph.num_edges() {
             return false;
         }
@@ -468,7 +432,7 @@ fn hint_is_usable(graph: &Graph, hint: &BMatching) -> bool {
             return false;
         }
     }
-    hint.is_valid(graph)
+    seed.is_valid(graph)
 }
 
 /// `λ = min` over levelled edges of `coverage / ŵ_k`, computed as an
@@ -609,6 +573,7 @@ fn rescaled_weight(bm: &BMatching, levels: &WeightLevels) -> f64 {
 mod tests {
     use super::*;
     use mwm_graph::generators::{self, WeightModel};
+    use mwm_graph::Edge;
     use mwm_matching::exact_max_weight_matching;
     use rand::prelude::*;
     use rand::rngs::StdRng;
@@ -622,13 +587,9 @@ mod tests {
         solver.solve(g, &ResourceBudget::unlimited()).expect("an unlimited budget cannot interrupt")
     }
 
-    fn solve_warm(
-        solver: &DualPrimalSolver,
-        g: &Graph,
-        warm: Option<&WarmStartState>,
-    ) -> (SolveReport, DualSnapshot) {
+    fn solve_seeded(solver: &DualPrimalSolver, g: &Graph, seed: &BMatching) -> SolveReport {
         solver
-            .solve_warm(g, &ResourceBudget::unlimited(), warm)
+            .solve_seeded(g, &ResourceBudget::unlimited(), seed)
             .expect("an unlimited budget cannot interrupt")
     }
 
@@ -746,48 +707,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn warm_start_skips_initial_rounds_and_stays_feasible() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let g = generators::gnm(50, 300, WeightModel::Uniform(1.0, 8.0), &mut rng);
-        let solver = solver(0.25, 2.0, 4);
-        let (cold, duals) = solve_warm(&solver, &g, None);
-        assert_eq!(stat(&cold, "warm_started"), 0.0);
-        assert!(stat(&cold, "initial_rounds") > 0.0);
-        let warm_state = WarmStartState { duals, hint: cold.matching.clone() };
-        assert!(!warm_state.duals.is_empty(), "a nonzero solve must export dual mass");
-
-        let (warm, _) = solve_warm(&solver, &g, Some(&warm_state));
-        assert_eq!(stat(&warm, "warm_started"), 1.0);
-        assert_eq!(stat(&warm, "initial_rounds"), 0.0, "warm start must skip the sampling phase");
-        assert!(warm.rounds() < cold.rounds(), "warm {} !< cold {}", warm.rounds(), cold.rounds());
-        assert!(warm.matching.is_valid(&g));
-        // Resuming from a converged dual point + the previous matching can
-        // never lose weight: the hint seeds β and `best`.
-        assert!(warm.weight >= cold.weight - 1e-9);
+    /// Every stat's name and value bits.
+    fn stat_bits(r: &SolveReport) -> Vec<(&'static str, u64)> {
+        r.stats().iter().map(|&(n, v)| (n, v.to_bits())).collect()
     }
 
     #[test]
-    fn warm_start_is_bit_identical_across_parallelism() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let g = generators::gnm(60, 400, WeightModel::Uniform(1.0, 8.0), &mut rng);
-        let (cold, duals) = solve_warm(&solver(0.2, 2.0, 9), &g, None);
-        let warm_state = WarmStartState { duals, hint: cold.matching };
-        let mut reference: Option<(u64, usize)> = None;
-        for workers in [1usize, 4] {
-            let budget = ResourceBudget::unlimited().with_parallelism(workers);
-            let (res, _) =
-                DualPrimalSolver::default().solve_warm(&g, &budget, Some(&warm_state)).unwrap();
-            let fp = (res.weight.to_bits(), res.rounds());
-            match &reference {
-                None => reference = Some(fp),
-                Some(r) => assert_eq!(r, &fp, "parallelism {workers} diverged on warm start"),
-            }
-        }
-    }
-
-    #[test]
-    fn solve_is_the_cold_half_of_solve_warm() {
+    fn solve_is_solve_seeded_with_an_empty_seed() {
         let mut rng = StdRng::seed_from_u64(41);
         let mut b_graph = generators::gnm(30, 150, WeightModel::Uniform(1.0, 6.0), &mut rng);
         generators::randomize_capacities(&mut b_graph, 3, &mut rng);
@@ -800,33 +726,62 @@ mod tests {
         for (i, g) in graphs.iter().enumerate() {
             let solver = solver(0.2, 2.0, i as u64);
             let report = solve(&solver, g);
-            let (cold, _) = solve_warm(&solver, g, None);
-            assert_eq!(fingerprint(&report), fingerprint(&cold), "graph {i}");
-            let stat_bits = |r: &SolveReport| {
-                r.stats().iter().map(|&(n, v)| (n, v.to_bits())).collect::<Vec<_>>()
-            };
-            assert_eq!(stat_bits(&report), stat_bits(&cold), "graph {i}");
-            assert_eq!(report.solver, cold.solver);
-            assert_eq!(report.tracker.counters(), cold.tracker.counters(), "graph {i}");
+            let seeded = solve_seeded(&solver, g, &BMatching::new());
+            assert_eq!(fingerprint(&report), fingerprint(&seeded), "graph {i}");
+            assert_eq!(stat_bits(&report), stat_bits(&seeded), "graph {i}");
+            assert_eq!(report.solver, seeded.solver);
+            assert_eq!(report.tracker.counters(), seeded.tracker.counters(), "graph {i}");
         }
     }
 
     #[test]
-    fn stale_hints_are_rejected_not_trusted() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 2.0);
-        g.add_edge(2, 3, 3.0);
-        let mut hint = BMatching::new();
-        // Wrong weight for edge 0: the graph changed since the hint was built.
-        hint.add(0, mwm_graph::Edge::new(0, 1, 9.0), 1);
-        assert!(!hint_is_usable(&g, &hint));
-        let mut stale_id = BMatching::new();
-        stale_id.add(7, mwm_graph::Edge::new(0, 1, 2.0), 1);
-        assert!(!hint_is_usable(&g, &stale_id));
-        let mut good = BMatching::new();
-        good.add(0, g.edge(0), 1);
-        assert!(hint_is_usable(&g, &good));
-        assert!(!hint_is_usable(&g, &BMatching::new()), "empty hints carry no information");
+    fn a_usable_seed_is_never_lost() {
+        // Edges lighter than W*/B = 1 are dropped by the weight
+        // discretization, so no round sees the three light edges; a seed
+        // holding them is heavier than anything the solve finds itself.
+        let mut g = Graph::new(8);
+        g.add_edge(0, 1, 8.0);
+        for v in [2, 4, 6] {
+            g.add_edge(v, v + 1, 0.9);
+        }
+        let mut seed = BMatching::new();
+        for (id, e) in g.edge_iter() {
+            seed.add(id, e, 1);
+        }
+        let solver = solver(0.2, 2.0, 3);
+        assert!(solve(&solver, &g).weight < seed.weight());
+        let mut reference = None;
+        for workers in [1usize, 4] {
+            let budget = ResourceBudget::unlimited().with_parallelism(workers);
+            let res = solver.solve_seeded(&g, &budget, &seed).unwrap();
+            assert!(res.weight >= seed.weight(), "weight {} < seed {}", res.weight, seed.weight());
+            assert!(stat(&res, "initial_rounds") >= 1.0, "a seeded solve runs the initial phase");
+            let fp = fingerprint(&res);
+            match &reference {
+                None => reference = Some(fp),
+                Some(r) => assert_eq!(r, &fp, "parallelism {workers} diverged on a seeded solve"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_stale_seed_is_ignored() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let g = generators::gnm(40, 200, WeightModel::Uniform(1.0, 8.0), &mut rng);
+        let solver = solver(0.2, 2.0, 9);
+        let cold = solve(&solver, &g);
+        let e = g.edge(0);
+        // Reweighted since the seed was built, an id the graph lacks, and a
+        // multiplicity the capacity cannot hold.
+        let stale: [(usize, Edge, u64); 3] =
+            [(0, Edge::new(e.u, e.v, e.w + 1.0), 1), (g.num_edges(), e, 1), (0, e, 2)];
+        for (i, &(id, edge, mult)) in stale.iter().enumerate() {
+            let mut seed = BMatching::new();
+            seed.add(id, edge, mult);
+            let res = solve_seeded(&solver, &g, &seed);
+            assert_eq!(fingerprint(&res), fingerprint(&cold), "stale seed {i}");
+            assert_eq!(stat_bits(&res), stat_bits(&cold), "stale seed {i}");
+        }
     }
 
     #[test]

@@ -18,17 +18,15 @@
 //!      repair ([`mwm_matching::local_search`]) runs on the 1-hop region
 //!      around the touched vertices, with a global greedy pass as a ½-floor
 //!      safety net.
-//!    * `damage ≤ 0.5` (and duals available) → **warm
-//!      re-solve**: the dual-primal solver resumes from the previous epoch's
-//!      exported [`DualSnapshot`] ([`DualPrimalSolver::solve_warm`]), skipping the
-//!      `O(p)` cold sampling rounds.
-//!    * otherwise → **full rebuild**: a cold solve through the same
-//!      [`DualPrimalSolver::solve_warm`] call, whose final duals seed the
-//!      next warm re-solve.
+//!    * `damage ≤ 0.5` → **warm re-solve**: a dual-primal solve seeded
+//!      with the surviving matching ([`DualPrimalSolver::solve_seeded`]). It
+//!      runs the same initial phase as a cold solve, and its answer is never
+//!      lighter than the survivors.
+//!    * otherwise → **full rebuild**: a cold solve of the live graph.
 //!
-//!    A session owns one [`DualPrimalSolver`], built from its
-//!    [`DynamicConfig`], so an exported and re-imported session solves
-//!    exactly as one that stayed resident.
+//!    The bootstrap epoch always rebuilds. A session owns one
+//!    [`DualPrimalSolver`], built from its [`DynamicConfig`], so an exported
+//!    and re-imported session solves exactly as one that stayed resident.
 //! 3. Every epoch appends an [`EpochStats`] row to the session ledger:
 //!    updates applied, the repair/warm/rebuild decision, rounds charged,
 //!    items streamed, the weight and the overlay's resident bytes.
@@ -43,12 +41,11 @@
 //! the epoch's [`ResourceBudget::with_parallelism`] (1 when unset).
 
 use mwm_core::{
-    DualPrimalConfig, DualPrimalSolver, MwmError, ResourceBudget, SolveReport, WarmStartState,
+    DualPrimalConfig, DualPrimalSolver, MatchingSolver, MwmError, ResourceBudget, SolveReport,
 };
 use mwm_graph::{
     BMatching, Edge, EdgeId, Graph, GraphOverlay, GraphUpdate, Matching, OverlayState, VertexId,
 };
-use mwm_lp::DualSnapshot;
 use mwm_mapreduce::{GraphSource, PassEngine, ResourceTracker, TrackerCounters};
 use mwm_matching::{greedy_b_matching, improve_matching};
 use std::fmt;
@@ -57,8 +54,8 @@ use std::sync::{Arc, RwLock};
 /// Damage ratio (touched vertices / live vertices) at or below which an
 /// epoch is handled by localized incremental repair.
 const REPAIR_THRESHOLD: f64 = 0.05;
-/// Damage ratio at or below which an epoch warm re-solves from the previous
-/// epoch's duals; above it the epoch rebuilds cold.
+/// Damage ratio at or below which an epoch re-solves seeded with the
+/// surviving matching; above it the epoch rebuilds cold.
 const REBUILD_THRESHOLD: f64 = 0.5;
 
 /// Configuration of a [`DynamicMatcher`] session.
@@ -96,7 +93,7 @@ impl DynamicConfig {
 pub enum EpochDecision {
     /// Localized augmenting/2-swap repair around the touched vertices.
     Repair,
-    /// Dual-primal re-solve warm-started from the previous epoch's duals.
+    /// Dual-primal re-solve seeded with the previous epoch's surviving matching.
     WarmResolve,
     /// Cold dual-primal solve on the live graph.
     Rebuild,
@@ -142,8 +139,7 @@ pub struct EpochStats {
     /// Rounds of data access charged by this epoch (update ingestion +
     /// repair scans + solver rounds).
     pub epoch_rounds: usize,
-    /// Rounds used by the epoch's solver call alone (0 for repair epochs) —
-    /// compare against a cold solve's rounds to see the warm-start saving.
+    /// Rounds used by the epoch's solver call alone (0 for repair epochs).
     pub solver_rounds: usize,
     /// Items streamed by this epoch (updates + edges scanned).
     pub streamed_items: usize,
@@ -220,7 +216,7 @@ struct DamageSummary {
 
 impl DamageSummary {
     fn absorb(&mut self, overlay: &GraphOverlay, update: &GraphUpdate) {
-        self.touched.extend(overlay.touched_by(update));
+        let touched = overlay.touched_by(update);
         match update {
             GraphUpdate::InsertEdge { .. } => self.inserts += 1,
             GraphUpdate::DeleteEdge { .. } => self.deletes += 1,
@@ -229,13 +225,11 @@ impl DamageSummary {
                 self.vertex_ops += 1
             }
             GraphUpdate::SetCapacity { .. } => self.capacity_ops += 1,
-            GraphUpdate::ExpireWindow { lo, hi } => {
-                // Counts as one delete per live edge it will remove, so the
-                // delete-fraction policy sees mass expiry for what it is.
-                self.deletes +=
-                    overlay.live_edge_iter().filter(|&(id, _)| id >= *lo && id < *hi).count();
-            }
+            // One delete per live edge it will remove, each of which
+            // touches its two endpoints.
+            GraphUpdate::ExpireWindow { .. } => self.deletes += touched.len() / 2,
         }
+        self.touched.extend(touched);
     }
 
     fn merge(&mut self, other: DamageSummary) {
@@ -265,10 +259,6 @@ pub struct SessionState {
     /// The maintained matching as `(stable overlay id, edge, multiplicity)`
     /// entries, in ascending id order.
     pub matching: Vec<(EdgeId, Edge, u64)>,
-    /// The last solve's exported duals (the next warm-start seed). Present
-    /// exactly when `epoch > 0`: the bootstrap epoch always solves, and every
-    /// solve exports its duals.
-    pub duals: Option<DualSnapshot>,
     /// Committed epochs.
     pub epoch: u64,
     /// The per-epoch ledger (one row per committed epoch).
@@ -286,9 +276,6 @@ pub struct DynamicMatcher {
     solver: DualPrimalSolver,
     /// The maintained matching, in **stable overlay edge ids**.
     matching: BMatching,
-    /// Duals exported by the last solve, for the next warm start; `None`
-    /// until the bootstrap epoch commits.
-    duals: Option<DualSnapshot>,
     epoch: usize,
     stats: Vec<EpochStats>,
     tracker: ResourceTracker,
@@ -316,7 +303,6 @@ impl DynamicMatcher {
             overlay: GraphOverlay::new(base),
             solver,
             matching: BMatching::new(),
-            duals: None,
             epoch: 0,
             stats: Vec::new(),
             tracker: ResourceTracker::new(),
@@ -359,12 +345,6 @@ impl DynamicMatcher {
         &self.tracker
     }
 
-    /// The duals exported by the last solve (the next warm-start seed);
-    /// `None` until the bootstrap epoch has solved.
-    pub fn duals(&self) -> Option<&DualSnapshot> {
-        self.duals.as_ref()
-    }
-
     /// Exports the complete session state for persistence (`O(live graph +
     /// matching + ledger)` copy). [`DynamicMatcher::import_state`] restores a
     /// session that behaves bit-identically from this point on.
@@ -373,7 +353,6 @@ impl DynamicMatcher {
             config: self.config,
             overlay: self.overlay.export_state(),
             matching: self.matching.iter().collect(),
-            duals: self.duals.clone(),
             epoch: self.epoch as u64,
             ledger: self.stats.clone(),
             tracker: self.tracker.counters(),
@@ -381,9 +360,10 @@ impl DynamicMatcher {
     }
 
     /// Rebuilds a session from an exported state, validating the config, the
-    /// overlay invariants, the epoch/ledger agreement, that duals are present
-    /// exactly after the bootstrap epoch, and that every matching entry names
-    /// a live overlay edge with the exact recorded endpoints and weight bits.
+    /// overlay invariants, the epoch/ledger agreement, and the matching: its
+    /// entries come in strictly ascending id order, each names a live overlay
+    /// edge with the exact recorded endpoints and weight bits, and no
+    /// vertex's load exceeds its capacity.
     /// The committed snapshot is republished, so
     /// [`DynamicMatcher::committed_view`] handles taken afterwards see the
     /// restored state immediately.
@@ -400,11 +380,10 @@ impl DynamicMatcher {
                 state.ledger.len()
             )));
         }
-        if state.duals.is_some() != (state.epoch > 0) {
+        if let Some(w) = state.matching.windows(2).find(|w| w[0].0 >= w[1].0) {
             return Err(invalid(format!(
-                "duals {} at epoch {}: a session holds duals exactly once it has bootstrapped",
-                if state.duals.is_some() { "present" } else { "missing" },
-                state.epoch
+                "matching entry {} follows entry {}: ids must be strictly ascending",
+                w[1].0, w[0].0
             )));
         }
         let mut matching = BMatching::new();
@@ -422,6 +401,14 @@ impl DynamicMatcher {
             }
             matching.add(id, e, mult);
         }
+        for (v, &load) in matching.vertex_loads(overlay.num_vertex_slots()).iter().enumerate() {
+            let b = overlay.capacity(v as VertexId);
+            if load > b {
+                return Err(invalid(format!(
+                    "matching loads vertex {v} {load} times, past its capacity {b}"
+                )));
+            }
+        }
         let committed = Arc::new(CommittedSnapshot {
             epoch: state.epoch as usize,
             version: overlay.version(),
@@ -434,7 +421,6 @@ impl DynamicMatcher {
             overlay,
             solver,
             matching,
-            duals: state.duals,
             epoch: state.epoch as usize,
             stats: state.ledger,
             tracker: ResourceTracker::from_counters(state.tracker),
@@ -551,12 +537,15 @@ impl DynamicMatcher {
         // ---- 4. Damage-ratio policy ----
         let live_vertices = self.overlay.num_live_vertices().max(1);
         let damage_ratio = (damage.touched.len() as f64 / live_vertices as f64).min(1.0);
-        // No duals means no epoch has committed yet: bootstrap with a rebuild.
-        let decision = match self.duals {
-            None => EpochDecision::Rebuild,
-            Some(_) if damage_ratio <= REPAIR_THRESHOLD => EpochDecision::Repair,
-            Some(_) if damage_ratio <= REBUILD_THRESHOLD => EpochDecision::WarmResolve,
-            Some(_) => EpochDecision::Rebuild,
+        // The bootstrap epoch has no matching to keep: it rebuilds.
+        let decision = if self.epoch == 0 {
+            EpochDecision::Rebuild
+        } else if damage_ratio <= REPAIR_THRESHOLD {
+            EpochDecision::Repair
+        } else if damage_ratio <= REBUILD_THRESHOLD {
+            EpochDecision::WarmResolve
+        } else {
+            EpochDecision::Rebuild
         };
 
         // ---- 5. Execute the decision on the materialized live graph ----
@@ -657,27 +646,23 @@ impl DynamicMatcher {
         survivors: &BMatching,
         budget: &ResourceBudget,
     ) -> Result<(Option<SolveReport>, usize), MwmError> {
-        let warm = match decision {
+        let report = match decision {
             EpochDecision::Repair => {
                 self.matching = self.repair(engine, graph, back, touched, survivors)?;
                 return Ok((None, 0));
             }
-            // The policy picks a warm re-solve only when duals exist.
-            EpochDecision::WarmResolve => self.duals.clone().map(|duals| WarmStartState {
-                duals,
-                hint: to_materialized_ids(survivors, back, graph),
-            }),
-            EpochDecision::Rebuild => None,
+            EpochDecision::WarmResolve => {
+                let seed = to_materialized_ids(survivors, back, graph);
+                self.solver.solve_seeded(graph, budget, &seed)?
+            }
+            EpochDecision::Rebuild => self.solver.solve(graph, budget)?,
         };
-        let (report, duals) = self.solver.solve_warm(graph, budget, warm.as_ref())?;
-        // Adopt the solve: the matching is remapped to stable overlay ids and
-        // the final dual point becomes the next warm-start seed.
+        // Adopt the solve: the matching is remapped to stable overlay ids.
         let mut matching = BMatching::new();
         for (mid, e, mult) in report.matching.iter() {
             matching.add(back[mid], e, mult);
         }
         self.matching = matching;
-        self.duals = Some(duals);
         let rounds = report.rounds();
         Ok((Some(report), rounds))
     }
@@ -867,7 +852,6 @@ fn to_materialized_ids(bm: &BMatching, back: &[EdgeId], graph: &Graph) -> BMatch
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwm_core::MatchingSolver;
     use mwm_graph::generators::{self, WeightModel};
     use rand::prelude::*;
     use rand::rngs::StdRng;
@@ -922,23 +906,17 @@ mod tests {
     }
 
     #[test]
-    fn medium_damage_warm_resolves_with_fewer_rounds_than_cold() {
+    fn medium_damage_warm_resolves_through_the_initial_phase() {
         let g = base_graph(2);
         let mut dm = DynamicMatcher::new(&g, config()).unwrap();
-        let cold = dm.apply_epoch(&[], &ResourceBudget::unlimited()).unwrap();
-        let cold_rounds = cold.stats.solver_rounds;
+        dm.apply_epoch(&[], &ResourceBudget::unlimited()).unwrap();
 
         // Touch ~25% of the graph: between the thresholds → warm re-solve.
         let upd = batch(dm.overlay().next_edge_id(), 40, 5, 8);
         let r = dm.apply_epoch(&upd, &ResourceBudget::unlimited()).unwrap();
         assert_eq!(r.stats.decision, EpochDecision::WarmResolve, "ratio {}", r.stats.damage_ratio);
         let report = r.solve.expect("warm epochs carry a solver report");
-        assert_eq!(report.stat("warm_started"), Some(1.0));
-        assert!(
-            r.stats.solver_rounds < cold_rounds,
-            "warm rounds {} must beat cold rounds {cold_rounds}",
-            r.stats.solver_rounds
-        );
+        assert!(report.stat("initial_rounds").unwrap() >= 1.0, "a seeded solve runs phase 1");
     }
 
     #[test]
@@ -1173,11 +1151,6 @@ mod tests {
         assert_eq!(back.overlay().version(), dm.overlay().version());
         assert_eq!(back.ledger().len(), dm.ledger().len());
         assert_eq!(back.tracker().counters(), dm.tracker().counters());
-        assert_eq!(
-            back.duals().map(|d| d.fingerprint()),
-            dm.duals().map(|d| d.fingerprint()),
-            "warm-start duals must survive the round trip bit-exactly"
-        );
         let snap = back.committed();
         assert_eq!(snap.epoch, dm.epochs());
         assert_eq!(snap.weight.to_bits(), dm.weight().to_bits());
@@ -1218,28 +1191,49 @@ mod tests {
         let mut state = dm.export_state();
         state.overlay.removed.pop();
         assert!(DynamicMatcher::import_state(state).is_err(), "broken overlay invariant");
+
+        // Matchings that break a capacity: b ≡ 1 on this graph.
+        let exported = dm.export_state().matching;
+        let first = exported[0];
+        let mut state = dm.export_state();
+        state.matching.insert(1, first);
+        assert!(DynamicMatcher::import_state(state).is_err(), "repeated entry");
+
+        let mut state = dm.export_state();
+        state.matching[0].2 = 5;
+        assert!(DynamicMatcher::import_state(state).is_err(), "multiplicity past b");
+
+        let matched: Vec<EdgeId> = exported.iter().map(|&(id, _, _)| id).collect();
+        let (id, e) = dm
+            .overlay()
+            .live_edge_iter()
+            .find(|&(id, e)| {
+                !matched.contains(&id) && exported.iter().any(|&(_, m, _)| m.is_incident(e.u))
+            })
+            .expect("some unmatched edge meets a matched vertex");
+        let mut state = dm.export_state();
+        state.matching.push((id, e, 1));
+        state.matching.sort_by_key(|&(id, _, _)| id);
+        assert!(DynamicMatcher::import_state(state).is_err(), "two entries on one vertex");
+
+        assert!(DynamicMatcher::import_state(dm.export_state()).is_ok());
     }
 
     #[test]
-    fn import_rejects_duals_that_disagree_with_the_epoch() {
+    fn expiry_counts_the_live_edges_it_removes() {
         let g = base_graph(44);
-        let fresh = DynamicMatcher::new(&g, config()).unwrap();
         let mut dm = DynamicMatcher::new(&g, config()).unwrap();
-        dm.apply_epoch(&[], &ResourceBudget::unlimited()).unwrap();
+        let budget = ResourceBudget::unlimited();
+        dm.apply_epoch(&[], &budget).unwrap();
+        let kills: Vec<GraphUpdate> =
+            [2, 5, 7].iter().map(|&id| GraphUpdate::DeleteEdge { id }).collect();
+        dm.apply_epoch(&kills, &budget).unwrap();
 
-        // A bootstrapped session without duals.
-        let mut state = dm.export_state();
-        state.duals = None;
-        assert!(matches!(DynamicMatcher::import_state(state), Err(MwmError::InvalidInput { .. })));
-
-        // A session before its bootstrap epoch with duals.
-        let mut state = fresh.export_state();
-        state.duals = dm.duals().cloned();
-        assert!(matches!(DynamicMatcher::import_state(state), Err(MwmError::InvalidInput { .. })));
-
-        // Both sessions as exported import fine.
-        assert!(DynamicMatcher::import_state(fresh.export_state()).is_ok());
-        assert!(DynamicMatcher::import_state(dm.export_state()).is_ok());
+        // The window [0, 10) holds three dead ids and seven live edges.
+        let live = dm.overlay().num_live_edges();
+        let r = dm.apply_epoch(&[GraphUpdate::ExpireWindow { lo: 0, hi: 10 }], &budget).unwrap();
+        assert_eq!(live - dm.overlay().num_live_edges(), 7);
+        assert_eq!(r.stats.deletes, 7);
     }
 
     #[test]

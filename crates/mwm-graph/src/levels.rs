@@ -162,11 +162,6 @@ impl WeightLevels {
     pub fn level_weight(&self, k: usize) -> f64 {
         self.classes.weight(k)
     }
-
-    /// The discretized weight converted back to the original weight scale.
-    pub fn level_weight_original(&self, k: usize) -> f64 {
-        self.level_weight(k) / self.classes.scale
-    }
 }
 
 #[cfg(test)]

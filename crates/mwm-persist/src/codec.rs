@@ -12,7 +12,6 @@
 use crate::PersistError;
 use mwm_dynamic::{DynamicConfig, EpochDecision, EpochStats, SessionState};
 use mwm_graph::{Edge, Graph, GraphUpdate, OverlayState};
-use mwm_lp::{DualSnapshot, OddSetDual, VertexDual};
 use mwm_mapreduce::TrackerCounters;
 
 /// An append-only byte sink with typed little-endian put methods.
@@ -313,67 +312,6 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<DynamicConfig, String> {
     })
 }
 
-// ---- dual snapshots ------------------------------------------------------
-
-/// Encodes a [`DualSnapshot`] field by field (bit-exact floats).
-pub fn encode_duals(w: &mut ByteWriter, d: &DualSnapshot) -> Result<(), PersistError> {
-    w.f64(d.eps);
-    w.f64(d.scale);
-    w.u64(d.num_levels as u64);
-    w.u32(u32_len(d.vertex_duals.len(), "vertex-dual list")?);
-    for vd in &d.vertex_duals {
-        w.u32(vd.vertex);
-        w.u64(vd.level as u64);
-        w.f64(vd.level_weight);
-        w.f64(vd.value);
-    }
-    w.u32(u32_len(d.odd_sets.len(), "odd-set list")?);
-    for os in &d.odd_sets {
-        w.u64(os.level as u64);
-        w.f64(os.level_weight);
-        w.u32(u32_len(os.members.len(), "odd-set members")?);
-        for &m in &os.members {
-            w.u32(m);
-        }
-        w.f64(os.value);
-    }
-    Ok(())
-}
-
-/// Decodes a [`DualSnapshot`].
-pub fn decode_duals(r: &mut ByteReader<'_>) -> Result<DualSnapshot, String> {
-    let eps = r.f64("duals eps")?;
-    let scale = r.f64("duals scale")?;
-    let num_levels = r.u64("duals num_levels")? as usize;
-    let vn = checked_count(u64::from(r.u32("vertex-dual count")?), "vertex-dual")?;
-    let mut vertex_duals = Vec::with_capacity(vn);
-    for _ in 0..vn {
-        vertex_duals.push(VertexDual {
-            vertex: r.u32("vertex-dual vertex")?,
-            level: r.u64("vertex-dual level")? as usize,
-            level_weight: r.f64("vertex-dual level weight")?,
-            value: r.f64("vertex-dual value")?,
-        });
-    }
-    let on = checked_count(u64::from(r.u32("odd-set count")?), "odd-set")?;
-    let mut odd_sets = Vec::with_capacity(on);
-    for _ in 0..on {
-        let level = r.u64("odd-set level")? as usize;
-        let level_weight = r.f64("odd-set level weight")?;
-        let mn = checked_count(u64::from(r.u32("odd-set member count")?), "odd-set member")?;
-        let mut members = Vec::with_capacity(mn);
-        for _ in 0..mn {
-            members.push(r.u32("odd-set member")?);
-        }
-        if members.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(format!("odd-set members {members:?} are not strictly ascending"));
-        }
-        let value = r.f64("odd-set value")?;
-        odd_sets.push(OddSetDual { level, level_weight, members, value });
-    }
-    Ok(DualSnapshot { eps, scale, num_levels, vertex_duals, odd_sets })
-}
-
 // ---- epoch ledger --------------------------------------------------------
 
 fn encode_decision(w: &mut ByteWriter, d: EpochDecision) {
@@ -552,13 +490,6 @@ pub fn encode_session_state(w: &mut ByteWriter, s: &SessionState) -> Result<(), 
         w.f64(e.w);
         w.u64(mult);
     }
-    match &s.duals {
-        None => w.u8(0),
-        Some(d) => {
-            w.u8(1);
-            encode_duals(w, d)?;
-        }
-    }
     w.u64(s.epoch);
     w.u32(u32_len(s.ledger.len(), "ledger rows")?);
     for row in &s.ledger {
@@ -591,11 +522,6 @@ pub fn decode_session_state(r: &mut ByteReader<'_>) -> Result<SessionState, Stri
         let mult = r.u64("matching multiplicity")?;
         matching.push((id, e, mult));
     }
-    let duals = match r.u8("duals flag")? {
-        0 => None,
-        1 => Some(decode_duals(r)?),
-        b => return Err(format!("duals flag has invalid byte {b}")),
-    };
     let epoch = r.u64("session epoch")?;
     let ln = checked_count(u64::from(r.u32("ledger row count")?), "ledger row")?;
     let mut ledger = Vec::with_capacity(ln);
@@ -609,7 +535,7 @@ pub fn decode_session_state(r: &mut ByteReader<'_>) -> Result<SessionState, Stri
         shuffle_volume: r.u64("tracker shuffle")?,
         items_streamed: r.u64("tracker streamed")?,
     };
-    Ok(SessionState { config, overlay, matching, duals, epoch, ledger, tracker })
+    Ok(SessionState { config, overlay, matching, epoch, ledger, tracker })
 }
 
 #[cfg(test)]
@@ -634,44 +560,6 @@ mod tests {
         let back = decode_updates(&mut r).unwrap();
         r.finish("updates").unwrap();
         assert_eq!(back, updates);
-    }
-
-    #[test]
-    fn duals_round_trip_bit_exactly() {
-        let d = DualSnapshot {
-            eps: 0.2,
-            scale: 1.5,
-            num_levels: 7,
-            vertex_duals: vec![VertexDual { vertex: 3, level: 2, level_weight: 1.44, value: -0.0 }],
-            odd_sets: vec![OddSetDual {
-                level: 1,
-                level_weight: 1.2,
-                members: vec![1, 2, 5],
-                value: 0.25,
-            }],
-        };
-        let mut w = ByteWriter::new();
-        encode_duals(&mut w, &d).unwrap();
-        let bytes = w.into_bytes();
-        let back = decode_duals(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(back.fingerprint(), d.fingerprint(), "bit-exact round trip");
-    }
-
-    #[test]
-    fn odd_sets_with_repeated_or_unsorted_members_are_rejected() {
-        for members in [vec![1, 1, 2], vec![2, 1, 5]] {
-            let d = DualSnapshot {
-                eps: 0.2,
-                scale: 1.0,
-                num_levels: 3,
-                vertex_duals: Vec::new(),
-                odd_sets: vec![OddSetDual { level: 1, level_weight: 1.2, members, value: 0.5 }],
-            };
-            let mut w = ByteWriter::new();
-            encode_duals(&mut w, &d).unwrap();
-            let err = decode_duals(&mut ByteReader::new(&w.into_bytes())).unwrap_err();
-            assert!(err.contains("strictly ascending"), "{err}");
-        }
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub const IMAGE_MAGIC: &[u8; 8] = b"MWMSESS1";
 /// bootstrapped flag, which always equalled "duals present". Version 7
 /// stores the overlay as its next id plus `(id, edge)` pairs of the live
 /// edges (no journal base, no liveness bits) and drops the config's two
-/// policy thresholds.
-pub const IMAGE_VERSION: u32 = 7;
+/// policy thresholds. Version 8 drops the session's duals and their flag.
+pub const IMAGE_VERSION: u32 = 8;
 
 const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
 
@@ -163,7 +163,6 @@ mod tests {
     use mwm_core::ResourceBudget;
     use mwm_dynamic::DynamicConfig;
     use mwm_graph::{Graph, GraphUpdate};
-    use mwm_lp::OddSetDual;
 
     fn session() -> DynamicMatcher {
         let mut g = Graph::new(8);
@@ -189,30 +188,22 @@ mod tests {
         assert_eq!(back.weight().to_bits(), dm.weight().to_bits());
         assert_eq!(back.epochs(), dm.epochs());
         assert_eq!(back.overlay().version(), dm.overlay().version());
-        assert_eq!(back.duals().map(|d| d.fingerprint()), dm.duals().map(|d| d.fingerprint()));
         // The image of the revived session is byte-identical: write→open→write
         // is a fixed point at the session level too.
         assert_eq!(SessionImage::from_session(&back).unwrap(), image);
     }
 
     #[test]
-    fn an_odd_set_with_repeated_members_is_corrupt() {
+    fn a_matching_past_a_capacity_is_corrupt() {
         let mut state = session().export_state();
-        let mut duals = state.duals.take().expect("a solved session exports duals");
-        duals.odd_sets.push(OddSetDual {
-            level: 0,
-            level_weight: duals.vertex_duals[0].level_weight,
-            members: vec![1, 1, 2],
-            value: 0.5,
-        });
-        state.duals = Some(duals);
+        state.matching[0].2 = 2;
         let mut w = ByteWriter::new();
         encode_session_state(&mut w, &state).unwrap();
         let payload = w.into_bytes();
         let image = SessionImage { checksum: fnv1a(&payload), payload };
         match image.restore() {
             Err(PersistError::Corrupt { context }) => {
-                assert!(context.contains("strictly ascending"), "{context}")
+                assert!(context.contains("capacity"), "{context}")
             }
             other => panic!("expected Corrupt, got {:?}", other.map(|dm| dm.epochs())),
         }

@@ -5,11 +5,10 @@
 //! *edges*, this crate delivers it for *sessions*. A [`SessionImage`] is a
 //! versioned, checksummed binary serialization of a full
 //! [`mwm_dynamic::DynamicMatcher`] session — base-graph parameters, the
-//! overlay of live edges, the maintained matching, the last committed
-//! [`mwm_lp::DualSnapshot`], and the epoch ledger — such that
-//! `hibernate → revive` restores a session **bit-identical** to the
-//! original: every subsequent epoch produces the same weight bits, matching
-//! and duals as if the session had stayed resident.
+//! overlay of live edges, the maintained matching and the epoch ledger —
+//! such that `hibernate → revive` restores a session **bit-identical** to
+//! the original: every subsequent epoch produces the same weight bits and
+//! matching as if the session had stayed resident.
 //!
 //! On top of the image sits a [`SessionStore`]: a directory of images plus a
 //! small manifest and one write-ahead journal per session. Epoch batches are

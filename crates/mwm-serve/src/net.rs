@@ -150,7 +150,6 @@ fn encode_session_stats(w: &mut ByteWriter, s: &SessionStats) -> Result<(), Pers
     w.u64(s.warm_resolves as u64);
     w.u64(s.rebuilds as u64);
     w.u64(s.revives as u64);
-    w.u64(s.duals_checksum);
     Ok(())
 }
 
@@ -168,7 +167,6 @@ fn decode_session_stats(r: &mut ByteReader<'_>) -> Result<SessionStats, String> 
         warm_resolves: r.u64("stats warm resolves")? as usize,
         rebuilds: r.u64("stats rebuilds")? as usize,
         revives: r.u64("stats revives")? as usize,
-        duals_checksum: r.u64("stats duals checksum")?,
     })
 }
 

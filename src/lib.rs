@@ -54,9 +54,8 @@
 //!
 //! * [`graph`] — graphs, generators, weight levels, matchings ([`mwm_graph`]).
 //! * [`sparsify`] — cut sparsifiers and deferred sparsifiers ([`mwm_sparsify`]).
-//! * [`lp`] — the multiplicative-weights step rule of Theorem 5, the
-//!   fractional covering solver and the portable dual snapshot format
-//!   ([`mwm_lp`]).
+//! * [`lp`] — the multiplicative-weights step rule of Theorem 5 and the
+//!   fractional covering solver ([`mwm_lp`]).
 //! * [`matching`] — offline matching substrates ([`mwm_matching`]).
 //! * [`mapreduce`] — the sharded pass engine, the resource ledger with the
 //!   central-space budget, and congested-clique accounting ([`mwm_mapreduce`]).
@@ -91,7 +90,7 @@ pub mod engine {
     pub use mwm_baselines::{LattanziFiltering, StreamingGreedy};
     pub use mwm_core::{
         MatchingSolver, MwmError, MwmResult, OfflineSolver, OfflineStrategy, ResourceBudget,
-        SolveReport, WarmStartState,
+        SolveReport,
     };
     pub use mwm_dynamic::{
         CommittedSnapshot, CommittedView, DynamicConfig, DynamicMatcher, EpochDecision, EpochStats,
@@ -207,7 +206,7 @@ pub mod prelude {
     pub use mwm_baselines::{LattanziFiltering, StreamingGreedy};
     pub use mwm_core::{
         DualPrimalConfig, DualPrimalSolver, MatchingSolver, MwmError, MwmResult, OfflineSolver,
-        OfflineStrategy, ResourceBudget, SolveReport, WarmStartState,
+        OfflineStrategy, ResourceBudget, SolveReport,
     };
     pub use mwm_dynamic::{
         CommittedSnapshot, CommittedView, DynamicConfig, DynamicMatcher, EpochDecision,

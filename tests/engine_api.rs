@@ -119,7 +119,7 @@ fn round_and_oracle_limits_stop_the_solve_before_the_work_they_cannot_pay() {
     let g = gnm(3, 80, 2000);
     let config = DualPrimalConfig::builder().p(3.0).max_rounds(4).build().unwrap();
     let solver = DualPrimalSolver::new(config).unwrap();
-    let (full, full_duals) = solver.solve_warm(&g, &ResourceBudget::unlimited(), None).unwrap();
+    let full = solver.solve(&g, &ResourceBudget::unlimited()).unwrap();
     let (initial, main) = (stat(&full, "initial_rounds"), stat(&full, "main_rounds"));
     assert!(initial >= 2 && main > 2, "initial {initial}, main {main}");
     assert!(full.oracle_iterations > 3);
@@ -139,14 +139,6 @@ fn round_and_oracle_limits_stop_the_solve_before_the_work_they_cannot_pay() {
         Err(MwmError::BudgetExceeded { resource: "oracle iterations", used: 4, limit: 3 }) => {}
         other => panic!("expected an oracle-iteration overrun, got {other:?}"),
     }
-
-    // A warm solve pays no sampling rounds: the limit caps its main loop and
-    // the solve succeeds.
-    let warm_state = WarmStartState { duals: full_duals, hint: full.matching };
-    let (warm, _) = solver
-        .solve_warm(&g, &ResourceBudget::unlimited().with_max_rounds(2), Some(&warm_state))
-        .unwrap();
-    assert_eq!(warm.rounds(), 2);
 }
 
 #[test]
@@ -166,7 +158,7 @@ fn one_ledger_carries_the_initial_phase_and_every_main_round() {
     let stat = |report: &SolveReport, name: &str| report.stat(name).unwrap() as usize;
     let g = gnm(5, 60, 400);
     let solver = DualPrimalSolver::default();
-    let (cold, duals) = solver.solve_warm(&g, &ResourceBudget::unlimited(), None).unwrap();
+    let cold = solver.solve(&g, &ResourceBudget::unlimited()).unwrap();
     let (initial, main) = (stat(&cold, "initial_rounds"), stat(&cold, "main_rounds"));
     assert!(initial > 0 && main > 0, "initial {initial}, main {main}");
     assert_eq!(cold.rounds(), initial + main);
@@ -174,17 +166,6 @@ fn one_ledger_carries_the_initial_phase_and_every_main_round() {
         cold.tracker.items_streamed() > main * g.num_edges(),
         "the sampling rounds stream edges too"
     );
-
-    // A warm solve skips the sampling phase: its ledger is the main loop's alone.
-    let warm_state = WarmStartState { duals, hint: cold.matching.clone() };
-    let drifted = gnm(6, 60, 400);
-    let (warm, _) =
-        solver.solve_warm(&drifted, &ResourceBudget::unlimited(), Some(&warm_state)).unwrap();
-    let main = stat(&warm, "main_rounds");
-    assert_eq!(stat(&warm, "initial_rounds"), 0);
-    assert!(main > 0, "the drifted graph needs at least one main round");
-    assert_eq!(warm.rounds(), main);
-    assert_eq!(warm.tracker.items_streamed(), main * drifted.num_edges());
 }
 
 proptest! {

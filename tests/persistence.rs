@@ -1,13 +1,11 @@
 //! Persistence & recovery: image-codec fixed points, hibernate → revive
-//! bit-identity (duals included), and crash recovery checked against a
-//! serial replay oracle.
+//! bit-identity, and crash recovery checked against a serial replay oracle.
 //!
 //! The contract under test is the one the serving layer leans on: a session
 //! that round-trips through a [`SessionImage`] — whether explicitly, via LRU
 //! eviction, or via crash recovery from checkpoint + write-ahead journal —
 //! must be **bit-identical** to one that stayed resident: same weight bits,
-//! same matching, same committed `DualSnapshot`, and the same results for
-//! every subsequent epoch.
+//! same matching, and the same results for every subsequent epoch.
 
 use dual_primal_matching::engine::{
     MatchingService, PersistError, ServeError, ServiceConfig, SessionImage,
@@ -77,14 +75,10 @@ fn matching_fingerprint(m: &BMatching) -> u64 {
     checksum
 }
 
-/// The full bit-sensitive state of a session: weight bits, matching
-/// fingerprint, duals fingerprint (0 if no duals are committed).
-fn session_state(dm: &DynamicMatcher) -> (u64, u64, u64) {
-    (
-        dm.weight().to_bits(),
-        matching_fingerprint(dm.matching()),
-        dm.duals().map(|d| d.fingerprint()).unwrap_or(0),
-    )
+/// The full bit-sensitive state of a session: weight bits and matching
+/// fingerprint.
+fn session_state(dm: &DynamicMatcher) -> (u64, u64) {
+    (dm.weight().to_bits(), matching_fingerprint(dm.matching()))
 }
 
 proptest! {
@@ -93,7 +87,7 @@ proptest! {
     /// `to_bytes → from_bytes → to_bytes` and `write → open → write` are
     /// fixed points: re-encoding a decoded image reproduces the original
     /// bytes exactly, so images can be copied, verified, and re-persisted
-    /// without drift. The revived session is bit-identical, duals included.
+    /// without drift. The revived session is bit-identical.
     #[test]
     fn image_roundtrip_is_a_byte_level_fixed_point(
         seed in 0u64..300,
@@ -124,8 +118,8 @@ proptest! {
     }
 
     /// Hibernating mid-stream and continuing is invisible: the revived
-    /// session applies the remaining epochs to exactly the same weight bits,
-    /// matching and duals as the session that never left memory.
+    /// session applies the remaining epochs to exactly the same weight bits
+    /// and matching as the session that never left memory.
     #[test]
     fn revive_then_continue_matches_staying_resident(
         seed in 0u64..300,
@@ -195,7 +189,7 @@ fn crash_recovery_matches_serial_replay() {
         for batch in script {
             oracle.apply_epoch(batch, &ResourceBudget::unlimited()).expect("oracle epoch");
         }
-        let (weight_bits, fingerprint, duals) = session_state(&oracle);
+        let (weight_bits, fingerprint) = session_state(&oracle);
 
         let name = format!("s{s}");
         let snap = service.matching(&name).expect("query");
@@ -206,7 +200,6 @@ fn crash_recovery_matches_serial_replay() {
             fingerprint,
             "{name}: matching diverged after recovery"
         );
-        assert_eq!(stats.duals_checksum, duals, "{name}: duals diverged after recovery");
         assert_eq!(stats.epochs, oracle.epochs(), "{name}: epoch count diverged");
     }
     service.shutdown();

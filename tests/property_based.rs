@@ -3,7 +3,6 @@
 use dual_primal_matching::engine::{MatchingSolver, ResourceBudget};
 use dual_primal_matching::graph::generators::{self, WeightModel};
 use dual_primal_matching::graph::{Graph, UnionFind, WeightClasses, WeightLevels};
-use dual_primal_matching::lp::{DualSnapshot, OddSetDual, VertexDual};
 use dual_primal_matching::matching::{
     bounds, exact_max_weight_matching, greedy_b_matching, greedy_matching, improve_matching,
     try_max_weight_bipartite_matching,
@@ -107,40 +106,6 @@ impl NaiveDual {
         }
         sums.into_iter().collect()
     }
-
-    fn snapshot(&self, levels: &WeightLevels, eps: f64) -> DualSnapshot {
-        let vertex_duals = self
-            .x
-            .iter()
-            .filter(|(_, &value)| value > 0.0)
-            .map(|(&(vertex, level), &value)| VertexDual {
-                vertex,
-                level,
-                level_weight: levels.level_weight_original(level),
-                value,
-            })
-            .collect();
-        let mut odd_sets = Vec::new();
-        for (level, sets) in self.z.iter().enumerate() {
-            for (members, value) in sets.iter().filter(|(_, value)| *value > 0.0) {
-                odd_sets.push(OddSetDual {
-                    level,
-                    level_weight: levels.level_weight_original(level),
-                    members: members.clone(),
-                    value: *value,
-                });
-            }
-        }
-        let mut snap = DualSnapshot {
-            eps,
-            scale: levels.scale(),
-            num_levels: self.num_levels,
-            vertex_duals,
-            odd_sets,
-        };
-        snap.normalize();
-        snap
-    }
 }
 
 /// `size` distinct vertices below `n`, sorted.
@@ -192,13 +157,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let eps = 0.2;
         let caps: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=3)).collect();
-        let mut g = Graph::with_capacities(caps);
-        g.add_edge(0, 1, 1.0);
-        // B ≥ 3 puts the one edge on level ≥ 6, so every level of the state
-        // has a weight to export.
-        let levels = WeightLevels::new(&g, eps);
-        prop_assert!(levels.num_levels() >= num_levels);
-
+        let g = Graph::with_capacities(caps);
         let mut flat = DualState::new(n, num_levels, eps);
         let mut naive = NaiveDual::new(n, num_levels);
         for _ in 0..ops {
@@ -277,9 +236,6 @@ proptest! {
             prop_assert_eq!(&a.0, &b.0);
             prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
-        let (flat_snap, naive_snap) = (flat.snapshot(&levels), naive.snapshot(&levels, eps));
-        prop_assert_eq!(flat_snap.fingerprint(), naive_snap.fingerprint());
-        prop_assert_eq!(flat_snap, naive_snap);
     }
 
     /// Weight-level discretization never overestimates a weight and loses at
